@@ -16,8 +16,8 @@ from .entropy import (EntropyTablePlan, SchmidtSpectrum, SiteSubset,
                       SubsetEntropyTable, monogamy_gap, mutual_information,
                       subset_entropy_table, subsystem_spectrum, tmi,
                       von_neumann)
-from .errors import (CapacityError, ConfigError, ConvergenceError,
-                     NumericalConsistencyError, SpinChainError)
+from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
+                     SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     StateVector, apply_hamiltonian, coupling_matrix,
                     enumerate_sector, neel_state, sector_dimension,
@@ -27,19 +27,19 @@ from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
                          contiguous_quarters, enumerate_partitions,
                          lightcone_onset, minmax_tmi, tau_sign_change)
-from .propagate import (TimeGrid, Trajectory, evolve, evolve_dense,
-                        evolve_krylov, onebody_amplitudes, onebody_propagator)
+from .propagate import (TimeGrid, Trajectory, evolve, onebody_amplitudes,
+                        onebody_propagator)
 
 __all__ = [
     "__version__",
-    "CapacityError", "ConfigError", "ConvergenceError",
-    "NumericalConsistencyError", "SpinChainError",
+    "CapacityError", "ConfigError", "NumericalConsistencyError",
+    "SpinChainError",
     "CouplingMatrix", "ModelSpec", "SectorBasis", "SectorHamiltonian",
     "StateVector", "apply_hamiltonian", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "total_excitation_mask_weight",
-    "TimeGrid", "Trajectory", "evolve", "evolve_dense", "evolve_krylov",
-    "onebody_propagator", "onebody_amplitudes",
+    "TimeGrid", "Trajectory", "evolve", "onebody_propagator",
+    "onebody_amplitudes",
     "EntropyTablePlan", "SchmidtSpectrum", "SiteSubset", "SubsetEntropyTable",
     "monogamy_gap", "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",

@@ -25,14 +25,6 @@ def bit_positions(mask):
     return out
 
 
-def mask_from_sites(sites):
-    """Bitmask with the given site indices set."""
-    mask = 0
-    for s in sites:
-        mask |= 1 << int(s)
-    return mask
-
-
 def gather_bits(values, sites):
     """Pack the bits of ``values`` at positions ``sites`` into low bits.
 
@@ -44,11 +36,3 @@ def gather_bits(values, sites):
     for j, site in enumerate(sites):
         out |= ((values >> site) & 1) << j
     return out
-
-
-def submasks_desc(mask):
-    """Yield the nonempty submasks of ``mask`` in strictly decreasing order."""
-    sub = int(mask)
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask

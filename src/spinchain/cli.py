@@ -3,15 +3,14 @@
 Subcommands map one-to-one onto the experiment runners; every config key
 can be set from a file (--config takes a path or a bundled preset name)
 and overridden by flags.  Exit codes: 0 success, 2 configuration error,
-3 capacity guard, 4 numerical-consistency or convergence failure.
+3 capacity guard, 4 numerical-consistency failure.
 """
 
 import argparse
 import sys
 
 from .config import PRESET_NAMES, load_config
-from .errors import (CapacityError, ConfigError, ConvergenceError,
-                     NumericalConsistencyError)
+from .errors import CapacityError, ConfigError, NumericalConsistencyError
 
 RUNNERS = ("tmi-grid", "tmi-vs-entropy", "minmax-scan", "onebody-scan")
 
@@ -21,7 +20,6 @@ _FLAG_MAP = (
     ("--alpha", "model.alphas", "comma list of coupling exponents; 'nn' allowed"),
     ("--t-max", "time.t_max", "time window end (Kac units when --kac)"),
     ("--n-points", "time.n_points", "number of grid times"),
-    ("--engine", "engine.kind", "auto | dense | krylov"),
     ("--partitions", "partitions.strategy",
      "quarters | all | contiguous | fixed:SA,SB,SC"),
     ("--out", "output.directory", "output directory"),
@@ -107,7 +105,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalConsistencyError, ConvergenceError) as exc:
+    except NumericalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -1,8 +1,8 @@
 """Run configuration: file grammar, validation, canonical hashing.
 
 Configs are INI files with the sections [model], [initial], [time],
-[partitions], [scan], [engine], [output]; every key can be overridden by
-the command-line flag of the same name.  Unknown sections or keys are
+[partitions], [scan], [output]; every key can be overridden by the
+command-line flag of the same name.  Unknown sections or keys are
 rejected with field-level messages rather than ignored, so a typo cannot
 silently change an experiment.
 """
@@ -17,7 +17,6 @@ from importlib import resources
 from .errors import ConfigError
 from .model import ModelSpec
 
-ENGINES = ("auto", "dense", "krylov")
 FORMATS = ("csv", "json")
 PRESET_NAMES = ("fig2", "fig3", "fig4", "smoke")
 # where and how results are written; not part of the experiment identity
@@ -96,11 +95,6 @@ class RunConfig:
     inset_alphas: tuple = ()
     tau_threshold: float = 1e-10
 
-    engine: str = "auto"
-    tol: float = 1e-10
-    m_max: int = 40
-    dense_threshold: int = 4096
-
     out_dir: str = "runs"
     formats: tuple = ("csv",)
     precision: int = 12
@@ -129,14 +123,6 @@ class RunConfig:
         triple = (self.subset_a, self.subset_b, self.subset_c)
         if any(s is not None for s in triple) and any(s is None for s in triple):
             raise ConfigError("partitions.a/b/c: give all three subsets or none")
-        if self.engine not in ENGINES:
-            raise ConfigError(f"engine.kind: expected one of {ENGINES}, got {self.engine!r}")
-        if self.tol <= 0:
-            raise ConfigError(f"engine.tol: must be positive, got {self.tol}")
-        if self.m_max < 2:
-            raise ConfigError(f"engine.m_max: need at least 2, got {self.m_max}")
-        if self.dense_threshold < 1:
-            raise ConfigError(f"engine.dense_threshold: must be positive, got {self.dense_threshold}")
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"output.formats: expected csv/json, got {fmt!r}")
@@ -198,7 +184,6 @@ _SCHEMA = {
     "time": ("t_max", "n_points", "kac_rescaled"),
     "partitions": ("strategy", "sizes", "a", "b", "c"),
     "scan": ("inset_alphas", "tau_threshold"),
-    "engine": ("kind", "tol", "m_max", "dense_threshold"),
     "output": ("directory", "formats", "precision"),
 }
 
@@ -268,14 +253,6 @@ def _apply(values: dict) -> RunConfig:
             kw["inset_alphas"] = alphas
         elif dotted == "scan.tau_threshold":
             kw["tau_threshold"] = _parse_float(text, where)
-        elif dotted == "engine.kind":
-            kw["engine"] = text.strip().lower()
-        elif dotted == "engine.tol":
-            kw["tol"] = _parse_float(text, where)
-        elif dotted == "engine.m_max":
-            kw["m_max"] = _parse_int(text, where)
-        elif dotted == "engine.dense_threshold":
-            kw["dense_threshold"] = _parse_int(text, where)
         elif dotted == "output.directory":
             kw["out_dir"] = text.strip()
         elif dotted == "output.formats":

@@ -214,12 +214,6 @@ class SubsetEntropyTable:
             return range(1 << self.n_sites)
         return sorted(self._map)
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("mask,entropy\n")
-            for m in self.masks():
-                fh.write(f"{int(m)},{self[m]:.12g}\n")
-
 
 class EntropyTablePlan:
     """Reusable index plan for evaluating subset entropies of many states.

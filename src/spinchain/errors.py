@@ -13,14 +13,5 @@ class CapacityError(SpinChainError):
     """A requested computation exceeds a configured size guard."""
 
 
-class ConvergenceError(SpinChainError):
-    """An iterative solver failed to reach its tolerance."""
-
-    def __init__(self, message, step=None, residual=None):
-        super().__init__(message)
-        self.step = step
-        self.residual = residual
-
-
 class NumericalConsistencyError(SpinChainError):
     """A numerical invariant was violated beyond roundoff tolerance."""

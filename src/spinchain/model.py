@@ -260,7 +260,7 @@ class SectorHamiltonian:
         return self.matrix().toarray()
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec inside the sector."""
+        """H @ vec inside the sector; ``vec`` is (dim,) or (dim, n_columns)."""
         vec = np.asarray(vec)
         if self.dim <= self.sparse_threshold:
             mat = self.matrix()
@@ -268,7 +268,7 @@ class SectorHamiltonian:
                 # two real matvecs avoid per-call dtype upcasts of the matrix
                 return mat @ vec.real + 1j * (mat @ vec.imag)
             return mat @ vec
-        out = np.zeros(self.dim, dtype=np.complex128)
+        out = np.zeros(vec.shape, dtype=np.complex128)
         states = self.basis.states
         for m, n, amp in self._pairs:
             pair_mask = (1 << m) | (1 << n)

@@ -1,28 +1,24 @@
 """Quench time evolution inside an excitation sector.
 
-Two engines cover the practical size range: exact diagonalization of the
-sector Hamiltonian for small dimensions, and a Lanczos short-iterate
-propagator with adaptive substepping for larger ones.  Both return the
-state at every requested grid time.
+One path serves every sector size: scipy's expm_multiply applies
+exp(-iH dt) to the state across each grid interval, driving the sector
+Hamiltonian through its ``apply`` (cached CSR or matrix-free, as the
+model chooses).  The single-excitation helpers diagonalize the N x N
+hopping matrix instead.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .errors import CapacityError, ConvergenceError
-from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
+from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
                     StateVector)
 
-DENSE_THRESHOLD = 4096
-KRYLOV_TOL = 1e-10
-KRYLOV_M_MAX = 40
-_MAX_HALVINGS = 60
-
 __all__ = [
-    "TimeGrid", "Trajectory", "evolve", "evolve_dense", "evolve_krylov",
-    "onebody_propagator", "onebody_hamiltonian",
+    "TimeGrid", "Trajectory", "evolve", "onebody_propagator",
+    "onebody_hamiltonian",
 ]
 
 
@@ -72,7 +68,6 @@ class Trajectory:
     grid: TimeGrid
     basis: SectorBasis
     states: np.ndarray  # (n_times, dim) complex
-    spec: ModelSpec | None = None
 
     def state_at(self, i: int) -> StateVector:
         return StateVector(self.basis, self.states[i].copy())
@@ -88,127 +83,34 @@ def _check_state(basis: SectorBasis, psi0: StateVector):
         raise ValueError(f"initial state is not normalized (norm {psi0.norm})")
 
 
-def evolve_dense(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
-                 grid: TimeGrid, threshold: int = DENSE_THRESHOLD) -> Trajectory:
-    """Spectral propagation exp(-iHt)|psi0> via full diagonalization.
+def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
+           grid: TimeGrid, engine: str = "auto") -> Trajectory:
+    """States exp(-iHt)|psi0> at every grid time.
 
-    Exact up to roundoff; cost is one dense eigendecomposition of the
-    sector Hamiltonian plus two matrix products per time.
+    Each grid interval is one call of scipy's expm_multiply (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33, 2011) on the sector Hamiltonian's
+    ``apply``, so non-uniform grids need no special case.  H has no
+    diagonal, hence the exact trace 0.  ``engine`` stays for callers that
+    name one: 'auto', 'dense' and 'krylov' all run this same path, and any
+    other name raises ValueError.
     """
-    if basis.dim > threshold:
-        raise CapacityError(
-            f"sector dimension {basis.dim} exceeds the dense engine threshold "
-            f"{threshold}; use the krylov engine"
-        )
+    if engine not in ("auto", "dense", "krylov"):
+        raise ValueError(f"unknown engine {engine!r}")
     _check_state(basis, psi0)
     ham = SectorHamiltonian(coupling, basis)
-    w, v = eigh(ham.dense())
+    # H is real symmetric, so its adjoint (used by the 1-norm estimate) is H
+    op = LinearOperator((basis.dim, basis.dim), matvec=ham.apply,
+                        rmatvec=ham.apply, dtype=np.complex128)
     times = grid.physical_times(coupling.kac)
-    coeff = v.T @ psi0.amplitudes
     out = np.empty((len(times), basis.dim), dtype=np.complex128)
-    for i, t in enumerate(times):
-        if t == 0.0:
-            out[i] = psi0.amplitudes
-        else:
-            out[i] = v @ (np.exp(-1j * w * t) * coeff)
-    return Trajectory(grid=grid, basis=basis, states=out)
-
-
-def _lanczos_step(apply, psi, dt, tol_rate, m_max):
-    """One adaptive Lanczos substep of size <= dt.
-
-    Returns (state after the accepted step, accepted step size).  The
-    Krylov basis is built with full reorthogonalization so the tridiagonal
-    projection stays accurate for the small residuals targeted here.
-    """
-    dim = len(psi)
-    m_cap = min(m_max, dim)
-    Q = np.empty((m_cap, dim), dtype=np.complex128)
-    alpha = np.empty(m_cap)
-    beta = np.empty(m_cap)
-    Q[0] = psi
-    m = 0
-    happy = False
-    for j in range(m_cap):
-        w = apply(Q[j])
-        alpha[j] = np.vdot(Q[j], w).real
-        w -= alpha[j] * Q[j]
-        if j > 0:
-            w -= beta[j - 1] * Q[j - 1]
-        # full reorthogonalization sweep against every previous vector
-        proj = Q[: j + 1] @ w.conj()  # conjugated overlaps <q_i|w>*
-        w -= Q[: j + 1].T @ proj.conj()
-        b = np.linalg.norm(w)
-        m = j + 1
-        if b < 1e-14:
-            happy = True  # exact invariant subspace, no truncation error
-            break
-        beta[j] = b
-        if j + 1 < m_cap:
-            Q[j + 1] = w / b
-
-    theta, s = eigh_tridiagonal(alpha[:m], beta[: m - 1])
-    attempt = dt
-    for _ in range(_MAX_HALVINGS + 1):
-        u = s @ (np.exp(-1j * theta * attempt) * s[0])
-        if happy or m < m_cap:
-            err = 0.0
-        else:
-            err = beta[m - 1] * abs(u[-1])
-        if err <= tol_rate * attempt or happy:
-            return (Q[:m].T @ u), attempt, err
-        attempt /= 2.0
-    raise ConvergenceError(
-        f"Lanczos step failed to reach tolerance after {_MAX_HALVINGS} halvings",
-        step=attempt, residual=err,
-    )
-
-
-def evolve_krylov(ham, psi0: StateVector, grid: TimeGrid,
-                  tol: float = KRYLOV_TOL, m_max: int = KRYLOV_M_MAX,
-                  kac: float | None = None) -> Trajectory:
-    """Lanczos propagation with adaptive substeps.
-
-    ``ham`` is a SectorHamiltonian (or anything with .apply/.basis).  The
-    per-step truncation error estimate is kept below tol * dt / t_span so
-    the accumulated error over the grid stays near ``tol``.
-    """
-    basis = ham.basis
-    _check_state(basis, psi0)
-    if kac is None:
-        kac = ham.coupling.kac
-    times = grid.physical_times(kac)
-    span = times[-1] if times[-1] > 0 else 1.0
-    tol_rate = tol / span
-
-    out = np.empty((len(times), basis.dim), dtype=np.complex128)
-    psi = psi0.amplitudes.copy()
+    psi = psi0.amplitudes
     t_now = 0.0
     for i, t in enumerate(times):
-        remaining = t - t_now
-        while remaining > 1e-15 * max(t, 1.0):
-            step, accepted, _ = _lanczos_step(ham.apply, psi, remaining, tol_rate, m_max)
-            psi = step
-            # renormalize: unitary up to truncation, drift stays ~ tol
-            psi /= np.linalg.norm(psi)
-            t_now += accepted
-            remaining = t - t_now
+        if t > t_now:
+            psi = expm_multiply(-1j * (t - t_now) * op, psi, traceA=0.0)
+            t_now = t
         out[i] = psi
     return Trajectory(grid=grid, basis=basis, states=out)
-
-
-def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
-           grid: TimeGrid, engine: str = "auto", tol: float = KRYLOV_TOL,
-           m_max: int = KRYLOV_M_MAX, dense_threshold: int = DENSE_THRESHOLD) -> Trajectory:
-    """Propagate with the requested engine ('auto', 'dense', 'krylov')."""
-    if engine == "auto":
-        engine = "dense" if basis.dim <= dense_threshold else "krylov"
-    if engine == "dense":
-        return evolve_dense(coupling, basis, psi0, grid, threshold=dense_threshold)
-    if engine == "krylov":
-        ham = SectorHamiltonian(coupling, basis)
-        return evolve_krylov(ham, psi0, grid, tol=tol, m_max=m_max)
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def onebody_hamiltonian(coupling: CouplingMatrix) -> np.ndarray:

@@ -70,11 +70,6 @@ def _initial_state(cfg: RunConfig):
     return basis, single_excitation_state(basis, cfg.resolved_site())
 
 
-def _evolve(cfg: RunConfig, coupling, basis, psi0, grid):
-    return evolve(coupling, basis, psi0, grid, engine=cfg.engine, tol=cfg.tol,
-                  m_max=cfg.m_max, dense_threshold=cfg.dense_threshold)
-
-
 def _grid_triple(cfg: RunConfig):
     """Partition triple of the single-partition runners."""
     if cfg.subset_a is not None:
@@ -116,8 +111,6 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
         "j0": cfg.j0,
         "initial_state": cfg.initial_state if cfg.initial_state == "neel"
         else f"single:{cfg.resolved_site()}",
-        "engine": cfg.engine,
-        "krylov_tol": cfg.tol,
         "kac_rescaled": cfg.kac_rescaled,
         "t_max": cfg.t_max,
         "n_points": cfg.n_points,
@@ -133,7 +126,7 @@ def _task_tmi_grid(args):
     coupling = coupling_matrix(spec)
     grid = _time_grid(cfg)
     basis, psi0 = _initial_state(cfg)
-    traj = _evolve(cfg, coupling, basis, psi0, grid)
+    traj = evolve(coupling, basis, psi0, grid)
     triple = _grid_triple(cfg)
     plan = _plan_for(basis, tuple(sorted(set(_triple_masks(triple)))))
     a, b, c = triple.masks()
@@ -179,7 +172,7 @@ def _task_tmi_vs_entropy(args):
     coupling = coupling_matrix(spec)
     grid = _time_grid(cfg)
     basis, psi0 = _initial_state(cfg)
-    traj = _evolve(cfg, coupling, basis, psi0, grid)
+    traj = evolve(coupling, basis, psi0, grid)
     triple = _grid_triple(cfg)
     half_mask = (1 << (cfg.n_sites // 2)) - 1
     masks = tuple(sorted(set(_triple_masks(triple)) | {half_mask}))
@@ -222,7 +215,7 @@ def _task_minmax(args):
     coupling = coupling_matrix(spec)
     grid = _time_grid(cfg)
     basis, psi0 = _initial_state(cfg)
-    traj = _evolve(cfg, coupling, basis, psi0, grid)
+    traj = evolve(coupling, basis, psi0, grid)
     pset = _scan_partitions(cfg)
     if cfg.n_sites <= FULL_PLAN_MAX_SITES:
         plan = _plan_for(basis, None)
@@ -367,7 +360,7 @@ def _check_dynamics_oracle():
         for k in (1, 3):
             basis = enumerate_sector(6, k)
             psi0 = neel_state(basis) if k == 3 else single_excitation_state(basis, 2)
-            traj = evolve(coupling, basis, psi0, TimeGrid(times), engine="dense")
+            traj = evolve(coupling, basis, psi0, TimeGrid(times))
             full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
             for i in range(len(times)):
                 dev = np.max(np.abs(full[i][basis.states] - traj.states[i]))
@@ -379,8 +372,7 @@ def _evolved_test_state():
     from .model import ModelSpec
     coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
     basis = enumerate_sector(6, 3)
-    traj = evolve(coupling, basis, neel_state(basis), TimeGrid(np.array([1.3])),
-                  engine="dense")
+    traj = evolve(coupling, basis, neel_state(basis), TimeGrid(np.array([1.3])))
     return basis, traj.states[0]
 
 

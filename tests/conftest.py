@@ -39,5 +39,5 @@ def evolved8(basis8):
     """Half-filling N=8 Neel quench at a mid-window time, alpha=0.6."""
     coupling = coupling_matrix(ModelSpec(8, alpha=0.6))
     grid = TimeGrid(np.array([0.0, 1.7]))
-    traj = evolve(coupling, basis8, neel_state(basis8), grid, engine="dense")
+    traj = evolve(coupling, basis8, neel_state(basis8), grid)
     return traj.state_at(1)

@@ -16,9 +16,6 @@ alphas = 0.5, 3.0
 t_max = 1.0
 n_points = 5
 
-[engine]
-kind = dense
-
 [output]
 formats = csv
 """
@@ -112,18 +109,27 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_convergence_failure_is_4(self, tmp_path, capsys):
-        # a two-vector Krylov space cannot meet the tolerance at any step size
-        cfg = tmp_path / "starved.cfg"
-        cfg.write_text(
-            "[model]\nn_sites = 10\nalphas = 0.2\n"
-            "[time]\nt_max = 2.0\nn_points = 3\n"
-            "[engine]\nkind = krylov\ntol = 1e-12\nm_max = 2\n"
-        )
+    def test_numerical_failure_is_4(self, tmp_path, capsys, monkeypatch):
+        # states of norm 1.01 carry Schmidt weights summing to 1.0201, which
+        # the entropy layer's weight-sum check must refuse
+        from spinchain import runs
+        real_evolve = runs.evolve
+
+        def inflated(*args, **kwargs):
+            traj = real_evolve(*args, **kwargs)
+            traj.states *= 1.01
+            return traj
+
+        monkeypatch.setattr(runs, "evolve", inflated)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
         code = run_cli(["tmi-grid", "--config", str(cfg),
                         "--out", str(tmp_path / "out")])
         assert code == 4
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Schmidt weights" in err
 
     def test_paper_scale_needs_preset_key(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"

@@ -47,6 +47,10 @@ class TestFileGrammar:
         path.write_text("[models]\nn_sites = 8\n")
         with pytest.raises(ConfigError, match=r"\[models\]"):
             load_config(path)
+        # configs written for the removed [engine] section fail loudly
+        path.write_text("[model]\nalphas = 1\n[engine]\nkind = auto\n")
+        with pytest.raises(ConfigError, match=r"\[engine\]"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -105,8 +109,11 @@ class TestValidation:
             RunConfig(alphas=(-1.0,))
 
     def test_rejects_bad_engine(self):
-        with pytest.raises(ConfigError, match="engine.kind"):
-            RunConfig(alphas=(1.0,), engine="magic")
+        # propagation has no settings: any engine key is an unknown key
+        with pytest.raises(ConfigError, match="unknown key engine.kind"):
+            load_config(None, {"model.alphas": "1", "engine.kind": "krylov"})
+        with pytest.raises(TypeError):
+            RunConfig(alphas=(1.0,), engine="krylov")
 
     def test_rejects_bad_format(self):
         with pytest.raises(ConfigError, match="output.formats"):

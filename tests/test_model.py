@@ -191,6 +191,10 @@ class TestSectorHamiltonian:
         free = SectorHamiltonian(coupling, basis8, sparse_threshold=0)
         vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
         np.testing.assert_allclose(free.apply(vec), cached.apply(vec), atol=1e-12)
+        # LinearOperator.matmat hands apply single columns of shape (dim, 1)
+        col = vec[:, None]
+        assert free.apply(col).shape == cached.apply(col).shape == (basis8.dim, 1)
+        np.testing.assert_allclose(free.apply(col), cached.apply(col), atol=1e-12)
 
     def test_hermitian(self, basis6):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)

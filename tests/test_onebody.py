@@ -165,7 +165,7 @@ class TestOnebodyScan:
         pset = enumerate_partitions(8, "all")
 
         series = onebody_tmi_scan(coupling, 3, grid, pset)
-        traj = evolve(coupling, basis, psi0, grid, engine="dense")
+        traj = evolve(coupling, basis, psi0, grid)
         for i in range(len(grid)):
             vals = pset.tmi_values(subset_entropy_table(traj.state_at(i)))
             assert series.min_values[i] == pytest.approx(vals.min(), abs=1e-10)

@@ -1,18 +1,15 @@
-"""Time grids and the dense/Krylov propagators."""
+"""Time grids, sector propagation and the single-excitation propagator."""
 
 import numpy as np
 import pytest
 
 from spinchain import (
-    CapacityError,
     ModelSpec,
     SectorHamiltonian,
     TimeGrid,
     coupling_matrix,
     enumerate_sector,
     evolve,
-    evolve_dense,
-    evolve_krylov,
     neel_state,
     onebody_amplitudes,
     onebody_propagator,
@@ -20,6 +17,16 @@ from spinchain import (
 )
 from spinchain import reference
 from spinchain.model import StateVector
+
+
+class MatrixFreeHamiltonian(SectorHamiltonian):
+    """A sector Hamiltonian that must never build its CSR matrix."""
+
+    def __init__(self, coupling, basis):
+        super().__init__(coupling, basis, sparse_threshold=0)
+
+    def matrix(self):
+        raise AssertionError("the matrix-free path built a CSR matrix")
 
 
 class TestTimeGrid:
@@ -44,13 +51,15 @@ class TestTimeGrid:
 
 
 class TestDenseEvolution:
+    """evolve against exact references: closed form, full space, invariants."""
+
     def test_two_site_closed_form(self):
         # Single coupled pair: |10> rotates as cos(2Jt)|10> - i sin(2Jt)|01>.
         spec = ModelSpec(2, j0=0.8, alpha=1.0)
         basis = enumerate_sector(2, 1)
         psi0 = single_excitation_state(basis, 1)
         times = np.array([0.0, 0.3, 1.1])
-        traj = evolve_dense(coupling_matrix(spec), basis, psi0, TimeGrid(times))
+        traj = evolve(coupling_matrix(spec), basis, psi0, TimeGrid(times))
         for i, t in enumerate(times):
             expected = np.array(
                 [-1j * np.sin(1.6 * t), np.cos(1.6 * t)], dtype=complex
@@ -60,31 +69,25 @@ class TestDenseEvolution:
     def test_t_zero_reproduces_input(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.9))
         psi0 = neel_state(basis6)
-        traj = evolve_dense(coupling, basis6, psi0, TimeGrid(np.array([0.0])))
+        traj = evolve(coupling, basis6, psi0, TimeGrid(np.array([0.0])))
         np.testing.assert_array_equal(traj.states[0], psi0.amplitudes)
 
     def test_matches_full_space(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
         psi0 = neel_state(basis6)
         times = np.array([0.0, 0.4, 1.1, 2.7])
-        traj = evolve_dense(coupling, basis6, psi0, TimeGrid(times))
+        traj = evolve(coupling, basis6, psi0, TimeGrid(times))
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         for i in range(len(times)):
             np.testing.assert_allclose(
                 traj.states[i], full[i][basis6.states], atol=1e-12
             )
 
-    def test_capacity_guard(self):
-        basis = enumerate_sector(16, 8)  # dim 12870 > 4096
-        coupling = coupling_matrix(ModelSpec(16, alpha=1.0))
-        with pytest.raises(CapacityError):
-            evolve_dense(coupling, basis, neel_state(basis), TimeGrid.linspace(1.0, 3))
-
     def test_norm_and_energy_conserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         ham = SectorHamiltonian(coupling, basis8)
         psi0 = neel_state(basis8)
-        traj = evolve_dense(coupling, basis8, psi0, TimeGrid.linspace(3.0, 7))
+        traj = evolve(coupling, basis8, psi0, TimeGrid.linspace(3.0, 7))
         e0 = ham.expectation(psi0.amplitudes)
         for i in range(len(traj)):
             amps = traj.states[i]
@@ -95,8 +98,8 @@ class TestDenseEvolution:
         # H is real, so conjugation reverses time: U(-t) psi = conj(U(t) conj(psi)).
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         psi0 = neel_state(basis8)
-        fwd = evolve_dense(coupling, basis8, psi0, TimeGrid(np.array([1.3])))
-        back = evolve_dense(
+        fwd = evolve(coupling, basis8, psi0, TimeGrid(np.array([1.3])))
+        back = evolve(
             coupling,
             basis8,
             StateVector(basis8, fwd.states[0].conj()),
@@ -108,48 +111,43 @@ class TestDenseEvolution:
 
 
 class TestKrylovEvolution:
+    """The legacy engine name 'krylov' runs the one propagation path."""
+
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0])
     def test_matches_dense(self, basis8, alpha):
         coupling = coupling_matrix(ModelSpec(8, alpha=alpha))
         psi0 = neel_state(basis8)
         grid = TimeGrid.linspace(4.0, 9)
-        dense = evolve_dense(coupling, basis8, psi0, grid)
-        ham = SectorHamiltonian(coupling, basis8)
-        krylov = evolve_krylov(ham, psi0, grid, tol=1e-10)
-        assert np.max(np.abs(dense.states - krylov.states)) < 1e-9
-
-    def test_small_sector_happy_breakdown(self):
-        # Krylov space saturates at the sector dimension and must terminate.
-        basis = enumerate_sector(3, 1)
-        coupling = coupling_matrix(ModelSpec(3, alpha=0.5))
-        psi0 = single_excitation_state(basis, 0)
-        ham = SectorHamiltonian(coupling, basis)
-        grid = TimeGrid.linspace(2.0, 4)
-        krylov = evolve_krylov(ham, psi0, grid, m_max=30)
-        dense = evolve_dense(coupling, basis, psi0, grid)
-        assert np.max(np.abs(dense.states - krylov.states)) < 1e-10
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), grid.times)
+        krylov = evolve(coupling, basis8, psi0, grid, engine="krylov")
+        assert np.max(np.abs(full[:, basis8.states] - krylov.states)) < 1e-12
 
     def test_norm_preserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.3))
-        ham = SectorHamiltonian(coupling, basis8)
-        traj = evolve_krylov(ham, neel_state(basis8), TimeGrid.linspace(5.0, 6))
+        traj = evolve(coupling, basis8, neel_state(basis8), TimeGrid.linspace(5.0, 6),
+                      engine="krylov")
         norms = np.linalg.norm(traj.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestEvolveDispatcher:
-    def test_auto_uses_dense_for_small_sectors(self, basis6):
-        coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
-        psi0 = neel_state(basis6)
-        grid = TimeGrid.linspace(1.0, 3)
-        auto = evolve(coupling, basis6, psi0, grid, engine="auto")
-        dense = evolve_dense(coupling, basis6, psi0, grid)
-        np.testing.assert_array_equal(auto.states, dense.states)
+    def test_matrix_free_matches_csr(self, basis8, monkeypatch):
+        coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
+        psi0 = neel_state(basis8)
+        grid = TimeGrid.linspace(3.0, 5)
+        csr = evolve(coupling, basis8, psi0, grid)
+        monkeypatch.setattr("spinchain.propagate.SectorHamiltonian", MatrixFreeHamiltonian)
+        free = evolve(coupling, basis8, psi0, grid)
+        assert np.max(np.abs(csr.states - free.states)) < 1e-12
 
     def test_engine_names(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
         psi0 = neel_state(basis6)
         grid = TimeGrid.linspace(1.0, 3)
+        runs = [evolve(coupling, basis6, psi0, grid, engine=name).states
+                for name in ("auto", "dense", "krylov")]
+        for states in runs[1:]:
+            np.testing.assert_array_equal(states, runs[0])
         with pytest.raises(ValueError):
             evolve(coupling, basis6, psi0, grid, engine="magic")
 
