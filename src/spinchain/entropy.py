@@ -2,9 +2,12 @@
 
 Because the dynamics conserve excitation number, the amplitude matrix of
 any bipartition is block diagonal over the excitation count inside the
-subsystem.  Every routine here exploits that: Schmidt spectra come from
-per-block SVDs, and tables of subset entropies are evaluated with one
-batched SVD per block shape.
+subsystem.  Every routine here exploits that.  A single Schmidt spectrum
+comes from per-block SVDs (``subsystem_spectrum``, the reference path).
+Tables of subset entropies come from an EntropyTablePlan: one batched
+``eigvalsh`` of the smaller Gram matrix per block shape, over the masks
+the plan was built for (a scan's plan holds the masks its partitions
+touch).
 
 Entropies are in bits (log base 2).
 """
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
 from .bits import bit_positions, gather_bits, popcount
@@ -85,13 +89,7 @@ class SchmidtSpectrum:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        low = float(w.min(initial=0.0))
-        if low < -WEIGHT_CLIP:
-            raise NumericalConsistencyError(
-                f"Schmidt weight {low} below the roundoff floor -{WEIGHT_CLIP}"
-            )
-        w = np.where(w < 0.0, 0.0, w)
+        w = _snap_weights(np.asarray(self.weights, dtype=float))
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise NumericalConsistencyError(
@@ -104,6 +102,16 @@ class SchmidtSpectrum:
 
     def __len__(self):
         return len(self.weights)
+
+
+def _snap_weights(w: np.ndarray) -> np.ndarray:
+    """Weights in [-WEIGHT_CLIP, 0) become 0; anything lower raises."""
+    low = float(w.min(initial=0.0))
+    if low < -WEIGHT_CLIP:
+        raise NumericalConsistencyError(
+            f"Schmidt weight {low} below the roundoff floor -{WEIGHT_CLIP}"
+        )
+    return np.maximum(w, 0.0)
 
 
 def von_neumann(spectrum) -> float:
@@ -120,11 +128,10 @@ def _split_range(k: int, n_a: int, n_b: int):
 def _block_index_grids(basis: SectorBasis, mask: int):
     """Index grids mapping (row, col) of each excitation block to basis ranks.
 
-    Yields (idx2d, j) per admissible split j; amps[idx2d] is the block's
+    Yields one idx2d per admissible split; amps[idx2d] is the block's
     amplitude matrix.  The map is a bijection, so every grid cell is hit
     exactly once.
     """
-    n = basis.n_sites
     k = basis.n_excitations
     comp = basis.full_mask ^ mask
     sites_a = bit_positions(mask)
@@ -140,7 +147,7 @@ def _block_index_grids(basis: SectorBasis, mask: int):
         cols = basis_b.rank_many(gather_bits(states[sel], sites_b))
         idx2d = np.empty((basis_a.dim, basis_b.dim), dtype=np.int32)
         idx2d[rows, cols] = sel
-        yield idx2d, j
+        yield idx2d
 
 
 def _check_basis(psi: StateVector, basis: SectorBasis | None) -> SectorBasis:
@@ -160,7 +167,7 @@ def subsystem_spectrum(psi: StateVector, basis: SectorBasis | None = None,
         return SchmidtSpectrum(np.array([1.0]))
     amps = psi.amplitudes
     weights = []
-    for idx2d, _ in _block_index_grids(basis, mask):
+    for idx2d in _block_index_grids(basis, mask):
         block = amps[idx2d]
         if min(block.shape) == 1:
             weights.append(np.array([float(np.sum(np.abs(block) ** 2))]))
@@ -171,95 +178,132 @@ def subsystem_spectrum(psi: StateVector, basis: SectorBasis | None = None,
 
 
 class SubsetEntropyTable:
-    """Entanglement entropies of site subsets, keyed by subset bitmask."""
+    """Entanglement entropies of site subsets, keyed by subset bitmask.
 
-    def __init__(self, n_sites: int, values):
+    Holds a sorted int64 mask array and the matching entropy values.  All
+    tables evaluated from one EntropyTablePlan share the plan's mask
+    array, so lookup positions computed for one of them hold for all.
+    Looking up a mask the table lacks raises KeyError.
+    """
+
+    def __init__(self, n_sites: int, masks: np.ndarray, values: np.ndarray):
+        masks = np.asarray(masks, dtype=np.int64)
+        values = np.asarray(values, dtype=float)
+        if masks.ndim != 1 or values.shape != masks.shape:
+            raise ValueError("need one entropy value per mask")
+        if len(masks) and (masks[0] < 0 or masks[-1] >= 1 << n_sites
+                           or np.any(masks[1:] <= masks[:-1])):
+            raise ValueError(f"masks must be ascending, distinct and fit {n_sites} sites")
+        if masks.flags.writeable:
+            # positions cached against this array must stay valid
+            masks = masks.copy()
+            masks.flags.writeable = False
         self.n_sites = n_sites
-        if isinstance(values, dict):
-            self._array = None
-            self._map = dict(values)
-        else:
-            values = np.asarray(values, dtype=float)
-            if values.shape != (1 << n_sites,):
-                raise ValueError("dense table must have one entry per bitmask")
-            self._array = values
-            self._map = None
+        self.mask_array = masks
+        self.values = values
 
     @property
     def is_dense(self) -> bool:
-        return self._array is not None
+        """True when every bitmask is present, so values[mask] is the entry."""
+        return len(self.mask_array) == 1 << self.n_sites
 
     @property
     def dense(self) -> np.ndarray:
         """Entropy array indexed by mask; only for full tables."""
-        if self._array is None:
+        if not self.is_dense:
             raise ValueError("table holds only selected masks, not all 2^n")
-        return self._array
+        return self.values
+
+    def positions(self, masks) -> np.ndarray:
+        """Indices of ``masks`` into ``values``; KeyError if any is absent."""
+        masks = np.asarray(masks, dtype=np.int64)
+        if self.is_dense:
+            pos = masks
+            found = (masks >= 0) & (masks < len(self.values))
+        else:
+            # a mask past the last entry would index out of range; clamping
+            # it makes the equality test below reject it
+            pos = np.minimum(np.searchsorted(self.mask_array, masks),
+                             len(self.mask_array) - 1)
+            found = self.mask_array[pos] == masks
+        if not np.all(found):
+            missing = int(masks.flat[np.argmin(found)])
+            raise KeyError(f"mask {missing:#x} was not included in this table")
+        return pos
+
+    def gather(self, masks) -> np.ndarray:
+        """Entropies of an array of masks; KeyError if any is absent."""
+        return self.values[self.positions(masks)]
 
     def __getitem__(self, subset) -> float:
-        mask = _as_mask(subset, self.n_sites)
-        if self._array is not None:
-            return float(self._array[mask])
-        try:
-            return self._map[mask]
-        except KeyError:
-            raise KeyError(f"mask {mask:#x} was not included in this table") from None
+        return float(self.gather(_as_mask(subset, self.n_sites)))
 
     def __contains__(self, subset) -> bool:
         mask = _as_mask(subset, self.n_sites)
-        return self._array is not None or mask in self._map
+        pos = int(np.searchsorted(self.mask_array, mask))
+        return pos < len(self.mask_array) and int(self.mask_array[pos]) == mask
 
-    def masks(self):
-        if self._array is not None:
-            return range(1 << self.n_sites)
-        return sorted(self._map)
+    def masks(self) -> np.ndarray:
+        return self.mask_array
+
+
+def _gram_weights(blocks: np.ndarray) -> np.ndarray:
+    """Schmidt weights of a stack of blocks, one row per block.
+
+    The weights are the eigenvalues of the smaller Gram matrix, B B^dag or
+    B^dag B, snapped by the same rule as SchmidtSpectrum's.
+    """
+    rows, cols = blocks.shape[1:]
+    if rows <= cols:
+        gram = blocks @ blocks.conj().transpose(0, 2, 1)
+    else:
+        gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    return _snap_weights(gram[:, :, 0].real if gram.shape[1] == 1 else eigvalsh(gram))
 
 
 class EntropyTablePlan:
     """Reusable index plan for evaluating subset entropies of many states.
 
-    Construction groups the excitation blocks of every requested subset by
-    shape; evaluation then gathers amplitudes into (n_blocks, rows, cols)
-    stacks and runs one batched SVD per shape.  Build once per (basis,
-    mask set), evaluate once per state: much cheaper than per-mask SVDs
-    when scanning a time series.
-
-    With ``masks=None`` the plan covers every bitmask (capped at
-    16 sites); mirror symmetry S_A = S_complement halves the work either
-    way.
+    The plan covers the requested masks plus the empty set and the whole
+    chain, or every bitmask when ``masks`` is None (up to 16 sites); a scan
+    passes the masks its partitions read.  Mirror symmetry S_A =
+    S_complement leaves one representative per complement pair, ``reps``.
+    Their excitation blocks are grouped by shape into ``groups``, a list of
+    (index stack, rep ids).  Evaluation gathers each group's amplitudes
+    into a (n_blocks, rows, cols) stack and takes the Schmidt weights from
+    one batched ``eigvalsh`` of the smaller Gram matrix.  Build once per
+    (basis, mask set), evaluate once per state.
     """
 
     def __init__(self, basis: SectorBasis, masks=None):
         n = basis.n_sites
+        full = basis.full_mask
         self.basis = basis
-        top = 1 << (n - 1)
         if masks is None:
             if n > FULL_TABLE_MAX_SITES:
                 raise CapacityError(
                     f"full tables are capped at {FULL_TABLE_MAX_SITES} sites, got {n}; "
                     f"pass an explicit mask list"
                 )
-            self.full = True
-            # one representative per complement pair: top bit clear
-            reps = np.arange(1, top, dtype=np.int64)
-            self.requested = None
+            masks = np.arange(1 << n, dtype=np.int64)
         else:
-            self.full = False
-            requested = sorted({_as_mask(m, n) for m in masks})
-            self.requested = requested
-            reps = sorted({
-                m if not m & top else basis.full_mask ^ m
-                for m in requested
-                if m not in (0, basis.full_mask)
-            })
-            reps = np.asarray([m for m in reps if m != 0], dtype=np.int64)
-        self.reps = reps
+            masks = np.fromiter((_as_mask(m, n) for m in masks), dtype=np.int64)
+            masks = np.union1d(masks, [0, full])
+        masks.flags.writeable = False
+        self.mask_array = masks
+        # one representative per complement pair: top bit clear
+        rep_of = np.where(masks & (1 << (n - 1)), full ^ masks, masks)
+        self.reps = np.unique(rep_of[rep_of != 0])
+        # slot of each mask's entropy; the extra last slot holds the zero
+        # entropy of the empty set and the whole chain
+        self._slots = np.where(rep_of == 0, len(self.reps),
+                               np.searchsorted(self.reps, rep_of))
         self._build_groups()
 
     def _build_groups(self):
         groups = {}
         for rep_id, mask in enumerate(self.reps):
-            for idx2d, _ in _block_index_grids(self.basis, int(mask)):
+            for idx2d in _block_index_grids(self.basis, int(mask)):
                 key = idx2d.shape
                 grids, ids = groups.setdefault(key, ([], []))
                 grids.append(idx2d)
@@ -272,20 +316,13 @@ class EntropyTablePlan:
     def evaluate(self, amplitudes: np.ndarray) -> SubsetEntropyTable:
         """Subset entropies of one state (amplitudes over the plan's basis)."""
         n_reps = len(self.reps)
-        ent = np.zeros(n_reps)
+        ent = np.zeros(n_reps + 1)
         wsum = np.zeros(n_reps)
         for idx, rep_ids in self.groups:
-            blocks = amplitudes[idx]
-            if min(idx.shape[1:]) == 1:
-                w = np.sum(np.abs(blocks) ** 2, axis=(1, 2))
-                terms = -xlogy(w, w)
-            else:
-                s = np.linalg.svd(blocks, compute_uv=False)
-                w2 = s * s
-                terms = -np.sum(xlogy(w2, w2), axis=1)
-                w = np.sum(w2, axis=1)
-            ent += np.bincount(rep_ids, weights=terms, minlength=n_reps)
-            wsum += np.bincount(rep_ids, weights=w, minlength=n_reps)
+            w = _gram_weights(amplitudes[idx])
+            ent[:n_reps] -= np.bincount(rep_ids, weights=np.sum(xlogy(w, w), axis=1),
+                                        minlength=n_reps)
+            wsum += np.bincount(rep_ids, weights=np.sum(w, axis=1), minlength=n_reps)
         bad = np.nonzero(np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)[0]
         if len(bad):
             raise NumericalConsistencyError(
@@ -294,29 +331,15 @@ class EntropyTablePlan:
             )
         ent /= math.log(2.0)
         np.clip(ent, 0.0, None, out=ent)
-
-        n = self.basis.n_sites
-        full_mask = self.basis.full_mask
-        if self.full:
-            table = np.zeros(1 << n)
-            table[self.reps] = ent
-            table[full_mask ^ self.reps] = ent
-            return SubsetEntropyTable(n, table)
-        by_rep = dict(zip((int(m) for m in self.reps), ent))
-        top = 1 << (n - 1)
-        values = {}
-        for m in self.requested:
-            if m in (0, full_mask):
-                values[m] = 0.0
-            else:
-                rep = m if not m & top else full_mask ^ m
-                values[m] = float(by_rep[rep])
-        return SubsetEntropyTable(n, values)
+        return SubsetEntropyTable(self.basis.n_sites, self.mask_array, ent[self._slots])
 
 
 def subset_entropy_table(psi: StateVector, basis: SectorBasis | None = None,
                          masks=None) -> SubsetEntropyTable:
-    """Entropies of the requested subsets (all bitmasks when ``masks`` is None)."""
+    """Entropies of the requested subsets (all bitmasks when ``masks`` is None).
+
+    A table for explicit masks also holds the empty set and the whole chain.
+    """
     basis = _check_basis(psi, basis)
     plan = EntropyTablePlan(basis, masks)
     return plan.evaluate(psi.amplitudes)

@@ -101,14 +101,7 @@ def tmi_binary(w, p_b=None, p_c=None) -> float:
         p_a, p_b, p_c = w.as_tuple()
     else:
         p_a, p_b, p_c = OccupationWeights(float(w), float(p_b), float(p_c)).as_tuple()
-    if min(p_a, p_b, p_c) <= P_SNAP or p_a + p_b + p_c >= 1.0 - P_SNAP:
-        return 0.0
-    return float(
-        binary_entropy(p_a) + binary_entropy(p_b) + binary_entropy(p_c)
-        + binary_entropy(p_a + p_b + p_c)
-        - binary_entropy(p_a + p_b) - binary_entropy(p_a + p_c)
-        - binary_entropy(p_b + p_c)
-    )
+    return float(_tmi_binary_grid(p_a, p_b, p_c, p_a + p_b + p_c))
 
 
 def _tmi_binary_grid(pa, pb, pc, psum):

@@ -27,11 +27,13 @@ FIXED_SIZES = "fixed-sizes"
 
 # 4^N site->label maps make the exhaustive strategy explode quickly
 ALL_ASSIGNMENTS_MAX_SITES = 16
+# TMI values this close to an extremum tie with it (roundoff, not physics)
+EXTREMUM_TIE_TOL = 1e-12
 
 __all__ = [
     "PartitionTriple", "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
-    "minmax_tmi", "tau_sign_change", "lightcone_onset",
+    "minmax_tmi", "extrema", "tau_sign_change", "lightcone_onset",
     "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
@@ -93,6 +95,7 @@ class PartitionSet:
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise ValueError("mask arrays must have equal length")
         self.strategy = strategy
+        self._positions = None  # (table mask array, lookup positions)
         for arr in (self.a, self.b, self.c):
             arr.flags.writeable = False
 
@@ -143,19 +146,19 @@ class PartitionSet:
         return (self.a | self.b | self.c) == full
 
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
-        """TMI of every triple from one subset-entropy table."""
+        """TMI of every triple from one subset-entropy table.
+
+        Tables from one plan share a mask array, so the positions of the
+        seven lookup arrays in it are found once per plan, not per state.
+        """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
-        if table.is_dense:
-            t = table.dense
-            ia, ib, ic, iab, iac, ibc, iabc = self.lookup_masks
-            return (t[ia] + t[ib] + t[ic] + t[iabc]) - (t[iab] + t[iac] + t[ibc])
-        out = np.empty(len(self))
-        for i in range(len(self)):
-            a, b, c = int(self.a[i]), int(self.b[i]), int(self.c[i])
-            out[i] = (table[a] + table[b] + table[c] + table[a | b | c]
-                      - table[a | b] - table[a | c] - table[b | c])
-        return out
+        if self._positions is None or self._positions[0] is not table.mask_array:
+            self._positions = (table.mask_array,
+                               [table.positions(m) for m in self.lookup_masks])
+        ia, ib, ic, iab, iac, ibc, iabc = self._positions[1]
+        s = table.values
+        return (s[ia] + s[ib] + s[ic] + s[iabc]) - (s[iab] + s[iac] + s[ibc])
 
 
 @dataclass
@@ -344,20 +347,31 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
     return _enumerate_cached(n_sites, strategy, tuple(sizes) if sizes else None)
 
 
+def extrema(vals: np.ndarray) -> tuple:
+    """(min, argmin, max, argmax) of a TMI array, ties to the first index.
+
+    Values within EXTREMUM_TIE_TOL of an extremum count as tied with it.
+    Mirror-image triples have equal TMI in exact arithmetic, so the pick
+    is the first triple in enumeration order rather than the last bit.
+    """
+    lo, hi = float(vals.min()), float(vals.max())
+    i_min = int(np.argmax(vals <= lo + EXTREMUM_TIE_TOL))
+    i_max = int(np.argmax(vals >= hi - EXTREMUM_TIE_TOL))
+    return lo, i_min, hi, i_max
+
+
 def minmax_tmi(table: SubsetEntropyTable, partitions):
     """Extrema of TMI over a partition list.
 
     Returns (min, argmin triple, max, argmax triple); ties resolve to the
-    first triple in canonical enumeration order.
+    first triple in canonical enumeration order (see extrema).
     """
     pset = partitions if isinstance(partitions, PartitionSet) \
         else PartitionSet.from_triples(partitions)
     if len(pset) == 0:
         raise ValueError("empty partition list")
-    vals = pset.tmi_values(table)
-    i_min = int(np.argmin(vals))
-    i_max = int(np.argmax(vals))
-    return float(vals[i_min]), pset[i_min], float(vals[i_max]), pset[i_max]
+    lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
+    return lo, pset[i_min], hi, pset[i_max]
 
 
 def tau_sign_change(series: TmiSeries, threshold: float = 0.0):

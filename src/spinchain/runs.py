@@ -8,34 +8,31 @@ files do not depend on the worker count.
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import EntropyTablePlan, SiteSubset, tmi
+from .entropy import (EntropyTablePlan, SiteSubset, mutual_information,
+                      subset_entropy_table, tmi)
 from .errors import ConfigError, NumericalConsistencyError
-from .model import (coupling_matrix, enumerate_sector, neel_state,
-                    single_excitation_state)
-from .onebody import onebody_tmi_scan
-from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
-                         enumerate_partitions, lightcone_onset, parse_strategy,
-                         tau_sign_change)
-from .propagate import TimeGrid, evolve
+from .model import (ModelSpec, StateVector, coupling_matrix, enumerate_sector,
+                    neel_state, single_excitation_state)
+from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
+from .partitions import (PartitionSet, PartitionTriple, TmiSeries, contiguous_quarters,
+                         enumerate_partitions, extrema, lightcone_onset,
+                         parse_strategy, tau_sign_change)
+from .propagate import TimeGrid, evolve, onebody_amplitudes
 
 # Nonnegativity floor asserted by the 1-excitation scan.
 ONEBODY_TMI_FLOOR = 1e-10
-# Full 2^N-mask table plans get large quickly; above this site count the
-# extremum scan tabulates only the masks its partitions actually touch.
-FULL_PLAN_MAX_SITES = 14
 
 __all__ = [
     "run_tmi_grid", "run_tmi_vs_entropy", "run_minmax_scan",
     "run_onebody_scan", "thread_count",
 ]
-
-_PLANS = {}
 
 
 def thread_count() -> int:
@@ -73,7 +70,6 @@ def _initial_state(cfg: RunConfig):
 def _grid_triple(cfg: RunConfig):
     """Partition triple of the single-partition runners."""
     if cfg.subset_a is not None:
-        from .partitions import PartitionTriple
         return PartitionTriple(
             SiteSubset.from_sites(cfg.n_sites, cfg.subset_a),
             SiteSubset.from_sites(cfg.n_sites, cfg.subset_b),
@@ -82,17 +78,20 @@ def _grid_triple(cfg: RunConfig):
     return contiguous_quarters(cfg.n_sites)
 
 
-def _plan_for(basis, masks) -> EntropyTablePlan:
-    """Per-process plan cache; masks is a sorted tuple or None (full table)."""
-    key = (basis.n_sites, basis.n_excitations, masks)
-    if key not in _PLANS:
-        _PLANS[key] = EntropyTablePlan(basis, masks)
-    return _PLANS[key]
+def _plan_for(basis, pset: PartitionSet, *extra) -> EntropyTablePlan:
+    """Plan over the masks a partition set reads, plus ``extra`` masks."""
+    # a presence table, not np.unique: 2.5M triples make 17.7M lookups
+    seen = np.zeros(1 << basis.n_sites, dtype=bool)
+    for lookup in (*pset.lookup_masks, list(extra)):
+        seen[lookup] = True
+    masks = tuple(np.flatnonzero(seen).tolist())
+    return _cached_plan(basis.n_sites, basis.n_excitations, masks)
 
 
-def _triple_masks(triple) -> tuple:
-    a, b, c = triple.masks()
-    return (a, b, c, a | b, a | c, b | c, a | b | c)
+@lru_cache(maxsize=1)
+def _cached_plan(n_sites: int, n_excitations: int, masks: tuple) -> EntropyTablePlan:
+    # one plan per process: every exponent of a sweep reuses it
+    return EntropyTablePlan(enumerate_sector(n_sites, n_excitations), masks)
 
 
 def _scan_partitions(cfg: RunConfig) -> PartitionSet:
@@ -127,12 +126,9 @@ def _task_tmi_grid(args):
     grid = _time_grid(cfg)
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
-    triple = _grid_triple(cfg)
-    plan = _plan_for(basis, tuple(sorted(set(_triple_masks(triple)))))
-    a, b, c = triple.masks()
-    vals = np.empty(len(grid))
-    for i in range(len(grid)):
-        vals[i] = tmi(plan.evaluate(traj.states[i]), a, b, c)
+    pset = PartitionSet.from_triples([_grid_triple(cfg)])
+    plan = _plan_for(basis, pset)
+    vals = np.array([pset.tmi_values(plan.evaluate(state))[0] for state in traj.states])
     t = grid.physical_times(coupling.kac)
     return label, t, t * coupling.kac, vals
 
@@ -173,17 +169,12 @@ def _task_tmi_vs_entropy(args):
     grid = _time_grid(cfg)
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
-    triple = _grid_triple(cfg)
+    pset = PartitionSet.from_triples([_grid_triple(cfg)])
     half_mask = (1 << (cfg.n_sites // 2)) - 1
-    masks = tuple(sorted(set(_triple_masks(triple)) | {half_mask}))
-    plan = _plan_for(basis, masks)
-    a, b, c = triple.masks()
-    tmi_vals = np.empty(len(grid))
-    s_half = np.empty(len(grid))
-    for i in range(len(grid)):
-        table = plan.evaluate(traj.states[i])
-        tmi_vals[i] = tmi(table, a, b, c)
-        s_half[i] = table[half_mask]
+    plan = _plan_for(basis, pset, half_mask)
+    tables = [plan.evaluate(state) for state in traj.states]
+    tmi_vals = np.array([pset.tmi_values(table)[0] for table in tables])
+    s_half = np.array([table[half_mask] for table in tables])
     t = grid.physical_times(coupling.kac)
     return label, t, t * coupling.kac, tmi_vals, s_half
 
@@ -217,11 +208,7 @@ def _task_minmax(args):
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
     pset = _scan_partitions(cfg)
-    if cfg.n_sites <= FULL_PLAN_MAX_SITES:
-        plan = _plan_for(basis, None)
-    else:
-        masks = np.unique(np.concatenate(pset.lookup_masks))
-        plan = _plan_for(basis, tuple(int(m) for m in masks))
+    plan = _plan_for(basis, pset)
     proper = ~pset.covers_chain
     n_t = len(grid)
     min_vals = np.empty(n_t)
@@ -232,10 +219,7 @@ def _task_minmax(args):
     for i in range(n_t):
         table = plan.evaluate(traj.states[i])
         vals = pset.tmi_values(table)
-        j_min = int(np.argmin(vals))
-        j_max = int(np.argmax(vals))
-        min_vals[i] = vals[j_min]
-        max_vals[i] = vals[j_max]
+        min_vals[i], j_min, max_vals[i], j_max = extrema(vals)
         if proper.any():
             min_proper[i] = vals[proper].min()
         argmin[i] = (pset.a[j_min], pset.b[j_min], pset.c[j_min])
@@ -260,7 +244,6 @@ def run_minmax_scan(cfg: RunConfig) -> list:
     """
     sweep = cfg.sweep()
     main_labels = [label for label, _ in sweep]
-    from .model import ModelSpec
     extra = [(f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
              for a in cfg.inset_alphas if f"{a:g}" not in main_labels]
     results = _pmap(_task_minmax, [(cfg, label, spec) for label, spec in sweep + extra])
@@ -352,7 +335,6 @@ def run_onebody_scan(cfg: RunConfig) -> list:
 
 def _check_dynamics_oracle():
     from . import reference
-    from .model import ModelSpec
     worst = 0.0
     times = np.array([0.7, 1.9])
     for spec in (ModelSpec(6, alpha=0.7), ModelSpec(6, nn_limit=True)):
@@ -368,23 +350,19 @@ def _check_dynamics_oracle():
     return worst < 1e-9, f"max amplitude deviation {worst:.3g}"
 
 
-def _evolved_test_state():
-    from .model import ModelSpec
-    coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
+def _evolved_test_table():
+    """Subset-entropy table and full-space vector of one evolved N=6 state."""
+    from . import reference
     basis = enumerate_sector(6, 3)
-    traj = evolve(coupling, basis, neel_state(basis), TimeGrid(np.array([1.3])))
-    return basis, traj.states[0]
+    traj = evolve(coupling_matrix(ModelSpec(6, alpha=0.7)), basis, neel_state(basis),
+                  TimeGrid(np.array([1.3])))
+    psi = traj.state_at(0)
+    return subset_entropy_table(psi), reference.embed_state(psi)
 
 
 def _check_entropy_oracle():
     from . import reference
-    from .entropy import subset_entropy_table
-    from .model import StateVector
-    basis, amps = _evolved_test_state()
-    psi = StateVector(basis, amps)
-    table = subset_entropy_table(psi)
-    full = np.zeros(1 << 6, dtype=np.complex128)
-    full[basis.states] = amps
+    table, full = _evolved_test_table()
     worst = max(
         abs(table[m] - reference.subset_entropy_full(full, 6, m))
         for m in range(1 << 6)
@@ -394,13 +372,7 @@ def _check_entropy_oracle():
 
 def _check_tmi_oracle():
     from . import reference
-    from .entropy import mutual_information, subset_entropy_table
-    from .model import StateVector
-    basis, amps = _evolved_test_state()
-    psi = StateVector(basis, amps)
-    table = subset_entropy_table(psi)
-    full = np.zeros(1 << 6, dtype=np.complex128)
-    full[basis.states] = amps
+    table, full = _evolved_test_table()
     worst = 0.0
     triples = [(0b000001, 0b000010, 0b000100), (0b001001, 0b000010, 0b110000),
                (0b000011, 0b001100, 0b110000)]
@@ -413,10 +385,6 @@ def _check_tmi_oracle():
 
 
 def _check_onebody_oracle():
-    from .entropy import subset_entropy_table
-    from .model import ModelSpec, StateVector
-    from .onebody import occupation_weights, tmi_binary
-    from .propagate import onebody_amplitudes
     coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
     amps = onebody_amplitudes(coupling, 3, np.array([2.1]))[0]
     basis = enumerate_sector(8, 1)
@@ -434,7 +402,6 @@ def _check_onebody_oracle():
 
 
 def _check_simplex():
-    from .onebody import simplex_scan, tmi_binary
     scan = simplex_scan(0.01)
     target = 4.0 * (2.0 - 0.75 * np.log2(3.0)) - 3.0  # 4 H(1/4) - 3
     ok = (scan.min_value == 0.0

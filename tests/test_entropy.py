@@ -11,8 +11,11 @@ from spinchain import (
     NumericalConsistencyError,
     SchmidtSpectrum,
     SiteSubset,
+    SubsetEntropyTable,
+    TimeGrid,
     coupling_matrix,
     enumerate_sector,
+    evolve,
     monogamy_gap,
     mutual_information,
     neel_state,
@@ -21,7 +24,7 @@ from spinchain import (
     tmi,
     von_neumann,
 )
-from spinchain import reference
+from spinchain import entropy, reference
 from spinchain.model import StateVector
 
 from conftest import random_sector_state
@@ -128,6 +131,57 @@ class TestSubsetEntropyTable:
         assert 0b1010 not in table
         with pytest.raises(KeyError):
             table[0b1010]
+
+    def test_gather_rejects_absent_masks(self, evolved8, basis8):
+        table = subset_entropy_table(evolved8, basis8, masks=[0b1, 0b1100, 0b110000])
+        present = np.array([0b110000, 0b1, 0b1100, 0])
+        np.testing.assert_array_equal(
+            table.gather(present), [table[int(m)] for m in present])
+        # 0b1010 sorts between the present masks 0b1 and 0b1100
+        for absent in (0b1010, 0b1101, 0b11):
+            with pytest.raises(KeyError):
+                table.gather(np.array([0b1, absent]))
+            with pytest.raises(KeyError):
+                table[absent]
+        # below the first and above the last stored mask
+        sparse = SubsetEntropyTable(8, np.array([0b10, 0b100]), np.array([0.5, 0.25]))
+        for absent in (0b1, 0b11, 0b1000):
+            with pytest.raises(KeyError):
+                sparse.gather(np.array([absent]))
+            assert absent not in sparse
+        assert sparse[0b100] == 0.25
+
+    def test_neel_entropies_exactly_zero(self, basis8):
+        # a product state: every Gram matrix is diagonal with entries 0 and 1,
+        # so eigvalsh roundoff must not leave a nonzero or NaN entropy
+        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
+                      neel_state(basis8), TimeGrid(np.array([0.0, 0.3])))
+        for masks in (None, [0b1, 0b110, 0b11110000, 0b10101010]):
+            plan = EntropyTablePlan(basis8, masks)
+            for amps in (neel_state(basis8).amplitudes, traj.states[0]):
+                values = plan.evaluate(amps).values
+                assert not np.any(np.isnan(values))
+                assert np.all(values == 0.0)
+
+    def test_roundoff_gram_eigenvalues_snap_to_zero(self, basis8, monkeypatch):
+        # Neel Gram eigenvalues are exactly 0 and 1; push them just below
+        plan = EntropyTablePlan(basis8)
+        monkeypatch.setattr(entropy, "eigvalsh",
+                            lambda g: np.linalg.eigvalsh(g) - 0.5 * entropy.WEIGHT_CLIP)
+        values = plan.evaluate(neel_state(basis8).amplitudes).values
+        assert not np.any(np.isnan(values))
+        assert np.max(values) < 1e-10
+
+    def test_negative_gram_eigenvalue_raises(self, evolved8, basis8, monkeypatch):
+        def low_eigvalsh(gram):
+            w = np.linalg.eigvalsh(gram)
+            w[..., 0] = -2.0 * entropy.WEIGHT_CLIP
+            return w
+
+        plan = EntropyTablePlan(basis8)
+        monkeypatch.setattr(entropy, "eigvalsh", low_eigvalsh)
+        with pytest.raises(NumericalConsistencyError, match="roundoff floor"):
+            plan.evaluate(evolved8.amplitudes)
 
     def test_plan_reuse_across_states(self, basis8, rng):
         plan = EntropyTablePlan(basis8)

@@ -7,20 +7,25 @@ import pytest
 
 from spinchain import (
     CapacityError,
+    EntropyTablePlan,
     ModelSpec,
     PartitionSet,
     PartitionTriple,
+    SubsetEntropyTable,
     TimeGrid,
     TmiSeries,
     contiguous_quarters,
+    coupling_matrix,
     enumerate_partitions,
+    evolve,
     lightcone_onset,
     minmax_tmi,
+    neel_state,
     subset_entropy_table,
     tau_sign_change,
     tmi,
 )
-from spinchain.partitions import parse_strategy
+from spinchain.partitions import extrema, parse_strategy
 
 
 def brute_force_all_assignments(n):
@@ -147,6 +152,72 @@ class TestExtremaAndTau:
         for i in (0, 7, len(pset) - 1):
             trip = pset[i]
             assert vals[i] == pytest.approx(tmi(table, *trip.masks()), abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "all"])
+    def test_mask_driven_plan_matches_full_plan(self, evolved8, basis8, strategy):
+        pset = enumerate_partitions(8, strategy)
+        masks = np.unique(np.concatenate(pset.lookup_masks))
+        driven = EntropyTablePlan(basis8, masks).evaluate(evolved8.amplitudes)
+        full = EntropyTablePlan(basis8).evaluate(evolved8.amplitudes)
+        # the exhaustive family touches every nonempty mask: a dense table
+        assert driven.is_dense == (strategy == "all")
+        diff = pset.tmi_values(driven) - pset.tmi_values(full)
+        assert np.max(np.abs(diff)) < 1e-12
+
+    def test_positions_computed_once_per_plan(self, basis8, rng, monkeypatch):
+        from conftest import random_sector_state
+        pset = enumerate_partitions(8, "fixed:2,2,2")
+        plan = EntropyTablePlan(basis8, np.unique(np.concatenate(pset.lookup_masks)))
+        calls = []
+        original = SubsetEntropyTable.positions
+
+        def counting(self, masks):
+            calls.append(len(masks))
+            return original(self, masks)
+
+        monkeypatch.setattr(SubsetEntropyTable, "positions", counting)
+        for _ in range(3):
+            pset.tmi_values(plan.evaluate(random_sector_state(basis8, rng)))
+        assert len(calls) == 7  # the seven lookup arrays, for the first state only
+
+    def test_extremum_ties_resolve_to_first(self):
+        vals = np.array([0.3, -0.5 + 1e-15, 0.1, -0.5, 0.7, 0.7 + 2e-13])
+        assert extrema(vals) == (-0.5, 1, 0.7 + 2e-13, 4)
+        assert extrema(np.array([0.0, -1e-9, 1e-9])) == (-1e-9, 1, 1e-9, 2)
+
+    def test_mirrored_triples_pick_canonical_first(self, basis8):
+        # H and the Neel state are invariant under reflection combined with a
+        # global spin flip, and a pure state's TMI is symmetric in A, B, C, D,
+        # so the contiguous triple with block sizes (a, b, c, d) ties exactly
+        # with its mirror (d, c, b, a).  The extremum is the earlier of the two.
+        n = 8
+        pset = enumerate_partitions(n, "contiguous")
+        index = {t.masks(): i for i, t in enumerate(pset)}
+
+        def mirror(i):
+            sizes = [t.size for t in (pset[i].a, pset[i].b, pset[i].c)]
+            edges = np.cumsum([0, n - sum(sizes)] + sizes[::-1])
+            return index[tuple(((1 << int(hi - lo)) - 1) << int(lo)
+                               for lo, hi in zip(edges[:3], edges[1:]))]
+
+        grid = TimeGrid(np.linspace(0.1, 0.6, 6))
+        checked = 0
+        for alpha in (0.2, 0.6, 1.5):
+            traj = evolve(coupling_matrix(ModelSpec(n, alpha=alpha)), basis8,
+                          neel_state(basis8), grid)
+            for k in range(len(grid)):
+                table = subset_entropy_table(traj.state_at(k))
+                vals = pset.tmi_values(table)
+                lo, argmin, hi, argmax = minmax_tmi(table, pset)
+                for value, triple in ((lo, argmin), (hi, argmax)):
+                    i = index[triple.masks()]
+                    if pset.covers_chain[i]:
+                        continue
+                    j = mirror(i)
+                    assert abs(vals[j] - value) < 1e-12
+                    assert i <= j
+                    checked += i != j
+        assert checked > 0
 
     def test_tau_interpolates(self):
         grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
