@@ -178,14 +178,62 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-_SCHEMA = {
-    "model": ("n_sites", "j0", "alphas", "nn_limit", "paper_n_sites"),
-    "initial": ("state",),
-    "time": ("t_max", "n_points", "kac_rescaled"),
-    "partitions": ("strategy", "sizes", "a", "b", "c"),
-    "scan": ("inset_alphas", "tau_threshold"),
-    "output": ("directory", "formats", "precision"),
+def _parse_alphas(text, where):
+    alphas, nn = _parse_alpha_list(text, where)
+    # 'nn' only switches the limit on; model.nn_limit = false cannot undo it
+    return {"alphas": alphas, **({"nn_limit": True} if nn else {})}
+
+
+def _parse_insets(text, where):
+    alphas, nn = _parse_alpha_list(text, where)
+    if nn:
+        raise ConfigError(f"{where}: the nearest-neighbour limit is not an inset "
+                          "exponent; put 'nn' in model.alphas")
+    return {"inset_alphas": alphas}
+
+
+def _parse_state(text, where):
+    state, _, site = text.strip().lower().partition(":")
+    return {"initial_state": state, **({"initial_site": _parse_int(site, where)} if site else {})}
+
+
+def _field(name, parse):
+    """Parser of a key that sets one RunConfig field."""
+    return lambda text, where: {name: parse(text, where)}
+
+
+def _text(text, where):
+    return text.strip()
+
+
+def _formats(text, where):
+    return tuple(t.strip().lower() for t in text.split(",") if t.strip())
+
+
+# Every config key: dotted name -> parser(text, where) returning the
+# RunConfig fields the key sets.  Sections are the dotted prefixes.
+_KEYS = {
+    "model.n_sites": _field("n_sites", _parse_int),
+    "model.j0": _field("j0", _parse_float),
+    "model.alphas": _parse_alphas,
+    "model.nn_limit": lambda text, where: {"nn_limit": True} if _parse_bool(text, where) else {},
+    "model.paper_n_sites": _field("paper_n_sites", _parse_int),
+    "initial.state": _parse_state,
+    "time.t_max": _field("t_max", _parse_float),
+    "time.n_points": _field("n_points", _parse_int),
+    "time.kac_rescaled": _field("kac_rescaled", _parse_bool),
+    "partitions.strategy": _field("strategy", _text),
+    "partitions.sizes": _field("sizes", _parse_site_list),
+    "partitions.a": _field("subset_a", _parse_site_list),
+    "partitions.b": _field("subset_b", _parse_site_list),
+    "partitions.c": _field("subset_c", _parse_site_list),
+    "scan.inset_alphas": _parse_insets,
+    "scan.tau_threshold": _field("tau_threshold", _parse_float),
+    "output.directory": _field("out_dir", _text),
+    "output.formats": _field("formats", _formats),
+    "output.precision": _field("precision", _parse_int),
 }
+_SECTIONS = {dotted.partition(".")[0] for dotted in _KEYS}
 
 
 def _read_ini(path) -> dict:
@@ -199,69 +247,13 @@ def _read_ini(path) -> dict:
         raise ConfigError(f"malformed config {path}: {exc}") from None
     values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, val in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if f"{section}.{key}" not in _KEYS:
                 raise ConfigError(f"unknown key {section}.{key}")
             values[f"{section}.{key}"] = val
     return values
-
-
-def _apply(values: dict) -> RunConfig:
-    kw = {}
-    for dotted, text in values.items():
-        section, key = dotted.split(".", 1)
-        where = dotted
-        if dotted == "model.n_sites":
-            kw["n_sites"] = _parse_int(text, where)
-        elif dotted == "model.j0":
-            kw["j0"] = _parse_float(text, where)
-        elif dotted == "model.alphas":
-            alphas, nn = _parse_alpha_list(text, where)
-            kw["alphas"] = alphas
-            if nn:
-                kw["nn_limit"] = True
-        elif dotted == "model.nn_limit":
-            if _parse_bool(text, where):
-                kw["nn_limit"] = True
-        elif dotted == "model.paper_n_sites":
-            kw["paper_n_sites"] = _parse_int(text, where)
-        elif dotted == "initial.state":
-            state, _, site = text.strip().lower().partition(":")
-            kw["initial_state"] = state
-            if site:
-                kw["initial_site"] = _parse_int(site, where)
-        elif dotted == "time.t_max":
-            kw["t_max"] = _parse_float(text, where)
-        elif dotted == "time.n_points":
-            kw["n_points"] = _parse_int(text, where)
-        elif dotted == "time.kac_rescaled":
-            kw["kac_rescaled"] = _parse_bool(text, where)
-        elif dotted == "partitions.strategy":
-            kw["strategy"] = text.strip()
-        elif dotted == "partitions.sizes":
-            kw["sizes"] = _parse_site_list(text, where)
-        elif dotted == "partitions.a":
-            kw["subset_a"] = _parse_site_list(text, where)
-        elif dotted == "partitions.b":
-            kw["subset_b"] = _parse_site_list(text, where)
-        elif dotted == "partitions.c":
-            kw["subset_c"] = _parse_site_list(text, where)
-        elif dotted == "scan.inset_alphas":
-            alphas, _ = _parse_alpha_list(text, where)
-            kw["inset_alphas"] = alphas
-        elif dotted == "scan.tau_threshold":
-            kw["tau_threshold"] = _parse_float(text, where)
-        elif dotted == "output.directory":
-            kw["out_dir"] = text.strip()
-        elif dotted == "output.formats":
-            kw["formats"] = tuple(t.strip().lower() for t in text.split(",") if t.strip())
-        elif dotted == "output.precision":
-            kw["precision"] = _parse_int(text, where)
-        else:
-            raise ConfigError(f"unknown key {dotted}")
-    return RunConfig(**kw)
 
 
 def preset_path(name: str):
@@ -289,10 +281,11 @@ def load_config(source=None, overrides=None) -> RunConfig:
                 values = _read_ini(p)
         else:
             raise ConfigError(f"config {source!r} is neither a file nor a preset name")
-    if overrides:
-        for dotted, text in overrides.items():
-            section, _, key = dotted.partition(".")
-            if section not in _SCHEMA or key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {dotted}")
-            values[dotted] = text
-    return _apply(values)
+    for dotted, text in (overrides or {}).items():
+        if dotted not in _KEYS:
+            raise ConfigError(f"unknown key {dotted}")
+        values[dotted] = text
+    kw = {}
+    for dotted, text in values.items():
+        kw.update(_KEYS[dotted](text, dotted))
+    return RunConfig(**kw)

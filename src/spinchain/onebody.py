@@ -16,7 +16,8 @@ from scipy.special import xlogy
 
 from .bits import bit_positions
 from .model import CouplingMatrix
-from .partitions import PartitionSet, TmiSeries
+from .entropy import SubsetEntropyTable, _as_mask
+from .partitions import PartitionSet, TmiSeries, extrema
 from .propagate import TimeGrid, onebody_amplitudes
 
 P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
@@ -75,8 +76,6 @@ def occupation_weights(c: np.ndarray, a, b, c_subset) -> OccupationWeights:
     ``a``, ``b``, ``c_subset`` are site bitmasks or SiteSubsets, pairwise
     disjoint; site m of the chain is entry m of ``c``.
     """
-    from .entropy import _as_mask
-
     c = np.asarray(c, dtype=np.complex128)
     n = len(c)
     norm = np.linalg.norm(c)
@@ -190,7 +189,8 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
 
     The excitation starts at ``site``; amplitudes evolve with the
     single-particle propagator, and each time step costs one binary-entropy
-    table over subset masks plus seven gathers per partition.
+    table over subset masks plus one PartitionSet.tmi_values gather.
+    Extremum ties resolve to the first triple (see partitions.extrema).
     """
     pset = partitions if isinstance(partitions, PartitionSet) \
         else PartitionSet.from_triples(partitions)
@@ -198,7 +198,11 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
     if pset.n_sites != n:
         raise ValueError("partitions and coupling disagree on chain length")
     amps = onebody_amplitudes(coupling, site, grid.physical_times(coupling.kac))
-    ia, ib, ic, iab, iac, ibc, iabc = pset.lookup_masks
+    ia, ib, ic, *_, iabc = pset.lookup_masks
+    # every step's table shares one read-only mask array, so tmi_values
+    # finds the lookup positions once
+    masks = np.arange(1 << n, dtype=np.int64)
+    masks.flags.writeable = False
 
     n_t = len(grid)
     min_vals = np.empty(n_t)
@@ -208,16 +212,12 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
     occupations = np.abs(amps) ** 2
     for ti in range(n_t):
         p = _subset_probability_table(occupations[ti])
-        h = binary_entropy(p)
-        vals = (h[ia] + h[ib] + h[ic] + h[iabc]) - (h[iab] + h[iac] + h[ibc])
+        vals = pset.tmi_values(SubsetEntropyTable(n, masks, binary_entropy(p)))
         # same boundary snap as tmi_binary: zero on the simplex faces
         boundary = (np.minimum(np.minimum(p[ia], p[ib]), p[ic]) <= P_SNAP) \
             | (p[iabc] >= 1.0 - P_SNAP)
         vals = np.where(boundary, 0.0, vals)
-        i_min = int(np.argmin(vals))
-        i_max = int(np.argmax(vals))
-        min_vals[ti] = vals[i_min]
-        max_vals[ti] = vals[i_max]
+        min_vals[ti], i_min, max_vals[ti], i_max = extrema(vals)
         argmin.append(pset[i_min])
         argmax.append(pset[i_max])
     return TmiSeries(

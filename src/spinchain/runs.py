@@ -1,9 +1,14 @@
 """Experiment runners: sweep orchestration behind the CLI subcommands.
 
-Each runner maps a RunConfig to one or more Datasets.  Sweeps over the
-coupling exponent fan out to a process pool when SPINCHAIN_THREADS asks
-for one; results are collected in sweep order either way, so the emitted
-files do not depend on the worker count.
+Every runner is one loop over the coupling exponents.  The task
+``_exponent`` builds an exponent's coupling, time grid and ``alpha``/``t``/
+``t_kac`` columns, and calls the runner's reducer, a module-level
+``rows(cfg, coupling, grid) -> (columns, extra)``; ``extra`` carries what
+the runner needs beyond per-time columns.  Sector-quench reducers read
+``_tables``: one (subset-entropy table, TMI per triple) pair per grid time.
+``_sweep`` maps the task over the exponents, in a process pool when
+SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
+either way, so the emitted files do not depend on the worker count.
 """
 
 import os
@@ -34,6 +39,8 @@ __all__ = [
     "run_onebody_scan", "thread_count",
 ]
 
+_TIME_COLUMNS = ("alpha", "t", "t_kac")
+
 
 def thread_count() -> int:
     """Worker-pool size from SPINCHAIN_THREADS (default 1: serial)."""
@@ -46,13 +53,14 @@ def thread_count() -> int:
 
 
 def _pmap(fn, items):
+    """[fn(*item) for item in items], in a process pool when asked for."""
     items = list(items)
     if thread_count() <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     workers = min(thread_count(), len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map preserves submission order, keeping output deterministic
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
 def _time_grid(cfg: RunConfig) -> TimeGrid:
@@ -118,118 +126,122 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-# -- tmi-grid ----------------------------------------------------------------
+# -- the sweep skeleton ---------------------------------------------------------
 
-def _task_tmi_grid(args):
-    cfg, label, spec = args
+def _exponent(cfg: RunConfig, rows, label: str, spec: ModelSpec):
+    """Columns of one exponent (alpha, t, t_kac, then the reducer's) and its extra."""
     coupling = coupling_matrix(spec)
     grid = _time_grid(cfg)
+    t = grid.physical_times(coupling.kac)
+    columns, extra = rows(cfg, coupling, grid)
+    return {"alpha": [label] * len(t), "t": t.tolist(),
+            "t_kac": (t * coupling.kac).tolist(), **columns}, extra
+
+
+def _sweep(cfg: RunConfig, rows, column_order, insets=()):
+    """Run the reducer ``rows`` for every sweep exponent, then every inset.
+
+    Returns the sweep exponents' columns stacked in ``column_order``, and
+    the (label, extra) pair of every exponent, insets last.
+    """
+    sweep = cfg.sweep()
+    exponents = sweep + list(insets)
+    results = _pmap(_exponent, [(cfg, rows, label, spec) for label, spec in exponents])
+    stacked = {name: [] for name in column_order}
+    for columns, _ in results[:len(sweep)]:
+        for name in column_order:
+            stacked[name] += columns[name]
+    return stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
+
+
+def _tables(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
+    """Yield (subset-entropy table, TMI of every triple) per grid time.
+
+    The initial state of ``cfg`` is quenched under ``coupling``; the tables
+    hold the masks ``pset`` reads plus ``extra_masks``.
+    """
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
+    plan = _plan_for(basis, pset, *extra_masks)
+    for state in traj.states:
+        table = plan.evaluate(state)
+        yield table, pset.tmi_values(table)
+
+
+# -- tmi-grid ----------------------------------------------------------------
+
+def _grid_rows(cfg: RunConfig, coupling, grid):
     pset = PartitionSet.from_triples([_grid_triple(cfg)])
-    plan = _plan_for(basis, pset)
-    vals = np.array([pset.tmi_values(plan.evaluate(state))[0] for state in traj.states])
-    t = grid.physical_times(coupling.kac)
-    return label, t, t * coupling.kac, vals
+    return {"tmi": [float(vals[0]) for _, vals in _tables(cfg, coupling, grid, pset)]}, None
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
     """TMI(alpha, t) of one partition triple (contiguous quarters by default)."""
-    sweep = cfg.sweep()
-    results = _pmap(_task_tmi_grid, [(cfg, label, spec) for label, spec in sweep])
+    columns, _ = _sweep(cfg, _grid_rows, (*_TIME_COLUMNS, "tmi"))
     triple = _grid_triple(cfg)
-    onset = lightcone_onset(sweep[0][1], triple)
-    alpha_col, t_col, tk_col, tmi_col = [], [], [], []
-    for label, t, tk, vals in results:
-        alpha_col += [label] * len(t)
-        t_col += t.tolist()
-        tk_col += tk.tolist()
-        tmi_col += vals.tolist()
+    onset = lightcone_onset(cfg.sweep()[0][1], triple)
+    columns["lightcone_onset"] = [onset] * len(columns["tmi"])
     meta = _base_meta(
         cfg,
         partition_a=triple.a.mask, partition_b=triple.b.mask, partition_c=triple.c.mask,
         lightcone_onset=onset,
         onset_convention="max over subset pairs of minimal inter-site distance, over 4*j0",
     )
-    data = Dataset(
-        name="tmi_grid", meta=meta,
-        columns={
-            "alpha": alpha_col, "t": t_col, "t_kac": tk_col, "tmi": tmi_col,
-            "lightcone_onset": [onset] * len(t_col),
-        },
-    )
-    return [data]
+    return [Dataset(name="tmi_grid", meta=meta, columns=columns)]
 
 
 # -- tmi-vs-entropy ----------------------------------------------------------
 
-def _task_tmi_vs_entropy(args):
-    cfg, label, spec = args
-    coupling = coupling_matrix(spec)
-    grid = _time_grid(cfg)
-    basis, psi0 = _initial_state(cfg)
-    traj = evolve(coupling, basis, psi0, grid)
+def _half_mask(cfg: RunConfig) -> int:
+    return (1 << (cfg.n_sites // 2)) - 1
+
+
+def _entropy_rows(cfg: RunConfig, coupling, grid):
     pset = PartitionSet.from_triples([_grid_triple(cfg)])
-    half_mask = (1 << (cfg.n_sites // 2)) - 1
-    plan = _plan_for(basis, pset, half_mask)
-    tables = [plan.evaluate(state) for state in traj.states]
-    tmi_vals = np.array([pset.tmi_values(table)[0] for table in tables])
-    s_half = np.array([table[half_mask] for table in tables])
-    t = grid.physical_times(coupling.kac)
-    return label, t, t * coupling.kac, tmi_vals, s_half
+    half = _half_mask(cfg)
+    columns = {"tmi": [], "half_chain_entropy": []}
+    for table, vals in _tables(cfg, coupling, grid, pset, half):
+        columns["tmi"].append(float(vals[0]))
+        columns["half_chain_entropy"].append(table[half])
+    return columns, None
 
 
 def run_tmi_vs_entropy(cfg: RunConfig) -> list:
     """Quarter-partition TMI and half-chain entropy per coupling exponent."""
-    sweep = cfg.sweep()
-    results = _pmap(_task_tmi_vs_entropy, [(cfg, label, spec) for label, spec in sweep])
+    columns, _ = _sweep(cfg, _entropy_rows,
+                        ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"))
     triple = _grid_triple(cfg)
-    cols = {"alpha": [], "t_kac": [], "t": [], "tmi": [], "half_chain_entropy": []}
-    for label, t, tk, tmi_vals, s_half in results:
-        cols["alpha"] += [label] * len(t)
-        cols["t_kac"] += tk.tolist()
-        cols["t"] += t.tolist()
-        cols["tmi"] += tmi_vals.tolist()
-        cols["half_chain_entropy"] += s_half.tolist()
     meta = _base_meta(
         cfg,
         partition_a=triple.a.mask, partition_b=triple.b.mask, partition_c=triple.c.mask,
-        half_chain_mask=(1 << (cfg.n_sites // 2)) - 1,
+        half_chain_mask=_half_mask(cfg),
     )
-    return [Dataset(name="tmi_vs_entropy", meta=meta, columns=cols)]
+    return [Dataset(name="tmi_vs_entropy", meta=meta, columns=columns)]
 
 
 # -- minmax-scan --------------------------------------------------------------
 
-def _task_minmax(args):
-    cfg, label, spec = args
-    coupling = coupling_matrix(spec)
-    grid = _time_grid(cfg)
-    basis, psi0 = _initial_state(cfg)
-    traj = evolve(coupling, basis, psi0, grid)
+_MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
+                   "argmin_a", "argmin_b", "argmin_c", "argmax_a", "argmax_b", "argmax_c")
+
+
+def _minmax_rows(cfg: RunConfig, coupling, grid):
     pset = _scan_partitions(cfg)
-    plan = _plan_for(basis, pset)
     proper = ~pset.covers_chain
-    n_t = len(grid)
-    min_vals = np.empty(n_t)
-    max_vals = np.empty(n_t)
-    min_proper = np.full(n_t, np.nan)
-    argmin = np.empty((n_t, 3), dtype=np.int64)
-    argmax = np.empty((n_t, 3), dtype=np.int64)
-    for i in range(n_t):
-        table = plan.evaluate(traj.states[i])
-        vals = pset.tmi_values(table)
-        min_vals[i], j_min, max_vals[i], j_max = extrema(vals)
-        if proper.any():
-            min_proper[i] = vals[proper].min()
-        argmin[i] = (pset.a[j_min], pset.b[j_min], pset.c[j_min])
-        argmax[i] = (pset.a[j_max], pset.b[j_max], pset.c[j_max])
-    series = TmiSeries(grid=grid, min_values=min_vals, max_values=max_vals,
-                       meta={"alpha": label})
+    has_proper = bool(proper.any())
+    columns = {name: [] for name in _MINMAX_COLUMNS}
+    for _, vals in _tables(cfg, coupling, grid, pset):
+        lo, j_min, hi, j_max = extrema(vals)
+        columns["min_tmi"].append(lo)
+        columns["min_tmi_proper"].append(float(vals[proper].min()) if has_proper else None)
+        columns["max_tmi"].append(hi)
+        for side, j in (("argmin", j_min), ("argmax", j_max)):
+            for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
+                columns[f"{side}_{part}"].append(int(masks[j]))
+    series = TmiSeries(grid=grid, min_values=columns["min_tmi"],
+                       max_values=columns["max_tmi"])
     tau = tau_sign_change(series, threshold=cfg.tau_threshold)
-    t = grid.physical_times(coupling.kac)
-    return (label, t, t * coupling.kac, min_vals, max_vals, min_proper,
-            argmin, argmax, float(np.max(max_vals)), tau)
+    return columns, (max(columns["max_tmi"]), tau)
 
 
 def run_minmax_scan(cfg: RunConfig) -> list:
@@ -242,58 +254,33 @@ def run_minmax_scan(cfg: RunConfig) -> list:
     per exponent, the largest max-TMI in the window and the first time tau
     at which the minimal TMI turns negative (None when it never does).
     """
-    sweep = cfg.sweep()
-    main_labels = [label for label, _ in sweep]
-    extra = [(f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
-             for a in cfg.inset_alphas if f"{a:g}" not in main_labels]
-    results = _pmap(_task_minmax, [(cfg, label, spec) for label, spec in sweep + extra])
-
+    main_labels = [label for label, _ in cfg.sweep()]
+    insets = [(f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
+              for a in cfg.inset_alphas if f"{a:g}" not in main_labels]
+    columns, extras = _sweep(cfg, _minmax_rows, (*_TIME_COLUMNS, *_MINMAX_COLUMNS), insets)
+    summary = {"alpha": [label for label, _ in extras],
+               "peak_max_tmi": [peak for _, (peak, _) in extras],
+               "tau": [tau for _, (_, tau) in extras]}
     pset = _scan_partitions(cfg)
-    cols = {k: [] for k in ("alpha", "t", "t_kac", "min_tmi", "min_tmi_proper",
-                            "max_tmi",
-                            "argmin_a", "argmin_b", "argmin_c",
-                            "argmax_a", "argmax_b", "argmax_c")}
-    summary = {"alpha": [], "peak_max_tmi": [], "tau": []}
-    for res in results:
-        label, t, tk, min_vals, max_vals, min_proper, argmin, argmax, peak, tau = res
-        if label in main_labels:
-            cols["alpha"] += [label] * len(t)
-            cols["t"] += t.tolist()
-            cols["t_kac"] += tk.tolist()
-            cols["min_tmi"] += min_vals.tolist()
-            cols["min_tmi_proper"] += [
-                None if np.isnan(v) else v for v in min_proper
-            ]
-            cols["max_tmi"] += max_vals.tolist()
-            for j, key in enumerate(("argmin_a", "argmin_b", "argmin_c")):
-                cols[key] += argmin[:, j].tolist()
-            for j, key in enumerate(("argmax_a", "argmax_b", "argmax_c")):
-                cols[key] += argmax[:, j].tolist()
-        summary["alpha"].append(label)
-        summary["peak_max_tmi"].append(peak)
-        summary["tau"].append(tau)
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
                       n_proper_partitions=int((~pset.covers_chain).sum()),
                       tau_threshold=cfg.tau_threshold)
     return [
-        Dataset(name="minmax_scan", meta=meta, columns=cols),
+        Dataset(name="minmax_scan", meta=meta, columns=columns),
         Dataset(name="minmax_summary", meta=meta, columns=summary),
     ]
 
 
 # -- onebody-scan --------------------------------------------------------------
 
-def _task_onebody(args):
-    cfg, label, spec = args
-    coupling = coupling_matrix(spec)
-    grid = _time_grid(cfg)
-    pset = _scan_partitions(cfg)
-    scan = onebody_tmi_scan(coupling, cfg.resolved_site(), grid, pset)
-    t = grid.physical_times(coupling.kac)
+def _onebody_rows(cfg: RunConfig, coupling, grid):
+    scan = onebody_tmi_scan(coupling, cfg.resolved_site(), grid, _scan_partitions(cfg))
+    occupations = scan.meta["occupations"]
+    columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
+    for m in range(cfg.n_sites):
+        columns[f"p{m}"] = occupations[:, m].tolist()
     t_min, v_min, triple = scan.global_min()
-    return (label, t, t * coupling.kac, scan.min_values, scan.max_values,
-            scan.meta["occupations"], t_min, v_min,
-            triple.masks() if triple is not None else None)
+    return columns, (t_min, v_min, triple.masks())
 
 
 def run_onebody_scan(cfg: RunConfig) -> list:
@@ -306,29 +293,18 @@ def run_onebody_scan(cfg: RunConfig) -> list:
         raise ConfigError(
             "initial.state: the onebody scan needs a single-excitation state "
             "(state = single[:site])")
-    sweep = cfg.sweep()
-    results = _pmap(_task_onebody, [(cfg, label, spec) for label, spec in sweep])
-    for label, _, _, _, _, _, t_min, v_min, masks in results:
+    columns, extras = _sweep(cfg, _onebody_rows,
+                             (*_TIME_COLUMNS, "min_tmi", "max_tmi",
+                              *(f"p{m}" for m in range(cfg.n_sites))))
+    for label, (t_min, v_min, masks) in extras:
         if v_min < -ONEBODY_TMI_FLOOR:
             raise NumericalConsistencyError(
                 f"TMI {v_min} below -{ONEBODY_TMI_FLOOR} at alpha={label}, "
                 f"t={t_min}, partition masks={masks}")
-    n = cfg.n_sites
-    cols = {k: [] for k in ("alpha", "t", "t_kac", "min_tmi", "max_tmi")}
-    for m in range(n):
-        cols[f"p{m}"] = []
-    for label, t, tk, min_vals, max_vals, occ, *_ in results:
-        cols["alpha"] += [label] * len(t)
-        cols["t"] += t.tolist()
-        cols["t_kac"] += tk.tolist()
-        cols["min_tmi"] += min_vals.tolist()
-        cols["max_tmi"] += max_vals.tolist()
-        for m in range(n):
-            cols[f"p{m}"] += occ[:, m].tolist()
     pset = _scan_partitions(cfg)
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
                       site=cfg.resolved_site(), tmi_floor=ONEBODY_TMI_FLOOR)
-    return [Dataset(name="onebody_scan", meta=meta, columns=cols)]
+    return [Dataset(name="onebody_scan", meta=meta, columns=columns)]
 
 
 # -- validate ------------------------------------------------------------------

@@ -19,6 +19,7 @@ n_points = 5
 [output]
 formats = csv
 """
+ONEBODY_CFG = SMOKE_CFG + "\n[initial]\nstate = single:4\n"
 
 
 def run_cli(argv):
@@ -50,14 +51,30 @@ class TestRunners:
         lines = csv_path.read_text().splitlines()
         meta = [ln for ln in lines if ln.startswith("# ")]
         assert any(ln.startswith("# config_hash = ") for ln in meta)
-        header = next(ln for ln in lines if not ln.startswith("# "))
-        assert header.split(",")[:4] == ["alpha", "t", "t_kac", "tmi"]
         # two exponents x five grid times
         assert len(lines) - len(meta) - 1 == 10
 
         payload = json.loads(json_path.read_text())
         assert payload["meta"]["n_sites"] == 8
         assert len(payload["columns"]["tmi"]) == 10
+
+    @pytest.mark.parametrize("command, name, header", [
+        ("tmi-grid", "tmi_grid", "alpha,t,t_kac,tmi,lightcone_onset"),
+        ("tmi-vs-entropy", "tmi_vs_entropy", "alpha,t_kac,t,tmi,half_chain_entropy"),
+        ("minmax-scan", "minmax_scan",
+         "alpha,t,t_kac,min_tmi,min_tmi_proper,max_tmi,"
+         "argmin_a,argmin_b,argmin_c,argmax_a,argmax_b,argmax_c"),
+        ("minmax-scan", "minmax_summary", "alpha,peak_max_tmi,tau"),
+        ("onebody-scan", "onebody_scan",
+         "alpha,t,t_kac,min_tmi,max_tmi," + ",".join(f"p{m}" for m in range(8))),
+    ])
+    def test_csv_column_order(self, tmp_path, command, name, header):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(ONEBODY_CFG if command == "onebody-scan" else SMOKE_CFG)
+        out_dir = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out_dir)]) == 0
+        lines = (out_dir / f"{name}.csv").read_text().splitlines()
+        assert next(ln for ln in lines if not ln.startswith("# ")) == header
 
     def test_minmax_scan_writes_summary(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
@@ -79,7 +96,7 @@ class TestRunners:
 
     def test_onebody_scan_smoke(self, tmp_path):
         cfg = tmp_path / "one.cfg"
-        cfg.write_text(SMOKE_CFG + "\n[initial]\nstate = single:4\n")
+        cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
         code = run_cli(["onebody-scan", "--config", str(cfg),
                         "--partitions", "all", "--out", str(out_dir)])
@@ -131,6 +148,27 @@ class TestExitCodes:
         assert "error:" in err
         assert "Schmidt weights" in err
 
+    def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
+        # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
+        from spinchain import runs
+        real_scan = runs.onebody_tmi_scan
+
+        def negative(*args, **kwargs):
+            scan = real_scan(*args, **kwargs)
+            scan.min_values[2] = -1e-9
+            return scan
+
+        monkeypatch.setattr(runs, "onebody_tmi_scan", negative)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "TMI -1e-09 below -1e-10 at alpha=0.5, t=0.5, partition masks=(" in err
+        assert not out_dir.exists()  # the check runs before anything is written
+
     def test_paper_scale_needs_preset_key(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(SMOKE_CFG)
@@ -139,14 +177,16 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["tmi-grid", "tmi-vs-entropy", "minmax-scan",
+                                         "onebody-scan"])
+    def test_byte_identical_across_worker_counts(self, tmp_path, monkeypatch, command):
         cfg = tmp_path / "smoke.cfg"
-        cfg.write_text(SMOKE_CFG)
+        cfg.write_text(ONEBODY_CFG if command == "onebody-scan" else SMOKE_CFG)
         outputs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("SPINCHAIN_THREADS", threads)
             out_dir = tmp_path / f"out{threads}"
-            code = run_cli(["minmax-scan", "--config", str(cfg),
+            code = run_cli([command, "--config", str(cfg),
                             "--partitions", "contiguous",
                             "--out", str(out_dir), "--format", "csv,json"])
             assert code == 0

@@ -186,3 +186,88 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_path("fig9")
+
+
+# One non-default value per config key, and the RunConfig fields it sets.
+# Together they form one valid config.
+KEY_SAMPLES = {
+    "model.n_sites": ("10", {"n_sites": 10}),
+    "model.j0": ("0.5", {"j0": 0.5}),
+    "model.alphas": ("0.3, nn", {"alphas": (0.3,), "nn_limit": True}),
+    "model.nn_limit": ("true", {"nn_limit": True}),
+    "model.paper_n_sites": ("20", {"paper_n_sites": 20}),
+    "initial.state": ("single:3", {"initial_state": "single", "initial_site": 3}),
+    "time.t_max": ("2.5", {"t_max": 2.5}),
+    "time.n_points": ("7", {"n_points": 7}),
+    "time.kac_rescaled": ("yes", {"kac_rescaled": True}),
+    "partitions.strategy": ("contiguous", {"strategy": "contiguous"}),
+    "partitions.sizes": ("2, 2, 2", {"sizes": (2, 2, 2)}),
+    "partitions.a": ("0, 1", {"subset_a": (0, 1)}),
+    "partitions.b": ("3", {"subset_b": (3,)}),
+    "partitions.c": ("5, 6", {"subset_c": (5, 6)}),
+    "scan.inset_alphas": ("0.1, 0.2", {"inset_alphas": (0.1, 0.2)}),
+    "scan.tau_threshold": ("1e-8", {"tau_threshold": 1e-8}),
+    "output.directory": ("elsewhere", {"out_dir": "elsewhere"}),
+    "output.formats": ("json, csv", {"formats": ("json", "csv")}),
+    "output.precision": ("9", {"precision": 9}),
+}
+
+
+def _ini(values: dict) -> str:
+    sections = {}
+    for dotted, text in values.items():
+        section, key = dotted.split(".")
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items())
+
+
+class TestKeyTable:
+    def test_every_field_set_by_some_key(self):
+        import dataclasses
+
+        from spinchain.config import _KEYS
+
+        assert set(KEY_SAMPLES) == set(_KEYS)
+        set_fields = set()
+        for dotted, (text, fields) in KEY_SAMPLES.items():
+            assert _KEYS[dotted](text, dotted) == fields, dotted
+            set_fields |= set(fields)
+        assert set_fields == {f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_every_key_parses_from_file_and_override(self, tmp_path):
+        expected = RunConfig(**{k: v for _, fields in KEY_SAMPLES.values()
+                                for k, v in fields.items()})
+        path = tmp_path / "all.cfg"
+        path.write_text(_ini({k: text for k, (text, _) in KEY_SAMPLES.items()}))
+        assert load_config(path) == expected
+        assert load_config(None, {k: text for k, (text, _) in KEY_SAMPLES.items()}) == expected
+
+    @pytest.mark.parametrize("section", ["model", "initial", "time", "partitions",
+                                         "scan", "output"])
+    def test_keys_outside_table_rejected(self, tmp_path, section):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"[{section}]\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=rf"^unknown key {section}\.bogus$"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=rf"^unknown key {section}\.bogus$"):
+            load_config(None, {f"{section}.bogus": "1"})
+        path.write_text(f"[{section}s]\nbogus = 1\n")
+        with pytest.raises(ConfigError, match=rf"^unknown config section \[{section}s\]$"):
+            load_config(path)
+
+    def test_nn_token_outlasts_nn_limit_false(self):
+        cfg = load_config(None, {"model.alphas": "1, nn", "model.nn_limit": "false"})
+        assert cfg.nn_limit is True
+
+    def test_inset_alphas_rejects_nn(self, tmp_path):
+        path = tmp_path / "insets.cfg"
+        path.write_text("[model]\nalphas = 1\n[scan]\ninset_alphas = 0.5, nn\n")
+        with pytest.raises(ConfigError, match="scan.inset_alphas"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="scan.inset_alphas"):
+            load_config(None, {"model.alphas": "1", "scan.inset_alphas": "nn"})
+        from spinchain.cli import main
+
+        assert main(["minmax-scan", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()

@@ -188,6 +188,32 @@ class TestOnebodyScan:
         assert series.min_values[0] == 0.0
         assert series.max_values[0] == 0.0
 
+    def test_mirrored_triples_pick_canonical_first(self):
+        # an excitation on the middle site of an odd chain keeps the state
+        # reflection-symmetric, and a pure state's TMI is symmetric in A, B,
+        # C, D, so (A, B, C) ties exactly with (refl D, refl C, refl B); the
+        # scan's extremum is the earlier of the two
+        n = 7
+        full = (1 << n) - 1
+        pset = enumerate_partitions(n, "contiguous")
+        index = {t.masks(): i for i, t in enumerate(pset)}
+
+        def refl(mask):
+            return int(f"{mask:0{n}b}"[::-1], 2)
+
+        grid = TimeGrid(np.linspace(0.1, 1.6, 16))
+        checked = 0
+        for alpha in (0.2, 0.6, 1.5):
+            series = onebody_tmi_scan(coupling_matrix(ModelSpec(n, alpha=alpha)), 3, grid, pset)
+            for triple in series.argmin + series.argmax:
+                a, b, c = triple.masks()
+                if a | b | c == full:
+                    continue
+                i, j = index[(a, b, c)], index[(refl(full ^ a ^ b ^ c), refl(c), refl(b))]
+                assert i <= j
+                checked += i != j
+        assert checked > 0
+
     def test_rejects_mismatched_chain(self):
         coupling = coupling_matrix(ModelSpec(8, alpha=1.0))
         grid = TimeGrid.linspace(1.0, 3)
