@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, load_config
 from .entropy import (EntropyTablePlan, SchmidtSpectrum, SiteSubset,
-                      SubsetEntropyTable, monogamy_gap, mutual_information,
-                      subset_entropy_table, subsystem_spectrum, tmi,
-                      von_neumann)
+                      SubsetEntropyTable, mutual_information, subset_entropy_table,
+                      subsystem_spectrum, tmi, von_neumann)
 from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
                      SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
@@ -27,8 +26,7 @@ from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
                          contiguous_quarters, enumerate_partitions,
                          lightcone_onset, minmax_tmi, tau_sign_change)
-from .propagate import (TimeGrid, Trajectory, evolve, onebody_amplitudes,
-                        onebody_propagator)
+from .propagate import TimeGrid, Trajectory, evolve, onebody_amplitudes
 
 __all__ = [
     "__version__",
@@ -38,10 +36,9 @@ __all__ = [
     "StateVector", "apply_hamiltonian", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "total_excitation_mask_weight",
-    "TimeGrid", "Trajectory", "evolve", "onebody_propagator",
-    "onebody_amplitudes",
+    "TimeGrid", "Trajectory", "evolve", "onebody_amplitudes",
     "EntropyTablePlan", "SchmidtSpectrum", "SiteSubset", "SubsetEntropyTable",
-    "monogamy_gap", "mutual_information", "subset_entropy_table",
+    "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",
     "OccupationWeights", "binary_entropy", "occupation_weights",
     "onebody_tmi_scan", "simplex_scan", "tmi_binary",

@@ -21,7 +21,8 @@ _FLAG_MAP = (
     ("--t-max", "time.t_max", "time window end (Kac units when --kac)"),
     ("--n-points", "time.n_points", "number of grid times"),
     ("--partitions", "partitions.strategy",
-     "quarters | all | contiguous | fixed:SA,SB,SC"),
+     "quarters (default) | all | contiguous | fixed:SA,SB,SC; the families "
+     "(all, contiguous, fixed) are for minmax-scan and onebody-scan only"),
     ("--out", "output.directory", "output directory"),
     ("--format", "output.formats", "csv, json, or both (comma list)"),
 )

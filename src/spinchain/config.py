@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+from .entropy import SiteSubset
 from .errors import ConfigError
 from .model import ModelSpec
+from .partitions import (QUARTERS, PartitionSet, PartitionTriple, contiguous_quarters,
+                         enumerate_partitions, parse_strategy)
 
 FORMATS = ("csv", "json")
 PRESET_NAMES = ("fig2", "fig3", "fig4", "smoke")
@@ -86,8 +89,7 @@ class RunConfig:
     n_points: int = 101
     kac_rescaled: bool = False
 
-    strategy: str = "quarters"
-    sizes: tuple | None = None
+    strategy: str = QUARTERS
     subset_a: tuple | None = None
     subset_b: tuple | None = None
     subset_c: tuple | None = None
@@ -123,6 +125,22 @@ class RunConfig:
         triple = (self.subset_a, self.subset_b, self.subset_c)
         if any(s is not None for s in triple) and any(s is None for s in triple):
             raise ConfigError("partitions.a/b/c: give all three subsets or none")
+        try:
+            strategy, sizes = parse_strategy(self.strategy)
+        except ValueError as exc:
+            raise ConfigError(f"partitions.strategy: {exc}") from None
+        if sizes is not None and sum(sizes) > self.n_sites:
+            raise ConfigError(f"partitions.strategy: sizes {sizes} do not fit "
+                              f"a {self.n_sites}-site chain")
+        if self.subset_a is not None:
+            if strategy != QUARTERS:
+                raise ConfigError(
+                    "partitions.a/b/c: an explicit triple replaces the quarters "
+                    f"strategy and cannot go with strategy {self.strategy!r}")
+            try:
+                self._triple()
+            except ValueError as exc:
+                raise ConfigError(f"partitions.a/b/c: {exc}") from None
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"output.formats: expected csv/json, got {fmt!r}")
@@ -142,6 +160,28 @@ class RunConfig:
         if self.nn_limit:
             out.append(("nn", ModelSpec(self.n_sites, j0=self.j0, nn_limit=True)))
         return out
+
+    def _triple(self) -> PartitionTriple:
+        return PartitionTriple(*(SiteSubset.from_sites(self.n_sites, sites)
+                                 for sites in (self.subset_a, self.subset_b, self.subset_c)))
+
+    def partition_set(self, scan: bool) -> PartitionSet:
+        """The partition triples a runner reads.
+
+        An explicit a/b/c triple, or else the default quarters, is a
+        one-triple set; any other strategy is a family, which only a
+        ``scan`` runner takes.  Families are enumerated here, at run time,
+        never while the config loads.
+        """
+        if self.subset_a is not None:
+            return PartitionSet.from_triples([self._triple()])
+        if parse_strategy(self.strategy)[0] == QUARTERS:
+            return PartitionSet.from_triples([contiguous_quarters(self.n_sites)])
+        if not scan:
+            raise ConfigError(
+                f"partitions.strategy: {self.strategy!r} is a partition family; this "
+                "runner reads one triple (quarters, or partitions.a/b/c)")
+        return enumerate_partitions(self.n_sites, self.strategy)
 
     def resolved_site(self) -> int:
         """Initial site of a single-excitation run (middle site by default)."""
@@ -223,7 +263,6 @@ _KEYS = {
     "time.n_points": _field("n_points", _parse_int),
     "time.kac_rescaled": _field("kac_rescaled", _parse_bool),
     "partitions.strategy": _field("strategy", _text),
-    "partitions.sizes": _field("sizes", _parse_site_list),
     "partitions.a": _field("subset_a", _parse_site_list),
     "partitions.b": _field("subset_b", _parse_site_list),
     "partitions.c": _field("subset_c", _parse_site_list),

@@ -30,7 +30,7 @@ FULL_TABLE_MAX_SITES = 16
 __all__ = [
     "SiteSubset", "SchmidtSpectrum", "SubsetEntropyTable", "EntropyTablePlan",
     "subsystem_spectrum", "von_neumann", "subset_entropy_table",
-    "mutual_information", "tmi", "monogamy_gap",
+    "mutual_information", "tmi",
 ]
 
 
@@ -369,8 +369,3 @@ def tmi(table: SubsetEntropyTable, a, b, c) -> float:
     return (table[a] + table[b] + table[c]
             - table[a | b] - table[a | c] - table[b | c]
             + table[a | b | c])
-
-
-def monogamy_gap(table: SubsetEntropyTable, a, b, c) -> float:
-    """-I(A:B:C); positive when the mutual informations are monogamous."""
-    return -tmi(table, a, b, c)

@@ -35,7 +35,6 @@ class ModelSpec:
     n_sites: int
     j0: float = 1.0
     alpha: float | None = None
-    boundary: str = "open"
     nn_limit: bool = False
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ class ModelSpec:
             raise ValueError(f"n_sites must be >= 2, got {self.n_sites}")
         if self.j0 <= 0 or not math.isfinite(self.j0):
             raise ValueError(f"j0 must be positive and finite, got {self.j0}")
-        if self.boundary != "open":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
         if self.nn_limit:
             if self.alpha is not None:
                 raise ValueError("nn_limit excludes a finite alpha")

@@ -184,7 +184,7 @@ def _subset_probability_table(weights: np.ndarray) -> np.ndarray:
 
 
 def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
-                     partitions: PartitionSet) -> TmiSeries:
+                     pset: PartitionSet) -> TmiSeries:
     """Min/max TMI over partitions along a quench of one excitation.
 
     The excitation starts at ``site``; amplitudes evolve with the
@@ -192,8 +192,6 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
     table over subset masks plus one PartitionSet.tmi_values gather.
     Extremum ties resolve to the first triple (see partitions.extrema).
     """
-    pset = partitions if isinstance(partitions, PartitionSet) \
-        else PartitionSet.from_triples(partitions)
     n = coupling.n_sites
     if pset.n_sites != n:
         raise ValueError("partitions and coupling disagree on chain length")

@@ -21,6 +21,7 @@ from .errors import CapacityError
 from .model import ModelSpec
 from .propagate import TimeGrid
 
+QUARTERS = "quarters"
 ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
@@ -34,7 +35,7 @@ __all__ = [
     "PartitionTriple", "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
     "minmax_tmi", "extrema", "tau_sign_change", "lightcone_onset",
-    "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
+    "QUARTERS", "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
 
@@ -163,46 +164,33 @@ class PartitionSet:
 
 @dataclass
 class TmiSeries:
-    """TMI tracks along a time grid.
+    """Minimal and maximal TMI over a partition family along a time grid.
 
-    Either a single ``values`` track (one partition) or ``min_values`` /
-    ``max_values`` extremum tracks with per-time argmin/argmax triples.
-    ``meta`` carries the run descriptors (alpha, n_sites, strategy, ...).
+    ``argmin`` / ``argmax`` hold the extremal triple per time; ``meta``
+    carries the run descriptors (n_sites, site, strategy, ...).
     """
 
     grid: TimeGrid
-    values: np.ndarray | None = None
-    min_values: np.ndarray | None = None
-    max_values: np.ndarray | None = None
-    argmin: list | None = None
-    argmax: list | None = None
+    min_values: np.ndarray
+    max_values: np.ndarray
+    argmin: list
+    argmax: list
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.grid)
-        for name in ("values", "min_values", "max_values"):
-            track = getattr(self, name)
-            if track is not None:
-                track = np.asarray(track, dtype=float)
-                if track.shape != (n,):
-                    raise ValueError(f"{name} length {track.shape} does not match grid ({n})")
-                setattr(self, name, track)
-        if self.values is None and self.min_values is None:
-            raise ValueError("need a values track or a min_values track")
-        if self.min_values is not None and self.max_values is not None:
-            if np.any(self.min_values > self.max_values + 1e-12):
-                raise ValueError("min track exceeds max track")
-
-    def min_track(self) -> np.ndarray:
-        """The minimal-TMI track (falls back to the scalar track)."""
-        return self.min_values if self.min_values is not None else self.values
+        for name in ("min_values", "max_values"):
+            track = np.asarray(getattr(self, name), dtype=float)
+            if track.shape != (n,):
+                raise ValueError(f"{name} length {track.shape} does not match grid ({n})")
+            setattr(self, name, track)
+        if np.any(self.min_values > self.max_values + 1e-12):
+            raise ValueError("min track exceeds max track")
 
     def global_min(self):
-        """(time, value, argmin triple or None) of the smallest TMI seen."""
-        track = self.min_track()
-        i = int(np.argmin(track))
-        triple = self.argmin[i] if self.argmin is not None else None
-        return float(self.grid.times[i]), float(track[i]), triple
+        """(time, value, argmin triple) of the smallest TMI seen."""
+        i = int(np.argmin(self.min_values))
+        return float(self.grid.times[i]), float(self.min_values[i]), self.argmin[i]
 
 
 def contiguous_quarters(n_sites: int) -> PartitionTriple:
@@ -293,23 +281,37 @@ def _enumerate_fixed_sizes(n_sites: int, sizes) -> PartitionSet:
                         strategy=f"{FIXED_SIZES}:{sa},{sb},{sc}")
 
 
-def parse_strategy(text: str):
-    """Normalize a strategy descriptor like 'all' or 'fixed:3,3,3'.
+_STRATEGY_NAMES = {
+    "quarters": QUARTERS,
+    "all": ALL_ASSIGNMENTS, "all-assignments": ALL_ASSIGNMENTS,
+    "contiguous": CONTIGUOUS_BLOCKS, "contiguous-blocks": CONTIGUOUS_BLOCKS,
+    "blocks": CONTIGUOUS_BLOCKS,
+    "fixed": FIXED_SIZES, "fixed-sizes": FIXED_SIZES,
+}
 
-    Returns (strategy constant, sizes tuple or None).
+
+def parse_strategy(text: str):
+    """Normalize a strategy descriptor like 'quarters', 'all' or 'fixed:3,3,3'.
+
+    Returns (strategy constant, sizes tuple or None).  Only the fixed-sizes
+    strategy takes sizes, and it needs three positive integers.
     """
-    name, _, arg = text.partition(":")
-    key = name.strip().lower().replace("_", "-")
-    if key in ("all", "all-assignments"):
-        return ALL_ASSIGNMENTS, None
-    if key in ("contiguous", "contiguous-blocks", "blocks"):
-        return CONTIGUOUS_BLOCKS, None
-    if key in ("fixed", "fixed-sizes"):
-        if not arg:
-            raise ValueError("fixed-sizes strategy needs sizes, e.g. 'fixed:3,3,3'")
+    name, colon, arg = text.partition(":")
+    strategy = _STRATEGY_NAMES.get(name.strip().lower().replace("_", "-"))
+    if strategy is None:
+        raise ValueError(f"unknown partition strategy {text!r}")
+    if strategy != FIXED_SIZES:
+        if colon:
+            raise ValueError(f"partition strategy {text!r} takes no sizes")
+        return strategy, None
+    try:
         sizes = tuple(int(s) for s in arg.split(","))
-        return FIXED_SIZES, sizes
-    raise ValueError(f"unknown partition strategy {text!r}")
+    except ValueError:
+        sizes = ()
+    if len(sizes) != 3 or min(sizes) < 1:
+        raise ValueError(f"fixed-sizes strategy needs three positive sizes, "
+                         f"e.g. 'fixed:3,3,3', got {text!r}")
+    return FIXED_SIZES, sizes
 
 
 @lru_cache(maxsize=4)
@@ -324,27 +326,23 @@ def _enumerate_cached(n_sites: int, strategy: str, sizes):
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
     if strategy == FIXED_SIZES:
-        if sizes is None:
-            raise ValueError("fixed-sizes strategy needs a sizes triple")
         return _enumerate_fixed_sizes(n_sites, sizes)
-    raise ValueError(f"unknown partition strategy {strategy!r}")
+    raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
 
 
-def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
-                         sizes=None) -> PartitionSet:
-    """All canonical partition triples under the given strategy.
+def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS) -> PartitionSet:
+    """All canonical partition triples of a family, named as parse_strategy reads it.
 
-    'all-assignments': every site->{A,B,C,D} map with A, B, C nonempty
-    (D may be empty), one representative per unordered {A,B,C}.
-    'contiguous-blocks': chain cuts into 3 or 4 consecutive blocks.
-    'fixed-sizes': all assignments with |A|, |B|, |C| = sizes.
+    'all' (all-assignments): every site->{A,B,C,D} map with A, B, C
+    nonempty (D may be empty), one representative per unordered {A,B,C}.
+    'contiguous' (contiguous-blocks): chain cuts into 3 or 4 consecutive
+    blocks.  'fixed:SA,SB,SC' (fixed-sizes): all assignments with
+    |A|, |B|, |C| = SA, SB, SC.
     """
-    if strategy not in (ALL_ASSIGNMENTS, CONTIGUOUS_BLOCKS, FIXED_SIZES):
-        strategy, parsed_sizes = parse_strategy(strategy)
-        sizes = sizes if sizes is not None else parsed_sizes
+    strategy, sizes = parse_strategy(strategy)
     if n_sites < 3:
         raise ValueError(f"need at least 3 sites to form a triple, got {n_sites}")
-    return _enumerate_cached(n_sites, strategy, tuple(sizes) if sizes else None)
+    return _enumerate_cached(n_sites, strategy, sizes)
 
 
 def extrema(vals: np.ndarray) -> tuple:
@@ -360,31 +358,28 @@ def extrema(vals: np.ndarray) -> tuple:
     return lo, i_min, hi, i_max
 
 
-def minmax_tmi(table: SubsetEntropyTable, partitions):
-    """Extrema of TMI over a partition list.
+def minmax_tmi(table: SubsetEntropyTable, pset: PartitionSet):
+    """Extrema of TMI over a partition set.
 
     Returns (min, argmin triple, max, argmax triple); ties resolve to the
     first triple in canonical enumeration order (see extrema).
     """
-    pset = partitions if isinstance(partitions, PartitionSet) \
-        else PartitionSet.from_triples(partitions)
     if len(pset) == 0:
         raise ValueError("empty partition list")
     lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
     return lo, pset[i_min], hi, pset[i_max]
 
 
-def tau_sign_change(series: TmiSeries, threshold: float = 0.0):
-    """First time the minimal TMI drops below -threshold, or None.
+def tau_sign_change(times, min_values, threshold: float = 0.0):
+    """First time the minimal TMI track drops below -threshold, or None.
 
-    Linear interpolation between the bracketing grid points; a series
+    Linear interpolation between the bracketing sample times; a track
     already below the threshold at its first sample reports that sample
     time (typically 0).
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    track = series.min_track()
-    times = series.grid.times
+    track = np.asarray(min_values, dtype=float)
     below = np.nonzero(track < -threshold)[0]
     if len(below) == 0:
         return None

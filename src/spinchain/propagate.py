@@ -17,8 +17,7 @@ from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
                     StateVector)
 
 __all__ = [
-    "TimeGrid", "Trajectory", "evolve", "onebody_propagator",
-    "onebody_hamiltonian",
+    "TimeGrid", "Trajectory", "evolve", "onebody_amplitudes", "onebody_hamiltonian",
 ]
 
 
@@ -116,16 +115,6 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
 def onebody_hamiltonian(coupling: CouplingMatrix) -> np.ndarray:
     """Single-excitation Hamiltonian h_mn = 2 J_mn (zero diagonal)."""
     return 2.0 * coupling.entries
-
-
-def onebody_propagator(coupling: CouplingMatrix, t: float) -> np.ndarray:
-    """exp(-i h t) on site amplitudes for one excitation.
-
-    Matches sector evolution at k=1 exactly: the sector basis at k=1 is
-    the site basis.
-    """
-    w, v = eigh(onebody_hamiltonian(coupling))
-    return (v * np.exp(-1j * w * t)) @ v.T
 
 
 def onebody_amplitudes(coupling: CouplingMatrix, site: int, times: np.ndarray) -> np.ndarray:

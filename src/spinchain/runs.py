@@ -1,14 +1,17 @@
 """Experiment runners: sweep orchestration behind the CLI subcommands.
 
-Every runner is one loop over the coupling exponents.  The task
-``_exponent`` builds an exponent's coupling, time grid and ``alpha``/``t``/
-``t_kac`` columns, and calls the runner's reducer, a module-level
-``rows(cfg, coupling, grid) -> (columns, extra)``; ``extra`` carries what
-the runner needs beyond per-time columns.  Sector-quench reducers read
-``_tables``: one (subset-entropy table, TMI per triple) pair per grid time.
-``_sweep`` maps the task over the exponents, in a process pool when
-SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
-either way, so the emitted files do not depend on the worker count.
+Every runner is one loop over the coupling exponents.  ``_sweep`` first
+resolves the partition set with ``RunConfig.partition_set``, so a
+partition setting the runner cannot honour is refused before any work.
+The task ``_exponent`` builds an exponent's coupling, time grid and
+``alpha``/``t``/``t_kac`` columns, and calls the runner's reducer, a
+module-level ``rows(cfg, pset, coupling, grid) -> (columns, extra)``;
+``extra`` carries what the runner needs beyond per-time columns.
+Sector-quench reducers read ``_tables``: one (subset-entropy table, TMI
+per triple) pair per grid time.  ``_sweep`` maps the task over the
+exponents, in a process pool when SPINCHAIN_THREADS asks for one, and
+stacks the columns in sweep order either way, so the emitted files do
+not depend on the worker count.
 """
 
 import os
@@ -20,15 +23,12 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import (EntropyTablePlan, SiteSubset, mutual_information,
-                      subset_entropy_table, tmi)
+from .entropy import EntropyTablePlan, mutual_information, subset_entropy_table, tmi
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, StateVector, coupling_matrix, enumerate_sector,
                     neel_state, single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
-from .partitions import (PartitionSet, PartitionTriple, TmiSeries, contiguous_quarters,
-                         enumerate_partitions, extrema, lightcone_onset,
-                         parse_strategy, tau_sign_change)
+from .partitions import PartitionSet, extrema, lightcone_onset, tau_sign_change
 from .propagate import TimeGrid, evolve, onebody_amplitudes
 
 # Nonnegativity floor asserted by the 1-excitation scan.
@@ -75,17 +75,6 @@ def _initial_state(cfg: RunConfig):
     return basis, single_excitation_state(basis, cfg.resolved_site())
 
 
-def _grid_triple(cfg: RunConfig):
-    """Partition triple of the single-partition runners."""
-    if cfg.subset_a is not None:
-        return PartitionTriple(
-            SiteSubset.from_sites(cfg.n_sites, cfg.subset_a),
-            SiteSubset.from_sites(cfg.n_sites, cfg.subset_b),
-            SiteSubset.from_sites(cfg.n_sites, cfg.subset_c),
-        )
-    return contiguous_quarters(cfg.n_sites)
-
-
 def _plan_for(basis, pset: PartitionSet, *extra) -> EntropyTablePlan:
     """Plan over the masks a partition set reads, plus ``extra`` masks."""
     # a presence table, not np.unique: 2.5M triples make 17.7M lookups
@@ -100,14 +89,6 @@ def _plan_for(basis, pset: PartitionSet, *extra) -> EntropyTablePlan:
 def _cached_plan(n_sites: int, n_excitations: int, masks: tuple) -> EntropyTablePlan:
     # one plan per process: every exponent of a sweep reuses it
     return EntropyTablePlan(enumerate_sector(n_sites, n_excitations), masks)
-
-
-def _scan_partitions(cfg: RunConfig) -> PartitionSet:
-    if cfg.strategy.strip().lower() == "quarters":
-        return PartitionSet.from_triples([contiguous_quarters(cfg.n_sites)])
-    strategy, sizes = parse_strategy(cfg.strategy)
-    return enumerate_partitions(cfg.n_sites, strategy,
-                                cfg.sizes if cfg.sizes else sizes)
 
 
 def _base_meta(cfg: RunConfig, **extra) -> dict:
@@ -128,30 +109,35 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
 
 # -- the sweep skeleton ---------------------------------------------------------
 
-def _exponent(cfg: RunConfig, rows, label: str, spec: ModelSpec):
+def _exponent(cfg: RunConfig, rows, scan: bool, label: str, spec: ModelSpec):
     """Columns of one exponent (alpha, t, t_kac, then the reducer's) and its extra."""
     coupling = coupling_matrix(spec)
     grid = _time_grid(cfg)
     t = grid.physical_times(coupling.kac)
-    columns, extra = rows(cfg, coupling, grid)
+    # resolved again rather than shipped to a worker: an enumerated family
+    # comes from enumerate_partitions' cache, which a forked worker inherits
+    columns, extra = rows(cfg, cfg.partition_set(scan), coupling, grid)
     return {"alpha": [label] * len(t), "t": t.tolist(),
             "t_kac": (t * coupling.kac).tolist(), **columns}, extra
 
 
-def _sweep(cfg: RunConfig, rows, column_order, insets=()):
+def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
     """Run the reducer ``rows`` for every sweep exponent, then every inset.
 
-    Returns the sweep exponents' columns stacked in ``column_order``, and
-    the (label, extra) pair of every exponent, insets last.
+    ``scan`` says whether the runner takes a partition family (see
+    RunConfig.partition_set).  Returns the partition set, the sweep
+    exponents' columns stacked in ``column_order``, and the (label, extra)
+    pair of every exponent, insets last.
     """
+    pset = cfg.partition_set(scan)
     sweep = cfg.sweep()
     exponents = sweep + list(insets)
-    results = _pmap(_exponent, [(cfg, rows, label, spec) for label, spec in exponents])
+    results = _pmap(_exponent, [(cfg, rows, scan, label, spec) for label, spec in exponents])
     stacked = {name: [] for name in column_order}
     for columns, _ in results[:len(sweep)]:
         for name in column_order:
             stacked[name] += columns[name]
-    return stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
+    return pset, stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
 
 
 def _tables(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
@@ -170,15 +156,14 @@ def _tables(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
 
 # -- tmi-grid ----------------------------------------------------------------
 
-def _grid_rows(cfg: RunConfig, coupling, grid):
-    pset = PartitionSet.from_triples([_grid_triple(cfg)])
+def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
     return {"tmi": [float(vals[0]) for _, vals in _tables(cfg, coupling, grid, pset)]}, None
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
     """TMI(alpha, t) of one partition triple (contiguous quarters by default)."""
-    columns, _ = _sweep(cfg, _grid_rows, (*_TIME_COLUMNS, "tmi"))
-    triple = _grid_triple(cfg)
+    pset, columns, _ = _sweep(cfg, _grid_rows, (*_TIME_COLUMNS, "tmi"), scan=False)
+    triple = pset[0]
     onset = lightcone_onset(cfg.sweep()[0][1], triple)
     columns["lightcone_onset"] = [onset] * len(columns["tmi"])
     meta = _base_meta(
@@ -196,8 +181,7 @@ def _half_mask(cfg: RunConfig) -> int:
     return (1 << (cfg.n_sites // 2)) - 1
 
 
-def _entropy_rows(cfg: RunConfig, coupling, grid):
-    pset = PartitionSet.from_triples([_grid_triple(cfg)])
+def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
     half = _half_mask(cfg)
     columns = {"tmi": [], "half_chain_entropy": []}
     for table, vals in _tables(cfg, coupling, grid, pset, half):
@@ -208,9 +192,9 @@ def _entropy_rows(cfg: RunConfig, coupling, grid):
 
 def run_tmi_vs_entropy(cfg: RunConfig) -> list:
     """Quarter-partition TMI and half-chain entropy per coupling exponent."""
-    columns, _ = _sweep(cfg, _entropy_rows,
-                        ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"))
-    triple = _grid_triple(cfg)
+    pset, columns, _ = _sweep(cfg, _entropy_rows,
+                              ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"), scan=False)
+    triple = pset[0]
     meta = _base_meta(
         cfg,
         partition_a=triple.a.mask, partition_b=triple.b.mask, partition_c=triple.c.mask,
@@ -225,8 +209,7 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
                    "argmin_a", "argmin_b", "argmin_c", "argmax_a", "argmax_b", "argmax_c")
 
 
-def _minmax_rows(cfg: RunConfig, coupling, grid):
-    pset = _scan_partitions(cfg)
+def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
     proper = ~pset.covers_chain
     has_proper = bool(proper.any())
     columns = {name: [] for name in _MINMAX_COLUMNS}
@@ -238,9 +221,7 @@ def _minmax_rows(cfg: RunConfig, coupling, grid):
         for side, j in (("argmin", j_min), ("argmax", j_max)):
             for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
                 columns[f"{side}_{part}"].append(int(masks[j]))
-    series = TmiSeries(grid=grid, min_values=columns["min_tmi"],
-                       max_values=columns["max_tmi"])
-    tau = tau_sign_change(series, threshold=cfg.tau_threshold)
+    tau = tau_sign_change(grid.times, columns["min_tmi"], cfg.tau_threshold)
     return columns, (max(columns["max_tmi"]), tau)
 
 
@@ -257,11 +238,11 @@ def run_minmax_scan(cfg: RunConfig) -> list:
     main_labels = [label for label, _ in cfg.sweep()]
     insets = [(f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
               for a in cfg.inset_alphas if f"{a:g}" not in main_labels]
-    columns, extras = _sweep(cfg, _minmax_rows, (*_TIME_COLUMNS, *_MINMAX_COLUMNS), insets)
+    pset, columns, extras = _sweep(cfg, _minmax_rows, (*_TIME_COLUMNS, *_MINMAX_COLUMNS),
+                                   scan=True, insets=insets)
     summary = {"alpha": [label for label, _ in extras],
                "peak_max_tmi": [peak for _, (peak, _) in extras],
                "tau": [tau for _, (_, tau) in extras]}
-    pset = _scan_partitions(cfg)
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
                       n_proper_partitions=int((~pset.covers_chain).sum()),
                       tau_threshold=cfg.tau_threshold)
@@ -273,8 +254,8 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 
 # -- onebody-scan --------------------------------------------------------------
 
-def _onebody_rows(cfg: RunConfig, coupling, grid):
-    scan = onebody_tmi_scan(coupling, cfg.resolved_site(), grid, _scan_partitions(cfg))
+def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
+    scan = onebody_tmi_scan(coupling, cfg.resolved_site(), grid, pset)
     occupations = scan.meta["occupations"]
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
@@ -293,15 +274,14 @@ def run_onebody_scan(cfg: RunConfig) -> list:
         raise ConfigError(
             "initial.state: the onebody scan needs a single-excitation state "
             "(state = single[:site])")
-    columns, extras = _sweep(cfg, _onebody_rows,
-                             (*_TIME_COLUMNS, "min_tmi", "max_tmi",
-                              *(f"p{m}" for m in range(cfg.n_sites))))
+    pset, columns, extras = _sweep(cfg, _onebody_rows,
+                                   (*_TIME_COLUMNS, "min_tmi", "max_tmi",
+                                    *(f"p{m}" for m in range(cfg.n_sites))), scan=True)
     for label, (t_min, v_min, masks) in extras:
         if v_min < -ONEBODY_TMI_FLOOR:
             raise NumericalConsistencyError(
                 f"TMI {v_min} below -{ONEBODY_TMI_FLOOR} at alpha={label}, "
                 f"t={t_min}, partition masks={masks}")
-    pset = _scan_partitions(cfg)
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
                       site=cfg.resolved_site(), tmi_floor=ONEBODY_TMI_FLOOR)
     return [Dataset(name="onebody_scan", meta=meta, columns=columns)]

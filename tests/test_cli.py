@@ -20,6 +20,17 @@ n_points = 5
 formats = csv
 """
 ONEBODY_CFG = SMOKE_CFG + "\n[initial]\nstate = single:4\n"
+RUNNERS = ("tmi-grid", "tmi-vs-entropy", "minmax-scan", "onebody-scan")
+# an explicit triple on a chain the default quarters cannot split
+TRIPLE_CFG = SMOKE_CFG.replace("n_sites = 8", "n_sites = 10") + """
+[initial]
+state = single:4
+
+[partitions]
+a = 0, 1
+b = 4
+c = 8, 9
+"""
 
 
 def run_cli(argv):
@@ -116,9 +127,12 @@ class TestExitCodes:
         assert run_cli(["tmi-grid", "--alpha", "1.0", "--n-points", "lots",
                         "--out", str(tmp_path)]) == 2
 
-    def test_bad_strategy_is_2(self, tmp_path):
-        assert run_cli(["minmax-scan", "--alpha", "1.0", "--partitions", "bogus",
-                        "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("command", RUNNERS)
+    def test_bad_strategy_is_2(self, tmp_path, command):
+        out_dir = tmp_path / "out"
+        assert run_cli([command, "--config", "smoke", "--partitions", "bogus",
+                        "--out", str(out_dir)]) == 2
+        assert not out_dir.exists()
 
     def test_capacity_guard_is_3(self, tmp_path, capsys):
         code = run_cli(["tmi-grid", "--alpha", "1.0", "--n-sites", "40",
@@ -176,6 +190,61 @@ class TestExitCodes:
                         "--out", str(tmp_path / "out")]) == 2
 
 
+class TestPartitionRules:
+    """Every runner reads what [partitions] names, or exits 2 before writing."""
+
+    @pytest.mark.parametrize("command", ["tmi-grid", "tmi-vs-entropy"])
+    @pytest.mark.parametrize("strategy", ["all", "contiguous", "fixed:1,1,1"])
+    def test_single_triple_runner_refuses_family(self, tmp_path, capsys, command,
+                                                 strategy):
+        out_dir = tmp_path / "out"
+        assert run_cli([command, "--config", "smoke", "--partitions", strategy,
+                        "--out", str(out_dir)]) == 2
+        assert "partition family" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("fixed", []),
+        ("contiguous", []),
+        ("quarters", ["--partitions", "fixed:1,1,1"]),
+    ])
+    def test_sizes_key_is_2(self, tmp_path, capsys, strategy, flags):
+        cfg = tmp_path / "sizes.cfg"
+        cfg.write_text(SMOKE_CFG + f"\n[partitions]\nstrategy = {strategy}\nsizes = 2, 2, 2\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["minmax-scan", "--config", str(cfg), *flags,
+                        "--out", str(out_dir)]) == 2
+        assert "unknown key partitions.sizes" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", RUNNERS)
+    def test_triple_with_family_strategy_is_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "triple.cfg"
+        cfg.write_text(TRIPLE_CFG + "strategy = contiguous\n")
+        out_dir = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert "partitions.a/b/c" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, name", [("minmax-scan", "minmax_scan"),
+                                               ("onebody-scan", "onebody_scan")])
+    def test_scan_takes_explicit_triple(self, tmp_path, command, name):
+        cfg = tmp_path / "triple.cfg"
+        cfg.write_text(TRIPLE_CFG)
+        out_dir = tmp_path / "out"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out_dir),
+                        "--format", "json"]) == 0
+        payload = json.loads((out_dir / f"{name}.json").read_text())
+        assert payload["meta"]["strategy"] == "explicit"
+        assert payload["meta"]["n_partitions"] == 1
+        columns = payload["columns"]
+        assert columns["min_tmi"] == columns["max_tmi"]
+        if command == "minmax-scan":
+            triple = {(a, b, c) for a, b, c in zip(columns["argmin_a"], columns["argmin_b"],
+                                                   columns["argmin_c"])}
+            assert triple == {(0b11, 0b10000, 0b1100000000)}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["tmi-grid", "tmi-vs-entropy", "minmax-scan",
                                          "onebody-scan"])
@@ -186,8 +255,10 @@ class TestDeterminism:
         for threads in ("1", "2"):
             monkeypatch.setenv("SPINCHAIN_THREADS", threads)
             out_dir = tmp_path / f"out{threads}"
-            code = run_cli([command, "--config", str(cfg),
-                            "--partitions", "contiguous",
+            # the single-triple runners read the quarters, the scans a family
+            family = [] if command in ("tmi-grid", "tmi-vs-entropy") \
+                else ["--partitions", "contiguous"]
+            code = run_cli([command, "--config", str(cfg), *family,
                             "--out", str(out_dir), "--format", "csv,json"])
             assert code == 0
             outputs[threads] = {

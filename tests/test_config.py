@@ -127,6 +127,68 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau_threshold"):
             RunConfig(alphas=(1.0,), tau_threshold=-1e-3)
 
+    def test_rejects_unparseable_strategy(self):
+        for bad in ("garbage", "fixed", "fixed:2,2", "all:3"):
+            with pytest.raises(ConfigError, match="^partitions.strategy: "):
+                RunConfig(alphas=(1.0,), strategy=bad)
+
+    def test_rejects_fixed_sizes_that_do_not_fit(self):
+        RunConfig(n_sites=8, alphas=(1.0,), strategy="fixed:2,3,3")
+        with pytest.raises(ConfigError, match="do not fit a 8-site chain"):
+            RunConfig(n_sites=8, alphas=(1.0,), strategy="fixed:3,3,3")
+        # a new chain length is checked again
+        cfg = RunConfig(n_sites=12, alphas=(1.0,), strategy="fixed:3,3,3")
+        with pytest.raises(ConfigError, match="do not fit"):
+            cfg.replace(n_sites=8)
+
+    def test_explicit_triple_goes_only_with_quarters(self):
+        triple = {"subset_a": (0, 1), "subset_b": (4,), "subset_c": (8, 9)}
+        RunConfig(n_sites=10, alphas=(1.0,), **triple)
+        RunConfig(n_sites=10, alphas=(1.0,), strategy="quarters", **triple)
+        for strategy in ("contiguous", "all", "fixed:1,1,1"):
+            with pytest.raises(ConfigError, match="^partitions.a/b/c: .*" + strategy):
+                RunConfig(n_sites=10, alphas=(1.0,), strategy=strategy, **triple)
+
+    def test_rejects_bad_triple(self):
+        with pytest.raises(ConfigError, match="^partitions.a/b/c: .*disjoint"):
+            RunConfig(n_sites=10, alphas=(1.0,), subset_a=(0, 1), subset_b=(1,),
+                      subset_c=(5,))
+        with pytest.raises(ConfigError, match=r"^partitions.a/b/c: site 10 outside"):
+            RunConfig(n_sites=10, alphas=(1.0,), subset_a=(0,), subset_b=(1,),
+                      subset_c=(10,))
+
+
+class TestPartitionSet:
+    def test_load_does_not_enumerate(self, monkeypatch):
+        from spinchain import config
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitions enumerated while loading")
+
+        monkeypatch.setattr(config, "enumerate_partitions", refuse)
+        cfg = load_config(None, {"model.alphas": "1", "partitions.strategy": "all"})
+        with pytest.raises(AssertionError, match="enumerated"):
+            cfg.partition_set(scan=True)
+
+    def test_one_triple_for_quarters_and_explicit(self):
+        pset = RunConfig(n_sites=8, alphas=(1.0,)).partition_set(scan=False)
+        assert [t.masks() for t in pset] == [(0b11, 0b1100, 0b110000)]
+        cfg = RunConfig(n_sites=10, alphas=(1.0,), subset_a=(8, 9), subset_b=(0,),
+                        subset_c=(4, 5))
+        for scan in (False, True):
+            pset = cfg.partition_set(scan=scan)
+            assert pset.strategy == "explicit"
+            assert [t.masks() for t in pset] == [(0b1, 0b110000, 0b1100000000)]
+
+    def test_family_only_for_scans(self):
+        from spinchain import enumerate_partitions
+
+        cfg = RunConfig(n_sites=8, alphas=(1.0,), strategy="fixed:1,2,2")
+        pset = cfg.partition_set(scan=True)
+        assert pset is enumerate_partitions(8, "fixed:1,2,2")
+        with pytest.raises(ConfigError, match="partition family"):
+            cfg.partition_set(scan=False)
+
 
 class TestSweep:
     def test_labels_and_order(self):
@@ -183,13 +245,25 @@ class TestPresets:
         assert load_config("fig2").paper_n_sites == 20
         assert load_config("fig3").paper_n_sites == 24
 
+    def test_readme_example_loads(self, tmp_path):
+        from pathlib import Path
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = readme.split("```ini\n")
+        assert len(blocks) == 2, "README holds one ini example"
+        path = tmp_path / "readme.cfg"
+        path.write_text(blocks[1].split("```")[0])
+        cfg = load_config(path)
+        assert (cfg.n_sites, cfg.strategy, cfg.inset_alphas) == (12, "contiguous", (0.1, 0.3))
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_path("fig9")
 
 
-# One non-default value per config key, and the RunConfig fields it sets.
-# Together they form one valid config.
+# One value per config key, and the RunConfig fields it sets.  Together
+# they form one valid config, so the strategy is the one that an explicit
+# a/b/c triple may go with; every other value is a non-default.
 KEY_SAMPLES = {
     "model.n_sites": ("10", {"n_sites": 10}),
     "model.j0": ("0.5", {"j0": 0.5}),
@@ -200,8 +274,7 @@ KEY_SAMPLES = {
     "time.t_max": ("2.5", {"t_max": 2.5}),
     "time.n_points": ("7", {"n_points": 7}),
     "time.kac_rescaled": ("yes", {"kac_rescaled": True}),
-    "partitions.strategy": ("contiguous", {"strategy": "contiguous"}),
-    "partitions.sizes": ("2, 2, 2", {"sizes": (2, 2, 2)}),
+    "partitions.strategy": ("quarters", {"strategy": "quarters"}),
     "partitions.a": ("0, 1", {"subset_a": (0, 1)}),
     "partitions.b": ("3", {"subset_b": (3,)}),
     "partitions.c": ("5, 6", {"subset_c": (5, 6)}),
@@ -254,6 +327,15 @@ class TestKeyTable:
         path.write_text(f"[{section}s]\nbogus = 1\n")
         with pytest.raises(ConfigError, match=rf"^unknown config section \[{section}s\]$"):
             load_config(path)
+
+    def test_partitions_sizes_is_unknown(self, tmp_path):
+        # sizes are spelled only inside the strategy, as fixed:SA,SB,SC
+        path = tmp_path / "sizes.cfg"
+        path.write_text("[model]\nalphas = 1\n[partitions]\nstrategy = fixed\nsizes = 2, 2, 2\n")
+        with pytest.raises(ConfigError, match=r"^unknown key partitions\.sizes$"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=r"^unknown key partitions\.sizes$"):
+            load_config(None, {"model.alphas": "1", "partitions.sizes": "2, 2, 2"})
 
     def test_nn_token_outlasts_nn_limit_false(self):
         cfg = load_config(None, {"model.alphas": "1, nn", "model.nn_limit": "false"})

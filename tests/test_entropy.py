@@ -16,7 +16,6 @@ from spinchain import (
     coupling_matrix,
     enumerate_sector,
     evolve,
-    monogamy_gap,
     mutual_information,
     neel_state,
     subset_entropy_table,
@@ -225,13 +224,6 @@ class TestInformationMeasures:
             tmi(table, a, c, b),
         }
         assert max(vals) - min(vals) < 1e-12
-
-    def test_monogamy_gap_is_negated_tmi(self, evolved8):
-        table = subset_entropy_table(evolved8)
-        a, b, c = 0b1, 0b110, 0b11000
-        assert monogamy_gap(table, a, b, c) == pytest.approx(
-            -tmi(table, a, b, c), abs=1e-14
-        )
 
     def test_mi_nonnegative_and_monotone(self, evolved8):
         table = subset_entropy_table(evolved8)

@@ -40,8 +40,6 @@ class TestModelSpec:
             ModelSpec(4, alpha=-0.5)
         with pytest.raises(ValueError):
             ModelSpec(4, alpha=math.inf)
-        with pytest.raises(ValueError):
-            ModelSpec(4, alpha=1.0, boundary="periodic")
 
     def test_alpha_zero_is_uniform(self):
         entries = coupling_matrix(ModelSpec(4, alpha=0.0)).entries

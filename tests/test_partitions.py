@@ -13,7 +13,6 @@ from spinchain import (
     PartitionTriple,
     SubsetEntropyTable,
     TimeGrid,
-    TmiSeries,
     contiguous_quarters,
     coupling_matrix,
     enumerate_partitions,
@@ -110,16 +109,20 @@ class TestEnumeration:
         assert int(pset.covers_chain.sum()) == 10
 
     def test_parse_strategy(self):
+        assert parse_strategy(" Quarters") == ("quarters", None)
         assert parse_strategy("all")[0] == "all-assignments"
         assert parse_strategy("contiguous")[0] == "contiguous-blocks"
         name, sizes = parse_strategy("fixed:3,3,3")
         assert name == "fixed-sizes" and sizes == (3, 3, 3)
         with pytest.raises(ValueError):
             parse_strategy("bogus")
-        with pytest.raises(ValueError):
-            parse_strategy("fixed:")
+        for bad in ("fixed:", "fixed", "fixed:0,1,1", "fixed:1,x,1", "all:3", "quarters:4"):
+            with pytest.raises(ValueError):
+                parse_strategy(bad)
         with pytest.raises(ValueError):
             enumerate_partitions(6, "fixed:1,2")
+        with pytest.raises(ValueError, match="one triple, not a family"):
+            enumerate_partitions(8, "quarters")
 
     def test_quarters(self):
         trip = contiguous_quarters(12)
@@ -220,46 +223,26 @@ class TestExtremaAndTau:
         assert checked > 0
 
     def test_tau_interpolates(self):
-        grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0]))
-        series = TmiSeries(
-            grid=grid,
-            min_values=np.array([0.1, 0.05, -0.05, -0.2]),
-            max_values=np.array([0.2, 0.3, 0.3, 0.3]),
-        )
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        min_values = np.array([0.1, 0.05, -0.05, -0.2])
         # crosses -0.0 halfway between t=1 and t=2
-        assert tau_sign_change(series, threshold=0.0) == pytest.approx(1.5)
+        assert tau_sign_change(times, min_values, threshold=0.0) == pytest.approx(1.5)
         # higher threshold pushes the crossing later
-        assert tau_sign_change(series, threshold=0.1) == pytest.approx(
+        assert tau_sign_change(times, min_values, threshold=0.1) == pytest.approx(
             2.0 + (0.1 - 0.05) / 0.15
         )
 
     def test_tau_none_without_crossing(self):
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        series = TmiSeries(
-            grid=grid,
-            min_values=np.array([0.2, 0.1]),
-            max_values=np.array([0.3, 0.3]),
-        )
-        assert tau_sign_change(series, threshold=0.0) is None
+        assert tau_sign_change(np.array([0.0, 1.0]), np.array([0.2, 0.1]),
+                               threshold=0.0) is None
 
     def test_tau_immediate(self):
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        series = TmiSeries(
-            grid=grid,
-            min_values=np.array([-0.5, -1.0]),
-            max_values=np.array([0.0, 0.0]),
-        )
-        assert tau_sign_change(series, threshold=1e-10) == 0.0
+        assert tau_sign_change(np.array([0.0, 1.0]), np.array([-0.5, -1.0]),
+                               threshold=1e-10) == 0.0
 
     def test_tau_rejects_negative_threshold(self):
-        grid = TimeGrid(np.array([0.0, 1.0]))
-        series = TmiSeries(
-            grid=grid,
-            min_values=np.array([0.1, -0.1]),
-            max_values=np.array([0.2, 0.2]),
-        )
         with pytest.raises(ValueError):
-            tau_sign_change(series, threshold=-1.0)
+            tau_sign_change(np.array([0.0, 1.0]), np.array([0.1, -0.1]), threshold=-1.0)
 
 
 class TestLightconeOnset:

@@ -12,7 +12,6 @@ from spinchain import (
     evolve,
     neel_state,
     onebody_amplitudes,
-    onebody_propagator,
     single_excitation_state,
 )
 from spinchain import reference
@@ -161,11 +160,6 @@ class TestEvolveDispatcher:
 
 
 class TestOneBody:
-    def test_propagator_unitary(self):
-        coupling = coupling_matrix(ModelSpec(7, alpha=0.8))
-        u = onebody_propagator(coupling, 1.7)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(7), atol=1e-12)
-
     def test_amplitudes_match_sector_evolution(self):
         # k=1 sector masks ascend as 1 << site, so columns line up with sites.
         n, site = 8, 3
