@@ -180,17 +180,18 @@ def subsystem_spectrum(psi: StateVector, basis: SectorBasis | None = None,
 class SubsetEntropyTable:
     """Entanglement entropies of site subsets, keyed by subset bitmask.
 
-    Holds a sorted int64 mask array and the matching entropy values.  All
-    tables evaluated from one EntropyTablePlan share the plan's mask
-    array, so lookup positions computed for one of them hold for all.
-    Looking up a mask the table lacks raises KeyError.
+    Holds a sorted int64 mask array and the matching entropy values: one
+    value per mask, or, in a time-batched table, one row per mask with one
+    column per time.  All tables evaluated from one EntropyTablePlan share
+    the plan's mask array, so lookup positions computed for one of them
+    hold for all.  Looking up a mask the table lacks raises KeyError.
     """
 
     def __init__(self, n_sites: int, masks: np.ndarray, values: np.ndarray):
         masks = np.asarray(masks, dtype=np.int64)
         values = np.asarray(values, dtype=float)
-        if masks.ndim != 1 or values.shape != masks.shape:
-            raise ValueError("need one entropy value per mask")
+        if masks.ndim != 1 or values.ndim not in (1, 2) or len(values) != len(masks):
+            raise ValueError("need one entropy value, or one row of them, per mask")
         if len(masks) and (masks[0] < 0 or masks[-1] >= 1 << n_sites
                            or np.any(masks[1:] <= masks[:-1])):
             raise ValueError(f"masks must be ascending, distinct and fit {n_sites} sites")
@@ -232,10 +233,11 @@ class SubsetEntropyTable:
         return pos
 
     def gather(self, masks) -> np.ndarray:
-        """Entropies of an array of masks; KeyError if any is absent."""
+        """Entropies (or rows of them) of an array of masks; KeyError if any is absent."""
         return self.values[self.positions(masks)]
 
     def __getitem__(self, subset) -> float:
+        """Entropy of one subset; a time-batched table answers through gather."""
         return float(self.gather(_as_mask(subset, self.n_sites)))
 
     def __contains__(self, subset) -> bool:
@@ -363,9 +365,16 @@ def mutual_information(table: SubsetEntropyTable, a, b) -> float:
     return table[a] + table[b] - table[a | b]
 
 
+def tmi_terms(s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc):
+    """I(A:B:C) from the entropies of A, B, C, AB, AC, BC and ABC.
+
+    Scalars or arrays; every TMI the package computes is summed here, in
+    this order.
+    """
+    return (s_a + s_b + s_c + s_abc) - (s_ab + s_ac + s_bc)
+
+
 def tmi(table: SubsetEntropyTable, a, b, c) -> float:
     """Tripartite mutual information I(A:B:C) = I(A:B) + I(A:C) - I(A:BC)."""
     a, b, c = _disjoint_masks(table, (a, b, c))
-    return (table[a] + table[b] + table[c]
-            - table[a | b] - table[a | c] - table[b | c]
-            + table[a | b | c])
+    return tmi_terms(*(table[m] for m in (a, b, c, a | b, a | c, b | c, a | b | c)))

@@ -16,8 +16,8 @@ from scipy.special import xlogy
 
 from .bits import bit_positions
 from .model import CouplingMatrix
-from .entropy import SubsetEntropyTable, _as_mask
-from .partitions import PartitionSet, TmiSeries, extrema
+from .entropy import SubsetEntropyTable, _as_mask, tmi_terms
+from .partitions import PartitionSet, TmiSeries, tmi_extrema
 from .propagate import TimeGrid, onebody_amplitudes
 
 P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
@@ -105,10 +105,8 @@ def tmi_binary(w, p_b=None, p_c=None) -> float:
 
 def _tmi_binary_grid(pa, pb, pc, psum):
     """Vectorized TMI with the same boundary snap as tmi_binary."""
-    vals = (binary_entropy(pa) + binary_entropy(pb) + binary_entropy(pc)
-            + binary_entropy(psum)
-            - binary_entropy(pa + pb) - binary_entropy(pa + pc)
-            - binary_entropy(pb + pc))
+    vals = tmi_terms(*(binary_entropy(p) for p in
+                       (pa, pb, pc, pa + pb, pa + pc, pb + pc, psum)))
     boundary = (np.minimum(np.minimum(pa, pb), pc) <= P_SNAP) | (psum >= 1.0 - P_SNAP)
     return np.where(boundary, 0.0, vals)
 
@@ -171,15 +169,16 @@ def simplex_scan(resolution: float = 0.01, refine: bool = True) -> SimplexScan:
 
 
 def _subset_probability_table(weights: np.ndarray) -> np.ndarray:
-    """p[mask] = sum of site weights selected by the mask, for all masks."""
+    """p[mask] = sum of site weights selected by the mask, for all masks.
+
+    ``weights`` has a row per site; further axes (times) carry through.
+    """
     n = len(weights)
-    table = np.zeros(1 << n)
+    table = np.zeros((1 << n, *weights.shape[1:]))
     for s in range(n):
         half = 1 << s
         # masks with bit s set are the upper half of each 2^(s+1) stride
-        table = table.reshape(-1, 2 * half)
-        table[:, half:] += weights[s]
-        table = table.reshape(-1)
+        table.reshape(-1, 2 * half, *weights.shape[1:])[:, half:] += weights[s]
     return table
 
 
@@ -188,39 +187,29 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
     """Min/max TMI over partitions along a quench of one excitation.
 
     The excitation starts at ``site``; amplitudes evolve with the
-    single-particle propagator, and each time step costs one binary-entropy
-    table over subset masks plus one PartitionSet.tmi_values gather.
-    Extremum ties resolve to the first triple (see partitions.extrema).
+    single-particle propagator.  One binary-entropy table over all subset
+    masks, a row per mask and a column per time, feeds one
+    partitions.tmi_extrema pass over the triples, with the boundary snap
+    of tmi_binary.  Extremum ties resolve to the first triple.
     """
     n = coupling.n_sites
     if pset.n_sites != n:
         raise ValueError("partitions and coupling disagree on chain length")
-    amps = onebody_amplitudes(coupling, site, grid.physical_times(coupling.kac))
-    ia, ib, ic, *_, iabc = pset.lookup_masks
-    # every step's table shares one read-only mask array, so tmi_values
-    # finds the lookup positions once
-    masks = np.arange(1 << n, dtype=np.int64)
-    masks.flags.writeable = False
+    times = grid.physical_times(coupling.kac)
+    occupations = np.abs(onebody_amplitudes(coupling, site, times)) ** 2
+    p = _subset_probability_table(occupations.T)
+    table = SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p))
+    low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
 
-    n_t = len(grid)
-    min_vals = np.empty(n_t)
-    max_vals = np.empty(n_t)
-    argmin = []
-    argmax = []
-    occupations = np.abs(amps) ** 2
-    for ti in range(n_t):
-        p = _subset_probability_table(occupations[ti])
-        vals = pset.tmi_values(SubsetEntropyTable(n, masks, binary_entropy(p)))
+    def boundary(a, b, c, abc):
         # same boundary snap as tmi_binary: zero on the simplex faces
-        boundary = (np.minimum(np.minimum(p[ia], p[ib]), p[ic]) <= P_SNAP) \
-            | (p[iabc] >= 1.0 - P_SNAP)
-        vals = np.where(boundary, 0.0, vals)
-        min_vals[ti], i_min, max_vals[ti], i_max = extrema(vals)
-        argmin.append(pset[i_min])
-        argmax.append(pset[i_max])
+        return (np.take(low, a, axis=0) | np.take(low, b, axis=0)
+                | np.take(low, c, axis=0) | np.take(high, abc, axis=0))
+
+    min_vals, i_min, max_vals, i_max, _ = tmi_extrema(pset, table, times, zero=boundary)
     return TmiSeries(
         grid=grid, min_values=min_vals, max_values=max_vals,
-        argmin=argmin, argmax=argmax,
+        argmin=[pset[i] for i in i_min], argmax=[pset[i] for i in i_max],
         meta={"n_sites": n, "site": site, "strategy": pset.strategy,
               "occupations": occupations},
     )

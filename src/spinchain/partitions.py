@@ -6,8 +6,11 @@ canonical representative orders the three masks ascending, which makes
 enumeration lists reproducible and extremum tie-breaking deterministic.
 
 Scanning TMI over millions of triples reduces to seven table lookups per
-triple once subset entropies are tabulated, so a PartitionSet caches the
-seven gathered mask arrays and reuses them across time steps.
+triple once subset entropies are tabulated.  ``tmi_extrema`` takes a
+time-batched table (a row per mask, a column per time) and streams the
+triples in blocks: each block derives its seven lookup masks from A, B
+and C, gathers whole table rows, and so reads each index once for all
+times rather than once per time.
 """
 
 from dataclasses import dataclass, field
@@ -15,9 +18,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bits import bit_positions, popcount
-from .entropy import SiteSubset, SubsetEntropyTable
-from .errors import CapacityError
+from .bits import bit_positions
+from .entropy import SiteSubset, SubsetEntropyTable, tmi_terms
+from .errors import CapacityError, NumericalConsistencyError
 from .model import ModelSpec
 from .propagate import TimeGrid
 
@@ -26,15 +29,20 @@ ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
 
-# 4^N site->label maps make the exhaustive strategy explode quickly
-ALL_ASSIGNMENTS_MAX_SITES = 16
+# Memory the all-assignments family may take: three int64 masks per triple,
+# and the count grows as 4^N/6 (N=14: 1.0 GB; N=15: 4.1 GB)
+ALL_ASSIGNMENTS_BUDGET = 2 << 30
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
+# Bytes of one block of gathered table rows in tmi_extrema.  A block holds
+# about a dozen arrays of this size at once, which then fit a 2 MB L2
+# cache; 1 MiB blocks ran twice as slow at 17 times per row
+_BLOCK_BYTES = 1 << 18
 
 __all__ = [
     "PartitionTriple", "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
-    "minmax_tmi", "extrema", "tau_sign_change", "lightcone_onset",
+    "minmax_tmi", "tmi_extrema", "extrema", "tau_sign_change", "lightcone_onset",
     "QUARTERS", "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
@@ -84,7 +92,9 @@ class PartitionSet:
 
     Behaves like a list of PartitionTriple but stores three integer arrays,
     which keeps exhaustive N=12 scans (millions of triples) affordable and
-    lets TMI evaluation run as vectorized table gathers.
+    lets TMI evaluation run as vectorized table gathers.  The masks of AB,
+    AC, BC and ABC are derived where a gather needs them; only
+    ``lookup_masks`` (the per-table ``tmi_values`` path) keeps them.
     """
 
     def __init__(self, n_sites: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -125,14 +135,29 @@ class PartitionSet:
         for i in range(len(self)):
             yield self[i]
 
-    @cached_property
-    def lookup_masks(self) -> tuple:
-        """The seven subset masks entering TMI, as gather-ready arrays.
+    def _lookups(self, start=0, stop=None) -> tuple:
+        """The seven subset masks entering TMI for triples start:stop.
 
         Order: A, B, C, AB, AC, BC, ABC.
         """
-        a, b, c = self.a, self.b, self.c
-        return (a, b, c, a | b, a | c, b | c, a | b | c)
+        a, b, c = self.a[start:stop], self.b[start:stop], self.c[start:stop]
+        ab = a | b
+        return (a, b, c, ab, a | c, b | c, ab | c)
+
+    @cached_property
+    def lookup_masks(self) -> tuple:
+        """The seven subset masks entering TMI, as gather-ready arrays."""
+        return self._lookups()
+
+    def read_masks(self) -> np.ndarray:
+        """Ascending distinct masks whose entropies some triple's TMI reads."""
+        # a presence table, not np.unique: 2.5M triples make 17.7M lookups
+        seen = np.zeros(1 << self.n_sites, dtype=bool)
+        rows = _BLOCK_BYTES // 8
+        for start in range(0, len(self), rows):
+            for masks in self._lookups(start, start + rows):
+                seen[masks] = True
+        return np.flatnonzero(seen)
 
     @cached_property
     def covers_chain(self) -> np.ndarray:
@@ -157,9 +182,7 @@ class PartitionSet:
         if self._positions is None or self._positions[0] is not table.mask_array:
             self._positions = (table.mask_array,
                                [table.positions(m) for m in self.lookup_masks])
-        ia, ib, ic, iab, iac, ibc, iabc = self._positions[1]
-        s = table.values
-        return (s[ia] + s[ib] + s[ic] + s[iabc]) - (s[iab] + s[iac] + s[ibc])
+        return tmi_terms(*(np.take(table.values, pos, axis=0) for pos in self._positions[1]))
 
 
 @dataclass
@@ -203,42 +226,61 @@ def contiguous_quarters(n_sites: int) -> PartitionTriple:
         n_sites, block, block << w, block << (2 * w))
 
 
-@lru_cache(maxsize=2)
-def _submask_arrays(n_sites: int):
-    """For every mask, its submasks as an ascending int64 array."""
-    out = [None] * (1 << n_sites)
-    for mask in range(1 << n_sites):
-        subs = []
-        s = mask
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & mask
-        # the (s-1)&mask walk descends, so reversing sorts ascending
-        out[mask] = np.array(subs[::-1], dtype=np.int64)
-    return out
+def all_assignments_count(n_sites: int) -> int:
+    """Number of canonical triples in the all-assignments family."""
+    # inclusion-exclusion over empty bins, divided by the 3! relabelings
+    return (4**n_sites - 3 * 3**n_sites + 3 * 2**n_sites - 1) // 6
+
+
+def _labelings(n_bits: int):
+    """Ternary (B, C) labelings of n_bits bits, as (beta, gamma) mask arrays.
+
+    Keeps disjoint nonempty beta < gamma, sorted by (beta, gamma).
+    """
+    codes = np.arange(3**n_bits, dtype=np.int64)
+    beta = np.zeros_like(codes)
+    gamma = np.zeros_like(codes)
+    for j in range(n_bits):
+        digit = codes % 3
+        codes //= 3
+        beta |= (digit == 1).astype(np.int64) << j
+        gamma |= (digit == 2).astype(np.int64) << j
+    keep = (beta > 0) & (gamma > beta)
+    beta, gamma = beta[keep], gamma[keep]
+    order = np.lexsort((gamma, beta))
+    return beta[order], gamma[order]
 
 
 def _enumerate_all_assignments(n_sites: int) -> PartitionSet:
-    full = (1 << n_sites) - 1
-    subs = _submask_arrays(n_sites)
-    ab_runs = []   # (a, b, run length) per inner array of c masks
-    c_chunks = []
-    for a in range(1, full):
-        rest_a = full ^ a
-        bs = subs[rest_a]
-        for b in bs[np.searchsorted(bs, a + 1):].tolist():
-            cs = subs[rest_a ^ b]
-            cs = cs[np.searchsorted(cs, b + 1):]
-            if len(cs):
-                ab_runs.append((a, b, len(cs)))
-                c_chunks.append(cs)
-    runs = np.array(ab_runs, dtype=np.int64)
-    a_col = np.repeat(runs[:, 0], runs[:, 2])
-    b_col = np.repeat(runs[:, 1], runs[:, 2])
-    c_col = np.concatenate(c_chunks)
-    return PartitionSet(n_sites, a_col, b_col, c_col, strategy=ALL_ASSIGNMENTS)
+    """Canonical triples in (a, b, c) order, one numpy slice per A.
+
+    B and C label bits of the rest R of the chain.  Label tables index the
+    ascending submasks of R, and depositing bits in R's positions keeps
+    their order, so (beta, gamma) order is (b, c) order; the rows with
+    b > a form a suffix of the table.
+    """
+    total = all_assignments_count(n_sites)
+    out = np.empty((3, total), dtype=np.int64)
+    every = np.arange(1 << n_sites, dtype=np.int64)
+    tables = {}
+    pos = 0
+    for a in range(1, (1 << n_sites) - 1):
+        n_rest = n_sites - a.bit_count()
+        if n_rest < 2:
+            continue
+        if n_rest not in tables:
+            tables[n_rest] = _labelings(n_rest)
+        beta, gamma = tables[n_rest]
+        subs = every[(every & a) == 0]  # ascending submasks of the rest
+        first = int(np.searchsorted(beta, np.searchsorted(subs, a)))
+        stop = pos + len(beta) - first
+        out[0, pos:stop] = a
+        np.take(subs, beta[first:], out=out[1, pos:stop])
+        np.take(subs, gamma[first:], out=out[2, pos:stop])
+        pos = stop
+    if pos != total:
+        raise AssertionError(f"enumerated {pos} triples, expected {total}")
+    return PartitionSet(n_sites, *out, strategy=ALL_ASSIGNMENTS)
 
 
 def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
@@ -317,11 +359,13 @@ def parse_strategy(text: str):
 @lru_cache(maxsize=4)
 def _enumerate_cached(n_sites: int, strategy: str, sizes):
     if strategy == ALL_ASSIGNMENTS:
-        if n_sites > ALL_ASSIGNMENTS_MAX_SITES:
+        count = all_assignments_count(n_sites)
+        need = 24 * count  # three int64 masks per triple
+        if need > ALL_ASSIGNMENTS_BUDGET:
             raise CapacityError(
-                f"all-assignments enumeration is capped at "
-                f"{ALL_ASSIGNMENTS_MAX_SITES} sites, got {n_sites}"
-            )
+                f"all-assignments family of {n_sites} sites has {count:,} triples, "
+                f"about {need / 1e9:.1f} GB of masks, over the "
+                f"{ALL_ASSIGNMENTS_BUDGET >> 30} GiB budget")
         return _enumerate_all_assignments(n_sites)
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
@@ -345,17 +389,88 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS) -> Parti
     return _enumerate_cached(n_sites, strategy, sizes)
 
 
-def extrema(vals: np.ndarray) -> tuple:
-    """(min, argmin, max, argmax) of a TMI array, ties to the first index.
+def _first_within(vals: np.ndarray, lo, hi) -> tuple:
+    """Per column, the first row within EXTREMUM_TIE_TOL of lo, and of hi.
 
-    Values within EXTREMUM_TIE_TOL of an extremum count as tied with it.
     Mirror-image triples have equal TMI in exact arithmetic, so the pick
-    is the first triple in enumeration order rather than the last bit.
+    among values that tie with an extremum is the first triple in
+    enumeration order rather than the last bit.
     """
-    lo, hi = float(vals.min()), float(vals.max())
-    i_min = int(np.argmax(vals <= lo + EXTREMUM_TIE_TOL))
-    i_max = int(np.argmax(vals >= hi - EXTREMUM_TIE_TOL))
+    return (np.argmax(vals <= lo + EXTREMUM_TIE_TOL, axis=0),
+            np.argmax(vals >= hi - EXTREMUM_TIE_TOL, axis=0))
+
+
+def extrema(vals: np.ndarray) -> tuple:
+    """(min, argmin, max, argmax) of a TMI array along its first axis.
+
+    Values within EXTREMUM_TIE_TOL of an extremum count as tied with it,
+    and ties go to the first index (see _first_within).
+    """
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    i_min, i_max = _first_within(vals, lo, hi)
     return lo, i_min, hi, i_max
+
+
+def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
+                zero=None, proper: bool = False) -> tuple:
+    """Per-time TMI extrema over a partition set, from a time-batched table.
+
+    ``table`` holds a row of entropies per mask and a column per entry of
+    ``times``.  The triples stream through in blocks, each gathering
+    whole table rows for every time at once.  ``zero(a, b, c, abc)``, if
+    given, takes a block's masks and marks the (triple, time) entries
+    whose TMI is exactly zero.  Returns arrays over time: min, argmin,
+    max and argmax, with ties resolved as by extrema, and, when
+    ``proper``, the minimum over triples that leave part of the chain out
+    (None when every triple covers it).
+
+    Only the first block holding a value within EXTREMUM_TIE_TOL of an
+    extremum is evaluated again to place the pick: no earlier block holds
+    such a value, so the pick is the one extrema would make.  A
+    non-finite TMI raises NumericalConsistencyError naming its time.
+    """
+    if len(pset) == 0:
+        raise ValueError("empty partition list")
+    if table.n_sites != pset.n_sites:
+        raise ValueError("table and partitions disagree on chain length")
+    n_t = table.values.shape[1]
+    rows = max(1, _BLOCK_BYTES // (8 * n_t))
+    starts = range(0, len(pset), rows)
+    full = (1 << pset.n_sites) - 1
+
+    def block(start):
+        masks = pset._lookups(start, start + rows)
+        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0)
+                           for m in masks))
+        a, b, c, *_, abc = masks
+        if zero is not None:
+            vals = np.where(zero(a, b, c, abc), 0.0, vals)
+        return vals, abc == full
+
+    block_lo = np.empty((len(starts), n_t))
+    block_hi = np.empty((len(starts), n_t))
+    proper_lo = None
+    for k, start in enumerate(starts):
+        vals, covers = block(start)
+        block_lo[k], block_hi[k] = vals.min(axis=0), vals.max(axis=0)
+        bad = ~(np.isfinite(block_lo[k]) & np.isfinite(block_hi[k]))
+        if bad.any():
+            raise NumericalConsistencyError(
+                f"non-finite TMI at t={times[int(np.argmax(bad))]}")
+        if proper and not covers.all():
+            lo_k = vals[~covers].min(axis=0)
+            proper_lo = lo_k if proper_lo is None else np.minimum(proper_lo, lo_k)
+    lo, hi = block_lo.min(axis=0), block_hi.max(axis=0)
+    k_min = _first_within(block_lo, lo, hi)[0]
+    k_max = _first_within(block_hi, lo, hi)[1]
+    i_min = np.empty(n_t, dtype=np.int64)
+    i_max = np.empty(n_t, dtype=np.int64)
+    for k in np.union1d(k_min, k_max):
+        first_lo, first_hi = _first_within(block(starts[k])[0], lo, hi)
+        at_min, at_max = k_min == k, k_max == k
+        i_min[at_min] = starts[k] + first_lo[at_min]
+        i_max[at_max] = starts[k] + first_hi[at_max]
+    return lo, i_min, hi, i_max, proper_lo
 
 
 def minmax_tmi(table: SubsetEntropyTable, pset: PartitionSet):
@@ -367,7 +482,7 @@ def minmax_tmi(table: SubsetEntropyTable, pset: PartitionSet):
     if len(pset) == 0:
         raise ValueError("empty partition list")
     lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
-    return lo, pset[i_min], hi, pset[i_max]
+    return float(lo), pset[int(i_min)], float(hi), pset[int(i_max)]
 
 
 def tau_sign_change(times, min_values, threshold: float = 0.0):

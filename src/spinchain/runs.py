@@ -7,8 +7,8 @@ The task ``_exponent`` builds an exponent's coupling, time grid and
 ``alpha``/``t``/``t_kac`` columns, and calls the runner's reducer, a
 module-level ``rows(cfg, pset, coupling, grid) -> (columns, extra)``;
 ``extra`` carries what the runner needs beyond per-time columns.
-Sector-quench reducers read ``_tables``: one (subset-entropy table, TMI
-per triple) pair per grid time.  ``_sweep`` maps the task over the
+Sector-quench reducers read ``_table``: one subset-entropy table with a
+row per mask and a column per grid time.  ``_sweep`` maps the task over the
 exponents, in a process pool when SPINCHAIN_THREADS asks for one, and
 stacks the columns in sweep order either way, so the emitted files do
 not depend on the worker count.
@@ -23,12 +23,13 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import EntropyTablePlan, mutual_information, subset_entropy_table, tmi
+from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
+                      subset_entropy_table, tmi)
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, StateVector, coupling_matrix, enumerate_sector,
                     neel_state, single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
-from .partitions import PartitionSet, extrema, lightcone_onset, tau_sign_change
+from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
 from .propagate import TimeGrid, evolve, onebody_amplitudes
 
 # Nonnegativity floor asserted by the 1-excitation scan.
@@ -77,11 +78,7 @@ def _initial_state(cfg: RunConfig):
 
 def _plan_for(basis, pset: PartitionSet, *extra) -> EntropyTablePlan:
     """Plan over the masks a partition set reads, plus ``extra`` masks."""
-    # a presence table, not np.unique: 2.5M triples make 17.7M lookups
-    seen = np.zeros(1 << basis.n_sites, dtype=bool)
-    for lookup in (*pset.lookup_masks, list(extra)):
-        seen[lookup] = True
-    masks = tuple(np.flatnonzero(seen).tolist())
+    masks = tuple(np.union1d(pset.read_masks(), extra).tolist())
     return _cached_plan(basis.n_sites, basis.n_excitations, masks)
 
 
@@ -116,7 +113,10 @@ def _exponent(cfg: RunConfig, rows, scan: bool, label: str, spec: ModelSpec):
     t = grid.physical_times(coupling.kac)
     # resolved again rather than shipped to a worker: an enumerated family
     # comes from enumerate_partitions' cache, which a forked worker inherits
-    columns, extra = rows(cfg, cfg.partition_set(scan), coupling, grid)
+    try:
+        columns, extra = rows(cfg, cfg.partition_set(scan), coupling, grid)
+    except NumericalConsistencyError as exc:
+        raise NumericalConsistencyError(f"{exc} (alpha={label})") from exc
     return {"alpha": [label] * len(t), "t": t.tolist(),
             "t_kac": (t * coupling.kac).tolist(), **columns}, extra
 
@@ -140,24 +140,23 @@ def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
     return pset, stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
 
 
-def _tables(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
-    """Yield (subset-entropy table, TMI of every triple) per grid time.
+def _table(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
+    """Subset-entropy table with a row per mask and a column per grid time.
 
-    The initial state of ``cfg`` is quenched under ``coupling``; the tables
-    hold the masks ``pset`` reads plus ``extra_masks``.
+    The initial state of ``cfg`` is quenched under ``coupling``; the table
+    holds the masks ``pset`` reads plus ``extra_masks``.
     """
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
     plan = _plan_for(basis, pset, *extra_masks)
-    for state in traj.states:
-        table = plan.evaluate(state)
-        yield table, pset.tmi_values(table)
+    values = np.column_stack([plan.evaluate(state).values for state in traj.states])
+    return SubsetEntropyTable(basis.n_sites, plan.mask_array, values)
 
 
 # -- tmi-grid ----------------------------------------------------------------
 
 def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    return {"tmi": [float(vals[0]) for _, vals in _tables(cfg, coupling, grid, pset)]}, None
+    return {"tmi": pset.tmi_values(_table(cfg, coupling, grid, pset))[0].tolist()}, None
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
@@ -183,11 +182,9 @@ def _half_mask(cfg: RunConfig) -> int:
 
 def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
     half = _half_mask(cfg)
-    columns = {"tmi": [], "half_chain_entropy": []}
-    for table, vals in _tables(cfg, coupling, grid, pset, half):
-        columns["tmi"].append(float(vals[0]))
-        columns["half_chain_entropy"].append(table[half])
-    return columns, None
+    table = _table(cfg, coupling, grid, pset, half)
+    return {"tmi": pset.tmi_values(table)[0].tolist(),
+            "half_chain_entropy": table.gather(half).tolist()}, None
 
 
 def run_tmi_vs_entropy(cfg: RunConfig) -> list:
@@ -210,17 +207,14 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
 
 
 def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    proper = ~pset.covers_chain
-    has_proper = bool(proper.any())
-    columns = {name: [] for name in _MINMAX_COLUMNS}
-    for _, vals in _tables(cfg, coupling, grid, pset):
-        lo, j_min, hi, j_max = extrema(vals)
-        columns["min_tmi"].append(lo)
-        columns["min_tmi_proper"].append(float(vals[proper].min()) if has_proper else None)
-        columns["max_tmi"].append(hi)
-        for side, j in (("argmin", j_min), ("argmax", j_max)):
-            for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
-                columns[f"{side}_{part}"].append(int(masks[j]))
+    lo, j_min, hi, j_max, proper_lo = tmi_extrema(
+        pset, _table(cfg, coupling, grid, pset), grid.physical_times(coupling.kac),
+        proper=True)
+    columns = {"min_tmi": lo.tolist(), "max_tmi": hi.tolist(),
+               "min_tmi_proper": [None] * len(lo) if proper_lo is None else proper_lo.tolist()}
+    for side, j in (("argmin", j_min), ("argmax", j_max)):
+        for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
+            columns[f"{side}_{part}"] = masks[j].tolist()
     tau = tau_sign_change(grid.times, columns["min_tmi"], cfg.tau_threshold)
     return columns, (max(columns["max_tmi"]), tau)
 

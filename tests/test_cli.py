@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from spinchain.cli import main
@@ -161,6 +162,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Schmidt weights" in err
+
+    def test_non_finite_tmi_is_4(self, tmp_path, capsys, monkeypatch):
+        # one NaN entropy of a subset with weight inside (0.1, 0.9) reaches
+        # TMI values off the boundary snap
+        from spinchain import onebody
+        real_entropy = onebody.binary_entropy
+
+        def one_nan(p):
+            h = real_entropy(p)
+            h.flat[np.flatnonzero((np.ravel(p) > 0.1) & (np.ravel(p) < 0.9))[0]] = np.nan
+            return h
+
+        monkeypatch.setattr(onebody, "binary_entropy", one_nan)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite TMI at t=" in err and "(alpha=0.5)" in err
+        assert not out_dir.exists()
+
+    def test_all_assignments_capacity_is_3(self, tmp_path, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "15",
+                        "--partitions", "all", "--out", str(out_dir)])
+        assert code == 3
+        assert "171,798,901 triples, about 4.1 GB" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spinchain import (
     ModelSpec,
     OccupationWeights,
+    PartitionSet,
     TimeGrid,
     binary_entropy,
     coupling_matrix,
@@ -213,6 +214,15 @@ class TestOnebodyScan:
                 assert i <= j
                 checked += i != j
         assert checked > 0
+
+    def test_scan_keeps_no_lookup_arrays(self):
+        # the scan derives AB, AC, BC and ABC per block of triples; the seven
+        # full-length lookup arrays are never built
+        family = enumerate_partitions(8, "all")
+        pset = PartitionSet(8, family.a, family.b, family.c)
+        onebody_tmi_scan(coupling_matrix(ModelSpec(8, alpha=0.7)), 3,
+                         TimeGrid.linspace(1.2, 5), pset)
+        assert "lookup_masks" not in pset.__dict__
 
     def test_rejects_mismatched_chain(self):
         coupling = coupling_matrix(ModelSpec(8, alpha=1.0))

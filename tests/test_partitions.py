@@ -9,6 +9,7 @@ from spinchain import (
     CapacityError,
     EntropyTablePlan,
     ModelSpec,
+    NumericalConsistencyError,
     PartitionSet,
     PartitionTriple,
     SubsetEntropyTable,
@@ -20,11 +21,15 @@ from spinchain import (
     lightcone_onset,
     minmax_tmi,
     neel_state,
+    onebody_tmi_scan,
     subset_entropy_table,
     tau_sign_change,
     tmi,
 )
-from spinchain.partitions import extrema, parse_strategy
+from spinchain import partitions
+from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
+from spinchain.partitions import extrema, parse_strategy, tmi_extrema
+from spinchain.propagate import onebody_amplitudes
 
 
 def brute_force_all_assignments(n):
@@ -65,11 +70,11 @@ class TestEnumeration:
         assert len(enumerate_partitions(12, "all")) == 2_532_530
 
     def test_all_assignments_matches_brute_force(self):
-        pset = enumerate_partitions(6, "all")
-        mine = {
-            (int(a), int(b), int(c)) for a, b, c in zip(pset.a, pset.b, pset.c)
-        }
-        assert mine == brute_force_all_assignments(6)
+        # the order, not only the set: extremum ties go to the first triple
+        for n in range(3, 9):
+            pset = enumerate_partitions(n, "all")
+            mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
+            assert mine == sorted(brute_force_all_assignments(n))
 
     def test_triples_are_canonical_and_disjoint(self):
         pset = enumerate_partitions(8, "all")
@@ -100,6 +105,21 @@ class TestEnumeration:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             enumerate_partitions(18, "all")
+
+    def test_capacity_guard_counts_bytes_before_allocating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(partitions, "_enumerate_all_assignments",
+                            lambda n: calls.append(n) or n)
+        try:
+            # 171,798,901 triples of three int64 masks: 4.1 GB
+            with pytest.raises(CapacityError, match="171,798,901 triples, about 4.1 GB"):
+                enumerate_partitions(15, "all")
+            assert calls == []
+            # 42,355,950 triples, 1.0 GB: inside the budget
+            assert enumerate_partitions(14, "all") == 14
+            assert calls == [14]
+        finally:
+            partitions._enumerate_cached.cache_clear()
 
     def test_covers_chain_flag(self):
         pset = enumerate_partitions(6, "contiguous")
@@ -221,6 +241,74 @@ class TestExtremaAndTau:
                     assert i <= j
                     checked += i != j
         assert checked > 0
+
+    @pytest.mark.parametrize("n_points", [1, 9])
+    def test_block_boundaries_do_not_change_sector_extrema(self, basis8, monkeypatch,
+                                                           n_points):
+        # the Neel quench is invariant under reflection with a spin flip, so
+        # mirror triples tie exactly, and in blocks of 150 triples the ties
+        # straddle block boundaries
+        pset = enumerate_partitions(8, "all")
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
+        assert len(pset) / 150 >= 50
+        grid = TimeGrid(np.linspace(0.3, 2.7, n_points))
+        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
+                      neel_state(basis8), grid)
+        tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
+        batched = SubsetEntropyTable(8, tables[0].mask_array,
+                                     np.column_stack([t.values for t in tables]))
+        lo, i_min, hi, i_max, proper_lo = tmi_extrema(pset, batched, grid.times,
+                                                      proper=True)
+        for k, table in enumerate(tables):
+            vals = pset.tmi_values(table)
+            assert (lo[k], i_min[k], hi[k], i_max[k]) == extrema(vals)
+            assert proper_lo[k] == vals[~pset.covers_chain].min()
+
+    @pytest.mark.parametrize("n_points", [1, 9])
+    def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
+        # the boundary snap makes many exact zeros, which tie across blocks
+        n = 8
+        pset = enumerate_partitions(n, "all")
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
+        ia, ib, ic, *_, iabc = pset.lookup_masks
+
+        def per_time_scan(occupations):
+            # the scan the kernel replaced, one time at a time: the reference
+            for occ in occupations:
+                p = _subset_probability_table(occ)
+                vals = pset.tmi_values(SubsetEntropyTable(n, np.arange(1 << n),
+                                                          binary_entropy(p)))
+                boundary = (np.minimum(np.minimum(p[ia], p[ib]), p[ic]) <= P_SNAP) \
+                    | (p[iabc] >= 1.0 - P_SNAP)
+                yield extrema(np.where(boundary, 0.0, vals))
+
+        coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
+        times = np.linspace(0.0, 2.0, n_points)
+        amps = onebody_amplitudes(coupling, 3, times)
+        series = onebody_tmi_scan(coupling, 3, TimeGrid(times), pset)
+        for k, (lo, i_min, hi, i_max) in enumerate(per_time_scan(np.abs(amps) ** 2)):
+            assert (series.min_values[k], series.max_values[k]) == (lo, hi)
+            assert series.argmin[k].masks() == pset[int(i_min)].masks()
+            assert series.argmax[k].masks() == pset[int(i_max)].masks()
+
+        # with its mirror image on site 4 added, the occupations are
+        # reflection-symmetric, so mirror triples tie exactly as well
+        occupations = 0.5 * (np.abs(amps) ** 2 + np.abs(amps[:, ::-1]) ** 2)
+        p = _subset_probability_table(occupations.T)
+        low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
+        found = tmi_extrema(pset, SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p)),
+                            times, zero=lambda a, b, c, abc: low[a] | low[b] | low[c] | high[abc])
+        assert found[4] is None
+        for k, expected in enumerate(per_time_scan(occupations)):
+            assert tuple(column[k] for column in found[:4]) == expected
+
+    def test_tmi_extrema_refuses_non_finite(self):
+        pset = enumerate_partitions(6, "contiguous")
+        values = np.zeros((1 << 6, 3))
+        values[0b11, 2] = np.nan
+        table = SubsetEntropyTable(6, np.arange(1 << 6), values)
+        with pytest.raises(NumericalConsistencyError, match="non-finite TMI at t=0.5"):
+            tmi_extrema(pset, table, np.array([0.0, 0.25, 0.5]))
 
     def test_tau_interpolates(self):
         times = np.array([0.0, 1.0, 2.0, 3.0])
