@@ -24,8 +24,8 @@ from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
 from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
                       onebody_tmi_scan, simplex_scan, tmi_binary)
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
-                         contiguous_quarters, enumerate_partitions,
-                         lightcone_onset, minmax_tmi, tau_sign_change)
+                         contiguous_quarters, enumerate_partitions, extrema,
+                         lightcone_onset, tau_sign_change)
 from .propagate import TimeGrid, Trajectory, evolve, onebody_amplitudes
 
 __all__ = [
@@ -43,6 +43,6 @@ __all__ = [
     "OccupationWeights", "binary_entropy", "occupation_weights",
     "onebody_tmi_scan", "simplex_scan", "tmi_binary",
     "PartitionSet", "PartitionTriple", "TmiSeries", "contiguous_quarters",
-    "enumerate_partitions", "lightcone_onset", "minmax_tmi", "tau_sign_change",
+    "enumerate_partitions", "extrema", "lightcone_onset", "tau_sign_change",
     "RunConfig", "load_config",
 ]

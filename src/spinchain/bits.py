@@ -24,15 +24,3 @@ def bit_positions(mask):
         mask ^= low
     return out
 
-
-def gather_bits(values, sites):
-    """Pack the bits of ``values`` at positions ``sites`` into low bits.
-
-    Bit ``j`` of the result is bit ``sites[j]`` of the input, so the packed
-    word indexes the subsystem's own ``len(sites)``-site basis.
-    """
-    values = np.asarray(values)
-    out = np.zeros_like(values)
-    for j, site in enumerate(sites):
-        out |= ((values >> site) & 1) << j
-    return out

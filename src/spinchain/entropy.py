@@ -19,9 +19,9 @@ import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
-from .bits import bit_positions, gather_bits, popcount
+from .bits import bit_positions, popcount
 from .errors import CapacityError, NumericalConsistencyError
-from .model import SectorBasis, StateVector, enumerate_sector
+from .model import SectorBasis, StateVector
 
 WEIGHT_CLIP = 1e-12     # Schmidt weights above -WEIGHT_CLIP snap to zero
 WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
@@ -128,26 +128,21 @@ def _split_range(k: int, n_a: int, n_b: int):
 def _block_index_grids(basis: SectorBasis, mask: int):
     """Index grids mapping (row, col) of each excitation block to basis ranks.
 
-    Yields one idx2d per admissible split; amps[idx2d] is the block's
-    amplitude matrix.  The map is a bijection, so every grid cell is hit
-    exactly once.
+    Yields one int32 idx2d per admissible split; amps[idx2d] is the
+    block's amplitude matrix, with rows in ascending order of the pattern
+    on the subset and columns in ascending order of the pattern on the
+    rest.  A split's states are every pairing of a pattern on the subset
+    with a pattern on the rest, and the basis ascends, so a stable sort by
+    the subset pattern lists the grid row by row.
     """
     k = basis.n_excitations
-    comp = basis.full_mask ^ mask
-    sites_a = bit_positions(mask)
-    sites_b = bit_positions(comp)
-    n_a, n_b = len(sites_a), len(sites_b)
+    n_a = popcount(mask)
     states = basis.states
     in_a = popcount(states & mask)
-    for j in _split_range(k, n_a, n_b):
-        sel = np.nonzero(in_a == j)[0]
-        basis_a = enumerate_sector(n_a, j)
-        basis_b = enumerate_sector(n_b, k - j)
-        rows = basis_a.rank_many(gather_bits(states[sel], sites_a))
-        cols = basis_b.rank_many(gather_bits(states[sel], sites_b))
-        idx2d = np.empty((basis_a.dim, basis_b.dim), dtype=np.int32)
-        idx2d[rows, cols] = sel
-        yield idx2d
+    for j in _split_range(k, n_a, basis.n_sites - n_a):
+        sel = np.flatnonzero(in_a == j)
+        order = np.argsort(states[sel] & mask, kind="stable")
+        yield sel[order].astype(np.int32).reshape(math.comb(n_a, j), -1)
 
 
 def _check_basis(psi: StateVector, basis: SectorBasis | None) -> SectorBasis:
@@ -183,8 +178,8 @@ class SubsetEntropyTable:
     Holds a sorted int64 mask array and the matching entropy values: one
     value per mask, or, in a time-batched table, one row per mask with one
     column per time.  All tables evaluated from one EntropyTablePlan share
-    the plan's mask array, so lookup positions computed for one of them
-    hold for all.  Looking up a mask the table lacks raises KeyError.
+    the plan's read-only mask array.  Looking up a mask the table lacks
+    raises KeyError.
     """
 
     def __init__(self, n_sites: int, masks: np.ndarray, values: np.ndarray):
@@ -196,7 +191,7 @@ class SubsetEntropyTable:
                            or np.any(masks[1:] <= masks[:-1])):
             raise ValueError(f"masks must be ascending, distinct and fit {n_sites} sites")
         if masks.flags.writeable:
-            # positions cached against this array must stay valid
+            # lookups bisect this array, so it must stay sorted
             masks = masks.copy()
             masks.flags.writeable = False
         self.n_sites = n_sites

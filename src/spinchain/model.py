@@ -208,19 +208,17 @@ class SectorHamiltonian:
     Each coupled pair (m, n) hops an excitation between the two sites with
     amplitude 2*J_mn; doubly occupied or empty pairs contribute nothing, and
     there is no diagonal part.  A sparse matrix is cached for repeated use
-    when the sector dimension is at most ``sparse_threshold``; larger
+    when the sector dimension is at most SPARSE_CACHE_THRESHOLD; larger
     sectors are applied matrix-free.
     """
 
-    def __init__(self, coupling: CouplingMatrix, basis: SectorBasis,
-                 sparse_threshold: int = SPARSE_CACHE_THRESHOLD):
+    def __init__(self, coupling: CouplingMatrix, basis: SectorBasis):
         if coupling.n_sites != basis.n_sites:
             raise ValueError(
                 f"coupling is for {coupling.n_sites} sites, basis for {basis.n_sites}"
             )
         self.coupling = coupling
         self.basis = basis
-        self.sparse_threshold = sparse_threshold
         self._pairs = [
             (m, n, 2.0 * coupling.entries[m, n])
             for m in range(basis.n_sites)
@@ -259,7 +257,7 @@ class SectorHamiltonian:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec inside the sector; ``vec`` is (dim,) or (dim, n_columns)."""
         vec = np.asarray(vec)
-        if self.dim <= self.sparse_threshold:
+        if self.dim <= SPARSE_CACHE_THRESHOLD:
             mat = self.matrix()
             if np.iscomplexobj(vec):
                 # two real matvecs avoid per-call dtype upcasts of the matrix

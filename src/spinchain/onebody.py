@@ -190,7 +190,8 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
     single-particle propagator.  One binary-entropy table over all subset
     masks, a row per mask and a column per time, feeds one
     partitions.tmi_extrema pass over the triples, with the boundary snap
-    of tmi_binary.  Extremum ties resolve to the first triple.
+    of tmi_binary, whose result is returned.  Extremum ties resolve to the
+    first triple.
     """
     n = coupling.n_sites
     if pset.n_sites != n:
@@ -206,10 +207,4 @@ def onebody_tmi_scan(coupling: CouplingMatrix, site: int, grid: TimeGrid,
         return (np.take(low, a, axis=0) | np.take(low, b, axis=0)
                 | np.take(low, c, axis=0) | np.take(high, abc, axis=0))
 
-    min_vals, i_min, max_vals, i_max, _ = tmi_extrema(pset, table, times, zero=boundary)
-    return TmiSeries(
-        grid=grid, min_values=min_vals, max_values=max_vals,
-        argmin=[pset[i] for i in i_min], argmax=[pset[i] for i in i_max],
-        meta={"n_sites": n, "site": site, "strategy": pset.strategy,
-              "occupations": occupations},
-    )
+    return tmi_extrema(pset, table, times, zero=boundary)

@@ -13,7 +13,8 @@ and C, gathers whole table rows, and so reads each index once for all
 times rather than once per time.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,16 +23,18 @@ from .bits import bit_positions
 from .entropy import SiteSubset, SubsetEntropyTable, tmi_terms
 from .errors import CapacityError, NumericalConsistencyError
 from .model import ModelSpec
-from .propagate import TimeGrid
 
 QUARTERS = "quarters"
 ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
 
-# Memory the all-assignments family may take: three int64 masks per triple,
-# and the count grows as 4^N/6 (N=14: 1.0 GB; N=15: 4.1 GB)
-ALL_ASSIGNMENTS_BUDGET = 2 << 30
+# Memory a partition family may take.  The all-assignments family holds
+# three int64 masks per triple, and its count grows as 4^N/6 (N=14: 1.0 GB;
+# N=15: 4.1 GB).  The fixed-sizes enumeration collects Python tuples in a
+# set, measured at 180-270 B of peak memory per triple
+FAMILY_BUDGET = 2 << 30
+FIXED_SIZES_BYTES_PER_TRIPLE = 270
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
 # Bytes of one block of gathered table rows in tmi_extrema.  A block holds
@@ -42,7 +45,7 @@ _BLOCK_BYTES = 1 << 18
 __all__ = [
     "PartitionTriple", "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
-    "minmax_tmi", "tmi_extrema", "extrema", "tau_sign_change", "lightcone_onset",
+    "tmi_extrema", "extrema", "tau_sign_change", "lightcone_onset",
     "QUARTERS", "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
@@ -93,8 +96,7 @@ class PartitionSet:
     Behaves like a list of PartitionTriple but stores three integer arrays,
     which keeps exhaustive N=12 scans (millions of triples) affordable and
     lets TMI evaluation run as vectorized table gathers.  The masks of AB,
-    AC, BC and ABC are derived where a gather needs them; only
-    ``lookup_masks`` (the per-table ``tmi_values`` path) keeps them.
+    AC, BC and ABC are derived where a gather needs them and not kept.
     """
 
     def __init__(self, n_sites: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -106,7 +108,6 @@ class PartitionSet:
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise ValueError("mask arrays must have equal length")
         self.strategy = strategy
-        self._positions = None  # (table mask array, lookup positions)
         for arr in (self.a, self.b, self.c):
             arr.flags.writeable = False
 
@@ -144,7 +145,7 @@ class PartitionSet:
         ab = a | b
         return (a, b, c, ab, a | c, b | c, ab | c)
 
-    @cached_property
+    @property
     def lookup_masks(self) -> tuple:
         """The seven subset masks entering TMI, as gather-ready arrays."""
         return self._lookups()
@@ -171,49 +172,39 @@ class PartitionSet:
         full = (1 << self.n_sites) - 1
         return (self.a | self.b | self.c) == full
 
-    def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
-        """TMI of every triple from one subset-entropy table.
+    def _tmi_block(self, table: SubsetEntropyTable, start=0, stop=None) -> tuple:
+        """TMI of triples start:stop, a row per triple, and their lookup masks.
 
-        Tables from one plan share a mask array, so the positions of the
-        seven lookup arrays in it are found once per plan, not per state.
+        The one gather behind tmi_values and tmi_extrema: whole table rows
+        of the seven lookup masks, summed by tmi_terms.
         """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
-        if self._positions is None or self._positions[0] is not table.mask_array:
-            self._positions = (table.mask_array,
-                               [table.positions(m) for m in self.lookup_masks])
-        return tmi_terms(*(np.take(table.values, pos, axis=0) for pos in self._positions[1]))
+        masks = self._lookups(start, stop)
+        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0)
+                           for m in masks))
+        return vals, masks
+
+    def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
+        """TMI of every triple from one subset-entropy table (rows per triple)."""
+        return self._tmi_block(table)[0]
 
 
 @dataclass
 class TmiSeries:
-    """Minimal and maximal TMI over a partition family along a time grid.
+    """Per-time TMI extrema over a partition set, as arrays over time.
 
-    ``argmin`` / ``argmax`` hold the extremal triple per time; ``meta``
-    carries the run descriptors (n_sites, site, strategy, ...).
+    ``argmin`` / ``argmax`` hold the index of the extremal triple in the
+    set; ``min_proper`` is the minimum over triples that leave part of the
+    chain out, or None when it was not asked for or every triple covers
+    the chain.
     """
 
-    grid: TimeGrid
     min_values: np.ndarray
+    argmin: np.ndarray
     max_values: np.ndarray
-    argmin: list
-    argmax: list
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = len(self.grid)
-        for name in ("min_values", "max_values"):
-            track = np.asarray(getattr(self, name), dtype=float)
-            if track.shape != (n,):
-                raise ValueError(f"{name} length {track.shape} does not match grid ({n})")
-            setattr(self, name, track)
-        if np.any(self.min_values > self.max_values + 1e-12):
-            raise ValueError("min track exceeds max track")
-
-    def global_min(self):
-        """(time, value, argmin triple) of the smallest TMI seen."""
-        i = int(np.argmin(self.min_values))
-        return float(self.grid.times[i]), float(self.min_values[i]), self.argmin[i]
+    argmax: np.ndarray
+    min_proper: np.ndarray | None = None
 
 
 def contiguous_quarters(n_sites: int) -> PartitionTriple:
@@ -301,11 +292,20 @@ def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
                         strategy=CONTIGUOUS_BLOCKS)
 
 
+def fixed_sizes_count(n_sites: int, sizes) -> int:
+    """Number of canonical triples in the fixed-sizes family."""
+    sa, sb, sc = sizes
+    count = (math.comb(n_sites, sa) * math.comb(n_sites - sa, sb)
+             * math.comb(n_sites - sa - sb, sc))
+    # labeled triples, divided by the relabelings among equal sizes
+    for size in set(sizes):
+        count //= math.factorial(sizes.count(size))
+    return count
+
+
 def _enumerate_fixed_sizes(n_sites: int, sizes) -> PartitionSet:
     from itertools import combinations
 
-    if len(sizes) != 3 or any(s < 1 for s in sizes) or sum(sizes) > n_sites:
-        raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
     sa, sb, sc = sizes
     sites = tuple(range(n_sites))
     seen = set()
@@ -356,20 +356,30 @@ def parse_strategy(text: str):
     return FIXED_SIZES, sizes
 
 
+def _check_budget(family: str, count: int, need: int, what: str):
+    """Refuse a family whose estimated memory exceeds the budget."""
+    if need > FAMILY_BUDGET:
+        raise CapacityError(
+            f"{family} has {count:,} triples, about {need / 1e9:.1f} GB {what}, "
+            f"over the {FAMILY_BUDGET >> 30} GiB budget")
+
+
 @lru_cache(maxsize=4)
 def _enumerate_cached(n_sites: int, strategy: str, sizes):
     if strategy == ALL_ASSIGNMENTS:
         count = all_assignments_count(n_sites)
-        need = 24 * count  # three int64 masks per triple
-        if need > ALL_ASSIGNMENTS_BUDGET:
-            raise CapacityError(
-                f"all-assignments family of {n_sites} sites has {count:,} triples, "
-                f"about {need / 1e9:.1f} GB of masks, over the "
-                f"{ALL_ASSIGNMENTS_BUDGET >> 30} GiB budget")
+        # three int64 masks per triple
+        _check_budget(f"all-assignments family of {n_sites} sites", count, 24 * count,
+                      "of masks")
         return _enumerate_all_assignments(n_sites)
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
     if strategy == FIXED_SIZES:
+        if sum(sizes) > n_sites:
+            raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
+        count = fixed_sizes_count(n_sites, sizes)
+        _check_budget(f"fixed-sizes family {','.join(map(str, sizes))} of {n_sites} sites",
+                      count, FIXED_SIZES_BYTES_PER_TRIPLE * count, "to enumerate")
         return _enumerate_fixed_sizes(n_sites, sizes)
     raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
 
@@ -412,17 +422,15 @@ def extrema(vals: np.ndarray) -> tuple:
 
 
 def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
-                zero=None, proper: bool = False) -> tuple:
+                zero=None, proper: bool = False) -> TmiSeries:
     """Per-time TMI extrema over a partition set, from a time-batched table.
 
     ``table`` holds a row of entropies per mask and a column per entry of
     ``times``.  The triples stream through in blocks, each gathering
     whole table rows for every time at once.  ``zero(a, b, c, abc)``, if
     given, takes a block's masks and marks the (triple, time) entries
-    whose TMI is exactly zero.  Returns arrays over time: min, argmin,
-    max and argmax, with ties resolved as by extrema, and, when
-    ``proper``, the minimum over triples that leave part of the chain out
-    (None when every triple covers it).
+    whose TMI is exactly zero.  Ties resolve as by extrema; ``min_proper``
+    is filled when ``proper`` is set.
 
     Only the first block holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier block holds
@@ -431,18 +439,13 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     """
     if len(pset) == 0:
         raise ValueError("empty partition list")
-    if table.n_sites != pset.n_sites:
-        raise ValueError("table and partitions disagree on chain length")
     n_t = table.values.shape[1]
     rows = max(1, _BLOCK_BYTES // (8 * n_t))
     starts = range(0, len(pset), rows)
     full = (1 << pset.n_sites) - 1
 
     def block(start):
-        masks = pset._lookups(start, start + rows)
-        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0)
-                           for m in masks))
-        a, b, c, *_, abc = masks
+        vals, (a, b, c, *_, abc) = pset._tmi_block(table, start, start + rows)
         if zero is not None:
             vals = np.where(zero(a, b, c, abc), 0.0, vals)
         return vals, abc == full
@@ -470,19 +473,7 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
         at_min, at_max = k_min == k, k_max == k
         i_min[at_min] = starts[k] + first_lo[at_min]
         i_max[at_max] = starts[k] + first_hi[at_max]
-    return lo, i_min, hi, i_max, proper_lo
-
-
-def minmax_tmi(table: SubsetEntropyTable, pset: PartitionSet):
-    """Extrema of TMI over a partition set.
-
-    Returns (min, argmin triple, max, argmax triple); ties resolve to the
-    first triple in canonical enumeration order (see extrema).
-    """
-    if len(pset) == 0:
-        raise ValueError("empty partition list")
-    lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
-    return float(lo), pset[int(i_min)], float(hi), pset[int(i_max)]
+    return TmiSeries(lo, i_min, hi, i_max, proper_lo)
 
 
 def tau_sign_change(times, min_values, threshold: float = 0.0):

@@ -207,12 +207,12 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
 
 
 def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    lo, j_min, hi, j_max, proper_lo = tmi_extrema(
-        pset, _table(cfg, coupling, grid, pset), grid.physical_times(coupling.kac),
-        proper=True)
-    columns = {"min_tmi": lo.tolist(), "max_tmi": hi.tolist(),
-               "min_tmi_proper": [None] * len(lo) if proper_lo is None else proper_lo.tolist()}
-    for side, j in (("argmin", j_min), ("argmax", j_max)):
+    scan = tmi_extrema(pset, _table(cfg, coupling, grid, pset),
+                       grid.physical_times(coupling.kac), proper=True)
+    proper = scan.min_proper
+    columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist(),
+               "min_tmi_proper": [None] * len(grid) if proper is None else proper.tolist()}
+    for side, j in (("argmin", scan.argmin), ("argmax", scan.argmax)):
         for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
             columns[f"{side}_{part}"] = masks[j].tolist()
     tau = tau_sign_change(grid.times, columns["min_tmi"], cfg.tau_threshold)
@@ -249,13 +249,16 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 # -- onebody-scan --------------------------------------------------------------
 
 def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    scan = onebody_tmi_scan(coupling, cfg.resolved_site(), grid, pset)
-    occupations = scan.meta["occupations"]
+    site = cfg.resolved_site()
+    scan = onebody_tmi_scan(coupling, site, grid, pset)
+    occupations = np.abs(onebody_amplitudes(coupling, site,
+                                            grid.physical_times(coupling.kac))) ** 2
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
         columns[f"p{m}"] = occupations[:, m].tolist()
-    t_min, v_min, triple = scan.global_min()
-    return columns, (t_min, v_min, triple.masks())
+    i = int(np.argmin(scan.min_values))
+    return columns, (float(grid.times[i]), float(scan.min_values[i]),
+                     pset[int(scan.argmin[i])].masks())
 
 
 def run_onebody_scan(cfg: RunConfig) -> list:

@@ -195,6 +195,16 @@ class TestExitCodes:
         assert "171,798,901 triples, about 4.1 GB" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "18",
+                        "--partitions", "fixed:4,4,4", "--out", str(out_dir)])
+        assert code == 3
+        assert "107,207,100 triples, about 28.9 GB" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs

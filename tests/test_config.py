@@ -256,6 +256,17 @@ class TestPresets:
         cfg = load_config(path)
         assert (cfg.n_sites, cfg.strategy, cfg.inset_alphas) == (12, "contiguous", (0.1, 0.3))
 
+    def test_readme_python_examples_run(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = [part.split("```")[0] for part in readme.split("```python\n")[1:]]
+        assert len(blocks) == 2, "README holds two python examples"
+        namespace = {}  # later examples use names the earlier ones define
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert len(namespace["pset"]) == 2_532_530
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_path("fig9")

@@ -1,5 +1,7 @@
 """Schmidt spectra, subset entropy tables, MI and TMI."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,47 @@ class TestSubsystemSpectrum:
         via_mask = subsystem_spectrum(evolved8, subset=0b1010)
         via_subset = subsystem_spectrum(evolved8, subset=SiteSubset(8, 0b1010))
         np.testing.assert_allclose(via_mask.weights, via_subset.weights)
+
+
+def grids_from_site_lists(basis, mask):
+    """Excitation-block index grids built from explicit site lists.
+
+    Row r of split j is the r-th j-site pattern on the subset and column c
+    the c-th pattern on the rest, both in ascending mask order; the cell
+    is the basis rank of their union.
+    """
+    n, k = basis.n_sites, basis.n_excitations
+    rank = {int(s): i for i, s in enumerate(basis.states)}
+    inside = [s for s in range(n) if mask >> s & 1]
+    outside = [s for s in range(n) if not mask >> s & 1]
+
+    def patterns(sites, count):
+        return sorted(sum(1 << s for s in comb) for comb in combinations(sites, count))
+
+    grids = []
+    for j in range(k + 1):
+        rows, cols = patterns(inside, j), patterns(outside, k - j)
+        if rows and cols:
+            grids.append(np.array([[rank[r | c] for c in cols] for r in rows],
+                                  dtype=np.int32))
+    return grids
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (10, 3), (12, 1), (12, 6)])
+def test_block_grids_match_site_list_construction(n, k):
+    basis = enumerate_sector(n, k)
+    rng = np.random.default_rng(1000 * n + k)
+    top = 1 << (n - 1)
+    masks = [1, top, 1 << (n // 2), top | 1, (1 << n) - 2]
+    masks += [int(m) for m in rng.integers(1, 1 << n, 12)]
+    masks += [int(m) | top for m in rng.integers(1, top, 4)]
+    for mask in masks:
+        expected = grids_from_site_lists(basis, mask)
+        found = list(entropy._block_index_grids(basis, mask))
+        assert len(found) == len(expected)
+        for grid, ref in zip(found, expected):
+            assert grid.dtype == np.int32
+            assert np.array_equal(grid, ref), (n, k, mask)
 
 
 class TestSubsetEntropyTable:

@@ -183,16 +183,22 @@ class TestSectorHamiltonian:
             out.amplitudes, ham.apply(psi.amplitudes), atol=1e-14
         )
 
-    def test_matrix_free_path(self, basis8, rng):
-        coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
-        cached = SectorHamiltonian(coupling, basis8)
-        free = SectorHamiltonian(coupling, basis8, sparse_threshold=0)
+    def test_matrix_free_path(self, basis8, rng, monkeypatch):
+        ham = SectorHamiltonian(coupling_matrix(ModelSpec(8, alpha=0.5)), basis8)
         vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
-        np.testing.assert_allclose(free.apply(vec), cached.apply(vec), atol=1e-12)
         # LinearOperator.matmat hands apply single columns of shape (dim, 1)
         col = vec[:, None]
-        assert free.apply(col).shape == cached.apply(col).shape == (basis8.dim, 1)
-        np.testing.assert_allclose(free.apply(col), cached.apply(col), atol=1e-12)
+        cached = ham.apply(vec), ham.apply(col)
+        # apply reads the threshold when it runs: 0 sends every sector matrix-free
+        monkeypatch.setattr("spinchain.model.SPARSE_CACHE_THRESHOLD", 0)
+
+        def no_matrix(self):
+            raise AssertionError("the matrix-free path read the CSR matrix")
+
+        monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
+        np.testing.assert_allclose(ham.apply(vec), cached[0], atol=1e-12)
+        assert ham.apply(col).shape == cached[1].shape == (basis8.dim, 1)
+        np.testing.assert_allclose(ham.apply(col), cached[1], atol=1e-12)
 
     def test_hermitian(self, basis6):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)

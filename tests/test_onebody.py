@@ -206,8 +206,8 @@ class TestOnebodyScan:
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
             series = onebody_tmi_scan(coupling_matrix(ModelSpec(n, alpha=alpha)), 3, grid, pset)
-            for triple in series.argmin + series.argmax:
-                a, b, c = triple.masks()
+            for i in np.concatenate([series.argmin, series.argmax]):
+                a, b, c = pset[int(i)].masks()
                 if a | b | c == full:
                     continue
                 i, j = index[(a, b, c)], index[(refl(full ^ a ^ b ^ c), refl(c), refl(b))]

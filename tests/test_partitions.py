@@ -18,8 +18,8 @@ from spinchain import (
     coupling_matrix,
     enumerate_partitions,
     evolve,
+    extrema,
     lightcone_onset,
-    minmax_tmi,
     neel_state,
     onebody_tmi_scan,
     subset_entropy_table,
@@ -28,7 +28,7 @@ from spinchain import (
 )
 from spinchain import partitions
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
-from spinchain.partitions import extrema, parse_strategy, tmi_extrema
+from spinchain.partitions import parse_strategy, tmi_extrema
 from spinchain.propagate import onebody_amplitudes
 
 
@@ -121,6 +121,29 @@ class TestEnumeration:
         finally:
             partitions._enumerate_cached.cache_clear()
 
+    def test_fixed_sizes_count_matches_enumeration(self):
+        for sizes in ((2, 2, 2), (1, 1, 2), (1, 2, 3)):
+            for n in range(6, 10):
+                strategy = "fixed:" + ",".join(map(str, sizes))
+                assert partitions.fixed_sizes_count(n, sizes) == \
+                    len(enumerate_partitions(n, strategy))
+
+    def test_fixed_sizes_guard_refuses_before_enumerating(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(partitions, "_enumerate_fixed_sizes",
+                            lambda n, sizes: calls.append(n) or n)
+        try:
+            # 107,207,100 triples at 270 B each: 28.9 GB
+            with pytest.raises(CapacityError,
+                               match="107,207,100 triples, about 28.9 GB"):
+                enumerate_partitions(18, "fixed:4,4,4")
+            assert calls == []
+            # 560,560 triples, 0.15 GB: inside the budget
+            assert enumerate_partitions(14, "fixed:3,3,3") == 14
+            assert calls == [14]
+        finally:
+            partitions._enumerate_cached.cache_clear()
+
     def test_covers_chain_flag(self):
         pset = enumerate_partitions(6, "contiguous")
         full = (1 << 6) - 1
@@ -155,12 +178,12 @@ class TestExtremaAndTau:
     def test_minmax_brackets_quarters(self, evolved8):
         table = subset_entropy_table(evolved8)
         pset = enumerate_partitions(8, "all")
-        lo, argmin, hi, argmax = minmax_tmi(table, pset)
+        lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
         quarters = contiguous_quarters(8)
         val = tmi(table, *quarters.masks())
         assert lo <= val <= hi
-        assert lo == pytest.approx(tmi(table, *argmin.masks()), abs=1e-12)
-        assert hi == pytest.approx(tmi(table, *argmax.masks()), abs=1e-12)
+        assert lo == pytest.approx(tmi(table, *pset[int(i_min)].masks()), abs=1e-12)
+        assert hi == pytest.approx(tmi(table, *pset[int(i_max)].masks()), abs=1e-12)
 
     def test_covering_triples_have_zero_tmi(self, evolved8):
         table = subset_entropy_table(evolved8)
@@ -186,22 +209,6 @@ class TestExtremaAndTau:
         assert driven.is_dense == (strategy == "all")
         diff = pset.tmi_values(driven) - pset.tmi_values(full)
         assert np.max(np.abs(diff)) < 1e-12
-
-    def test_positions_computed_once_per_plan(self, basis8, rng, monkeypatch):
-        from conftest import random_sector_state
-        pset = enumerate_partitions(8, "fixed:2,2,2")
-        plan = EntropyTablePlan(basis8, np.unique(np.concatenate(pset.lookup_masks)))
-        calls = []
-        original = SubsetEntropyTable.positions
-
-        def counting(self, masks):
-            calls.append(len(masks))
-            return original(self, masks)
-
-        monkeypatch.setattr(SubsetEntropyTable, "positions", counting)
-        for _ in range(3):
-            pset.tmi_values(plan.evaluate(random_sector_state(basis8, rng)))
-        assert len(calls) == 7  # the seven lookup arrays, for the first state only
 
     def test_extremum_ties_resolve_to_first(self):
         vals = np.array([0.3, -0.5 + 1e-15, 0.1, -0.5, 0.7, 0.7 + 2e-13])
@@ -231,9 +238,8 @@ class TestExtremaAndTau:
             for k in range(len(grid)):
                 table = subset_entropy_table(traj.state_at(k))
                 vals = pset.tmi_values(table)
-                lo, argmin, hi, argmax = minmax_tmi(table, pset)
-                for value, triple in ((lo, argmin), (hi, argmax)):
-                    i = index[triple.masks()]
+                lo, i_min, hi, i_max = extrema(vals)
+                for value, i in ((lo, int(i_min)), (hi, int(i_max))):
                     if pset.covers_chain[i]:
                         continue
                     j = mirror(i)
@@ -257,12 +263,12 @@ class TestExtremaAndTau:
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
         batched = SubsetEntropyTable(8, tables[0].mask_array,
                                      np.column_stack([t.values for t in tables]))
-        lo, i_min, hi, i_max, proper_lo = tmi_extrema(pset, batched, grid.times,
-                                                      proper=True)
+        found = tmi_extrema(pset, batched, grid.times, proper=True)
         for k, table in enumerate(tables):
             vals = pset.tmi_values(table)
-            assert (lo[k], i_min[k], hi[k], i_max[k]) == extrema(vals)
-            assert proper_lo[k] == vals[~pset.covers_chain].min()
+            assert (found.min_values[k], found.argmin[k], found.max_values[k],
+                    found.argmax[k]) == extrema(vals)
+            assert found.min_proper[k] == vals[~pset.covers_chain].min()
 
     @pytest.mark.parametrize("n_points", [1, 9])
     def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
@@ -287,9 +293,8 @@ class TestExtremaAndTau:
         amps = onebody_amplitudes(coupling, 3, times)
         series = onebody_tmi_scan(coupling, 3, TimeGrid(times), pset)
         for k, (lo, i_min, hi, i_max) in enumerate(per_time_scan(np.abs(amps) ** 2)):
-            assert (series.min_values[k], series.max_values[k]) == (lo, hi)
-            assert series.argmin[k].masks() == pset[int(i_min)].masks()
-            assert series.argmax[k].masks() == pset[int(i_max)].masks()
+            assert (series.min_values[k], series.argmin[k], series.max_values[k],
+                    series.argmax[k]) == (lo, i_min, hi, i_max)
 
         # with its mirror image on site 4 added, the occupations are
         # reflection-symmetric, so mirror triples tie exactly as well
@@ -298,9 +303,10 @@ class TestExtremaAndTau:
         low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
         found = tmi_extrema(pset, SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p)),
                             times, zero=lambda a, b, c, abc: low[a] | low[b] | low[c] | high[abc])
-        assert found[4] is None
+        assert found.min_proper is None
         for k, expected in enumerate(per_time_scan(occupations)):
-            assert tuple(column[k] for column in found[:4]) == expected
+            assert (found.min_values[k], found.argmin[k], found.max_values[k],
+                    found.argmax[k]) == expected
 
     def test_tmi_extrema_refuses_non_finite(self):
         pset = enumerate_partitions(6, "contiguous")

@@ -18,16 +18,6 @@ from spinchain import reference
 from spinchain.model import StateVector
 
 
-class MatrixFreeHamiltonian(SectorHamiltonian):
-    """A sector Hamiltonian that must never build its CSR matrix."""
-
-    def __init__(self, coupling, basis):
-        super().__init__(coupling, basis, sparse_threshold=0)
-
-    def matrix(self):
-        raise AssertionError("the matrix-free path built a CSR matrix")
-
-
 class TestTimeGrid:
     def test_linspace(self):
         grid = TimeGrid.linspace(2.0, 5)
@@ -135,7 +125,12 @@ class TestEvolveDispatcher:
         psi0 = neel_state(basis8)
         grid = TimeGrid.linspace(3.0, 5)
         csr = evolve(coupling, basis8, psi0, grid)
-        monkeypatch.setattr("spinchain.propagate.SectorHamiltonian", MatrixFreeHamiltonian)
+        monkeypatch.setattr("spinchain.model.SPARSE_CACHE_THRESHOLD", 0)
+
+        def no_matrix(self):
+            raise AssertionError("the matrix-free path built a CSR matrix")
+
+        monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
         free = evolve(coupling, basis8, psi0, grid)
         assert np.max(np.abs(csr.states - free.states)) < 1e-12
 

@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes the same bytes as a git revision.
+
+Usage, from anywhere inside the repository:
+
+    python3 tools/compare_outputs.py REF
+
+REF is checked out into a temporary directory with ``git worktree``.  A
+fixed list of CLI invocations then runs on REF and on this checkout
+(uncommitted edits included), each with ``SPINCHAIN_THREADS`` 1 and 2 and
+``--format csv,json``, with BLAS pinned to one thread.  Every run is
+compared with REF's run at one worker: exit status, each dataset file,
+stdout and stderr.  Every difference, and every invocation that fails, is
+printed; the exit status is 1 if there is any, else 0.
+"""
+
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# a single-excitation quench on N=12 (the onebody-all-n12 benchmark config, seed 3)
+ONEBODY_CFG = """\
+[model]
+n_sites = 12
+alphas = 0.314, 2.544
+[initial]
+state = single:5
+[time]
+t_max = 5.0
+n_points = 17
+kac_rescaled = true
+"""
+
+# (name, argv); "onebody.cfg" is written next to each run
+INVOCATIONS = (
+    ("onebody-all", ["onebody-scan", "--config", "onebody.cfg", "--partitions", "all"]),
+    ("onebody-contiguous", ["onebody-scan", "--config", "onebody.cfg",
+                            "--partitions", "contiguous"]),
+    ("onebody-fixed", ["onebody-scan", "--config", "onebody.cfg",
+                       "--partitions", "fixed:2,2,2"]),
+    ("fig4-all", ["minmax-scan", "--config", "fig4", "--partitions", "all",
+                  "--n-points", "5"]),
+    ("fig4", ["minmax-scan", "--config", "fig4", "--n-points", "11"]),
+    ("smoke-grid", ["tmi-grid", "--config", "smoke"]),
+    ("smoke-entropy", ["tmi-vs-entropy", "--config", "smoke"]),
+    ("smoke-minmax", ["minmax-scan", "--config", "smoke"]),
+    ("smoke-fixed-nn", ["minmax-scan", "--config", "smoke", "--partitions", "fixed:2,2,2",
+                        "--nn-limit"]),
+    ("fig2", ["tmi-grid", "--config", "fig2", "--n-points", "9"]),
+    ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
+)
+WORKERS = (1, 2)
+
+
+def run_all(tree, label, scratch):
+    """Run every invocation on ``tree``; returns {(name, workers): run directory}."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {}
+    for workers in WORKERS:
+        env["SPINCHAIN_THREADS"] = str(workers)
+        for name, argv in INVOCATIONS:
+            cwd = os.path.join(scratch, "runs", label, str(workers), name)
+            os.makedirs(cwd)
+            with open(os.path.join(cwd, "onebody.cfg"), "w") as fh:
+                fh.write(ONEBODY_CFG)
+            print(f"{label} workers={workers} {name}", file=sys.stderr, flush=True)
+            done = subprocess.run(
+                [sys.executable, "-m", "spinchain.cli", *argv,
+                 "--out", "out", "--format", "csv,json"],
+                cwd=cwd, env=env, capture_output=True)
+            for stream in ("stdout", "stderr"):
+                with open(os.path.join(cwd, stream), "wb") as fh:
+                    fh.write(getattr(done, stream))
+            with open(os.path.join(cwd, "status"), "w") as fh:
+                fh.write(f"{done.returncode}\n")
+            runs[name, workers] = cwd
+    return runs
+
+
+def differences(ref_dir, run_dir):
+    """Names of the files that differ between two run directories."""
+    found = []
+    for name in ("status", "stdout", "stderr"):
+        if not filecmp.cmp(os.path.join(ref_dir, name), os.path.join(run_dir, name),
+                           shallow=False):
+            found.append(name)
+    ref_out, run_out = os.path.join(ref_dir, "out"), os.path.join(run_dir, "out")
+    ref_files = set(os.listdir(ref_out)) if os.path.isdir(ref_out) else set()
+    run_files = set(os.listdir(run_out)) if os.path.isdir(run_out) else set()
+    for name in sorted(ref_files | run_files):
+        if name not in ref_files or name not in run_files or not filecmp.cmp(
+                os.path.join(ref_out, name), os.path.join(run_out, name), shallow=False):
+            found.append(f"out/{name}")
+    return found
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    ref = argv[0]
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as scratch:
+        ref_tree = os.path.join(scratch, "tree")
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+                        ref_tree, ref], check=True)
+        try:
+            ref_runs = run_all(ref_tree, "ref", scratch)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", ref_tree],
+                           check=True)
+        head_runs = run_all(ROOT, "head", scratch)
+        problems = 0
+        for label, runs in (("ref", ref_runs), ("head", head_runs)):
+            for (name, workers), run_dir in runs.items():
+                with open(os.path.join(run_dir, "status")) as fh:
+                    status = fh.read().strip()
+                if status != "0":
+                    problems += 1
+                    print(f"FAILED {name} {label} workers={workers}: exit {status}")
+                if (label, workers) == ("ref", 1):
+                    continue
+                for item in differences(ref_runs[name, 1], run_dir):
+                    problems += 1
+                    print(f"DIFF {name} {label} workers={workers}: {item}")
+        n_files = sum(len(os.listdir(out)) for out in
+                      (os.path.join(ref_runs[name, 1], "out") for name, _ in INVOCATIONS)
+                      if os.path.isdir(out))
+    print(f"{problems} problem(s) in {len(INVOCATIONS)} invocations x {len(WORKERS)} "
+          f"worker counts; {n_files} dataset files per run set, compared with {ref} "
+          f"at 1 worker")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
