@@ -186,7 +186,7 @@ class TestSectorHamiltonian:
     def test_matrix_free_path(self, basis8, rng, monkeypatch):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(8, alpha=0.5)), basis8)
         vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
-        # LinearOperator.matmat hands apply single columns of shape (dim, 1)
+        # apply also takes a block of columns, here one of shape (dim, 1)
         col = vec[:, None]
         cached = ham.apply(vec), ham.apply(col)
         # apply reads the threshold when it runs: 0 sends every sector matrix-free

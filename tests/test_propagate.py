@@ -14,8 +14,17 @@ from spinchain import (
     onebody_amplitudes,
     single_excitation_state,
 )
-from spinchain import reference
-from spinchain.model import StateVector
+from spinchain import propagate, reference
+from spinchain.model import CouplingMatrix, StateVector
+
+
+def _coupling(n, alpha):
+    spec = ModelSpec(n, nn_limit=True) if alpha == "nn" else ModelSpec(n, alpha=alpha)
+    return coupling_matrix(spec)
+
+
+def _exact_norm1(coupling, basis):
+    return np.abs(SectorHamiltonian(coupling, basis).dense()).sum(axis=0).max()
 
 
 class TestTimeGrid:
@@ -117,6 +126,67 @@ class TestKrylovEvolution:
                       engine="krylov")
         norms = np.linalg.norm(traj.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+
+class TestTaylorStepper:
+    """The scaled Taylor stepper against the full-space diagonalization."""
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0, "nn"])
+    def test_matches_full_space(self, n, alpha):
+        coupling = _coupling(n, alpha)
+        basis = enumerate_sector(n, n // 2)
+        psi0 = neel_state(basis)
+        kac = TimeGrid.linspace(0.8, 31, kac_rescaled=True)
+        grids = [
+            kac,
+            TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.2, 4.25])),
+            # one interval with ||dt H||_1 = 100 > 63.4: several substeps
+            TimeGrid(np.array([0.0, 100.0 / _exact_norm1(coupling, basis)])),
+        ]
+        assert propagate._taylor_plan(100.0)[1] > 1
+        states = np.concatenate([evolve(coupling, basis, psi0, g).states for g in grids])
+        times = np.concatenate([g.physical_times(coupling.kac) for g in grids])
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
+
+    def test_single_excitation_sector(self):
+        coupling = _coupling(8, 0.5)
+        basis = enumerate_sector(8, 1)
+        psi0 = single_excitation_state(basis, 2)
+        times = np.array([0.0, 0.2, 1.5, 6.0])
+        traj = evolve(coupling, basis, psi0, TimeGrid(times))
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
+
+    def test_products_are_propagation_plus_one_norm(self, monkeypatch):
+        # every product but one propagates: no 1-norm estimation per interval
+        coupling = _coupling(12, 0.5)
+        basis = enumerate_sector(12, 6)
+        grid = TimeGrid.linspace(0.8, 31, kac_rescaled=True)
+        calls = []
+        apply = SectorHamiltonian.apply
+        monkeypatch.setattr(SectorHamiltonian, "apply",
+                            lambda self, vec: calls.append(1) or apply(self, vec))
+        evolve(coupling, basis, neel_state(basis), grid)
+        norm1 = _exact_norm1(coupling, basis)
+        plans = [propagate._taylor_plan(dt * norm1)
+                 for dt in np.diff(grid.physical_times(coupling.kac))]
+        assert len(calls) <= 1 + sum(m * s for m, s in plans)
+
+    def test_negative_coupling_refused(self, basis6):
+        entries = coupling_matrix(ModelSpec(6, alpha=1.0)).entries.copy()
+        entries[0, 1] = entries[1, 0] = -0.5
+        coupling = CouplingMatrix(entries=entries, kac=1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve(coupling, basis6, neel_state(basis6), TimeGrid.linspace(1.0, 3))
+
+    def test_global_rng_untouched(self, basis8):
+        state = np.random.get_state()
+        evolve(_coupling(8, 0.4), basis8, neel_state(basis8), TimeGrid.linspace(3.0, 7))
+        after = np.random.get_state()
+        assert after[0] == state[0] and after[2:] == state[2:]
+        np.testing.assert_array_equal(after[1], state[1])
 
 
 class TestEvolveDispatcher:

@@ -11,11 +11,14 @@ fixed list of CLI invocations then runs on REF and on this checkout
 ``--format csv,json``, with BLAS pinned to one thread.  Every run is
 compared with REF's run at one worker: exit status, each dataset file,
 stdout and stderr.  Every difference, and every invocation that fails, is
-printed; the exit status is 1 if there is any, else 0.
+printed; a differing dataset file also gets the largest absolute
+difference between its numbers.  The exit status is 1 if there is any
+difference or failure, else 0.
 """
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -82,8 +85,26 @@ def run_all(tree, label, scratch):
     return runs
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def deviation(ref_path, run_path):
+    """How two dataset files differ: the largest absolute difference of
+    their numbers, or a note that the text around the numbers differs."""
+    with open(ref_path, "rb") as fh:
+        ref = fh.read()
+    with open(run_path, "rb") as fh:
+        run = fh.read()
+    if _NUMBER.sub(b"#", ref) != _NUMBER.sub(b"#", run):
+        return "text differs"
+    largest = max((abs(float(x) - float(y)) for x, y in
+                   zip(_NUMBER.findall(ref), _NUMBER.findall(run)) if x != y), default=0.0)
+    return f"max |diff| {largest:.3g}"
+
+
 def differences(ref_dir, run_dir):
-    """Names of the files that differ between two run directories."""
+    """The files that differ between two run directories, dataset files
+    with their deviation."""
     found = []
     for name in ("status", "stdout", "stderr"):
         if not filecmp.cmp(os.path.join(ref_dir, name), os.path.join(run_dir, name),
@@ -93,9 +114,12 @@ def differences(ref_dir, run_dir):
     ref_files = set(os.listdir(ref_out)) if os.path.isdir(ref_out) else set()
     run_files = set(os.listdir(run_out)) if os.path.isdir(run_out) else set()
     for name in sorted(ref_files | run_files):
-        if name not in ref_files or name not in run_files or not filecmp.cmp(
-                os.path.join(ref_out, name), os.path.join(run_out, name), shallow=False):
-            found.append(f"out/{name}")
+        if name not in ref_files or name not in run_files:
+            found.append(f"out/{name} (in one run only)")
+            continue
+        ref_path, run_path = os.path.join(ref_out, name), os.path.join(run_out, name)
+        if not filecmp.cmp(ref_path, run_path, shallow=False):
+            found.append(f"out/{name} ({deviation(ref_path, run_path)})")
     return found
 
 
