@@ -18,9 +18,9 @@ from .entropy import (EntropyTablePlan, SchmidtSpectrum, SiteSubset,
 from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
                      SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
-                    StateVector, apply_hamiltonian, coupling_matrix,
-                    enumerate_sector, neel_state, sector_dimension,
-                    single_excitation_state, total_excitation_mask_weight)
+                    StateVector, coupling_matrix, enumerate_sector, neel_state,
+                    sector_dimension, single_excitation_state,
+                    total_excitation_mask_weight)
 from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
                       onebody_tmi_scan, simplex_scan, tmi_binary)
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
@@ -33,7 +33,7 @@ __all__ = [
     "CapacityError", "ConfigError", "NumericalConsistencyError",
     "SpinChainError",
     "CouplingMatrix", "ModelSpec", "SectorBasis", "SectorHamiltonian",
-    "StateVector", "apply_hamiltonian", "coupling_matrix", "enumerate_sector",
+    "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "total_excitation_mask_weight",
     "TimeGrid", "Trajectory", "evolve", "onebody_amplitudes",

@@ -235,14 +235,6 @@ class SubsetEntropyTable:
         """Entropy of one subset; a time-batched table answers through gather."""
         return float(self.gather(_as_mask(subset, self.n_sites)))
 
-    def __contains__(self, subset) -> bool:
-        mask = _as_mask(subset, self.n_sites)
-        pos = int(np.searchsorted(self.mask_array, mask))
-        return pos < len(self.mask_array) and int(self.mask_array[pos]) == mask
-
-    def masks(self) -> np.ndarray:
-        return self.mask_array
-
 
 def _gram_weights(blocks: np.ndarray) -> np.ndarray:
     """Schmidt weights of a stack of blocks, one row per block.

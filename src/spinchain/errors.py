@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the memory budget."""
+
+# Memory one partition family or one sector Hamiltonian may take; the
+# size guards refuse anything larger before allocating it
+MEMORY_BUDGET = 2 << 30
 
 
 class SpinChainError(Exception):
@@ -15,3 +19,11 @@ class CapacityError(SpinChainError):
 
 class NumericalConsistencyError(SpinChainError):
     """A numerical invariant was violated beyond roundoff tolerance."""
+
+
+def check_budget(subject: str, need: int, what: str):
+    """Raise CapacityError, giving the estimate, when ``need`` bytes exceed the budget."""
+    if need > MEMORY_BUDGET:
+        raise CapacityError(
+            f"{subject}, about {need / 1e9:.1f} GB {what}, "
+            f"over the {MEMORY_BUDGET >> 30} GiB budget")

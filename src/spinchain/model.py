@@ -3,7 +3,8 @@
 The Hamiltonian is a sum over site pairs of XX+YY terms with power-law
 couplings J0/|m-n|^alpha (open boundaries).  It conserves the number of
 excited sites, so states live in fixed-excitation sectors spanned by
-bitmask basis states; all operations here act inside one sector.
+bitmask basis states; all operations here act inside one sector, where
+H is applied through one CSR matrix.
 """
 
 import math
@@ -14,11 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bits import popcount
-from .errors import CapacityError
-
-# Cached sparse Hamiltonians above this sector dimension would dominate
-# memory; larger sectors fall back to matrix-free application.
-SPARSE_CACHE_THRESHOLD = 200_000
+from .errors import CapacityError, check_budget
 
 _MAX_SECTOR_DIM = 2**31 - 1
 
@@ -207,9 +204,11 @@ class SectorHamiltonian:
 
     Each coupled pair (m, n) hops an excitation between the two sites with
     amplitude 2*J_mn; doubly occupied or empty pairs contribute nothing, and
-    there is no diagonal part.  A sparse matrix is cached for repeated use
-    when the sector dimension is at most SPARSE_CACHE_THRESHOLD; larger
-    sectors are applied matrix-free.
+    there is no diagonal part.  H is applied through its CSR matrix, built
+    on first use.  A hop from site e to site f acts on the C(N-2, k-1)
+    states with e excited and f empty, so the matrix size is known before
+    the build, and construction raises CapacityError when it exceeds the
+    memory budget.
     """
 
     def __init__(self, coupling: CouplingMatrix, basis: SectorBasis):
@@ -219,12 +218,18 @@ class SectorHamiltonian:
             )
         self.coupling = coupling
         self.basis = basis
-        self._pairs = [
-            (m, n, 2.0 * coupling.entries[m, n])
-            for m in range(basis.n_sites)
-            for n in range(m + 1, basis.n_sites)
-            if coupling.entries[m, n] != 0.0
-        ]
+        n, k = basis.n_sites, basis.n_excitations
+        # (e, f, amplitude) per hop, which takes state s to s + 2^f - 2^e;
+        # ordered by that shift, so filling rows hop by hop sorts them
+        self._hops = sorted(
+            ((e, f, 2.0 * coupling.entries[e, f]) for e in range(n) for f in range(n)
+             if e != f and coupling.entries[e, f] != 0.0),
+            key=lambda hop: (1 << hop[1]) - (1 << hop[0]))
+        self.nnz = len(self._hops) * (math.comb(n - 2, k - 1) if k else 0)
+        # float64 data and int32 indices per nonzero, int32 row pointers
+        self.nbytes = 12 * self.nnz + 4 * (self.dim + 1)
+        check_budget(f"sector ({n}, {k}) Hamiltonian has {self.nnz:,} nonzeros",
+                     self.nbytes, "as a CSR matrix")
         self._matrix = None
 
     @property
@@ -232,23 +237,31 @@ class SectorHamiltonian:
         return self.basis.dim
 
     def matrix(self) -> sp.csr_matrix:
-        """Sector Hamiltonian as a real symmetric CSR matrix (built lazily)."""
+        """Sector Hamiltonian as a real symmetric CSR matrix (built lazily).
+
+        Rows are counted first, so the arrays are allocated at their final
+        size, then filled hop by hop.
+        """
         if self._matrix is None:
             states = self.basis.states
-            rows, cols, vals = [], [], []
-            for m, n, amp in self._pairs:
-                pair_mask = (1 << m) | (1 << n)
-                sel = np.nonzero(((states >> m) ^ (states >> n)) & 1)[0]
-                partners = self.basis.rank_many(states[sel] ^ pair_mask)
-                rows.append(partners)
-                cols.append(sel)
-                vals.append(np.full(len(sel), amp))
-            if rows:
-                rows = np.concatenate(rows)
-                cols = np.concatenate(cols)
-                vals = np.concatenate(vals)
-            mat = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
-            self._matrix = mat
+
+            def hopped(e, f):  # 1 where site e is excited and site f empty
+                return (states >> e) & ~(states >> f) & 1
+
+            indptr = np.zeros(self.dim + 1, dtype=np.int32)
+            for e, f, _ in self._hops:
+                indptr[1:] += hopped(e, f)
+            np.cumsum(indptr, out=indptr)
+            indices = np.empty(self.nnz, dtype=np.int32)
+            data = np.empty(self.nnz)
+            fill = indptr[:-1].copy()
+            for e, f, amp in self._hops:
+                sel = np.flatnonzero(hopped(e, f))
+                slots = fill[sel]
+                indices[slots] = self.basis.rank_many(states[sel] + ((1 << f) - (1 << e)))
+                data[slots] = amp
+                fill[sel] = slots + 1
+            self._matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
         return self._matrix
 
     def dense(self) -> np.ndarray:
@@ -257,33 +270,15 @@ class SectorHamiltonian:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec inside the sector; ``vec`` is (dim,) or (dim, n_columns)."""
         vec = np.asarray(vec)
-        if self.dim <= SPARSE_CACHE_THRESHOLD:
-            mat = self.matrix()
-            if np.iscomplexobj(vec):
-                # two real matvecs avoid per-call dtype upcasts of the matrix
-                return mat @ vec.real + 1j * (mat @ vec.imag)
-            return mat @ vec
-        out = np.zeros(vec.shape, dtype=np.complex128)
-        states = self.basis.states
-        for m, n, amp in self._pairs:
-            pair_mask = (1 << m) | (1 << n)
-            sel = np.nonzero(((states >> m) ^ (states >> n)) & 1)[0]
-            partners = self.basis.rank_many(states[sel] ^ pair_mask)
-            out[partners] += amp * vec[sel]
-        return out
+        mat = self.matrix()
+        if np.iscomplexobj(vec):
+            # two real matvecs avoid per-call dtype upcasts of the matrix
+            return mat @ vec.real + 1j * (mat @ vec.imag)
+        return mat @ vec
 
     def expectation(self, vec: np.ndarray) -> float:
         """Real energy <vec|H|vec>."""
         return float(np.vdot(vec, self.apply(vec)).real)
-
-
-def apply_hamiltonian(coupling: CouplingMatrix, basis: SectorBasis,
-                      psi: StateVector) -> StateVector:
-    """H |psi> restricted to the sector (result is not normalized)."""
-    if psi.basis is not basis and psi.basis.states is not basis.states:
-        if (psi.basis.n_sites, psi.basis.n_excitations) != (basis.n_sites, basis.n_excitations):
-            raise ValueError("state does not live on the given basis")
-    return StateVector(basis, SectorHamiltonian(coupling, basis).apply(psi.amplitudes))
 
 
 def total_excitation_mask_weight(basis: SectorBasis) -> np.ndarray:

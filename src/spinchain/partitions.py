@@ -21,7 +21,7 @@ import numpy as np
 
 from .bits import bit_positions
 from .entropy import SiteSubset, SubsetEntropyTable, tmi_terms
-from .errors import CapacityError, NumericalConsistencyError
+from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec
 
 QUARTERS = "quarters"
@@ -29,11 +29,10 @@ ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
 
-# Memory a partition family may take.  The all-assignments family holds
-# three int64 masks per triple, and its count grows as 4^N/6 (N=14: 1.0 GB;
-# N=15: 4.1 GB).  The fixed-sizes enumeration collects Python tuples in a
-# set, measured at 180-270 B of peak memory per triple
-FAMILY_BUDGET = 2 << 30
+# Peak memory per triple of the fixed-sizes enumeration, which collects
+# Python tuples in a set (measured at 180-270 B).  The all-assignments
+# family holds three int64 masks per triple, and its count grows as 4^N/6
+# (N=14: 1.0 GB; N=15: 4.1 GB, over errors.MEMORY_BUDGET)
 FIXED_SIZES_BYTES_PER_TRIPLE = 270
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
@@ -356,21 +355,13 @@ def parse_strategy(text: str):
     return FIXED_SIZES, sizes
 
 
-def _check_budget(family: str, count: int, need: int, what: str):
-    """Refuse a family whose estimated memory exceeds the budget."""
-    if need > FAMILY_BUDGET:
-        raise CapacityError(
-            f"{family} has {count:,} triples, about {need / 1e9:.1f} GB {what}, "
-            f"over the {FAMILY_BUDGET >> 30} GiB budget")
-
-
 @lru_cache(maxsize=4)
 def _enumerate_cached(n_sites: int, strategy: str, sizes):
     if strategy == ALL_ASSIGNMENTS:
         count = all_assignments_count(n_sites)
         # three int64 masks per triple
-        _check_budget(f"all-assignments family of {n_sites} sites", count, 24 * count,
-                      "of masks")
+        check_budget(f"all-assignments family of {n_sites} sites has {count:,} triples",
+                     24 * count, "of masks")
         return _enumerate_all_assignments(n_sites)
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
@@ -378,8 +369,9 @@ def _enumerate_cached(n_sites: int, strategy: str, sizes):
         if sum(sizes) > n_sites:
             raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
         count = fixed_sizes_count(n_sites, sizes)
-        _check_budget(f"fixed-sizes family {','.join(map(str, sizes))} of {n_sites} sites",
-                      count, FIXED_SIZES_BYTES_PER_TRIPLE * count, "to enumerate")
+        check_budget(f"fixed-sizes family {','.join(map(str, sizes))} of {n_sites} sites "
+                     f"has {count:,} triples", FIXED_SIZES_BYTES_PER_TRIPLE * count,
+                     "to enumerate")
         return _enumerate_fixed_sizes(n_sites, sizes)
     raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
 

@@ -3,10 +3,10 @@
 One path serves every sector size: a truncated Taylor series with
 scaling (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011) applies
 exp(-iH dt) to the state across each grid interval, driving the sector
-Hamiltonian through its ``apply`` (cached CSR or matrix-free, as the
-model chooses).  The series degree and the number of substeps come from
-the exact 1-norm of H, one product per ``evolve`` call.  The
-single-excitation helpers diagonalize the N x N hopping matrix instead.
+Hamiltonian through its ``apply`` (products with its CSR matrix).  The
+series degree and the number of substeps come from the exact 1-norm of
+H, one product per ``evolve`` call.  The single-excitation helpers
+diagonalize the N x N hopping matrix instead.
 """
 
 import math
@@ -135,7 +135,7 @@ def _taylor_step(apply, psi: np.ndarray, dt: float, norm1: float) -> np.ndarray:
 
 
 def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
-           grid: TimeGrid, engine: str = "auto") -> Trajectory:
+           grid: TimeGrid) -> Trajectory:
     """States exp(-iHt)|psi0> at every grid time.
 
     Each grid interval is one scaled Taylor step (``_taylor_step``) on
@@ -144,12 +144,7 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     its exact 1-norm is max(H @ 1): one product per call, and the only
     one that does not propagate.  A coupling with a negative entry
     raises ValueError, since that norm would then be too small.
-    ``engine`` stays for callers that name one: 'auto', 'dense' and
-    'krylov' all run this same path, and any other name raises
-    ValueError.
     """
-    if engine not in ("auto", "dense", "krylov"):
-        raise ValueError(f"unknown engine {engine!r}")
     if np.any(coupling.entries < 0):
         raise ValueError("couplings must be nonnegative")
     _check_state(basis, psi0)

@@ -205,6 +205,17 @@ class TestExitCodes:
         assert "107,207,100 triples, about 28.9 GB" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):
+        # fig3 at paper scale: 276 pairs x 2 C(22, 11) nonzeros in the N=24
+        # Neel sector, refused before the CSR matrix is built
+        out_dir = tmp_path / "out"
+        code = run_cli(["tmi-vs-entropy", "--n-sites", "24", "--alpha", "0.3",
+                        "--n-points", "2", "--out", str(out_dir)])
+        assert code == 3
+        assert ("sector (24, 12) Hamiltonian has 389,398,464 nonzeros, about 4.7 GB"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs

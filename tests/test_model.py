@@ -12,7 +12,6 @@ from spinchain import (
     ModelSpec,
     SectorHamiltonian,
     StateVector,
-    apply_hamiltonian,
     coupling_matrix,
     enumerate_sector,
     neel_state,
@@ -177,28 +176,45 @@ class TestSectorHamiltonian:
         np.testing.assert_allclose(
             ham.apply(vec), ham.matrix() @ vec, rtol=0, atol=1e-12
         )
-        psi = StateVector(basis8, vec / np.linalg.norm(vec))
-        out = apply_hamiltonian(coupling, basis8, psi)
-        np.testing.assert_allclose(
-            out.amplitudes, ham.apply(psi.amplitudes), atol=1e-14
-        )
-
-    def test_matrix_free_path(self, basis8, rng, monkeypatch):
-        ham = SectorHamiltonian(coupling_matrix(ModelSpec(8, alpha=0.5)), basis8)
-        vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
         # apply also takes a block of columns, here one of shape (dim, 1)
-        col = vec[:, None]
-        cached = ham.apply(vec), ham.apply(col)
-        # apply reads the threshold when it runs: 0 sends every sector matrix-free
-        monkeypatch.setattr("spinchain.model.SPARSE_CACHE_THRESHOLD", 0)
+        col = ham.apply(vec[:, None])
+        assert col.shape == (basis8.dim, 1)
+        np.testing.assert_allclose(col[:, 0], ham.apply(vec), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 12])
+    @pytest.mark.parametrize("alpha", [0.5, 3.0, "nn"])
+    def test_csr_exact_size(self, n, alpha):
+        # nnz = coupled pairs x 2 C(N-2, k-1), and the byte estimate the
+        # guard refuses on is exactly what the built matrix holds
+        spec = ModelSpec(n, nn_limit=True) if alpha == "nn" else ModelSpec(n, alpha=alpha)
+        coupling = coupling_matrix(spec)
+        pairs = n - 1 if alpha == "nn" else n * (n - 1) // 2
+        for k in (0, 1, 2, n // 2, n - 1, n):
+            ham = SectorHamiltonian(coupling, enumerate_sector(n, k))
+            mat = ham.matrix()
+            assert mat.nnz == ham.nnz == (pairs * 2 * math.comb(n - 2, k - 1) if k else 0)
+            assert mat.indices.dtype == mat.indptr.dtype == np.int32
+            assert mat.has_sorted_indices
+            for row in np.split(mat.indices, mat.indptr[1:-1]):
+                assert np.all(np.diff(row) > 0)
+            assert ham.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+
+    def test_budget_refuses_before_building(self, basis8, monkeypatch):
+        coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
+        # 28 pairs x 2 C(6, 3) = 1,120 nonzeros; 12 B each plus 71 row pointers
+        assert SectorHamiltonian(coupling, basis8).nbytes == 13_724
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 13_723)
 
         def no_matrix(self):
-            raise AssertionError("the matrix-free path read the CSR matrix")
+            raise AssertionError("the guard let the CSR build start")
 
         monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
-        np.testing.assert_allclose(ham.apply(vec), cached[0], atol=1e-12)
-        assert ham.apply(col).shape == cached[1].shape == (basis8.dim, 1)
-        np.testing.assert_allclose(ham.apply(col), cached[1], atol=1e-12)
+        with pytest.raises(CapacityError,
+                           match=r"sector \(8, 4\) Hamiltonian has 1,120 nonzeros, "
+                                 r"about 0\.0 GB as a CSR matrix"):
+            SectorHamiltonian(coupling, basis8)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 13_724)
+        SectorHamiltonian(coupling, basis8)
 
     def test_hermitian(self, basis6):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)

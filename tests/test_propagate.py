@@ -108,22 +108,21 @@ class TestDenseEvolution:
         )
 
 
-class TestKrylovEvolution:
-    """The legacy engine name 'krylov' runs the one propagation path."""
+class TestLongTimeEvolution:
+    """Neel quenches out to t = 4-5 on a uniform grid, against the full space."""
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0])
-    def test_matches_dense(self, basis8, alpha):
+    def test_matches_full_space(self, basis8, alpha):
         coupling = coupling_matrix(ModelSpec(8, alpha=alpha))
         psi0 = neel_state(basis8)
         grid = TimeGrid.linspace(4.0, 9)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), grid.times)
-        krylov = evolve(coupling, basis8, psi0, grid, engine="krylov")
-        assert np.max(np.abs(full[:, basis8.states] - krylov.states)) < 1e-12
+        traj = evolve(coupling, basis8, psi0, grid)
+        assert np.max(np.abs(full[:, basis8.states] - traj.states)) < 1e-12
 
     def test_norm_preserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.3))
-        traj = evolve(coupling, basis8, neel_state(basis8), TimeGrid.linspace(5.0, 6),
-                      engine="krylov")
+        traj = evolve(coupling, basis8, neel_state(basis8), TimeGrid.linspace(5.0, 6))
         norms = np.linalg.norm(traj.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -190,31 +189,6 @@ class TestTaylorStepper:
 
 
 class TestEvolveDispatcher:
-    def test_matrix_free_matches_csr(self, basis8, monkeypatch):
-        coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
-        psi0 = neel_state(basis8)
-        grid = TimeGrid.linspace(3.0, 5)
-        csr = evolve(coupling, basis8, psi0, grid)
-        monkeypatch.setattr("spinchain.model.SPARSE_CACHE_THRESHOLD", 0)
-
-        def no_matrix(self):
-            raise AssertionError("the matrix-free path built a CSR matrix")
-
-        monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
-        free = evolve(coupling, basis8, psi0, grid)
-        assert np.max(np.abs(csr.states - free.states)) < 1e-12
-
-    def test_engine_names(self, basis6):
-        coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
-        psi0 = neel_state(basis6)
-        grid = TimeGrid.linspace(1.0, 3)
-        runs = [evolve(coupling, basis6, psi0, grid, engine=name).states
-                for name in ("auto", "dense", "krylov")]
-        for states in runs[1:]:
-            np.testing.assert_array_equal(states, runs[0])
-        with pytest.raises(ValueError):
-            evolve(coupling, basis6, psi0, grid, engine="magic")
-
     def test_trajectory_state_at(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
         traj = evolve(coupling, basis6, neel_state(basis6), TimeGrid.linspace(1.0, 3))
