@@ -171,9 +171,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes.copy())
-
 
 def neel_state(basis: SectorBasis) -> StateVector:
     """Alternating product state |0101...> (odd sites excited)."""

@@ -1,20 +1,21 @@
 """Quench time evolution inside an excitation sector.
 
-One path serves every sector size: a truncated Taylor series with
-scaling (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011) applies
-exp(-iH dt) to the state across each grid interval, driving the sector
-Hamiltonian through its ``apply`` (products with its CSR matrix).  The
-series degree and the number of substeps come from the exact 1-norm of
-H, one product per ``evolve`` call.  The single-excitation helpers
-diagonalize the N x N hopping matrix instead.
+One path serves every sector size and every grid: a Chebyshev expansion
+of exp(-iHt) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984) whose
+vectors T_k(H/R) psi0 come from one three-term recurrence on the sector
+Hamiltonian's ``apply``, weighted by Bessel coefficients J_k(Rt) into
+the state at each grid time.  The single-excitation helpers diagonalize
+the N x N hopping matrix instead.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.special import jv
 
+from .errors import check_budget
 from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
                     StateVector)
 
@@ -84,81 +85,64 @@ def _check_state(basis: SectorBasis, psi0: StateVector):
         raise ValueError(f"initial state is not normalized (norm {psi0.norm})")
 
 
-# theta_m for double precision: ||t A||_1 <= theta_m bounds the backward
-# error of the degree-m Taylor series by 2^-53.  m <= 30 from Higham,
-# Functions of Matrices (SIAM, 2008), Table A.3; m = 35..55 from Al-Mohy
-# and Higham (2011), Table 3.1
-_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
-_TOL = 2.0**-53
+# Coefficients below 2^-53 change no amplitude of a unit-norm state in
+# double precision, since every ||T_k(H/R)|| <= 1
+_CUT = 2.0**-53
+# T_k vectors folded into the trajectory per GEMV: at N=16, 16 folded no
+# faster than 8 at 1.6 MB more peak RSS, and 1 folded fig2's grid 4x slower
+_BLOCK = 8
 
 
-def _taylor_plan(norm: float) -> tuple:
-    """Degree m and substeps s minimising m*s for ||t A||_1 = ``norm``.
+def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
+    """c_k(z) in exp(-i z x) = sum_k c_k(z) T_k(x) on [-1, 1], a row per z.
 
-    Code fragment (3.1) of Al-Mohy and Higham (2011) with the exact
-    1-norm, which also bounds the alpha_p their condition (3.13) would
-    otherwise estimate: alpha_p <= ||t A||_1.
+    c_0 = J_0(z) and c_k = 2 (-i)^k J_k(z).  Columns are kept until one,
+    past k = max(z), has |c_k| < 2^-53 at every z; past k = z, J_k(z)
+    falls with k, so no later column reaches the cut either.
     """
-    return min(((m, max(math.ceil(norm / theta), 1)) for m, theta in _THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
-
-
-def _taylor_step(apply, psi: np.ndarray, dt: float, norm1: float) -> np.ndarray:
-    """exp(-i H dt) psi, with ``apply`` computing H @ v and norm1 = ||H||_1.
-
-    Algorithm 3.2 of Al-Mohy and Higham (2011) for A = -i H: s substeps
-    of a degree-m Taylor series, each ended early once two successive
-    terms fall below 2^-53 of the partial sum.  H has zero trace, so no
-    shift is taken.
-    """
-    m, s = _taylor_plan(dt * norm1)
-    f = psi
-    for _ in range(s):
-        term = f
-        c1 = np.abs(term).max()
-        for j in range(m):
-            term = (-1j * dt / (s * (j + 1))) * apply(term)
-            c2 = np.abs(term).max()
-            f = f + term
-            if c1 + c2 <= _TOL * np.abs(f).max():
-                break
-            c1 = c2
-    return f
+    columns = []
+    for k in itertools.count():
+        c = (2.0 if k else 1.0) * (1, -1j, -1, 1j)[k % 4] * jv(k, z)
+        if k > z.max() and np.abs(c).max() < _CUT:
+            return np.stack(columns, axis=1)
+        columns.append(c)
 
 
 def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
            grid: TimeGrid) -> Trajectory:
-    """States exp(-iHt)|psi0> at every grid time.
+    """States exp(-iHt)|psi0> at every grid time, from one Chebyshev series.
 
-    Each grid interval is one scaled Taylor step (``_taylor_step``) on
-    the sector Hamiltonian's ``apply``, so non-uniform grids need no
-    special case.  H is real, symmetric and entrywise nonnegative, so
-    its exact 1-norm is max(H @ 1): one product per call, and the only
-    one that does not propagate.  A coupling with a negative entry
-    raises ValueError, since that norm would then be too small.
+    exp(-iHt) psi0 = sum_k c_k(Rt) T_k(H/R) psi0 (Tal-Ezer and Kosloff,
+    1984; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).  The vectors
+    T_k(H/R) psi0 do not depend on t, so one three-term recurrence on the
+    sector Hamiltonian's ``apply`` serves every grid time, uniform or
+    not.  H is real, symmetric and entrywise nonnegative, so R = max(H @ 1)
+    is its exact 1-norm and bounds every ||T_k(H/R)|| by 1; a negative
+    coupling raises ValueError.  The trajectory and one block of T_k
+    vectors are refused in bytes (CapacityError) before any product.
     """
     if np.any(coupling.entries < 0):
         raise ValueError("couplings must be nonnegative")
     _check_state(basis, psi0)
     ham = SectorHamiltonian(coupling, basis)
-    norm1 = float(ham.apply(np.ones(basis.dim)).real.max())
     times = grid.physical_times(coupling.kac)
-    out = np.empty((len(times), basis.dim), dtype=np.complex128)
-    psi = psi0.amplitudes
-    t_now = 0.0
-    for i, t in enumerate(times):
-        if t > t_now:
-            psi = _taylor_step(ham.apply, psi, t - t_now, norm1)
-            t_now = t
-        out[i] = psi
+    dim = basis.dim
+    check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
+                 f"{len(times)} states of {dim:,} amplitudes",
+                 16 * (len(times) + _BLOCK) * dim, "with its Chebyshev vectors")
+    radius = float(ham.apply(np.ones(dim)).real.max())
+    coef = _chebyshev_coefficients(radius * times)
+    out = np.zeros((len(times), dim), dtype=np.complex128)
+    block = np.empty((_BLOCK, dim), dtype=np.complex128)
+    prev, cur = None, psi0.amplitudes
+    for k in range(coef.shape[1]):
+        if k:  # T_1 = (H/R) T_0, T_{k+1} = 2 (H/R) T_k - T_{k-1}
+            prev, cur = cur, ham.apply(cur) * (min(k, 2) / radius) - (prev if k > 1 else 0)
+        block[k % _BLOCK] = cur
+        if k % _BLOCK == _BLOCK - 1 or k == coef.shape[1] - 1:
+            lo = k - k % _BLOCK
+            for row, c in zip(out, coef[:, lo:k + 1]):
+                row += c @ block[:k + 1 - lo]
     return Trajectory(grid=grid, basis=basis, states=out)
 
 

@@ -17,7 +17,7 @@ from scipy.special import xlogy
 
 from .bits import bit_positions
 from .errors import CapacityError
-from .model import CouplingMatrix, SectorBasis, StateVector
+from .model import CouplingMatrix, StateVector
 
 FULL_SPACE_MAX_SITES = 12
 
@@ -27,9 +27,9 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
 
 __all__ = [
-    "op_at", "full_hamiltonian", "total_z_diagonal", "embed_state",
-    "project_state", "evolve_full", "reduced_spectrum_full",
-    "subset_entropy_full", "mutual_information_full", "tmi_full",
+    "op_at", "full_hamiltonian", "embed_state", "evolve_full",
+    "reduced_spectrum_full", "subset_entropy_full", "mutual_information_full",
+    "tmi_full",
 ]
 
 
@@ -72,13 +72,6 @@ def full_hamiltonian(coupling: CouplingMatrix) -> np.ndarray:
     return np.ascontiguousarray(h.real)
 
 
-def total_z_diagonal(n_sites: int) -> np.ndarray:
-    """Eigenvalues of sum_m Z_m over all full-space basis states."""
-    _check_sites(n_sites)
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    return 2.0 * np.bitwise_count(states).astype(float) - n_sites
-
-
 def embed_state(psi: StateVector) -> np.ndarray:
     """Sector state as a full 2^N amplitude vector."""
     _check_sites(psi.basis.n_sites)
@@ -87,22 +80,16 @@ def embed_state(psi: StateVector) -> np.ndarray:
     return full
 
 
-def project_state(full: np.ndarray, basis: SectorBasis) -> StateVector:
-    """Restriction of a full-space vector to one excitation sector."""
-    return StateVector(basis, np.asarray(full)[basis.states])
-
-
 def evolve_full(coupling: CouplingMatrix, psi_full: np.ndarray,
                 times) -> np.ndarray:
     """exp(-iHt)|psi> on the full space for every t, via diagonalization."""
-    h = full_hamiltonian(coupling)
-    w, v = eigh(h)
-    coeff = v.T @ np.asarray(psi_full, dtype=np.complex128)
+    w, v = eigh(full_hamiltonian(coupling), driver="evd")
+    psi = np.asarray(psi_full, dtype=np.complex128)
+    # real products throughout: a mixed real-complex one copies v as complex
+    coeff = v.T @ psi.real + 1j * (v.T @ psi.imag)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty((len(times), h.shape[0]), dtype=np.complex128)
-    for i, t in enumerate(times):
-        out[i] = v @ (np.exp(-1j * w * t) * coeff)
-    return out
+    rows = np.exp(-1j * np.outer(times, w)) * coeff
+    return rows.real @ v.T + 1j * (rows.imag @ v.T)
 
 
 def reduced_spectrum_full(psi_full: np.ndarray, n_sites: int, mask: int) -> np.ndarray:

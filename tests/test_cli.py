@@ -216,6 +216,17 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
+    def test_trajectory_capacity_is_3(self, tmp_path, capsys):
+        # fig3 at paper scale, nn: the 0.4 GB matrix fits, but 161 states of
+        # the N=24 Neel sector do not, so evolve refuses before any product
+        out_dir = tmp_path / "out"
+        code = run_cli(["tmi-vs-entropy", "--config", "fig3", "--paper-scale",
+                        "--alpha", "nn", "--out", str(out_dir)])
+        assert code == 3
+        assert ("sector (24, 12) trajectory has 161 states of 2,704,156 amplitudes, "
+                "about 7.3 GB" in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs

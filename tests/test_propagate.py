@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from spinchain import (
     ModelSpec,
@@ -14,7 +15,8 @@ from spinchain import (
     onebody_amplitudes,
     single_excitation_state,
 )
-from spinchain import propagate, reference
+from spinchain import reference
+from spinchain.errors import CapacityError
 from spinchain.model import CouplingMatrix, StateVector
 
 
@@ -128,7 +130,10 @@ class TestLongTimeEvolution:
 
 
 class TestTaylorStepper:
-    """The scaled Taylor stepper against the full-space diagonalization."""
+    """The Chebyshev propagator against the full-space diagonalization.
+
+    The class keeps its original name so that its test ids stay stable.
+    """
 
     @pytest.mark.parametrize("n", [8, 10])
     @pytest.mark.parametrize("alpha", [0.2, 1.0, 3.0, "nn"])
@@ -140,14 +145,23 @@ class TestTaylorStepper:
         grids = [
             kac,
             TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.2, 4.25])),
-            # one interval with ||dt H||_1 = 100 > 63.4: several substeps
+            # one interval with ||dt H||_1 = 100: about 150 terms
             TimeGrid(np.array([0.0, 100.0 / _exact_norm1(coupling, basis)])),
         ]
-        assert propagate._taylor_plan(100.0)[1] > 1
         states = np.concatenate([evolve(coupling, basis, psi0, g).states for g in grids])
         times = np.concatenate([g.physical_times(coupling.kac) for g in grids])
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
+
+    def test_long_physical_window(self):
+        # fig2's window at alpha = 0, where R t reaches its largest
+        coupling = _coupling(12, 0.0)
+        basis = enumerate_sector(12, 6)
+        psi0 = neel_state(basis)
+        grid = TimeGrid.linspace(5.0, 201)
+        traj = evolve(coupling, basis, psi0, grid)
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), grid.times)
+        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_single_excitation_sector(self):
         coupling = _coupling(8, 0.5)
@@ -158,8 +172,18 @@ class TestTaylorStepper:
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_zero_hamiltonian_returns_input(self, k):
+        # the empty and the full sector hold one state and H = 0, so R = 0
+        basis = enumerate_sector(8, k)
+        psi0 = StateVector(basis, np.array([1j]))
+        traj = evolve(_coupling(8, 0.5), basis, psi0, TimeGrid.linspace(5.0, 11))
+        np.testing.assert_array_equal(traj.states, np.full((11, 1), 1j))
+
     def test_products_are_propagation_plus_one_norm(self, monkeypatch):
-        # every product but one propagates: no 1-norm estimation per interval
+        # one product for the 1-norm R, then one per Chebyshev term past T_0:
+        # K terms, cut after max(R t) at the first k with every
+        # |c_k| = 2 |J_k(R t)| below 2^-53
         coupling = _coupling(12, 0.5)
         basis = enumerate_sector(12, 6)
         grid = TimeGrid.linspace(0.8, 31, kac_rescaled=True)
@@ -168,10 +192,24 @@ class TestTaylorStepper:
         monkeypatch.setattr(SectorHamiltonian, "apply",
                             lambda self, vec: calls.append(1) or apply(self, vec))
         evolve(coupling, basis, neel_state(basis), grid)
-        norm1 = _exact_norm1(coupling, basis)
-        plans = [propagate._taylor_plan(dt * norm1)
-                 for dt in np.diff(grid.physical_times(coupling.kac))]
-        assert len(calls) <= 1 + sum(m * s for m, s in plans)
+        z = _exact_norm1(coupling, basis) * grid.physical_times(coupling.kac)
+        n_terms = next(k for k in range(1, 1000)
+                       if k > z.max() and 2 * np.abs(jv(k, z)).max() < 2.0**-53)
+        assert len(calls) == 1 + (n_terms - 1)
+        assert len(calls) <= 60
+
+    def test_trajectory_refused_before_any_product(self, basis8, monkeypatch):
+        # 31 states and 8 Chebyshev vectors of 70 amplitudes, 16 B each
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 16 * 39 * 70 - 1)
+
+        def no_product(self, vec):
+            raise AssertionError("a product ran before the trajectory guard")
+
+        monkeypatch.setattr(SectorHamiltonian, "apply", no_product)
+        with pytest.raises(CapacityError,
+                           match=r"sector \(8, 4\) trajectory has 31 states of 70 amplitudes"):
+            evolve(_coupling(8, 0.4), basis8, neel_state(basis8),
+                   TimeGrid.linspace(3.0, 31))
 
     def test_negative_coupling_refused(self, basis6):
         entries = coupling_matrix(ModelSpec(6, alpha=1.0)).entries.copy()
