@@ -26,7 +26,7 @@ from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
                          contiguous_quarters, enumerate_partitions, extrema,
                          lightcone_onset, tau_sign_change)
-from .propagate import TimeGrid, Trajectory, evolve, onebody_amplitudes
+from .propagate import TimeGrid, Trajectory, evolve
 
 __all__ = [
     "__version__",
@@ -36,7 +36,7 @@ __all__ = [
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "total_excitation_mask_weight",
-    "TimeGrid", "Trajectory", "evolve", "onebody_amplitudes",
+    "TimeGrid", "Trajectory", "evolve",
     "EntropyTablePlan", "SchmidtSpectrum", "SiteSubset", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",

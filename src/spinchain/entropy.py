@@ -145,18 +145,9 @@ def _block_index_grids(basis: SectorBasis, mask: int):
         yield sel[order].astype(np.int32).reshape(math.comb(n_a, j), -1)
 
 
-def _check_basis(psi: StateVector, basis: SectorBasis | None) -> SectorBasis:
-    if basis is None:
-        return psi.basis
-    if (basis.n_sites, basis.n_excitations) != (psi.basis.n_sites, psi.basis.n_excitations):
-        raise ValueError("basis does not match the state's sector")
-    return basis
-
-
-def subsystem_spectrum(psi: StateVector, basis: SectorBasis | None = None,
-                       subset=None) -> SchmidtSpectrum:
+def subsystem_spectrum(psi: StateVector, subset=None) -> SchmidtSpectrum:
     """Schmidt spectrum of the sites in ``subset`` against the rest."""
-    basis = _check_basis(psi, basis)
+    basis = psi.basis
     mask = _as_mask(subset, basis.n_sites)
     if mask == 0 or mask == basis.full_mask:
         return SchmidtSpectrum(np.array([1.0]))
@@ -323,15 +314,12 @@ class EntropyTablePlan:
         return SubsetEntropyTable(self.basis.n_sites, self.mask_array, ent[self._slots])
 
 
-def subset_entropy_table(psi: StateVector, basis: SectorBasis | None = None,
-                         masks=None) -> SubsetEntropyTable:
+def subset_entropy_table(psi: StateVector, masks=None) -> SubsetEntropyTable:
     """Entropies of the requested subsets (all bitmasks when ``masks`` is None).
 
     A table for explicit masks also holds the empty set and the whole chain.
     """
-    basis = _check_basis(psi, basis)
-    plan = EntropyTablePlan(basis, masks)
-    return plan.evaluate(psi.amplitudes)
+    return EntropyTablePlan(psi.basis, masks).evaluate(psi.amplitudes)
 
 
 def _disjoint_masks(table, subsets):

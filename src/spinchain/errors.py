@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the memory budget."""
 
-# Memory one partition family or one sector Hamiltonian may take; the
-# size guards refuse anything larger before allocating it
+# Memory one guarded allocation may take (a partition family, a sector basis,
+# Hamiltonian or trajectory, the k=1 entropy table); the size guards refuse
+# anything larger before allocating it
 MEMORY_BUDGET = 2 << 30
 
 

@@ -15,9 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bits import popcount
-from .errors import CapacityError, check_budget
-
-_MAX_SECTOR_DIM = 2**31 - 1
+from .errors import check_budget
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,10 @@ class SectorBasis:
 
     def __init__(self, n_sites: int, n_excitations: int):
         dim = sector_dimension(n_sites, n_excitations)
-        if dim > _MAX_SECTOR_DIM:
-            raise CapacityError(
-                f"sector ({n_sites}, {n_excitations}) dimension {dim} exceeds "
-                f"the addressable index range"
-            )
+        # 8 B per int64 mask: the budget admits at most 2^28 states, so every
+        # rank also fits the int32 indices of the sector's CSR matrix
+        check_budget(f"sector ({n_sites}, {n_excitations}) has {dim:,} states",
+                     8 * dim, "as int64 masks")
         self.n_sites = n_sites
         self.n_excitations = n_excitations
         self.states = _enumerate_masks(n_sites, n_excitations)

@@ -4,24 +4,21 @@ One path serves every sector size and every grid: a Chebyshev expansion
 of exp(-iHt) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984) whose
 vectors T_k(H/R) psi0 come from one three-term recurrence on the sector
 Hamiltonian's ``apply``, weighted by Bessel coefficients J_k(Rt) into
-the state at each grid time.  The single-excitation helpers diagonalize
-the N x N hopping matrix instead.
+the state at each grid time.  The single-excitation sector takes the
+same path as every other.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.special import jv
 
 from .errors import check_budget
 from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
                     StateVector)
 
-__all__ = [
-    "TimeGrid", "Trajectory", "evolve", "onebody_amplitudes", "onebody_hamiltonian",
-]
+__all__ = ["TimeGrid", "Trajectory", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -144,20 +141,3 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
             for row, c in zip(out, coef[:, lo:k + 1]):
                 row += c @ block[:k + 1 - lo]
     return Trajectory(grid=grid, basis=basis, states=out)
-
-
-def onebody_hamiltonian(coupling: CouplingMatrix) -> np.ndarray:
-    """Single-excitation Hamiltonian h_mn = 2 J_mn (zero diagonal)."""
-    return 2.0 * coupling.entries
-
-
-def onebody_amplitudes(coupling: CouplingMatrix, site: int, times: np.ndarray) -> np.ndarray:
-    """Site amplitudes c_m(t) for an excitation starting at ``site``.
-
-    Returns an (n_times, n_sites) array; one diagonalization serves all
-    times.
-    """
-    w, v = eigh(onebody_hamiltonian(coupling))
-    coeff = v[site]  # v.T @ e_site
-    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
-    return (phases * coeff) @ v.T

@@ -6,6 +6,9 @@ diagonalizes the full matrix, and reduced density matrices come from
 literal partial traces.  Deliberately simple and exponentially expensive,
 these routines exist to validate the production pipeline (see the CLI
 ``validate`` subcommand) and the test suite, not to run experiments.
+The one exception to the 12-site cap is ``onebody_amplitudes``, which
+diagonalizes the N x N single-excitation Hamiltonian: the k=1 oracle at
+any N.
 """
 
 import math
@@ -29,7 +32,7 @@ PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
 __all__ = [
     "op_at", "full_hamiltonian", "embed_state", "evolve_full",
     "reduced_spectrum_full", "subset_entropy_full", "mutual_information_full",
-    "tmi_full",
+    "tmi_full", "onebody_amplitudes",
 ]
 
 
@@ -131,3 +134,15 @@ def tmi_full(psi_full: np.ndarray, n_sites: int, a: int, b: int, c: int) -> floa
             + s(psi_full, n_sites, c) + s(psi_full, n_sites, a | b | c)
             - s(psi_full, n_sites, a | b) - s(psi_full, n_sites, a | c)
             - s(psi_full, n_sites, b | c))
+
+
+def onebody_amplitudes(coupling: CouplingMatrix, site: int, times) -> np.ndarray:
+    """Site amplitudes c_m(t) of one excitation starting at ``site``.
+
+    One diagonalization of h_mn = 2 J_mn serves every time.  Returns an
+    (n_times, n_sites) array whose column m is site m, which is also the
+    rank of 1 << m in the k=1 sector basis.
+    """
+    w, v = eigh(2.0 * coupling.entries)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
+    return (phases * v[site]) @ v.T

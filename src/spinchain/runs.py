@@ -26,11 +26,11 @@ from .datasets import Dataset
 from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
                       subset_entropy_table, tmi)
 from .errors import ConfigError, NumericalConsistencyError
-from .model import (ModelSpec, StateVector, coupling_matrix, enumerate_sector,
-                    neel_state, single_excitation_state)
+from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
+                    single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
 from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
-from .propagate import TimeGrid, evolve, onebody_amplitudes
+from .propagate import TimeGrid, evolve
 
 # Nonnegativity floor asserted by the 1-excitation scan.
 ONEBODY_TMI_FLOOR = 1e-10
@@ -249,10 +249,10 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 # -- onebody-scan --------------------------------------------------------------
 
 def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    site = cfg.resolved_site()
-    scan = onebody_tmi_scan(coupling, site, grid, pset)
-    occupations = np.abs(onebody_amplitudes(coupling, site,
-                                            grid.physical_times(coupling.kac))) ** 2
+    basis, psi0 = _initial_state(cfg)
+    # k=1 basis states ascend as 1 << site, so column m is site m
+    occupations = np.abs(evolve(coupling, basis, psi0, grid).states) ** 2
+    scan = onebody_tmi_scan(occupations, grid.physical_times(coupling.kac), pset)
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
         columns[f"p{m}"] = occupations[:, m].tolist()
@@ -338,11 +338,12 @@ def _check_tmi_oracle():
 
 
 def _check_onebody_oracle():
-    coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
-    amps = onebody_amplitudes(coupling, 3, np.array([2.1]))[0]
     basis = enumerate_sector(8, 1)
+    psi = evolve(coupling_matrix(ModelSpec(8, alpha=0.5)), basis,
+                 single_excitation_state(basis, 3), TimeGrid(np.array([2.1]))).state_at(0)
     # k=1 basis states ascend as 1 << site, so site amplitudes map directly
-    table = subset_entropy_table(StateVector(basis, amps))
+    amps = psi.amplitudes
+    table = subset_entropy_table(psi)
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for _ in range(5):

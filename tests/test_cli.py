@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinchain
 from spinchain.cli import main
 
 SMOKE_CFG = """\
@@ -227,6 +230,20 @@ class TestExitCodes:
                 "about 7.3 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
+    def test_onebody_table_capacity_is_3(self, tmp_path, capsys):
+        # 50 B per (mask, time) over 2^24 masks and 17 times; the scan is
+        # refused before its table is allocated
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "24",
+                        "--partitions", "contiguous", "--n-points", "17",
+                        "--out", str(out_dir)])
+        assert code == 3
+        assert ("k=1 entropy table of 24 sites has 16,777,216 masks x 17 times, "
+                "about 14.3 GB" in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs
@@ -345,3 +362,16 @@ class TestDeterminism:
                             "--out", str(out_dir)]) == 0
             blobs.append((out_dir / "tmi_grid.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_runtime_imports_leave_scipy_linalg_out():
+    # only the reference oracles diagonalize; the runners never import them
+    # at module level
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinchain.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, spinchain.cli, spinchain.runs; "
+                               "print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -73,14 +73,14 @@ class TestSchmidtSpectrum:
 class TestSubsystemSpectrum:
     def test_product_state_is_pure(self, basis6):
         psi = neel_state(basis6)
-        spec = subsystem_spectrum(psi, basis6, 0b000111)
+        spec = subsystem_spectrum(psi, 0b000111)
         np.testing.assert_allclose(spec.weights[0], 1.0, atol=1e-14)
         assert spec.entropy() == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_pair(self):
         basis = enumerate_sector(2, 1)
         psi = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        spec = subsystem_spectrum(psi, basis, 0b01)
+        spec = subsystem_spectrum(psi, 0b01)
         np.testing.assert_allclose(spec.weights, [0.5, 0.5], atol=1e-14)
         assert spec.entropy() == pytest.approx(1.0)
 
@@ -162,9 +162,9 @@ class TestSubsetEntropyTable:
         )
         assert worst < 1e-10
 
-    def test_masks_mode(self, evolved8, basis8):
+    def test_masks_mode(self, evolved8):
         masks = [0b1, 0b1100, 0b11110000]
-        table = subset_entropy_table(evolved8, basis8, masks=masks)
+        table = subset_entropy_table(evolved8, masks=masks)
         assert not table.is_dense
         assert set(table.mask_array) >= set(masks)
         dense = subset_entropy_table(evolved8)
@@ -173,8 +173,8 @@ class TestSubsetEntropyTable:
         with pytest.raises(KeyError):
             table[0b1010]
 
-    def test_gather_rejects_absent_masks(self, evolved8, basis8):
-        table = subset_entropy_table(evolved8, basis8, masks=[0b1, 0b1100, 0b110000])
+    def test_gather_rejects_absent_masks(self, evolved8):
+        table = subset_entropy_table(evolved8, masks=[0b1, 0b1100, 0b110000])
         present = np.array([0b110000, 0b1, 0b1100, 0])
         np.testing.assert_array_equal(
             table.gather(present), [table[int(m)] for m in present])

@@ -108,8 +108,14 @@ class TestSectorBasis:
         assert enumerate_sector(6, 3) is enumerate_sector(6, 3)
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
+        # 8 B per int64 mask, refused before Gosper's loop runs
+        with pytest.raises(CapacityError, match=r"sector \(40, 20\) has 137,846,528,820 "
+                                                r"states, about 1102\.8 GB as int64 masks"):
             enumerate_sector(40, 20)
+        with pytest.raises(CapacityError, match=r"sector \(32, 16\) has 601,080,390 states, "
+                                                r"about 4\.8 GB as int64 masks, over the "
+                                                r"2 GiB budget"):
+            enumerate_sector(32, 16)
 
     @given(
         st.integers(min_value=2, max_value=10).flatmap(

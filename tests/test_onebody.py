@@ -24,13 +24,21 @@ from spinchain import (
     subset_entropy_table,
     tmi_binary,
 )
+from spinchain import reference
 from spinchain.bits import bit_positions
+from spinchain.config import load_config
 from spinchain.onebody import _subset_probability_table
+from spinchain.runs import run_onebody_scan
 
 # 3 H(1/4) + H(3/4) - 3 H(1/2) at the simplex center
 TMI_AT_QUARTER_POINT = 4.0 * (0.5 + 0.75 * math.log2(4.0 / 3.0)) - 3.0
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+def _occupations(coupling, site, grid):
+    """Site weights |c_m(t)|^2 from the N x N oracle, a row per grid time."""
+    return np.abs(reference.onebody_amplitudes(coupling, site, grid.times)) ** 2
 
 
 class TestBinaryEntropy:
@@ -165,7 +173,7 @@ class TestOnebodyScan:
         grid = TimeGrid.linspace(1.2, 7)
         pset = enumerate_partitions(8, "all")
 
-        series = onebody_tmi_scan(coupling, 3, grid, pset)
+        series = onebody_tmi_scan(_occupations(coupling, 3, grid), grid.times, pset)
         traj = evolve(coupling, basis, psi0, grid)
         for i in range(len(grid)):
             vals = pset.tmi_values(subset_entropy_table(traj.state_at(i)))
@@ -177,7 +185,7 @@ class TestOnebodyScan:
         coupling = coupling_matrix(spec)
         grid = TimeGrid.linspace(3.0, 31)
         pset = enumerate_partitions(10, "all")
-        series = onebody_tmi_scan(coupling, 4, grid, pset)
+        series = onebody_tmi_scan(_occupations(coupling, 4, grid), grid.times, pset)
         assert series.min_values.min() >= -1e-12
 
     def test_initial_state_has_zero_tmi(self):
@@ -185,7 +193,7 @@ class TestOnebodyScan:
         coupling = coupling_matrix(spec)
         grid = TimeGrid.linspace(1.0, 3)
         pset = enumerate_partitions(8, "contiguous")
-        series = onebody_tmi_scan(coupling, 0, grid, pset)
+        series = onebody_tmi_scan(_occupations(coupling, 0, grid), grid.times, pset)
         assert series.min_values[0] == 0.0
         assert series.max_values[0] == 0.0
 
@@ -205,7 +213,8 @@ class TestOnebodyScan:
         grid = TimeGrid(np.linspace(0.1, 1.6, 16))
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
-            series = onebody_tmi_scan(coupling_matrix(ModelSpec(n, alpha=alpha)), 3, grid, pset)
+            coupling = coupling_matrix(ModelSpec(n, alpha=alpha))
+            series = onebody_tmi_scan(_occupations(coupling, 3, grid), grid.times, pset)
             for i in np.concatenate([series.argmin, series.argmax]):
                 a, b, c = pset[int(i)].masks()
                 if a | b | c == full:
@@ -220,8 +229,9 @@ class TestOnebodyScan:
         # full-length lookup arrays are never built
         family = enumerate_partitions(8, "all")
         pset = PartitionSet(8, family.a, family.b, family.c)
-        onebody_tmi_scan(coupling_matrix(ModelSpec(8, alpha=0.7)), 3,
-                         TimeGrid.linspace(1.2, 5), pset)
+        grid = TimeGrid.linspace(1.2, 5)
+        onebody_tmi_scan(_occupations(coupling_matrix(ModelSpec(8, alpha=0.7)), 3, grid),
+                         grid.times, pset)
         assert "lookup_masks" not in pset.__dict__
 
     def test_rejects_mismatched_chain(self):
@@ -229,4 +239,25 @@ class TestOnebodyScan:
         grid = TimeGrid.linspace(1.0, 3)
         pset = enumerate_partitions(6, "all")
         with pytest.raises(ValueError):
-            onebody_tmi_scan(coupling, 0, grid, pset)
+            onebody_tmi_scan(_occupations(coupling, 0, grid), grid.times, pset)
+
+
+class TestOnebodyRunner:
+    def test_occupation_columns_match_oracle(self):
+        # the runner reads column m of the k=1 trajectory as site m, which
+        # holds because the sector rank of 1 << m is m
+        n, site = 16, 5
+        cfg = load_config(None, {
+            "model.n_sites": str(n), "model.alphas": "0.3, 2.5", "model.nn_limit": "true",
+            "initial.state": f"single:{site}", "time.t_max": "3.0", "time.n_points": "9",
+            "time.kac_rescaled": "true", "partitions.strategy": "contiguous"})
+        (data,) = run_onebody_scan(cfg)
+        labels = np.array(data.columns["alpha"])
+        for label, spec in cfg.sweep():
+            rows = labels == label
+            times = np.array(data.columns["t"])[rows]
+            oracle = np.abs(reference.onebody_amplitudes(coupling_matrix(spec), site,
+                                                         times)) ** 2
+            occupations = np.column_stack([np.array(data.columns[f"p{m}"])[rows]
+                                           for m in range(n)])
+            np.testing.assert_allclose(occupations, oracle, rtol=0, atol=1e-12)

@@ -26,10 +26,9 @@ from spinchain import (
     tau_sign_change,
     tmi,
 )
-from spinchain import partitions
+from spinchain import partitions, reference
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
-from spinchain.propagate import onebody_amplitudes
 
 
 def brute_force_all_assignments(n):
@@ -290,8 +289,8 @@ class TestExtremaAndTau:
 
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         times = np.linspace(0.0, 2.0, n_points)
-        amps = onebody_amplitudes(coupling, 3, times)
-        series = onebody_tmi_scan(coupling, 3, TimeGrid(times), pset)
+        amps = reference.onebody_amplitudes(coupling, 3, times)
+        series = onebody_tmi_scan(np.abs(amps) ** 2, times, pset)
         for k, (lo, i_min, hi, i_max) in enumerate(per_time_scan(np.abs(amps) ** 2)):
             assert (series.min_values[k], series.argmin[k], series.max_values[k],
                     series.argmax[k]) == (lo, i_min, hi, i_max)

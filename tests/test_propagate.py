@@ -1,4 +1,4 @@
-"""Time grids, sector propagation and the single-excitation propagator."""
+"""Time grids and sector propagation, the single-excitation sector included."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from spinchain import (
     enumerate_sector,
     evolve,
     neel_state,
-    onebody_amplitudes,
     single_excitation_state,
 )
 from spinchain import reference
@@ -237,15 +236,18 @@ class TestEvolveDispatcher:
 
 
 class TestOneBody:
-    def test_amplitudes_match_sector_evolution(self):
-        # k=1 sector masks ascend as 1 << site, so columns line up with sites.
-        n, site = 8, 3
-        coupling = coupling_matrix(ModelSpec(n, alpha=0.5))
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    @pytest.mark.parametrize("alpha", [0.3, 2.5, "nn"])
+    def test_amplitudes_match_sector_evolution(self, n, alpha):
+        # k=1 sector masks ascend as 1 << site, so columns line up with sites;
+        # the N x N oracle is exact beyond the full-space reference's cap
+        site = 3
+        coupling = _coupling(n, alpha)
         times = np.array([0.0, 0.9, 2.2])
-        amps = onebody_amplitudes(coupling, site, times)
         basis = enumerate_sector(n, 1)
         traj = evolve(coupling, basis, single_excitation_state(basis, site),
                       TimeGrid(times))
-        np.testing.assert_allclose(amps, traj.states, atol=1e-11)
-        norms = np.linalg.norm(amps, axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        oracle = reference.onebody_amplitudes(coupling, site, times)
+        np.testing.assert_allclose(traj.states, oracle, rtol=0, atol=1e-12)
+        norms = np.linalg.norm(traj.states, axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)

@@ -12,10 +12,12 @@ fixed list of CLI invocations then runs on REF and on this checkout
 compared with REF's run at one worker: exit status, each dataset file,
 stdout and stderr.  Every difference, and every invocation that fails, is
 printed; a differing dataset file also gets the largest absolute
-difference between its numbers.  The exit status is 1 if there is any
+difference between its numbers, and a differing CSV file the count of
+differing cells in each column.  The exit status is 1 if there is any
 difference or failure, else 0.
 """
 
+import csv
 import filecmp
 import os
 import re
@@ -88,9 +90,25 @@ def run_all(tree, label, scratch):
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
+def column_counts(ref, run):
+    """Differing cells of two CSV datasets, in total and per column, e.g.
+    "24 of 578 cells differ: p0 3, p4 21"; None if their headers differ."""
+    ref_rows, run_rows = ([row for row in csv.reader(text.decode().splitlines())
+                           if row and not row[0].startswith("# ")] for text in (ref, run))
+    if ref_rows[:1] != run_rows[:1]:
+        return None
+    header, counts = ref_rows[0], [0] * len(ref_rows[0])
+    for ref_row, run_row in zip(ref_rows[1:], run_rows[1:]):
+        for i, (x, y) in enumerate(zip(ref_row, run_row)):
+            counts[i] += x != y
+    columns = ", ".join(f"{name} {n}" for name, n in zip(header, counts) if n)
+    return f"{sum(counts)} of {len(header) * (len(ref_rows) - 1)} cells differ: {columns}"
+
+
 def deviation(ref_path, run_path):
     """How two dataset files differ: the largest absolute difference of
-    their numbers, or a note that the text around the numbers differs."""
+    their numbers, with column_counts for a CSV file, or a note that the
+    text around the numbers differs."""
     with open(ref_path, "rb") as fh:
         ref = fh.read()
     with open(run_path, "rb") as fh:
@@ -99,7 +117,8 @@ def deviation(ref_path, run_path):
         return "text differs"
     largest = max((abs(float(x) - float(y)) for x, y in
                    zip(_NUMBER.findall(ref), _NUMBER.findall(run)) if x != y), default=0.0)
-    return f"max |diff| {largest:.3g}"
+    counts = column_counts(ref, run) if ref_path.endswith(".csv") else None
+    return f"max |diff| {largest:.3g}" + (f"; {counts}" if counts else "")
 
 
 def differences(ref_dir, run_dir):
