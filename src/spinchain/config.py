@@ -115,6 +115,9 @@ class RunConfig:
             raise ConfigError(f"model.paper_n_sites: need at least 2 sites, got {self.paper_n_sites}")
         if self.initial_state not in ("neel", "single"):
             raise ConfigError(f"initial.state: expected 'neel' or 'single[:site]', got {self.initial_state!r}")
+        if self.initial_state == "neel" and self.initial_site is not None:
+            raise ConfigError(f"initial.state: the Neel state takes no site, "
+                              f"got 'neel:{self.initial_site}'")
         if self.initial_site is not None and not 0 <= self.initial_site < self.n_sites:
             raise ConfigError(
                 f"initial.state: site {self.initial_site} outside [0, {self.n_sites})")

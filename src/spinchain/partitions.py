@@ -16,6 +16,7 @@ times rather than once per time.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -29,11 +30,11 @@ ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
 
-# Peak memory per triple of the fixed-sizes enumeration, which collects
-# Python tuples in a set (measured at 180-270 B).  The all-assignments
-# family holds three int64 masks per triple, and its count grows as 4^N/6
-# (N=14: 1.0 GB; N=15: 4.1 GB, over errors.MEMORY_BUDGET)
-FIXED_SIZES_BYTES_PER_TRIPLE = 270
+# Scratch bytes per mask of the chain (2^N) that enumerating a family of
+# assignments holds beside its masks and labeling tables: the masks 0..2^N-1
+# (8), their popcounts (1), the choices of A (up to 8) and, per A, a masked
+# copy (8), its flags (1) and the submasks of the rest (up to 4)
+SCRATCH_BYTES_PER_MASK = 32
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
 # Bytes of one block of gathered table rows in tmi_extrema.  A block holds
@@ -171,17 +172,21 @@ class PartitionSet:
         full = (1 << self.n_sites) - 1
         return (self.a | self.b | self.c) == full
 
-    def _tmi_block(self, table: SubsetEntropyTable, start=0, stop=None) -> tuple:
+    def _tmi_block(self, table: SubsetEntropyTable, start=0, stop=None, work=None) -> tuple:
         """TMI of triples start:stop, a row per triple, and their lookup masks.
 
         The one gather behind tmi_values and tmi_extrema: whole table rows
-        of the seven lookup masks, summed by tmi_terms.
+        of the seven lookup masks, summed by tmi_terms.  The rows land in
+        ``work``, seven arrays of at least the block's shape (new if None).
         """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
         masks = self._lookups(start, stop)
-        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0)
-                           for m in masks))
+        if work is None:
+            work = np.empty((7, len(masks[0]), *table.values.shape[1:]))
+        # positions() checked every index; mode="raise" would copy via a buffer
+        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0, mode="clip",
+                                   out=w[:len(m)]) for m, w in zip(masks, work)))
         return vals, masks
 
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
@@ -216,51 +221,73 @@ def contiguous_quarters(n_sites: int) -> PartitionTriple:
         n_sites, block, block << w, block << (2 * w))
 
 
-def all_assignments_count(n_sites: int) -> int:
-    """Number of canonical triples in the all-assignments family."""
-    # inclusion-exclusion over empty bins, divided by the 3! relabelings
-    return (4**n_sites - 3 * 3**n_sites + 3 * 2**n_sites - 1) // 6
+def fixed_sizes_count(n_sites: int, sizes) -> int:
+    """Number of canonical triples (len(sizes)-tuples) in the fixed-sizes family."""
+    count, free = 1, n_sites
+    for size in sizes:
+        count *= math.comb(free, size)
+        free -= size
+    # labeled tuples, divided by the relabelings among equal sizes
+    for size in set(sizes):
+        count //= math.factorial(sizes.count(size))
+    return count
 
 
-def _labelings(n_bits: int):
-    """Ternary (B, C) labelings of n_bits bits, as (beta, gamma) mask arrays.
+def _family_count(n_sites: int, sizes, parts: int = 3) -> int:
+    """Canonical ``parts``-tuples of assignments with these sizes (None: any)."""
+    if sizes is not None:
+        return fixed_sizes_count(n_sites, sizes)
+    # inclusion-exclusion over empty bins, divided by the relabelings
+    return sum((-1)**j * math.comb(parts, j) * (parts + 1 - j)**n_sites
+               for j in range(parts + 1)) // math.factorial(parts)
 
-    Keeps disjoint nonempty beta < gamma, sorted by (beta, gamma).
+
+def _rest_sizes(n_sites: int, sizes) -> dict:
+    """For each number of sites A may leave, the sizes of B and C (None: any)."""
+    if sizes is None:
+        return dict.fromkeys(range(2, n_sites))
+    return {n_sites - size: sizes[:i] + sizes[i + 1:] for i, size in enumerate(sizes)}
+
+
+def _labelings(every, counts, n_bits: int, pair):
+    """(B, C) labelings of n_bits bits, as (beta, gamma) mask arrays.
+
+    Keeps disjoint nonempty beta < gamma, sorted by (beta, gamma), whose
+    popcounts are ``pair`` in either order (any, if None).  ``every`` and
+    ``counts`` are the masks 0, 1, 2, ... and their popcounts.
     """
-    codes = np.arange(3**n_bits, dtype=np.int64)
-    beta = np.zeros_like(codes)
-    gamma = np.zeros_like(codes)
-    for j in range(n_bits):
-        digit = codes % 3
-        codes //= 3
-        beta |= (digit == 1).astype(np.int64) << j
-        gamma |= (digit == 2).astype(np.int64) << j
-    keep = (beta > 0) & (gamma > beta)
-    beta, gamma = beta[keep], gamma[keep]
-    order = np.lexsort((gamma, beta))
-    return beta[order], gamma[order]
+    masks = every[1:1 << n_bits]
+    if pair is not None:
+        masks = masks[np.isin(counts[masks], pair)]
+    gammas = []
+    for i, beta in enumerate(masks):  # ascending: gamma > beta is a suffix
+        later = masks[i + 1:]
+        keep = (later & beta) == 0
+        if pair is not None:
+            keep &= counts[later] == sum(pair) - counts[beta]
+        gammas.append(later[keep])
+    return np.repeat(masks, [len(g) for g in gammas]), np.concatenate(gammas)
 
 
-def _enumerate_all_assignments(n_sites: int) -> PartitionSet:
+def _enumerate_assignments(n_sites: int, sizes=None) -> PartitionSet:
     """Canonical triples in (a, b, c) order, one numpy slice per A.
 
-    B and C label bits of the rest R of the chain.  Label tables index the
-    ascending submasks of R, and depositing bits in R's positions keeps
-    their order, so (beta, gamma) order is (b, c) order; the rows with
-    b > a form a suffix of the table.
+    Every assignment, or with ``sizes`` those whose parts have these sizes
+    in some order: A, the smallest mask, takes any of them and B and C the
+    other two.  B and C label bits of the rest R of the chain.  Label
+    tables index the ascending submasks of R, and depositing bits in R's
+    positions keeps their order and popcounts, so (beta, gamma) order is
+    (b, c) order; the rows with b > a form a suffix of the table.
     """
-    total = all_assignments_count(n_sites)
-    out = np.empty((3, total), dtype=np.int64)
     every = np.arange(1 << n_sites, dtype=np.int64)
-    tables = {}
+    counts = np.bitwise_count(every)
+    tables = {n_rest: _labelings(every, counts, n_rest, pair)
+              for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
+    total = _family_count(n_sites, sizes)
+    out = np.empty((3, total), dtype=np.int64)
     pos = 0
-    for a in range(1, (1 << n_sites) - 1):
-        n_rest = n_sites - a.bit_count()
-        if n_rest < 2:
-            continue
-        if n_rest not in tables:
-            tables[n_rest] = _labelings(n_rest)
-        beta, gamma = tables[n_rest]
+    for a in np.flatnonzero(np.isin(counts, [n_sites - n for n in tables])):
+        beta, gamma = tables[n_sites - int(counts[a])]
         subs = every[(every & a) == 0]  # ascending submasks of the rest
         first = int(np.searchsorted(beta, np.searchsorted(subs, a)))
         stop = pos + len(beta) - first
@@ -270,12 +297,12 @@ def _enumerate_all_assignments(n_sites: int) -> PartitionSet:
         pos = stop
     if pos != total:
         raise AssertionError(f"enumerated {pos} triples, expected {total}")
-    return PartitionSet(n_sites, *out, strategy=ALL_ASSIGNMENTS)
+    strategy = ALL_ASSIGNMENTS if sizes is None else \
+        f"{FIXED_SIZES}:{','.join(map(str, sizes))}"
+    return PartitionSet(n_sites, *out, strategy=strategy)
 
 
 def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
-    from itertools import combinations
-
     def block(lo, hi):  # sites lo..hi-1
         return ((1 << (hi - lo)) - 1) << lo
 
@@ -289,37 +316,6 @@ def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
     arr = np.array(triples, dtype=np.int64)
     return PartitionSet(n_sites, arr[:, 0], arr[:, 1], arr[:, 2],
                         strategy=CONTIGUOUS_BLOCKS)
-
-
-def fixed_sizes_count(n_sites: int, sizes) -> int:
-    """Number of canonical triples in the fixed-sizes family."""
-    sa, sb, sc = sizes
-    count = (math.comb(n_sites, sa) * math.comb(n_sites - sa, sb)
-             * math.comb(n_sites - sa - sb, sc))
-    # labeled triples, divided by the relabelings among equal sizes
-    for size in set(sizes):
-        count //= math.factorial(sizes.count(size))
-    return count
-
-
-def _enumerate_fixed_sizes(n_sites: int, sizes) -> PartitionSet:
-    from itertools import combinations
-
-    sa, sb, sc = sizes
-    sites = tuple(range(n_sites))
-    seen = set()
-    for comb_a in combinations(sites, sa):
-        mask_a = sum(1 << s for s in comb_a)
-        rest_1 = tuple(s for s in sites if not (mask_a >> s) & 1)
-        for comb_b in combinations(rest_1, sb):
-            mask_b = sum(1 << s for s in comb_b)
-            rest_2 = tuple(s for s in rest_1 if not (mask_b >> s) & 1)
-            for comb_c in combinations(rest_2, sc):
-                mask_c = sum(1 << s for s in comb_c)
-                seen.add(tuple(sorted((mask_a, mask_b, mask_c))))
-    arr = np.array(sorted(seen), dtype=np.int64)
-    return PartitionSet(n_sites, arr[:, 0], arr[:, 1], arr[:, 2],
-                        strategy=f"{FIXED_SIZES}:{sa},{sb},{sc}")
 
 
 _STRATEGY_NAMES = {
@@ -357,23 +353,24 @@ def parse_strategy(text: str):
 
 @lru_cache(maxsize=4)
 def _enumerate_cached(n_sites: int, strategy: str, sizes):
-    if strategy == ALL_ASSIGNMENTS:
-        count = all_assignments_count(n_sites)
-        # three int64 masks per triple
-        check_budget(f"all-assignments family of {n_sites} sites has {count:,} triples",
-                     24 * count, "of masks")
-        return _enumerate_all_assignments(n_sites)
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
-    if strategy == FIXED_SIZES:
+    if strategy == ALL_ASSIGNMENTS:
+        name = "all-assignments family"
+    elif strategy == FIXED_SIZES:
         if sum(sizes) > n_sites:
             raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
-        count = fixed_sizes_count(n_sites, sizes)
-        check_budget(f"fixed-sizes family {','.join(map(str, sizes))} of {n_sites} sites "
-                     f"has {count:,} triples", FIXED_SIZES_BYTES_PER_TRIPLE * count,
-                     "to enumerate")
-        return _enumerate_fixed_sizes(n_sites, sizes)
-    raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
+        name = f"fixed-sizes family {','.join(map(str, sizes))}"
+    else:
+        raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
+    count = _family_count(n_sites, sizes)
+    # three int64 masks per triple; beta, gamma and gamma's pieces per row of
+    # the (B, C) labeling tables
+    rows = count + sum(_family_count(n_rest, pair, parts=2)
+                       for n_rest, pair in _rest_sizes(n_sites, sizes).items())
+    check_budget(f"{name} of {n_sites} sites has {count:,} triples",
+                 24 * rows + (SCRATCH_BYTES_PER_MASK << n_sites), "of masks and scratch")
+    return _enumerate_assignments(n_sites, sizes)
 
 
 def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS) -> PartitionSet:
@@ -435,9 +432,12 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     rows = max(1, _BLOCK_BYTES // (8 * n_t))
     starts = range(0, len(pset), rows)
     full = (1 << pset.n_sites) - 1
+    # gathered rows, reused by every block: new arrays this large come from
+    # mmap and fault in their pages, block after block
+    work = np.empty((7, min(rows, len(pset)), n_t))
 
     def block(start):
-        vals, (a, b, c, *_, abc) = pset._tmi_block(table, start, start + rows)
+        vals, (a, b, c, *_, abc) = pset._tmi_block(table, start, start + rows, work)
         if zero is not None:
             vals = np.where(zero(a, b, c, abc), 0.0, vals)
         return vals, abc == full
@@ -503,9 +503,5 @@ def lightcone_onset(spec: ModelSpec, partition: PartitionTriple) -> float:
     inside each other's light cone before the TMI can be sizable.  The
     distance convention is a modeling choice, recorded in run metadata.
     """
-    r = max(
-        _min_pair_distance(partition.a.mask, partition.b.mask),
-        _min_pair_distance(partition.a.mask, partition.c.mask),
-        _min_pair_distance(partition.b.mask, partition.c.mask),
-    )
+    r = max(_min_pair_distance(x, y) for x, y in combinations(partition.masks(), 2))
     return r / (4.0 * spec.j0)

@@ -195,7 +195,7 @@ class TestExitCodes:
         code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "15",
                         "--partitions", "all", "--out", str(out_dir)])
         assert code == 3
-        assert "171,798,901 triples, about 4.1 GB" in capsys.readouterr().err
+        assert "171,798,901 triples, about 4.2 GB" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):
@@ -205,7 +205,7 @@ class TestExitCodes:
         code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "18",
                         "--partitions", "fixed:4,4,4", "--out", str(out_dir)])
         assert code == 3
-        assert "107,207,100 triples, about 28.9 GB" in capsys.readouterr().err
+        assert "107,207,100 triples, about 2.6 GB" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):

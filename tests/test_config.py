@@ -127,6 +127,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="tau_threshold"):
             RunConfig(alphas=(1.0,), tau_threshold=-1e-3)
 
+    def test_neel_takes_no_site(self):
+        # a site would change config_hash yet leave the run as it was
+        with pytest.raises(ConfigError, match="^initial.state: .*neel:3"):
+            load_config("smoke", {"initial.state": "neel:3"})
+
     def test_rejects_unparseable_strategy(self):
         for bad in ("garbage", "fixed", "fixed:2,2", "all:3"):
             with pytest.raises(ConfigError, match="^partitions.strategy: "):

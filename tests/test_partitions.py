@@ -71,9 +71,18 @@ class TestEnumeration:
     def test_all_assignments_matches_brute_force(self):
         # the order, not only the set: extremum ties go to the first triple
         for n in range(3, 9):
-            pset = enumerate_partitions(n, "all")
-            mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
-            assert mine == sorted(brute_force_all_assignments(n))
+            brute = sorted(brute_force_all_assignments(n))
+            families = {"all": brute}
+            # fixed sizes: the assignments whose sorted part sizes match
+            for sizes in product(range(1, n - 1), repeat=3):
+                if sum(sizes) <= n:
+                    families["fixed:" + ",".join(map(str, sizes))] = [
+                        t for t in brute
+                        if sorted(m.bit_count() for m in t) == sorted(sizes)]
+            for strategy, expected in families.items():
+                pset = enumerate_partitions(n, strategy)
+                mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
+                assert mine == expected, (n, strategy)
 
     def test_triples_are_canonical_and_disjoint(self):
         pset = enumerate_partitions(8, "all")
@@ -107,14 +116,15 @@ class TestEnumeration:
 
     def test_capacity_guard_counts_bytes_before_allocating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(partitions, "_enumerate_all_assignments",
-                            lambda n: calls.append(n) or n)
+        monkeypatch.setattr(partitions, "_enumerate_assignments",
+                            lambda n, sizes: calls.append(n) or n)
         try:
-            # 171,798,901 triples of three int64 masks: 4.1 GB
-            with pytest.raises(CapacityError, match="171,798,901 triples, about 4.1 GB"):
+            # 171,798,901 triples of three int64 masks (4.1 GB), and the
+            # (B, C) labeling tables (0.09 GB): 4.2 GB
+            with pytest.raises(CapacityError, match="171,798,901 triples, about 4.2 GB"):
                 enumerate_partitions(15, "all")
             assert calls == []
-            # 42,355,950 triples, 1.0 GB: inside the budget
+            # 42,355,950 triples, 1.05 GB with the tables: inside the budget
             assert enumerate_partitions(14, "all") == 14
             assert calls == [14]
         finally:
@@ -129,15 +139,18 @@ class TestEnumeration:
 
     def test_fixed_sizes_guard_refuses_before_enumerating(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(partitions, "_enumerate_fixed_sizes",
+        monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, sizes: calls.append(n) or n)
         try:
-            # 107,207,100 triples at 270 B each: 28.9 GB
+            # 107,207,100 triples of three int64 masks: 2.6 GB
             with pytest.raises(CapacityError,
-                               match="107,207,100 triples, about 28.9 GB"):
+                               match="107,207,100 triples, about 2.6 GB"):
                 enumerate_partitions(18, "fixed:4,4,4")
+            # 4,060 triples, but 32 B of scratch per mask of 30 sites: 34.4 GB
+            with pytest.raises(CapacityError, match="4,060 triples, about 34.4 GB"):
+                enumerate_partitions(30, "fixed:1,1,1")
             assert calls == []
-            # 560,560 triples, 0.15 GB: inside the budget
+            # 560,560 triples, 0.01 GB: inside the budget
             assert enumerate_partitions(14, "fixed:3,3,3") == 14
             assert calls == [14]
         finally:
@@ -289,23 +302,15 @@ class TestExtremaAndTau:
 
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         times = np.linspace(0.0, 2.0, n_points)
-        amps = reference.onebody_amplitudes(coupling, 3, times)
-        series = onebody_tmi_scan(np.abs(amps) ** 2, times, pset)
-        for k, (lo, i_min, hi, i_max) in enumerate(per_time_scan(np.abs(amps) ** 2)):
-            assert (series.min_values[k], series.argmin[k], series.max_values[k],
-                    series.argmax[k]) == (lo, i_min, hi, i_max)
-
+        occupations = np.abs(reference.onebody_amplitudes(coupling, 3, times)) ** 2
         # with its mirror image on site 4 added, the occupations are
         # reflection-symmetric, so mirror triples tie exactly as well
-        occupations = 0.5 * (np.abs(amps) ** 2 + np.abs(amps[:, ::-1]) ** 2)
-        p = _subset_probability_table(occupations.T)
-        low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
-        found = tmi_extrema(pset, SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p)),
-                            times, zero=lambda a, b, c, abc: low[a] | low[b] | low[c] | high[abc])
-        assert found.min_proper is None
-        for k, expected in enumerate(per_time_scan(occupations)):
-            assert (found.min_values[k], found.argmin[k], found.max_values[k],
-                    found.argmax[k]) == expected
+        for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
+            series = onebody_tmi_scan(occ, times, pset)
+            assert series.min_proper is None
+            for k, expected in enumerate(per_time_scan(occ)):
+                assert (series.min_values[k], series.argmin[k], series.max_values[k],
+                        series.argmax[k]) == expected
 
     def test_tmi_extrema_refuses_non_finite(self):
         pset = enumerate_partitions(6, "contiguous")

@@ -55,6 +55,9 @@ INVOCATIONS = (
     ("smoke-minmax", ["minmax-scan", "--config", "smoke"]),
     ("smoke-fixed-nn", ["minmax-scan", "--config", "smoke", "--partitions", "fixed:2,2,2",
                         "--nn-limit"]),
+    # unequal sizes: A takes each of them
+    ("smoke-fixed-unequal", ["minmax-scan", "--config", "smoke", "--partitions",
+                             "fixed:1,2,3"]),
     ("fig2", ["tmi-grid", "--config", "fig2", "--n-points", "9"]),
     ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
 )
