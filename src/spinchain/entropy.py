@@ -340,16 +340,23 @@ def mutual_information(table: SubsetEntropyTable, a, b) -> float:
     return table[a] + table[b] - table[a | b]
 
 
-def tmi_terms(s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc):
+def tmi_terms(s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc, in_place=False):
     """I(A:B:C) from the entropies of A, B, C, AB, AC, BC and ABC.
 
     Scalars or arrays; every TMI the package computes is summed here, in
-    this order.
+    this order: ((a + b) + c) + abc - ((ab + ac) + bc).  With ``in_place``
+    the arrays s_a and s_ab hold the two sums: s_a ends as the TMI, which
+    is returned, and s_ab as the negative terms.
     """
-    return (s_a + s_b + s_c + s_abc) - (s_ab + s_ac + s_bc)
+    pos = np.add(s_a, s_b, out=s_a if in_place else None)
+    neg = np.add(s_ab, s_ac, out=s_ab if in_place else None)
+    pos += s_c
+    pos += s_abc
+    neg += s_bc
+    return np.subtract(pos, neg, out=pos if in_place else None)
 
 
 def tmi(table: SubsetEntropyTable, a, b, c) -> float:
     """Tripartite mutual information I(A:B:C) = I(A:B) + I(A:C) - I(A:BC)."""
     a, b, c = _disjoint_masks(table, (a, b, c))
-    return tmi_terms(*(table[m] for m in (a, b, c, a | b, a | c, b | c, a | b | c)))
+    return float(tmi_terms(*(table[m] for m in (a, b, c, a | b, a | c, b | c, a | b | c))))

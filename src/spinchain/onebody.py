@@ -21,10 +21,10 @@ from .partitions import PartitionSet, TmiSeries, tmi_extrema
 
 P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
 NORM_TOL = 1e-10
-# Peak bytes per (mask, time) of onebody_tmi_scan's table: the weights p,
-# binary_entropy's clipped copy and xlogy temporaries, then the entropies
-# and the snap flags; tracemalloc read 48.5-49.6 at N = 10-16
-_TABLE_BYTES = 50
+# Peak bytes per (mask, time) of onebody_tmi_scan's table: the weights p and
+# binary_entropy's two arrays, besides 8 B per mask for the mask array;
+# beyond those 8 B, tracemalloc read 24.0-24.6 at N = 11-16 and 1-41 times
+_TABLE_BYTES = 25
 
 __all__ = [
     "OccupationWeights", "SimplexScan", "binary_entropy", "occupation_weights",
@@ -44,8 +44,12 @@ def binary_entropy(p):
     if np.any(arr < -P_SNAP) or np.any(arr > 1.0 + P_SNAP):
         bad = arr[(arr < -P_SNAP) | (arr > 1.0 + P_SNAP)]
         raise ValueError(f"probability {np.ravel(bad)[0]} outside [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    h = -(xlogy(arr, arr) + xlogy(1.0 - arr, 1.0 - arr)) / _LN2
+    # two arrays of the table's size, each transformed in place
+    h = np.clip(arr, 0.0, 1.0, out=np.empty_like(arr))
+    rest = np.subtract(1.0, h, out=np.empty_like(h))
+    h = xlogy(h, h, out=h)
+    h += xlogy(rest, rest, out=rest)
+    h /= -_LN2  # (-x) / y and x / (-y) round alike
     if np.isscalar(p) or np.ndim(p) == 0:
         return float(h)
     return h
@@ -199,7 +203,7 @@ def onebody_tmi_scan(occupations: np.ndarray, times, pset: PartitionSet) -> TmiS
     if pset.n_sites != n:
         raise ValueError("partitions and occupations disagree on chain length")
     check_budget(f"k=1 entropy table of {n} sites has {1 << n:,} masks x {n_times} times",
-                 _TABLE_BYTES * n_times << n, "at its peak")
+                 (_TABLE_BYTES * n_times + 8) << n, "at its peak")
     p = _subset_probability_table(occupations.T)
     table = SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p))
     low, high = p <= P_SNAP, p >= 1.0 - P_SNAP

@@ -8,9 +8,9 @@ enumeration lists reproducible and extremum tie-breaking deterministic.
 Scanning TMI over millions of triples reduces to seven table lookups per
 triple once subset entropies are tabulated.  ``tmi_extrema`` takes a
 time-batched table (a row per mask, a column per time) and streams the
-triples in blocks: each block derives its seven lookup masks from A, B
-and C, gathers whole table rows, and so reads each index once for all
-times rather than once per time.
+triples in blocks through buffers made once per scan: each block stacks
+its seven lookup masks, gathers their whole table rows in one np.take,
+sums the TMI in place and reduces a time-major copy to its extrema.
 """
 
 import math
@@ -37,9 +37,10 @@ FIXED_SIZES = "fixed-sizes"
 SCRATCH_BYTES_PER_MASK = 32
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
-# Bytes of one block of gathered table rows in tmi_extrema.  A block holds
-# about a dozen arrays of this size at once, which then fit a 2 MB L2
-# cache; 1 MiB blocks ran twice as slow at 17 times per row
+# Bytes of one block of TMI values in tmi_extrema (its scratch holds eight
+# arrays this size).  The N=12 all-assignments k=1 scan at 5/17/41 times
+# took 0.23/0.69/1.51 s in 128 KiB, 0.25/0.70/1.58 s in 256 KiB and
+# 0.26/0.71/1.46 s in 512 KiB blocks (best of 5, 2-core Xeon, 2 MiB L2/core)
 _BLOCK_BYTES = 1 << 18
 
 __all__ = [
@@ -136,18 +137,22 @@ class PartitionSet:
         for i in range(len(self)):
             yield self[i]
 
-    def _lookups(self, start=0, stop=None) -> tuple:
+    def _lookups(self, start=0, stop=None, out=None) -> np.ndarray:
         """The seven subset masks entering TMI for triples start:stop.
 
-        Order: A, B, C, AB, AC, BC, ABC.
+        A (7, rows) stack in the order A, B, C, AB, AC, BC, ABC, written
+        to the front columns of the int64 buffer ``out`` (new if None).
         """
         a, b, c = self.a[start:stop], self.b[start:stop], self.c[start:stop]
-        ab = a | b
-        return (a, b, c, ab, a | c, b | c, ab | c)
+        masks = np.empty((7, len(a)), dtype=np.int64) if out is None else out[:, :len(a)]
+        masks[0], masks[1], masks[2], masks[3], masks[4], masks[5] = \
+            a, b, c, a | b, a | c, b | c
+        np.bitwise_or(masks[3], c, out=masks[6])
+        return masks
 
     @property
-    def lookup_masks(self) -> tuple:
-        """The seven subset masks entering TMI, as gather-ready arrays."""
+    def lookup_masks(self) -> np.ndarray:
+        """The seven subset masks entering TMI, a gather-ready row each."""
         return self._lookups()
 
     def read_masks(self) -> np.ndarray:
@@ -155,9 +160,9 @@ class PartitionSet:
         # a presence table, not np.unique: 2.5M triples make 17.7M lookups
         seen = np.zeros(1 << self.n_sites, dtype=bool)
         rows = _BLOCK_BYTES // 8
+        buffer = np.empty((7, min(rows, len(self))), dtype=np.int64)
         for start in range(0, len(self), rows):
-            for masks in self._lookups(start, start + rows):
-                seen[masks] = True
+            seen[self._lookups(start, start + rows, buffer)] = True
         return np.flatnonzero(seen)
 
     @cached_property
@@ -172,22 +177,24 @@ class PartitionSet:
         full = (1 << self.n_sites) - 1
         return (self.a | self.b | self.c) == full
 
-    def _tmi_block(self, table: SubsetEntropyTable, start=0, stop=None, work=None) -> tuple:
+    def _tmi_block(self, table: SubsetEntropyTable, start=0, stop=None,
+                   idx=None, work=None) -> tuple:
         """TMI of triples start:stop, a row per triple, and their lookup masks.
 
-        The one gather behind tmi_values and tmi_extrema: whole table rows
-        of the seven lookup masks, summed by tmi_terms.  The rows land in
-        ``work``, seven arrays of at least the block's shape (new if None).
+        The one gather behind tmi_values and tmi_extrema: one
+        table.positions call checks the (7, rows) stack of lookup masks,
+        one np.take copies their table rows into a (7, rows, ...) array,
+        and tmi_terms sums it in place.  Masks and rows go to the front
+        columns of ``idx`` and ``work`` (new if None); the TMI is a view.
         """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
-        masks = self._lookups(start, stop)
-        if work is None:
-            work = np.empty((7, len(masks[0]), *table.values.shape[1:]))
+        masks = self._lookups(start, stop, idx)
+        rows = np.empty(masks.shape + table.values.shape[1:]) if work is None \
+            else work[:, :masks.shape[1]]
         # positions() checked every index; mode="raise" would copy via a buffer
-        vals = tmi_terms(*(np.take(table.values, table.positions(m), axis=0, mode="clip",
-                                   out=w[:len(m)]) for m, w in zip(masks, work)))
-        return vals, masks
+        np.take(table.values, table.positions(masks), axis=0, mode="clip", out=rows)
+        return tmi_terms(*rows, in_place=True), masks
 
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
         """TMI of every triple from one subset-entropy table (rows per triple)."""
@@ -416,10 +423,10 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
 
     ``table`` holds a row of entropies per mask and a column per entry of
     ``times``.  The triples stream through in blocks, each gathering
-    whole table rows for every time at once.  ``zero(a, b, c, abc)``, if
-    given, takes a block's masks and marks the (triple, time) entries
-    whose TMI is exactly zero.  Ties resolve as by extrema; ``min_proper``
-    is filled when ``proper`` is set.
+    whole table rows for every time at once (PartitionSet._tmi_block).
+    ``zero(a, b, c, abc)``, if given, takes a block's masks and marks the
+    (triple, time) entries whose TMI is exactly zero.  Ties resolve as by
+    extrema; ``min_proper`` is filled when ``proper`` is set.
 
     Only the first block holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier block holds
@@ -432,27 +439,34 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     rows = max(1, _BLOCK_BYTES // (8 * n_t))
     starts = range(0, len(pset), rows)
     full = (1 << pset.n_sites) - 1
-    # gathered rows, reused by every block: new arrays this large come from
-    # mmap and fault in their pages, block after block
-    work = np.empty((7, min(rows, len(pset)), n_t))
+    # scratch reused by every block: new arrays this large come from mmap
+    # and fault in their pages, block after block
+    size = min(rows, len(pset))
+    idx, work = np.empty((7, size), dtype=np.int64), np.empty((7, size, n_t))
+    by_time = np.empty((n_t, size))
 
     def block(start):
-        vals, (a, b, c, *_, abc) = pset._tmi_block(table, start, start + rows, work)
+        vals, masks = pset._tmi_block(table, start, start + rows, idx, work)
         if zero is not None:
-            vals = np.where(zero(a, b, c, abc), 0.0, vals)
-        return vals, abc == full
+            a, b, c, *_, abc = masks
+            np.copyto(vals, 0.0, where=zero(a, b, c, abc))
+        return vals, masks[6]
 
     block_lo = np.empty((len(starts), n_t))
     block_hi = np.empty((len(starts), n_t))
     proper_lo = None
     for k, start in enumerate(starts):
-        vals, covers = block(start)
-        block_lo[k], block_hi[k] = vals.min(axis=0), vals.max(axis=0)
+        vals, abc = block(start)
+        # reduce a time-major copy along its rows: contiguous, unlike axis 0
+        vals_t = by_time[:, :len(vals)]
+        np.copyto(vals_t, vals.T)
+        vals_t.min(axis=1, out=block_lo[k])
+        vals_t.max(axis=1, out=block_hi[k])
         bad = ~(np.isfinite(block_lo[k]) & np.isfinite(block_hi[k]))
         if bad.any():
             raise NumericalConsistencyError(
                 f"non-finite TMI at t={times[int(np.argmax(bad))]}")
-        if proper and not covers.all():
+        if proper and not (covers := abc == full).all():
             lo_k = vals[~covers].min(axis=0)
             proper_lo = lo_k if proper_lo is None else np.minimum(proper_lo, lo_k)
     lo, hi = block_lo.min(axis=0), block_hi.max(axis=0)

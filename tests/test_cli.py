@@ -231,8 +231,8 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     def test_onebody_table_capacity_is_3(self, tmp_path, capsys):
-        # 50 B per (mask, time) over 2^24 masks and 17 times; the scan is
-        # refused before its table is allocated
+        # 25 B per (mask, time) and 8 B per mask over 2^24 masks and 17
+        # times; the scan is refused before its table is allocated
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
@@ -241,7 +241,7 @@ class TestExitCodes:
                         "--out", str(out_dir)])
         assert code == 3
         assert ("k=1 entropy table of 24 sites has 16,777,216 masks x 17 times, "
-                "about 14.3 GB" in capsys.readouterr().err)
+                "about 7.3 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):

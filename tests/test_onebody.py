@@ -1,6 +1,7 @@
 """Closed-form single-excitation diagnostics against the sector pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from spinchain import (
     subset_entropy_table,
     tmi_binary,
 )
-from spinchain import reference
+from spinchain import onebody, reference
 from spinchain.bits import bit_positions
 from spinchain.config import load_config
 from spinchain.onebody import _subset_probability_table
@@ -233,6 +234,29 @@ class TestOnebodyScan:
         onebody_tmi_scan(_occupations(coupling_matrix(ModelSpec(8, alpha=0.7)), 3, grid),
                          grid.times, pset)
         assert "lookup_masks" not in pset.__dict__
+
+    @pytest.mark.parametrize("n_times", [1, 17])
+    def test_table_peak_within_guard(self, monkeypatch, n_times):
+        # the bytes onebody_tmi_scan refuses above must cover what its
+        # table build holds at its peak, read when the scan starts
+        n = 12
+        grid = TimeGrid(np.linspace(2.0, 4.0, n_times))
+        occupations = _occupations(coupling_matrix(ModelSpec(n, alpha=0.5)), 4, grid)
+        pset = enumerate_partitions(n, "contiguous")
+        peaks = []
+
+        def record(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(onebody, "tmi_extrema", record)
+        tracemalloc.start()
+        try:
+            onebody_tmi_scan(occupations, grid.times, pset)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= (onebody._TABLE_BYTES * n_times + 8) << n
+        # the table itself is most of it: the estimate is not padded
+        assert peaks[0] >= (onebody._TABLE_BYTES - 1) * n_times << n
 
     def test_rejects_mismatched_chain(self):
         coupling = coupling_matrix(ModelSpec(8, alpha=1.0))

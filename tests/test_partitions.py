@@ -312,13 +312,36 @@ class TestExtremaAndTau:
                 assert (series.min_values[k], series.argmin[k], series.max_values[k],
                         series.argmax[k]) == expected
 
-    def test_tmi_extrema_refuses_non_finite(self):
+    # of the contiguous triples of six sites, only the last one reads this
+    # mask (its AC); in blocks of two triples it sits in the tenth block
+    LAST_READ_ONLY = 0b101111
+
+    def test_tmi_extrema_refuses_non_finite(self, monkeypatch):
         pset = enumerate_partitions(6, "contiguous")
         values = np.zeros((1 << 6, 3))
         values[0b11, 2] = np.nan
         table = SubsetEntropyTable(6, np.arange(1 << 6), values)
         with pytest.raises(NumericalConsistencyError, match="non-finite TMI at t=0.5"):
             tmi_extrema(pset, table, np.array([0.0, 0.25, 0.5]))
+        # in a later block, the first of two bad times is named
+        reads = (pset.lookup_masks == self.LAST_READ_ONLY).any(axis=0)
+        assert np.flatnonzero(reads).tolist() == [len(pset) - 1] == [19]
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 3 * 2)
+        values[0b11, 2] = 0.0
+        values[self.LAST_READ_ONLY, 1:] = [np.inf, np.nan]
+        with pytest.raises(NumericalConsistencyError, match="non-finite TMI at t=0.25"):
+            tmi_extrema(pset, table, np.array([0.0, 0.25, 0.5]))
+
+    def test_tmi_extrema_refuses_sparse_table_missing_a_mask(self, monkeypatch):
+        # a sparse table of every mask the family reads but one
+        pset = enumerate_partitions(6, "contiguous")
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * 2)
+        masks = pset.read_masks()
+        kept = masks[masks != self.LAST_READ_ONLY]
+        table = SubsetEntropyTable(6, kept, np.zeros((len(kept), 2)))
+        assert len(kept) == len(masks) - 1 and not table.is_dense
+        with pytest.raises(KeyError, match=f"mask {self.LAST_READ_ONLY:#x} was not included"):
+            tmi_extrema(pset, table, np.array([0.0, 0.5]))
 
     def test_tau_interpolates(self):
         times = np.array([0.0, 1.0, 2.0, 3.0])
