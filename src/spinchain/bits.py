@@ -24,3 +24,11 @@ def bit_positions(mask):
         mask ^= low
     return out
 
+
+def reverse_bits(masks, n_bits: int) -> np.ndarray:
+    """Masks with their low ``n_bits`` bits in reverse order (bit i to n_bits-1-i)."""
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros_like(masks)
+    for i in range(n_bits):
+        out |= ((masks >> i) & 1) << (n_bits - 1 - i)
+    return out

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
-from .bits import bit_positions, popcount
+from .bits import bit_positions, popcount, reverse_bits
 from .errors import CapacityError, NumericalConsistencyError
 from .model import SectorBasis, StateVector
 
@@ -246,16 +246,22 @@ class EntropyTablePlan:
 
     The plan covers the requested masks plus the empty set and the whole
     chain, or every bitmask when ``masks`` is None (up to 16 sites); a scan
-    passes the masks its partitions read.  Mirror symmetry S_A =
-    S_complement leaves one representative per complement pair, ``reps``.
-    Their excitation blocks are grouped by shape into ``groups``, a list of
-    (index stack, rep ids).  Evaluation gathers each group's amplitudes
-    into a (n_blocks, rows, cols) stack and takes the Schmidt weights from
-    one batched ``eigvalsh`` of the smaller Gram matrix.  Build once per
-    (basis, mask set), evaluate once per state.
+    passes the masks its partitions read.  Complement symmetry S_X = S_Xc
+    (Xc the complement of X) leaves one representative per orbit {X, Xc},
+    its least mask.  A plan built ``reflected`` also identifies X with its
+    mirror image R(X), site i to N-1-i, so the orbit is {X, Xc, R(X),
+    R(Xc)}; that holds only for states with S_X = S_R(X), which runners
+    check with ``model.reflection_invariant``.  A representative need not
+    be a requested mask, so the weight-sum error may name a mirror image.
+    The representatives, ``reps``, have their excitation blocks grouped by
+    shape into ``groups``, a list of (index stack, rep ids).  Evaluation
+    gathers each group's amplitudes into a (n_blocks, rows, cols) stack
+    and takes the Schmidt weights from one batched ``eigvalsh`` of the
+    smaller Gram matrix.  Build once per (basis, mask set), evaluate once
+    per state.
     """
 
-    def __init__(self, basis: SectorBasis, masks=None):
+    def __init__(self, basis: SectorBasis, masks=None, reflected: bool = False):
         n = basis.n_sites
         full = basis.full_mask
         self.basis = basis
@@ -271,8 +277,12 @@ class EntropyTablePlan:
             masks = np.union1d(masks, [0, full])
         masks.flags.writeable = False
         self.mask_array = masks
-        # one representative per complement pair: top bit clear
-        rep_of = np.where(masks & (1 << (n - 1)), full ^ masks, masks)
+        # one representative per orbit: the least of its masks
+        orbit = [masks, full ^ masks]
+        if reflected:
+            mirrored = reverse_bits(masks, n)
+            orbit += [mirrored, full ^ mirrored]
+        rep_of = np.minimum.reduce(orbit)
         self.reps = np.unique(rep_of[rep_of != 0])
         # slot of each mask's entropy; the extra last slot holds the zero
         # entropy of the empty set and the whole chain

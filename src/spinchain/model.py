@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .bits import popcount
+from .bits import popcount, reverse_bits
 from .errors import check_budget
 
 
@@ -191,6 +191,25 @@ def single_excitation_state(basis: SectorBasis, site: int) -> StateVector:
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[basis.rank(1 << site)] = 1.0
     return StateVector(basis, amps)
+
+
+def reflection_invariant(coupling: CouplingMatrix, psi0: StateVector) -> bool:
+    """True when the quench of ``psi0`` under ``coupling`` commutes with reflection.
+
+    R takes site i to N-1-i.  Both the couplings and the amplitudes must
+    equal their image under R, or, at half filling, the amplitudes under
+    R times the global spin flip F, which commutes with H and acts site
+    by site.  Then S_X = S_R(X) at every time; the Neel state passes at
+    every N.
+    """
+    if not np.array_equal(coupling.entries, coupling.entries[::-1, ::-1]):
+        return False
+    basis, amps = psi0.basis, psi0.amplitudes
+    mirrored = reverse_bits(basis.states, basis.n_sites)
+    images = [mirrored]
+    if 2 * basis.n_excitations == basis.n_sites:
+        images.append(basis.full_mask ^ mirrored)
+    return any(np.array_equal(amps[basis.rank_many(image)], amps) for image in images)
 
 
 class SectorHamiltonian:

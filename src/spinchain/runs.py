@@ -27,7 +27,7 @@ from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
                       subset_entropy_table, tmi)
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
-                    single_excitation_state)
+                    reflection_invariant, single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
 from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
 from .propagate import TimeGrid, evolve
@@ -76,16 +76,17 @@ def _initial_state(cfg: RunConfig):
     return basis, single_excitation_state(basis, cfg.resolved_site())
 
 
-def _plan_for(basis, pset: PartitionSet, *extra) -> EntropyTablePlan:
+def _plan_for(basis, pset: PartitionSet, *extra, reflected: bool) -> EntropyTablePlan:
     """Plan over the masks a partition set reads, plus ``extra`` masks."""
     masks = tuple(np.union1d(pset.read_masks(), extra).tolist())
-    return _cached_plan(basis.n_sites, basis.n_excitations, masks)
+    return _cached_plan(basis.n_sites, basis.n_excitations, masks, reflected)
 
 
 @lru_cache(maxsize=1)
-def _cached_plan(n_sites: int, n_excitations: int, masks: tuple) -> EntropyTablePlan:
+def _cached_plan(n_sites: int, n_excitations: int, masks: tuple,
+                 reflected: bool) -> EntropyTablePlan:
     # one plan per process: every exponent of a sweep reuses it
-    return EntropyTablePlan(enumerate_sector(n_sites, n_excitations), masks)
+    return EntropyTablePlan(enumerate_sector(n_sites, n_excitations), masks, reflected)
 
 
 def _base_meta(cfg: RunConfig, **extra) -> dict:
@@ -144,11 +145,13 @@ def _table(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
     """Subset-entropy table with a row per mask and a column per grid time.
 
     The initial state of ``cfg`` is quenched under ``coupling``; the table
-    holds the masks ``pset`` reads plus ``extra_masks``.
+    holds the masks ``pset`` reads plus ``extra_masks``.  A reflection
+    invariant quench (every Neel quench) evaluates one of each mirror pair.
     """
     basis, psi0 = _initial_state(cfg)
     traj = evolve(coupling, basis, psi0, grid)
-    plan = _plan_for(basis, pset, *extra_masks)
+    plan = _plan_for(basis, pset, *extra_masks,
+                     reflected=reflection_invariant(coupling, psi0))
     values = np.column_stack([plan.evaluate(state).values for state in traj.states])
     return SubsetEntropyTable(basis.n_sites, plan.mask_array, values)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinchain import (
+    CouplingMatrix,
     ModelSpec,
     TimeGrid,
     coupling_matrix,
@@ -32,6 +33,14 @@ def random_sector_state(basis, rng):
     amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
     amps /= np.linalg.norm(amps)
     return amps
+
+
+def skewed_coupling(n_sites, alpha=0.6):
+    """Power-law couplings with the (0, 1) bond strengthened: not reflection symmetric."""
+    coupling = coupling_matrix(ModelSpec(n_sites, alpha=alpha))
+    entries = coupling.entries.copy()
+    entries[0, 1] = entries[1, 0] = 1.5
+    return CouplingMatrix(entries=entries, kac=coupling.kac)
 
 
 @pytest.fixture(scope="session")

@@ -25,10 +25,13 @@ from spinchain import (
     tmi,
     von_neumann,
 )
-from spinchain import entropy, reference
-from spinchain.model import StateVector
+from spinchain import entropy, reference, runs
+from spinchain.bits import reverse_bits
+from spinchain.config import RunConfig
+from spinchain.model import StateVector, reflection_invariant
+from spinchain.partitions import PartitionSet, contiguous_quarters, enumerate_partitions
 
-from conftest import random_sector_state
+from conftest import random_sector_state, skewed_coupling
 
 
 class TestSiteSubset:
@@ -238,6 +241,96 @@ class TestSubsetEntropyTable:
         bound = np.minimum(sizes, 8.0 - sizes)
         assert np.all(table.dense >= 0.0)
         assert np.all(table.dense <= bound + 1e-12)
+
+
+class TestReflectedPlans:
+    """Plans that identify mirror images, for reflection-invariant quenches."""
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("spec", [{"alpha": 0.3}, {"alpha": 3.0}, {"nn_limit": True}],
+                             ids=["alpha0.3", "alpha3", "nn"])
+    def test_matches_general_plan(self, n, spec):
+        basis = enumerate_sector(n, n // 2)
+        coupling = coupling_matrix(ModelSpec(n, **spec))
+        psi0 = neel_state(basis)
+        assert reflection_invariant(coupling, psi0)
+        grid = TimeGrid.linspace(5.0, 4, kac_rescaled=True)
+        general = EntropyTablePlan(basis, None)
+        reflected = EntropyTablePlan(basis, None, reflected=True)
+        masks = np.arange(1 << n)
+        full = (1 << n) - 1
+        mirrored = reverse_bits(masks, n)
+        for amps in evolve(coupling, basis, psi0, grid).states:
+            expected = general.evaluate(amps).dense
+            found = reflected.evaluate(amps).dense
+            np.testing.assert_allclose(found, expected, rtol=0, atol=1e-12)
+            # every image of a mask reads its representative's slot
+            for image in (full ^ masks, mirrored, full ^ mirrored):
+                assert np.array_equal(found[image], found)
+
+    @pytest.mark.parametrize("n, family, general, reflected", [
+        (12, "contiguous", 231, 121),
+        (12, "all", 2047, 1055),
+        (16, "quarters", 7, 5),
+    ])
+    def test_representative_counts(self, n, family, general, reflected):
+        basis = enumerate_sector(n, n // 2)
+        if family == "all":
+            masks = None  # every bitmask
+        elif family == "quarters":  # tmi-vs-entropy: quarters plus the half chain
+            masks = np.union1d(PartitionSet.from_triples([contiguous_quarters(n)]).read_masks(),
+                               [(1 << n // 2) - 1])
+        else:
+            masks = enumerate_partitions(n, family).read_masks()
+        assert len(EntropyTablePlan(basis, masks).reps) == general
+        assert len(EntropyTablePlan(basis, masks, reflected=True).reps) == reflected
+
+    @pytest.fixture
+    def built_plans(self, monkeypatch):
+        """Every plan the runners build during a test, in order."""
+        built = []
+
+        class Recorded(EntropyTablePlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runs, "EntropyTablePlan", Recorded)
+        runs._cached_plan.cache_clear()
+        yield built
+        runs._cached_plan.cache_clear()
+
+    @staticmethod
+    def _run_table(cfg, coupling):
+        pset = enumerate_partitions(cfg.n_sites, "contiguous")
+        runs._table(cfg, coupling, runs._time_grid(cfg), pset)
+        basis, _ = runs._initial_state(cfg)
+        return basis, pset.read_masks()
+
+    @pytest.mark.parametrize("initial_state, site, skewed", [
+        ("single", 2, False),  # an off-centre excitation
+        ("neel", None, True),  # couplings that are not reflection symmetric
+    ])
+    def test_runner_keeps_general_plan_without_symmetry(self, built_plans, initial_state,
+                                                        site, skewed):
+        cfg = RunConfig(n_sites=8, alphas=(0.6,), initial_state=initial_state,
+                        initial_site=site, n_points=3, t_max=1.0)
+        coupling = skewed_coupling(8) if skewed else coupling_matrix(cfg.sweep()[0][1])
+        basis, masks = self._run_table(cfg, coupling)
+        (plan,) = built_plans
+        general = EntropyTablePlan(basis, masks).reps
+        assert len(EntropyTablePlan(basis, masks, reflected=True).reps) < len(general)
+        np.testing.assert_array_equal(plan.reps, general)
+
+    def test_cached_plan_keys_on_reflection(self, built_plans):
+        cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0)
+        basis, masks = self._run_table(cfg, coupling_matrix(cfg.sweep()[0][1]))
+        self._run_table(cfg, skewed_coupling(8))
+        reflected, general = built_plans
+        np.testing.assert_array_equal(
+            reflected.reps, EntropyTablePlan(basis, masks, reflected=True).reps)
+        np.testing.assert_array_equal(general.reps, EntropyTablePlan(basis, masks).reps)
+        assert len(reflected.reps) < len(general.reps)
 
 
 class TestInformationMeasures:

@@ -20,7 +20,10 @@ from spinchain import (
     total_excitation_mask_weight,
 )
 from spinchain import reference
-from spinchain.bits import popcount
+from spinchain.bits import popcount, reverse_bits
+from spinchain.model import reflection_invariant
+
+from conftest import skewed_coupling
 
 
 class TestModelSpec:
@@ -153,6 +156,40 @@ class TestInitialStates:
     def test_state_vector_validation(self, basis6):
         with pytest.raises(ValueError):
             StateVector(basis6, np.ones(3, dtype=np.complex128))
+
+
+class TestReflectionInvariant:
+    def test_reverse_bits(self):
+        for n in (1, 5, 8):
+            masks = np.arange(1 << n)
+            expected = [int(format(m, f"0{n}b")[::-1], 2) for m in range(1 << n)]
+            np.testing.assert_array_equal(reverse_bits(masks, n), expected)
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_neel_state_at_every_n(self, n):
+        basis = enumerate_sector(n, n // 2)
+        for spec in (ModelSpec(n, alpha=0.3), ModelSpec(n, nn_limit=True)):
+            assert reflection_invariant(coupling_matrix(spec), neel_state(basis))
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_single_excitation_only_at_the_centre_of_odd_chains(self, n):
+        basis = enumerate_sector(n, 1)
+        coupling = coupling_matrix(ModelSpec(n, alpha=0.5))
+        for site in range(n):
+            found = reflection_invariant(coupling, single_excitation_state(basis, site))
+            assert found == (n % 2 == 1 and site == n // 2), (n, site)
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_neel_state_under_skewed_couplings(self, n):
+        basis = enumerate_sector(n, n // 2)
+        assert not reflection_invariant(skewed_coupling(n), neel_state(basis))
+
+    def test_amplitudes_must_match_exactly(self, basis8):
+        coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
+        amps = neel_state(basis8).amplitudes.copy()
+        # 0b00011011 is fixed by neither R nor RF
+        amps[basis8.rank(0b00011011)] = 1e-17
+        assert not reflection_invariant(coupling, StateVector(basis8, amps))
 
 
 class TestSectorHamiltonian:
