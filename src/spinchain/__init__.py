@@ -19,8 +19,7 @@ from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
                      SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     StateVector, coupling_matrix, enumerate_sector, neel_state,
-                    sector_dimension, single_excitation_state,
-                    total_excitation_mask_weight)
+                    sector_dimension, single_excitation_state)
 from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
                       onebody_tmi_scan, simplex_scan, tmi_binary)
 from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
@@ -35,7 +34,6 @@ __all__ = [
     "CouplingMatrix", "ModelSpec", "SectorBasis", "SectorHamiltonian",
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
-    "total_excitation_mask_weight",
     "TimeGrid", "Trajectory", "evolve",
     "EntropyTablePlan", "SchmidtSpectrum", "SiteSubset", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .bits import popcount, reverse_bits
+from .bits import reverse_bits
 from .errors import check_budget
 
 
@@ -277,9 +277,6 @@ class SectorHamiltonian:
             self._matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
         return self._matrix
 
-    def dense(self) -> np.ndarray:
-        return self.matrix().toarray()
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec inside the sector; ``vec`` is (dim,) or (dim, n_columns)."""
         vec = np.asarray(vec)
@@ -292,8 +289,3 @@ class SectorHamiltonian:
     def expectation(self, vec: np.ndarray) -> float:
         """Real energy <vec|H|vec>."""
         return float(np.vdot(vec, self.apply(vec)).real)
-
-
-def total_excitation_mask_weight(basis: SectorBasis) -> np.ndarray:
-    """Eigenvalues of sum_m Z_m per basis state (Z|1> = +|1>, Z|0> = -|0>)."""
-    return 2.0 * popcount(basis.states) - basis.n_sites

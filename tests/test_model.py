@@ -17,7 +17,6 @@ from spinchain import (
     neel_state,
     sector_dimension,
     single_excitation_state,
-    total_excitation_mask_weight,
 )
 from spinchain import reference
 from spinchain.bits import popcount, reverse_bits
@@ -202,7 +201,7 @@ class TestSectorHamiltonian:
                 basis = enumerate_sector(6, k)
                 block = full[np.ix_(basis.states, basis.states)]
                 ham = SectorHamiltonian(coupling, basis)
-                np.testing.assert_allclose(ham.dense(), block, atol=1e-13)
+                np.testing.assert_allclose(ham.matrix().toarray(), block, atol=1e-13)
 
     def test_full_space_block_diagonal(self):
         # H never connects different excitation sectors.
@@ -261,7 +260,7 @@ class TestSectorHamiltonian:
 
     def test_hermitian(self, basis6):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)
-        dense = ham.dense()
+        dense = ham.matrix().toarray()
         np.testing.assert_array_equal(dense, dense.T.conj())
 
     def test_expectation_real(self, basis6, rng):
@@ -272,6 +271,11 @@ class TestSectorHamiltonian:
         assert isinstance(val, float)
         ref = np.vdot(vec, ham.apply(vec))
         assert val == pytest.approx(ref.real, abs=1e-12)
+
+
+def total_excitation_mask_weight(basis):
+    """Eigenvalues of sum_m Z_m per basis state (Z|1> = +|1>, Z|0> = -|0>)."""
+    return 2.0 * popcount(basis.states) - basis.n_sites
 
 
 def test_total_excitation_weight(basis8):

@@ -1,6 +1,7 @@
 """Partition enumeration, extremal TMI, sign-change times, onset estimates."""
 
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -42,6 +43,19 @@ def brute_force_all_assignments(n):
         if a and b and c:
             seen.add(tuple(sorted((a, b, c))))
     return seen
+
+
+def orbit_representatives(pset):
+    """Indices of the triples whose remainder is empty or holds the top site."""
+    union = pset.a | pset.b | pset.c
+    full = (1 << pset.n_sites) - 1
+    return np.flatnonzero((union < 1 << (pset.n_sites - 1)) | (union == full))
+
+
+def batched_table(tables):
+    """One time-batched table from per-time tables of the same masks."""
+    return SubsetEntropyTable(tables[0].n_sites, tables[0].mask_array,
+                              np.column_stack([t.values for t in tables]))
 
 
 class TestPartitionTriple:
@@ -273,14 +287,17 @@ class TestExtremaAndTau:
         traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
                       neel_state(basis8), grid)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
-        batched = SubsetEntropyTable(8, tables[0].mask_array,
-                                     np.column_stack([t.values for t in tables]))
-        found = tmi_extrema(pset, batched, grid.times, proper=True)
+        found = tmi_extrema(pset, batched_table(tables), grid.times, proper=True)
+        # the kernel evaluates one triple per {A, B, C, D} orbit, and sums
+        # the other members' TMI in a different order: the bitwise
+        # reference is the scan of the representatives
+        reps = orbit_representatives(pset)
         for k, table in enumerate(tables):
-            vals = pset.tmi_values(table)
+            vals = pset.tmi_values(table)[reps]
+            lo, i_min, hi, i_max = extrema(vals)
             assert (found.min_values[k], found.argmin[k], found.max_values[k],
-                    found.argmax[k]) == extrema(vals)
-            assert found.min_proper[k] == vals[~pset.covers_chain].min()
+                    found.argmax[k]) == (lo, reps[i_min], hi, reps[i_max])
+            assert found.min_proper[k] == vals[~pset.covers_chain[reps]].min()
 
     @pytest.mark.parametrize("n_points", [1, 9])
     def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
@@ -364,6 +381,95 @@ class TestExtremaAndTau:
     def test_tau_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             tau_sign_change(np.array([0.0, 1.0]), np.array([0.1, -0.1]), threshold=-1.0)
+
+
+class TestOrbitReducedScan:
+    """Over the all family, tmi_extrema evaluates one triple per orbit."""
+
+    # blocks of 37 triples: chunks of kept triples straddle the strides
+    # they are filtered from, and orbits and ties straddle chunk edges
+    ROWS = 37
+
+    def test_one_representative_per_orbit_and_it_comes_first(self):
+        pset = enumerate_partitions(8, "all")
+        reps = orbit_representatives(pset)
+        # Stirling numbers S(8, 4) + S(8, 3): four-part splits, covering triples
+        assert len(reps) == 1701 + 966
+        triples = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
+        index = {t: i for i, t in enumerate(triples)}
+        is_rep = np.zeros(len(pset), dtype=bool)
+        is_rep[reps] = True
+        for a, b, c in triples:
+            parts = (a, b, c, 0xFF ^ a ^ b ^ c)
+            orbit = [index[tuple(sorted(trio))]
+                     for trio in combinations(parts, 3) if all(trio)]
+            assert is_rep[orbit].sum() == 1 and is_rep[min(orbit)]
+
+    def check_matches_full_family(self, pset, tables, times, exact=False):
+        found = tmi_extrema(pset, batched_table(tables), times, proper=True)
+        covers = pset.covers_chain
+        for k, table in enumerate(tables):
+            vals = pset.tmi_values(table)
+            lo, i_min, hi, i_max = extrema(vals)
+            assert found.argmin[k] == i_min and found.argmax[k] == i_max
+            got = (found.min_values[k], found.max_values[k], found.min_proper[k])
+            expected = (lo, hi, vals[~covers].min())
+            if exact:
+                assert got == expected
+            else:
+                assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
+
+    @pytest.mark.parametrize("spec", [ModelSpec(8, alpha=0.6), ModelSpec(8, alpha=2.5),
+                                      ModelSpec(8, nn_limit=True)],
+                             ids=["alpha0.6", "alpha2.5", "nn"])
+    def test_neel_quench_matches_full_family(self, basis8, monkeypatch, spec):
+        times = np.linspace(0.0, 2.7, 10)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
+        traj = evolve(coupling_matrix(spec), basis8, neel_state(basis8), TimeGrid(times))
+        tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
+        self.check_matches_full_family(enumerate_partitions(8, "all"), tables, times)
+
+    def test_onebody_tables_match_full_family(self, monkeypatch):
+        n, times = 8, np.linspace(0.0, 2.0, 9)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
+        coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
+        occupations = np.abs(reference.onebody_amplitudes(coupling, 3, times)) ** 2
+        # the mirror-symmetric average makes mirror triples tie exactly
+        for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
+            entropies = binary_entropy(_subset_probability_table(occ.T))
+            tables = [SubsetEntropyTable(n, np.arange(1 << n), column)
+                      for column in entropies.T]
+            self.check_matches_full_family(enumerate_partitions(n, "all"), tables, times)
+
+    @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "fixed:1,2,3",
+                                          "explicit"])
+    def test_other_sets_scan_every_triple(self, basis8, monkeypatch, strategy):
+        # the explicit triple's remainder lacks the top site: no orbit member
+        # of the all family would stand for it, and it is still scanned
+        pset = PartitionSet.from_triples([PartitionTriple.from_masks(8, 0b1, 0b10, 0b10000000)]) \
+            if strategy == "explicit" else enumerate_partitions(8, strategy)
+        times = np.linspace(0.0, 2.7, 10)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
+        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
+                      neel_state(basis8), TimeGrid(times))
+        tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
+        self.check_matches_full_family(pset, tables, times, exact=True)
+
+    def test_scan_holds_no_whole_family_temporary(self):
+        # one int64 per triple of the N=12 family is 20 MB; the scan's peak
+        # read 3.1 MB under tracemalloc (its work buffer is 1.8 MB)
+        pset = enumerate_partitions(12, "all")
+        occupations = np.random.default_rng(5).random((17, 12))
+        occupations /= occupations.sum(axis=1, keepdims=True)
+        table = SubsetEntropyTable(12, np.arange(1 << 12),
+                                   binary_entropy(_subset_probability_table(occupations.T)))
+        tracemalloc.start()
+        try:
+            tmi_extrema(pset, table, np.arange(17.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(pset)
 
 
 class TestLightconeOnset:

@@ -25,7 +25,7 @@ def _coupling(n, alpha):
 
 
 def _exact_norm1(coupling, basis):
-    return np.abs(SectorHamiltonian(coupling, basis).dense()).sum(axis=0).max()
+    return np.abs(SectorHamiltonian(coupling, basis).matrix().toarray()).sum(axis=0).max()
 
 
 class TestTimeGrid:

@@ -47,12 +47,17 @@ INVOCATIONS = (
                             "--partitions", "contiguous"]),
     ("onebody-fixed", ["onebody-scan", "--config", "onebody.cfg",
                        "--partitions", "fixed:2,2,2"]),
+    # single:5 is the centre of an odd chain: mirror triples tie exactly
+    ("onebody-all-n11", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "11",
+                         "--partitions", "all"]),
     ("fig4-all", ["minmax-scan", "--config", "fig4", "--partitions", "all",
                   "--n-points", "5"]),
     ("fig4", ["minmax-scan", "--config", "fig4", "--n-points", "11"]),
     ("smoke-grid", ["tmi-grid", "--config", "smoke"]),
     ("smoke-entropy", ["tmi-vs-entropy", "--config", "smoke"]),
     ("smoke-minmax", ["minmax-scan", "--config", "smoke"]),
+    # a Neel scan of every triple at N=8, with the proper-split minimum
+    ("smoke-all", ["minmax-scan", "--config", "smoke", "--partitions", "all"]),
     ("smoke-fixed-nn", ["minmax-scan", "--config", "smoke", "--partitions", "fixed:2,2,2",
                         "--nn-limit"]),
     # unequal sizes: A takes each of them
