@@ -12,9 +12,9 @@ the closed-form single-excitation diagnostics.
 __version__ = "0.1.0"
 
 from .config import RunConfig, load_config
-from .entropy import (EntropyTablePlan, SchmidtSpectrum, SiteSubset,
-                      SubsetEntropyTable, mutual_information, subset_entropy_table,
-                      subsystem_spectrum, tmi, von_neumann)
+from .entropy import (EntropyTablePlan, SchmidtSpectrum, SubsetEntropyTable,
+                      mutual_information, subset_entropy_table, subsystem_spectrum, tmi,
+                      von_neumann)
 from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
                      SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
@@ -22,9 +22,8 @@ from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     sector_dimension, single_excitation_state)
 from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
                       onebody_tmi_scan, simplex_scan, tmi_binary)
-from .partitions import (PartitionSet, PartitionTriple, TmiSeries,
-                         contiguous_quarters, enumerate_partitions, extrema,
-                         lightcone_onset, tau_sign_change)
+from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
+                         enumerate_partitions, extrema, lightcone_onset, tau_sign_change)
 from .propagate import TimeGrid, Trajectory, evolve
 
 __all__ = [
@@ -35,12 +34,12 @@ __all__ = [
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "TimeGrid", "Trajectory", "evolve",
-    "EntropyTablePlan", "SchmidtSpectrum", "SiteSubset", "SubsetEntropyTable",
+    "EntropyTablePlan", "SchmidtSpectrum", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",
     "OccupationWeights", "binary_entropy", "occupation_weights",
     "onebody_tmi_scan", "simplex_scan", "tmi_binary",
-    "PartitionSet", "PartitionTriple", "TmiSeries", "contiguous_quarters",
+    "PartitionSet", "TmiSeries", "contiguous_quarters",
     "enumerate_partitions", "extrema", "lightcone_onset", "tau_sign_change",
     "RunConfig", "load_config",
 ]

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .entropy import SiteSubset
+from .entropy import _disjoint_masks
 from .errors import ConfigError
 from .model import ModelSpec
-from .partitions import (QUARTERS, PartitionSet, PartitionTriple, contiguous_quarters,
-                         enumerate_partitions, parse_strategy)
+from .partitions import (QUARTERS, PartitionSet, contiguous_quarters, enumerate_partitions,
+                         parse_strategy)
 
 FORMATS = ("csv", "json")
 PRESET_NAMES = ("fig2", "fig3", "fig4", "smoke")
@@ -164,9 +164,14 @@ class RunConfig:
             out.append(("nn", ModelSpec(self.n_sites, j0=self.j0, nn_limit=True)))
         return out
 
-    def _triple(self) -> PartitionTriple:
-        return PartitionTriple(*(SiteSubset.from_sites(self.n_sites, sites)
-                                 for sites in (self.subset_a, self.subset_b, self.subset_c)))
+    def _triple(self) -> tuple:
+        """The a/b/c site lists as ascending masks; ValueError unless they form a triple."""
+        lists = (self.subset_a, self.subset_b, self.subset_c)
+        for site in (site for sites in lists for site in sites):
+            if not 0 <= site < self.n_sites:
+                raise ValueError(f"site {site} outside [0, {self.n_sites})")
+        masks = [sum(1 << site for site in set(sites)) for sites in lists]
+        return tuple(sorted(_disjoint_masks(self.n_sites, masks)))
 
     def partition_set(self, scan: bool) -> PartitionSet:
         """The partition triples a runner reads.
@@ -177,14 +182,16 @@ class RunConfig:
         never while the config loads.
         """
         if self.subset_a is not None:
-            return PartitionSet.from_triples([self._triple()])
-        if parse_strategy(self.strategy)[0] == QUARTERS:
-            return PartitionSet.from_triples([contiguous_quarters(self.n_sites)])
-        if not scan:
+            a, b, c = self._triple()
+        elif parse_strategy(self.strategy)[0] == QUARTERS:
+            a, b, c = contiguous_quarters(self.n_sites)
+        elif scan:
+            return enumerate_partitions(self.n_sites, self.strategy)
+        else:
             raise ConfigError(
                 f"partitions.strategy: {self.strategy!r} is a partition family; this "
                 "runner reads one triple (quarters, or partitions.a/b/c)")
-        return enumerate_partitions(self.n_sites, self.strategy)
+        return PartitionSet(self.n_sites, [a], [b], [c], strategy="explicit")
 
     def resolved_site(self) -> int:
         """Initial site of a single-excitation run (middle site by default)."""

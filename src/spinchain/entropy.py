@@ -13,13 +13,14 @@ Entropies are in bits (log base 2).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
-from .bits import bit_positions, popcount, reverse_bits
+from .bits import popcount, reverse_bits
 from .errors import CapacityError, NumericalConsistencyError
 from .model import SectorBasis, StateVector
 
@@ -28,50 +29,15 @@ WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
 FULL_TABLE_MAX_SITES = 16
 
 __all__ = [
-    "SiteSubset", "SchmidtSpectrum", "SubsetEntropyTable", "EntropyTablePlan",
+    "SchmidtSpectrum", "SubsetEntropyTable", "EntropyTablePlan",
     "subsystem_spectrum", "von_neumann", "subset_entropy_table",
     "mutual_information", "tmi",
 ]
 
 
-@dataclass(frozen=True)
-class SiteSubset:
-    """A subset of chain sites identified by a bitmask."""
-
-    n_sites: int
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n_sites):
-            raise ValueError(f"mask {self.mask:#x} outside a {self.n_sites}-site chain")
-
-    @classmethod
-    def from_sites(cls, n_sites: int, sites) -> "SiteSubset":
-        mask = 0
-        for s in sites:
-            if not 0 <= s < n_sites:
-                raise ValueError(f"site {s} outside [0, {n_sites})")
-            mask |= 1 << int(s)
-        return cls(n_sites, mask)
-
-    @property
-    def sites(self) -> tuple:
-        return tuple(bit_positions(self.mask))
-
-    @property
-    def size(self) -> int:
-        return popcount(self.mask)
-
-    def complement(self) -> "SiteSubset":
-        return SiteSubset(self.n_sites, ((1 << self.n_sites) - 1) ^ self.mask)
-
-
-def _as_mask(subset, n_sites: int) -> int:
-    if isinstance(subset, SiteSubset):
-        if subset.n_sites != n_sites:
-            raise ValueError(f"subset is for {subset.n_sites} sites, expected {n_sites}")
-        return subset.mask
-    mask = int(subset)
+def _as_mask(mask, n_sites: int) -> int:
+    """An integer mask (numpy's too) as an int in range; a float raises TypeError."""
+    mask = operator.index(mask)
     if not 0 <= mask < (1 << n_sites):
         raise ValueError(f"mask {mask:#x} outside a {n_sites}-site chain")
     return mask
@@ -145,8 +111,8 @@ def _block_index_grids(basis: SectorBasis, mask: int):
         yield sel[order].astype(np.int32).reshape(math.comb(n_a, j), -1)
 
 
-def subsystem_spectrum(psi: StateVector, subset=None) -> SchmidtSpectrum:
-    """Schmidt spectrum of the sites in ``subset`` against the rest."""
+def subsystem_spectrum(psi: StateVector, subset) -> SchmidtSpectrum:
+    """Schmidt spectrum of the sites in the bitmask ``subset`` against the rest."""
     basis = psi.basis
     mask = _as_mask(subset, basis.n_sites)
     if mask == 0 or mask == basis.full_mask:
@@ -332,8 +298,9 @@ def subset_entropy_table(psi: StateVector, masks=None) -> SubsetEntropyTable:
     return EntropyTablePlan(psi.basis, masks).evaluate(psi.amplitudes)
 
 
-def _disjoint_masks(table, subsets):
-    masks = [_as_mask(s, table.n_sites) for s in subsets]
+def _disjoint_masks(n_sites: int, subsets) -> list:
+    """The bitmasks ``subsets`` as ints; ValueError unless nonempty and pairwise disjoint."""
+    masks = [_as_mask(s, n_sites) for s in subsets]
     taken = 0
     for m in masks:
         if m == 0:
@@ -346,7 +313,7 @@ def _disjoint_masks(table, subsets):
 
 def mutual_information(table: SubsetEntropyTable, a, b) -> float:
     """I(A:B) = S_A + S_B - S_AB from a subset entropy table."""
-    a, b = _disjoint_masks(table, (a, b))
+    a, b = _disjoint_masks(table.n_sites, (a, b))
     return table[a] + table[b] - table[a | b]
 
 
@@ -368,5 +335,5 @@ def tmi_terms(s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc, in_place=False):
 
 def tmi(table: SubsetEntropyTable, a, b, c) -> float:
     """Tripartite mutual information I(A:B:C) = I(A:B) + I(A:C) - I(A:BC)."""
-    a, b, c = _disjoint_masks(table, (a, b, c))
+    a, b, c = _disjoint_masks(table.n_sites, (a, b, c))
     return float(tmi_terms(*(table[m] for m in (a, b, c, a | b, a | c, b | c, a | b | c))))

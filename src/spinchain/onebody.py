@@ -80,7 +80,7 @@ class OccupationWeights:
 def occupation_weights(c: np.ndarray, a, b, c_subset) -> OccupationWeights:
     """Subset occupation probabilities of a normalized k=1 amplitude vector.
 
-    ``a``, ``b``, ``c_subset`` are site bitmasks or SiteSubsets, pairwise
+    ``a``, ``b``, ``c_subset`` are site bitmasks, pairwise
     disjoint; site m of the chain is entry m of ``c``.
     """
     c = np.asarray(c, dtype=np.complex128)

@@ -1,9 +1,10 @@
 """Subsystem partition enumeration and TMI extremum scans.
 
-A partition triple is an unordered set {A, B, C} of pairwise disjoint,
-nonempty site subsets; the remainder D is implied and may be empty.  The
-canonical representative orders the three masks ascending, which makes
-enumeration lists reproducible and extremum tie-breaking deterministic.
+A site subset is an int bitmask, site i being bit i.  A partition triple
+is an unordered set {A, B, C} of pairwise disjoint, nonempty subsets; the
+remainder D is implied and may be empty.  Its canonical form is the
+ascending tuple (a, b, c) of its masks, which makes enumeration lists
+reproducible and extremum tie-breaking deterministic.
 
 Scanning TMI over millions of triples reduces to seven table lookups per
 triple once subset entropies are tabulated.  ``tmi_extrema`` takes a
@@ -24,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .bits import bit_positions
-from .entropy import SiteSubset, SubsetEntropyTable, tmi_terms
+from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec
 
@@ -47,60 +48,20 @@ EXTREMUM_TIE_TOL = 1e-12
 _BLOCK_BYTES = 1 << 18
 
 __all__ = [
-    "PartitionTriple", "PartitionSet", "TmiSeries",
+    "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
     "tmi_extrema", "extrema", "tau_sign_change", "lightcone_onset",
     "QUARTERS", "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
 
-@dataclass(frozen=True)
-class PartitionTriple:
-    """Canonical unordered triple of disjoint nonempty site subsets."""
-
-    a: SiteSubset
-    b: SiteSubset
-    c: SiteSubset
-
-    def __post_init__(self):
-        n = self.a.n_sites
-        if (self.b.n_sites, self.c.n_sites) != (n, n):
-            raise ValueError("subsets live on chains of different lengths")
-        masks = sorted((self.a.mask, self.b.mask, self.c.mask))
-        if masks[0] == 0:
-            raise ValueError("partition subsets must be nonempty")
-        if (self.a.mask & self.b.mask) or (self.a.mask & self.c.mask) or (self.b.mask & self.c.mask):
-            raise ValueError("partition subsets must be pairwise disjoint")
-        # canonical order: ascending masks
-        object.__setattr__(self, "a", SiteSubset(n, masks[0]))
-        object.__setattr__(self, "b", SiteSubset(n, masks[1]))
-        object.__setattr__(self, "c", SiteSubset(n, masks[2]))
-
-    @classmethod
-    def from_masks(cls, n_sites: int, a: int, b: int, c: int) -> "PartitionTriple":
-        return cls(SiteSubset(n_sites, a), SiteSubset(n_sites, b), SiteSubset(n_sites, c))
-
-    @property
-    def n_sites(self) -> int:
-        return self.a.n_sites
-
-    @property
-    def d(self) -> SiteSubset:
-        """Implied remainder subset (may be empty)."""
-        full = (1 << self.n_sites) - 1
-        return SiteSubset(self.n_sites, full ^ self.a.mask ^ self.b.mask ^ self.c.mask)
-
-    def masks(self) -> tuple:
-        return (self.a.mask, self.b.mask, self.c.mask)
-
-
 class PartitionSet:
-    """Immutable sequence of canonical PartitionTriples backed by mask arrays.
+    """Immutable sequence of canonical triples, stored as three int64 mask arrays.
 
-    Behaves like a list of PartitionTriple but stores three integer arrays,
-    which keeps exhaustive N=12 scans (millions of triples) affordable and
-    lets TMI evaluation run as vectorized table gathers.  The masks of AB,
-    AC, BC and ABC are derived where a gather needs them and not kept.
+    ``pset[i]`` is triple i as an (a, b, c) tuple of ints.  The arrays keep
+    exhaustive N=12 scans (millions of triples) affordable and let TMI
+    evaluation run as vectorized table gathers.  The masks of AB, AC, BC
+    and ABC are derived where a gather needs them and not kept.
     """
 
     def __init__(self, n_sites: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -115,32 +76,13 @@ class PartitionSet:
         for arr in (self.a, self.b, self.c):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_triples(cls, triples) -> "PartitionSet":
-        triples = list(triples)
-        if not triples:
-            raise ValueError("empty partition list")
-        n = triples[0].n_sites
-        a = np.array([t.a.mask for t in triples], dtype=np.int64)
-        b = np.array([t.b.mask for t in triples], dtype=np.int64)
-        c = np.array([t.c.mask for t in triples], dtype=np.int64)
-        return cls(n, a, b, c)
-
     def __len__(self):
         return len(self.a)
 
-    def __getitem__(self, i) -> PartitionTriple:
-        if isinstance(i, (slice, np.ndarray, list)):
-            return PartitionSet(self.n_sites, self.a[i], self.b[i], self.c[i],
-                                strategy=self.strategy)
-        return PartitionTriple.from_masks(
-            self.n_sites, int(self.a[i]), int(self.b[i]), int(self.c[i]))
+    def __getitem__(self, i) -> tuple:
+        return int(self.a[i]), int(self.b[i]), int(self.c[i])
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    def _lookups(self, triples=slice(None), out=None) -> np.ndarray:
+    def _lookups(self, triples, out=None) -> np.ndarray:
         """The seven subset masks entering TMI for the ``triples``.
 
         ``triples`` is a slice or an index array.  A (7, n) stack in the order
@@ -159,20 +101,18 @@ class PartitionSet:
         np.bitwise_or(masks[3], c, out=masks[6])
         return masks
 
-    @property
-    def lookup_masks(self) -> np.ndarray:
-        """The seven subset masks entering TMI, a gather-ready row each."""
-        return self._lookups()
-
+    @cached_property
     def read_masks(self) -> np.ndarray:
-        """Ascending distinct masks whose entropies some triple's TMI reads."""
+        """Ascending distinct masks whose entropies some triple's TMI reads (read-only)."""
         # a presence table, not np.unique: 2.5M triples make 17.7M lookups
         seen = np.zeros(1 << self.n_sites, dtype=bool)
         rows = _BLOCK_BYTES // 8
         buffer = np.empty((7, min(rows, len(self))), dtype=np.int64)
         for start in range(0, len(self), rows):
             seen[self._lookups(slice(start, start + rows), buffer)] = True
-        return np.flatnonzero(seen)
+        masks = np.flatnonzero(seen)
+        masks.flags.writeable = False
+        return masks
 
     @cached_property
     def covers_chain(self) -> np.ndarray:
@@ -227,14 +167,13 @@ class TmiSeries:
     min_proper: np.ndarray | None = None
 
 
-def contiguous_quarters(n_sites: int) -> PartitionTriple:
-    """A, B, C = first, second, third quarter of the chain (D implied)."""
+def contiguous_quarters(n_sites: int) -> tuple:
+    """Masks (a, b, c) of the first, second and third quarter of the chain (D implied)."""
     if n_sites % 4 != 0:
         raise ValueError(f"chain length {n_sites} is not divisible by 4")
     w = n_sites // 4
     block = (1 << w) - 1
-    return PartitionTriple.from_masks(
-        n_sites, block, block << w, block << (2 * w))
+    return block, block << w, block << (2 * w)
 
 
 def fixed_sizes_count(n_sites: int, sizes) -> int:
@@ -552,13 +491,13 @@ def _min_pair_distance(mask_x: int, mask_y: int) -> int:
     return int(np.min(np.abs(xs[:, None] - ys[None, :])))
 
 
-def lightcone_onset(spec: ModelSpec, partition: PartitionTriple) -> float:
-    """Earliest time the triple can develop three-party correlations.
+def lightcone_onset(spec: ModelSpec, partition: tuple) -> float:
+    """Earliest time the triple of masks (a, b, c) can develop three-party correlations.
 
     Distance over velocity with v = 4*J0 and r the largest of the three
     pairwise minimal inter-subset distances: all three subsystems must be
     inside each other's light cone before the TMI can be sizable.  The
     distance convention is a modeling choice, recorded in run metadata.
     """
-    r = max(_min_pair_distance(x, y) for x, y in combinations(partition.masks(), 2))
+    r = max(_min_pair_distance(x, y) for x, y in combinations(partition, 2))
     return r / (4.0 * spec.j0)

@@ -78,7 +78,8 @@ def _initial_state(cfg: RunConfig):
 
 def _plan_for(basis, pset: PartitionSet, *extra, reflected: bool) -> EntropyTablePlan:
     """Plan over the masks a partition set reads, plus ``extra`` masks."""
-    masks = tuple(np.union1d(pset.read_masks(), extra).tolist())
+    # an int array for extra: no extras would make union1d's result float
+    masks = tuple(np.union1d(pset.read_masks, np.array(extra, dtype=np.int64)).tolist())
     return _cached_plan(basis.n_sites, basis.n_excitations, masks, reflected)
 
 
@@ -165,12 +166,11 @@ def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
 def run_tmi_grid(cfg: RunConfig) -> list:
     """TMI(alpha, t) of one partition triple (contiguous quarters by default)."""
     pset, columns, _ = _sweep(cfg, _grid_rows, (*_TIME_COLUMNS, "tmi"), scan=False)
-    triple = pset[0]
-    onset = lightcone_onset(cfg.sweep()[0][1], triple)
+    a, b, c = pset[0]
+    onset = lightcone_onset(cfg.sweep()[0][1], (a, b, c))
     columns["lightcone_onset"] = [onset] * len(columns["tmi"])
     meta = _base_meta(
-        cfg,
-        partition_a=triple.a.mask, partition_b=triple.b.mask, partition_c=triple.c.mask,
+        cfg, partition_a=a, partition_b=b, partition_c=c,
         lightcone_onset=onset,
         onset_convention="max over subset pairs of minimal inter-site distance, over 4*j0",
     )
@@ -194,12 +194,9 @@ def run_tmi_vs_entropy(cfg: RunConfig) -> list:
     """Quarter-partition TMI and half-chain entropy per coupling exponent."""
     pset, columns, _ = _sweep(cfg, _entropy_rows,
                               ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"), scan=False)
-    triple = pset[0]
-    meta = _base_meta(
-        cfg,
-        partition_a=triple.a.mask, partition_b=triple.b.mask, partition_c=triple.c.mask,
-        half_chain_mask=_half_mask(cfg),
-    )
+    a, b, c = pset[0]
+    meta = _base_meta(cfg, partition_a=a, partition_b=b, partition_c=c,
+                      half_chain_mask=_half_mask(cfg))
     return [Dataset(name="tmi_vs_entropy", meta=meta, columns=columns)]
 
 
@@ -261,7 +258,7 @@ def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
         columns[f"p{m}"] = occupations[:, m].tolist()
     i = int(np.argmin(scan.min_values))
     return columns, (float(grid.times[i]), float(scan.min_values[i]),
-                     pset[int(scan.argmin[i])].masks())
+                     pset[int(scan.argmin[i])])
 
 
 def run_onebody_scan(cfg: RunConfig) -> list:

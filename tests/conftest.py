@@ -50,3 +50,9 @@ def evolved8(basis8):
     grid = TimeGrid(np.array([0.0, 1.7]))
     traj = evolve(coupling, basis8, neel_state(basis8), grid)
     return traj.state_at(1)
+
+
+def lookup_masks(pset):
+    """The seven subset masks entering every triple's TMI: rows A, B, C, AB, AC, BC, ABC."""
+    a, b, c = pset.a, pset.b, pset.c
+    return np.stack([a, b, c, a | b, a | c, b | c, a | b | c])

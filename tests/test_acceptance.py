@@ -44,6 +44,8 @@ from spinchain.runs import (
     validate_suite,
 )
 
+from conftest import lookup_masks
+
 # exact peak of the 1-excitation TMI at the simplex center: 4 H(1/4) - 3
 SIMPLEX_PEAK = 4.0 * (0.5 + 0.75 * math.log2(4.0 / 3.0)) - 3.0
 
@@ -145,7 +147,7 @@ def test_criterion_02_sector_vs_full_entropies():
             dev = abs((table[a] + table[b] - table[a | b])
                       - (s_full[a] + s_full[b] - s_full[a | b]))
             worst_mi = max(worst_mi, float(dev))
-        ia, ib, ic, iab, iac, ibc, iabc = enumerate_partitions(n, "all").lookup_masks
+        ia, ib, ic, iab, iac, ibc, iabc = lookup_masks(enumerate_partitions(n, "all"))
         tmi_sec = (table[ia] + table[ib] + table[ic] + table[iabc]
                    - table[iab] - table[iac] - table[ibc])
         tmi_ful = (s_full[ia] + s_full[ib] + s_full[ic] + s_full[iabc]
@@ -244,7 +246,7 @@ def test_criterion_06_invariant_suite():
         sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)).astype(int)
         bound = np.minimum(sizes, n - sizes)
         mirror = np.arange(1 << n) ^ ((1 << n) - 1)
-        ia, ib, ic, iab, iac, ibc, iabc = enumerate_partitions(n, "all").lookup_masks
+        ia, ib, ic, iab, iac, ibc, iabc = lookup_masks(enumerate_partitions(n, "all"))
         for spec in specs:
             coupling = coupling_matrix(spec)
             for k in (n // 2, 1):

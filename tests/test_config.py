@@ -162,6 +162,11 @@ class TestValidation:
             RunConfig(n_sites=10, alphas=(1.0,), subset_a=(0,), subset_b=(1,),
                       subset_c=(10,))
 
+    def test_rejects_empty_subset(self):
+        with pytest.raises(ConfigError, match="^partitions.a/b/c: .*nonempty"):
+            RunConfig(n_sites=10, alphas=(1.0,), subset_a=(0, 1), subset_b=(),
+                      subset_c=(5,))
+
 
 class TestPartitionSet:
     def test_load_does_not_enumerate(self, monkeypatch):
@@ -177,13 +182,25 @@ class TestPartitionSet:
 
     def test_one_triple_for_quarters_and_explicit(self):
         pset = RunConfig(n_sites=8, alphas=(1.0,)).partition_set(scan=False)
-        assert [t.masks() for t in pset] == [(0b11, 0b1100, 0b110000)]
+        assert (len(pset), pset[0]) == (1, (0b11, 0b1100, 0b110000))
         cfg = RunConfig(n_sites=10, alphas=(1.0,), subset_a=(8, 9), subset_b=(0,),
                         subset_c=(4, 5))
         for scan in (False, True):
             pset = cfg.partition_set(scan=scan)
             assert pset.strategy == "explicit"
-            assert [t.masks() for t in pset] == [(0b1, 0b110000, 0b1100000000)]
+            assert (len(pset), pset[0]) == (1, (0b1, 0b110000, 0b1100000000))
+
+    def test_explicit_triple_masks_from_site_lists(self):
+        # site i is bit i and a repeated site counts once
+        cfg = RunConfig(n_sites=6, alphas=(1.0,), subset_a=(3, 0, 3), subset_b=(1, 4),
+                        subset_c=(5, 2))
+        assert cfg.partition_set(scan=False)[0] == (0b001001, 0b010010, 0b100100)
+
+    def test_explicit_triple_sorted_ascending(self):
+        # the masks sort ascending whatever order the lists come in
+        cfg = RunConfig(n_sites=6, alphas=(1.0,), subset_a=(4, 5), subset_b=(0, 1),
+                        subset_c=(2, 3))
+        assert cfg.partition_set(scan=False)[0] == (0b000011, 0b001100, 0b110000)
 
     def test_family_only_for_scans(self):
         from spinchain import enumerate_partitions

@@ -12,7 +12,6 @@ from spinchain import (
     ModelSpec,
     NumericalConsistencyError,
     SchmidtSpectrum,
-    SiteSubset,
     SubsetEntropyTable,
     TimeGrid,
     coupling_matrix,
@@ -34,19 +33,30 @@ from spinchain.partitions import PartitionSet, contiguous_quarters, enumerate_pa
 from conftest import random_sector_state, skewed_coupling
 
 
-class TestSiteSubset:
-    def test_from_sites_and_back(self):
-        sub = SiteSubset.from_sites(6, [0, 2, 5])
-        assert sub.mask == 0b100101
-        assert sub.sites == (0, 2, 5)
-        assert sub.size == 3
-        assert sub.complement().mask == 0b011010
+class TestMaskValidation:
+    def test_rejects_out_of_range(self, basis6):
+        table = subset_entropy_table(neel_state(basis6))
+        for mask in (1 << 6, -1):
+            with pytest.raises(ValueError, match="outside a 6-site chain"):
+                table[mask]
+            with pytest.raises(ValueError, match="outside a 6-site chain"):
+                subsystem_spectrum(neel_state(basis6), mask)
+        with pytest.raises(ValueError, match="outside a 6-site chain"):
+            EntropyTablePlan(basis6, [0b11, 1 << 6])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SiteSubset(4, 1 << 4)
-        with pytest.raises(ValueError):
-            SiteSubset.from_sites(4, [4])
+    def test_rejects_non_integer_masks(self, basis6):
+        # a float is refused, never truncated to the mask below it
+        table = subset_entropy_table(neel_state(basis6))
+        with pytest.raises(TypeError):
+            table[2.7]
+        with pytest.raises(TypeError):
+            tmi(table, 1, 2, 4.9)
+        with pytest.raises(TypeError):
+            EntropyTablePlan(basis6, [2.5])
+        # numpy integers are masks like any other
+        assert table[np.int64(0b1011)] == table[0b1011]
+        assert tmi(table, np.uint8(1), 2, np.int32(4)) == tmi(table, 1, 2, 4)
+        assert EntropyTablePlan(basis6, np.array([2])).mask_array.tolist() == [0, 2, 63]
 
 
 class TestSchmidtSpectrum:
@@ -97,9 +107,10 @@ class TestSubsystemSpectrum:
             np.testing.assert_allclose(mine, ref, atol=1e-10)
 
     def test_subset_accepts_site_subset(self, evolved8):
+        # a site subset is an integer mask, numpy's included
         via_mask = subsystem_spectrum(evolved8, subset=0b1010)
-        via_subset = subsystem_spectrum(evolved8, subset=SiteSubset(8, 0b1010))
-        np.testing.assert_allclose(via_mask.weights, via_subset.weights)
+        via_numpy = subsystem_spectrum(evolved8, subset=np.int64(0b1010))
+        np.testing.assert_array_equal(via_mask.weights, via_numpy.weights)
 
 
 def grids_from_site_lists(basis, mask):
@@ -278,10 +289,10 @@ class TestReflectedPlans:
         if family == "all":
             masks = None  # every bitmask
         elif family == "quarters":  # tmi-vs-entropy: quarters plus the half chain
-            masks = np.union1d(PartitionSet.from_triples([contiguous_quarters(n)]).read_masks(),
-                               [(1 << n // 2) - 1])
+            a, b, c = contiguous_quarters(n)
+            masks = np.union1d(PartitionSet(n, [a], [b], [c]).read_masks, [(1 << n // 2) - 1])
         else:
-            masks = enumerate_partitions(n, family).read_masks()
+            masks = enumerate_partitions(n, family).read_masks
         assert len(EntropyTablePlan(basis, masks).reps) == general
         assert len(EntropyTablePlan(basis, masks, reflected=True).reps) == reflected
 
@@ -305,7 +316,7 @@ class TestReflectedPlans:
         pset = enumerate_partitions(cfg.n_sites, "contiguous")
         runs._table(cfg, coupling, runs._time_grid(cfg), pset)
         basis, _ = runs._initial_state(cfg)
-        return basis, pset.read_masks()
+        return basis, pset.read_masks
 
     @pytest.mark.parametrize("initial_state, site, skewed", [
         ("single", 2, False),  # an off-centre excitation

@@ -12,12 +12,12 @@ from spinchain import (
     ModelSpec,
     NumericalConsistencyError,
     PartitionSet,
-    PartitionTriple,
     SubsetEntropyTable,
     TimeGrid,
     contiguous_quarters,
     coupling_matrix,
     enumerate_partitions,
+    enumerate_sector,
     evolve,
     extrema,
     lightcone_onset,
@@ -27,9 +27,12 @@ from spinchain import (
     tau_sign_change,
     tmi,
 )
-from spinchain import partitions, reference
+from spinchain import partitions, reference, runs
+from spinchain.bits import bit_positions, popcount
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
+
+from conftest import lookup_masks
 
 
 def brute_force_all_assignments(n):
@@ -56,22 +59,6 @@ def batched_table(tables):
     """One time-batched table from per-time tables of the same masks."""
     return SubsetEntropyTable(tables[0].n_sites, tables[0].mask_array,
                               np.column_stack([t.values for t in tables]))
-
-
-class TestPartitionTriple:
-    def test_canonical_order(self):
-        trip = PartitionTriple.from_masks(6, 0b110000, 0b000011, 0b001100)
-        assert trip.masks() == (0b000011, 0b001100, 0b110000)
-
-    def test_rejects_overlap_and_empty(self):
-        with pytest.raises(ValueError):
-            PartitionTriple.from_masks(6, 0b11, 0b10, 0b100)
-        with pytest.raises(ValueError):
-            PartitionTriple.from_masks(6, 0b11, 0, 0b100)
-
-    def test_complement_part(self):
-        trip = PartitionTriple.from_masks(8, 0b11, 0b1100, 0b110000)
-        assert trip.d.mask == 0b11000000
 
 
 class TestEnumeration:
@@ -112,15 +99,16 @@ class TestEnumeration:
         assert len(pset) == 10 + 10
 
     def test_contiguous_blocks_are_intervals(self):
-        for trip in enumerate_partitions(6, "contiguous"):
-            for sub in (trip.a, trip.b, trip.c):
-                sites = sub.sites
-                assert sites == tuple(range(sites[0], sites[-1] + 1))
+        pset = enumerate_partitions(6, "contiguous")
+        for i in range(len(pset)):
+            for mask in pset[i]:
+                sites = bit_positions(mask)
+                assert sites == list(range(sites[0], sites[-1] + 1))
 
     def test_fixed_sizes(self):
         pset = enumerate_partitions(4, "fixed:1,1,1")
         assert len(pset) == 4
-        sizes = {tuple(sorted((t.a.size, t.b.size, t.c.size))) for t in pset}
+        sizes = {tuple(sorted(map(popcount, pset[i]))) for i in range(len(pset))}
         assert sizes == {(1, 1, 1)}
         assert len(enumerate_partitions(6, "fixed:2,2,2")) == 15
 
@@ -194,8 +182,7 @@ class TestEnumeration:
             enumerate_partitions(8, "quarters")
 
     def test_quarters(self):
-        trip = contiguous_quarters(12)
-        assert trip.masks() == (0b000000000111, 0b000000111000, 0b000111000000)
+        assert contiguous_quarters(12) == (0b000000000111, 0b000000111000, 0b000111000000)
         with pytest.raises(ValueError):
             contiguous_quarters(7)
 
@@ -205,11 +192,10 @@ class TestExtremaAndTau:
         table = subset_entropy_table(evolved8)
         pset = enumerate_partitions(8, "all")
         lo, i_min, hi, i_max = extrema(pset.tmi_values(table))
-        quarters = contiguous_quarters(8)
-        val = tmi(table, *quarters.masks())
+        val = tmi(table, *contiguous_quarters(8))
         assert lo <= val <= hi
-        assert lo == pytest.approx(tmi(table, *pset[int(i_min)].masks()), abs=1e-12)
-        assert hi == pytest.approx(tmi(table, *pset[int(i_max)].masks()), abs=1e-12)
+        assert lo == pytest.approx(tmi(table, *pset[i_min]), abs=1e-12)
+        assert hi == pytest.approx(tmi(table, *pset[i_max]), abs=1e-12)
 
     def test_covering_triples_have_zero_tmi(self, evolved8):
         table = subset_entropy_table(evolved8)
@@ -222,13 +208,12 @@ class TestExtremaAndTau:
         pset = enumerate_partitions(8, "contiguous")
         vals = pset.tmi_values(table)
         for i in (0, 7, len(pset) - 1):
-            trip = pset[i]
-            assert vals[i] == pytest.approx(tmi(table, *trip.masks()), abs=1e-12)
+            assert vals[i] == pytest.approx(tmi(table, *pset[i]), abs=1e-12)
 
     @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "all"])
     def test_mask_driven_plan_matches_full_plan(self, evolved8, basis8, strategy):
         pset = enumerate_partitions(8, strategy)
-        masks = np.unique(np.concatenate(pset.lookup_masks))
+        masks = np.unique(np.concatenate(lookup_masks(pset)))
         driven = EntropyTablePlan(basis8, masks).evaluate(evolved8.amplitudes)
         full = EntropyTablePlan(basis8).evaluate(evolved8.amplitudes)
         # the exhaustive family touches every nonempty mask: a dense table
@@ -248,10 +233,10 @@ class TestExtremaAndTau:
         # with its mirror (d, c, b, a).  The extremum is the earlier of the two.
         n = 8
         pset = enumerate_partitions(n, "contiguous")
-        index = {t.masks(): i for i, t in enumerate(pset)}
+        index = {pset[i]: i for i in range(len(pset))}
 
         def mirror(i):
-            sizes = [t.size for t in (pset[i].a, pset[i].b, pset[i].c)]
+            sizes = [popcount(m) for m in pset[i]]
             edges = np.cumsum([0, n - sum(sizes)] + sizes[::-1])
             return index[tuple(((1 << int(hi - lo)) - 1) << int(lo)
                                for lo, hi in zip(edges[:3], edges[1:]))]
@@ -305,7 +290,7 @@ class TestExtremaAndTau:
         n = 8
         pset = enumerate_partitions(n, "all")
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
-        ia, ib, ic, *_, iabc = pset.lookup_masks
+        ia, ib, ic, *_, iabc = lookup_masks(pset)
 
         def per_time_scan(occupations):
             # the scan the kernel replaced, one time at a time: the reference
@@ -341,7 +326,7 @@ class TestExtremaAndTau:
         with pytest.raises(NumericalConsistencyError, match="non-finite TMI at t=0.5"):
             tmi_extrema(pset, table, np.array([0.0, 0.25, 0.5]))
         # in a later block, the first of two bad times is named
-        reads = (pset.lookup_masks == self.LAST_READ_ONLY).any(axis=0)
+        reads = (lookup_masks(pset) == self.LAST_READ_ONLY).any(axis=0)
         assert np.flatnonzero(reads).tolist() == [len(pset) - 1] == [19]
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 3 * 2)
         values[0b11, 2] = 0.0
@@ -353,7 +338,7 @@ class TestExtremaAndTau:
         # a sparse table of every mask the family reads but one
         pset = enumerate_partitions(6, "contiguous")
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * 2)
-        masks = pset.read_masks()
+        masks = pset.read_masks
         kept = masks[masks != self.LAST_READ_ONLY]
         table = SubsetEntropyTable(6, kept, np.zeros((len(kept), 2)))
         assert len(kept) == len(masks) - 1 and not table.is_dense
@@ -446,7 +431,7 @@ class TestOrbitReducedScan:
     def test_other_sets_scan_every_triple(self, basis8, monkeypatch, strategy):
         # the explicit triple's remainder lacks the top site: no orbit member
         # of the all family would stand for it, and it is still scanned
-        pset = PartitionSet.from_triples([PartitionTriple.from_masks(8, 0b1, 0b10, 0b10000000)]) \
+        pset = PartitionSet(8, [0b1], [0b10], [0b10000000]) \
             if strategy == "explicit" else enumerate_partitions(8, strategy)
         times = np.linspace(0.0, 2.7, 10)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
@@ -490,7 +475,7 @@ class TestLightconeOnset:
         ) == pytest.approx(base / 2.0)
 
     def test_single_site_pair_distance(self):
-        trip = PartitionTriple.from_masks(10, 1 << 0, 1 << 1, 1 << 7)
+        trip = (1 << 0, 1 << 1, 1 << 7)
         # farthest pair is sites 0 and 7
         assert lightcone_onset(ModelSpec(10, alpha=1.0), trip) == pytest.approx(
             7.0 / 4.0
@@ -499,18 +484,37 @@ class TestLightconeOnset:
 
 class TestPartitionSetBasics:
     def test_sequence_protocol(self):
+        # a triple is an ascending (a, b, c) tuple of Python ints
         pset = enumerate_partitions(6, "contiguous")
-        assert isinstance(pset[0], PartitionTriple)
-        sliced = pset[:5]
-        assert isinstance(sliced, PartitionSet)
-        assert len(sliced) == 5
-        assert [t.masks() for t in sliced] == [pset[i].masks() for i in range(5)]
+        assert len(pset) == 20
+        for i in range(len(pset)):
+            triple = pset[i]
+            assert [type(m) for m in triple] == [int, int, int]
+            assert triple == (pset.a[i], pset.b[i], pset.c[i])
+            assert 0 < triple[0] < triple[1] < triple[2]
+        assert pset[np.int64(3)] == pset[3] and pset[-1] == pset[19]
 
-    def test_from_triples_round_trip(self):
-        triples = [
-            PartitionTriple.from_masks(6, 0b1, 0b10, 0b100),
-            PartitionTriple.from_masks(6, 0b1, 0b110, 0b11000),
-        ]
-        pset = PartitionSet.from_triples(triples)
+    def test_mask_arrays_round_trip(self):
+        triples = [(0b1, 0b10, 0b100), (0b1, 0b110, 0b11000)]
+        pset = PartitionSet(6, *np.array(triples).T)
         assert len(pset) == 2
-        assert pset[1].masks() == triples[1].masks()
+        assert [pset[i] for i in range(2)] == triples
+
+    def test_plan_reuse_reads_the_family_once(self, monkeypatch):
+        # every exponent of a scan asks _plan_for for the plan it already
+        # holds; the family's read masks are gathered on the first call only
+        family = enumerate_partitions(8, "contiguous")
+        pset = PartitionSet(8, family.a, family.b, family.c, strategy=family.strategy)
+        calls = []
+        lookups = PartitionSet._lookups
+        monkeypatch.setattr(PartitionSet, "_lookups",
+                            lambda self, *args: calls.append(1) or lookups(self, *args))
+        basis = enumerate_sector(8, 4)
+        runs._cached_plan.cache_clear()
+        try:
+            plans = [runs._plan_for(basis, pset, reflected=False) for _ in range(2)]
+        finally:
+            runs._cached_plan.cache_clear()
+        assert plans[0] is plans[1]
+        assert len(calls) == 1
+        assert plans[0].mask_array.tolist() == np.union1d(pset.read_masks, [0, 255]).tolist()

@@ -40,7 +40,23 @@ n_points = 17
 kac_rescaled = true
 """
 
-# (name, argv); "onebody.cfg" is written next to each run
+# an explicit triple at N=8 whose sites come out of order: the runner sorts
+# its masks ascending, which shows in partition_a/b/c and lightcone_onset
+TRIPLE_CFG = """\
+[model]
+n_sites = 8
+alphas = 0.5, 2.0
+[time]
+t_max = 2.0
+n_points = 21
+[partitions]
+a = 6, 7
+b = 0
+c = 3, 4
+"""
+CONFIGS = {"onebody.cfg": ONEBODY_CFG, "triple.cfg": TRIPLE_CFG}
+
+# (name, argv); the CONFIGS files are written next to each run
 INVOCATIONS = (
     ("onebody-all", ["onebody-scan", "--config", "onebody.cfg", "--partitions", "all"]),
     ("onebody-contiguous", ["onebody-scan", "--config", "onebody.cfg",
@@ -65,6 +81,7 @@ INVOCATIONS = (
                              "fixed:1,2,3"]),
     ("fig2", ["tmi-grid", "--config", "fig2", "--n-points", "9"]),
     ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
+    ("triple-grid", ["tmi-grid", "--config", "triple.cfg"]),
 )
 WORKERS = (1, 2)
 
@@ -79,8 +96,9 @@ def run_all(tree, label, scratch):
         for name, argv in INVOCATIONS:
             cwd = os.path.join(scratch, "runs", label, str(workers), name)
             os.makedirs(cwd)
-            with open(os.path.join(cwd, "onebody.cfg"), "w") as fh:
-                fh.write(ONEBODY_CFG)
+            for config, text in CONFIGS.items():
+                with open(os.path.join(cwd, config), "w") as fh:
+                    fh.write(text)
             print(f"{label} workers={workers} {name}", file=sys.stderr, flush=True)
             done = subprocess.run(
                 [sys.executable, "-m", "spinchain.cli", *argv,
