@@ -24,7 +24,7 @@ from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
                       onebody_tmi_scan, simplex_scan, tmi_binary)
 from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
                          enumerate_partitions, extrema, lightcone_onset, tau_sign_change)
-from .propagate import TimeGrid, Trajectory, evolve
+from .propagate import Trajectory, evolve
 
 __all__ = [
     "__version__",
@@ -33,7 +33,7 @@ __all__ = [
     "CouplingMatrix", "ModelSpec", "SectorBasis", "SectorHamiltonian",
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
-    "TimeGrid", "Trajectory", "evolve",
+    "Trajectory", "evolve",
     "EntropyTablePlan", "SchmidtSpectrum", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",

@@ -58,10 +58,6 @@ class Dataset:
         if len(set(lengths.values())) > 1:
             raise ValueError(f"ragged columns: {lengths}")
 
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.columns.values()))) if self.columns else 0
-
     def write_csv(self, path, precision: int = 12):
         with open(path, "w") as fh:
             for key in sorted(self.meta):

@@ -21,12 +21,18 @@ from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
 from .bits import popcount, reverse_bits
-from .errors import CapacityError, NumericalConsistencyError
+from .errors import NumericalConsistencyError, check_budget
 from .model import SectorBasis, StateVector
 
 WEIGHT_CLIP = 1e-12     # Schmidt weights above -WEIGHT_CLIP snap to zero
 WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
-FULL_TABLE_MAX_SITES = 16
+# Peak bytes of a plan build per (representative, sector state): its int32
+# index grids, held twice while each group is stacked; tracemalloc read
+# 8.1-9.9 at half filling, N = 12-16.  Its guard adds 600 B per
+# (representative, excitation block) of array headers and list entries,
+# 32 B per state of temporaries while one representative's grids are cut,
+# and 64 KiB fixed (read: up to 560 B, 26 B and 9 KB)
+_INDEX_BYTES = 10
 
 __all__ = [
     "SchmidtSpectrum", "SubsetEntropyTable", "EntropyTablePlan",
@@ -160,13 +166,6 @@ class SubsetEntropyTable:
         """True when every bitmask is present, so values[mask] is the entry."""
         return len(self.mask_array) == 1 << self.n_sites
 
-    @property
-    def dense(self) -> np.ndarray:
-        """Entropy array indexed by mask; only for full tables."""
-        if not self.is_dense:
-            raise ValueError("table holds only selected masks, not all 2^n")
-        return self.values
-
     def positions(self, masks) -> np.ndarray:
         """Indices of ``masks`` into ``values``; KeyError if any is absent."""
         masks = np.asarray(masks, dtype=np.int64)
@@ -211,10 +210,12 @@ class EntropyTablePlan:
     """Reusable index plan for evaluating subset entropies of many states.
 
     The plan covers the requested masks plus the empty set and the whole
-    chain, or every bitmask when ``masks`` is None (up to 16 sites); a scan
-    passes the masks its partitions read.  Complement symmetry S_X = S_Xc
-    (Xc the complement of X) leaves one representative per orbit {X, Xc},
-    its least mask.  A plan built ``reflected`` also identifies X with its
+    chain, or every bitmask when ``masks`` is None; a scan passes the masks
+    its partitions read.  A build whose peak would exceed the memory budget
+    is refused (CapacityError) before the plan's mask array or any index
+    grid is allocated.  Complement symmetry S_X = S_Xc (Xc the complement
+    of X) leaves one representative per orbit {X, Xc}, its least mask.
+    A plan built ``reflected`` also identifies X with its
     mirror image R(X), site i to N-1-i, so the orbit is {X, Xc, R(X),
     R(Xc)}; that holds only for states with S_X = S_R(X), which runners
     check with ``model.reflection_invariant``.  A representative need not
@@ -228,18 +229,21 @@ class EntropyTablePlan:
     """
 
     def __init__(self, basis: SectorBasis, masks=None, reflected: bool = False):
-        n = basis.n_sites
+        n, k, dim = basis.n_sites, basis.n_excitations, basis.dim
         full = basis.full_mask
         self.basis = basis
+        if masks is not None:
+            masks = np.fromiter((_as_mask(m, n) for m in masks), dtype=np.int64)
+        # at most one representative per {X, Xc} pair but {0, full}
+        n_reps = min(1 << n if masks is None else len(masks), (1 << n) // 2 - 1)
+        blocks = min(k, n - k) + 1
+        check_budget(f"sector ({n}, {k}) entropy plan has up to {n_reps:,} "
+                     f"representatives of {dim:,} states",
+                     (_INDEX_BYTES * n_reps + 32) * dim + 600 * n_reps * blocks + (1 << 16),
+                     "at its build's peak")
         if masks is None:
-            if n > FULL_TABLE_MAX_SITES:
-                raise CapacityError(
-                    f"full tables are capped at {FULL_TABLE_MAX_SITES} sites, got {n}; "
-                    f"pass an explicit mask list"
-                )
             masks = np.arange(1 << n, dtype=np.int64)
         else:
-            masks = np.fromiter((_as_mask(m, n) for m in masks), dtype=np.int64)
             masks = np.union1d(masks, [0, full])
         masks.flags.writeable = False
         self.mask_array = masks
@@ -254,12 +258,9 @@ class EntropyTablePlan:
         # entropy of the empty set and the whole chain
         self._slots = np.where(rep_of == 0, len(self.reps),
                                np.searchsorted(self.reps, rep_of))
-        self._build_groups()
-
-    def _build_groups(self):
         groups = {}
         for rep_id, mask in enumerate(self.reps):
-            for idx2d in _block_index_grids(self.basis, int(mask)):
+            for idx2d in _block_index_grids(basis, int(mask)):
                 key = idx2d.shape
                 grids, ids = groups.setdefault(key, ([], []))
                 grids.append(idx2d)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bits import bit_positions
-from .entropy import SubsetEntropyTable, _as_mask, tmi_terms
+from .entropy import SubsetEntropyTable, _disjoint_masks, tmi_terms
 from .errors import check_budget
 from .partitions import PartitionSet, TmiSeries, tmi_extrema
 
@@ -80,17 +80,15 @@ class OccupationWeights:
 def occupation_weights(c: np.ndarray, a, b, c_subset) -> OccupationWeights:
     """Subset occupation probabilities of a normalized k=1 amplitude vector.
 
-    ``a``, ``b``, ``c_subset`` are site bitmasks, pairwise
-    disjoint; site m of the chain is entry m of ``c``.
+    ``a``, ``b``, ``c_subset`` are site bitmasks, nonempty and pairwise
+    disjoint (ValueError otherwise); site m of the chain is entry m of ``c``.
     """
     c = np.asarray(c, dtype=np.complex128)
     n = len(c)
     norm = np.linalg.norm(c)
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"amplitudes are not normalized (norm {norm})")
-    masks = [_as_mask(x, n) for x in (a, b, c_subset)]
-    if (masks[0] & masks[1]) or (masks[0] & masks[2]) or (masks[1] & masks[2]):
-        raise ValueError("subsets must be pairwise disjoint")
+    masks = _disjoint_masks(n, (a, b, c_subset))
     w = np.abs(c) ** 2
     ps = [float(np.sum(w[bit_positions(m)])) for m in masks]
     return OccupationWeights(*ps)

@@ -4,7 +4,7 @@ One path serves every sector size and every grid: a Chebyshev expansion
 of exp(-iHt) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984) whose
 vectors T_k(H/R) psi0 come from one three-term recurrence on the sector
 Hamiltonian's ``apply``, weighted by Bessel coefficients J_k(Rt) into
-the state at each grid time.  The single-excitation sector takes the
+the state at each sample time.  The single-excitation sector takes the
 same path as every other.
 """
 
@@ -18,53 +18,14 @@ from .errors import check_budget
 from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
                     StateVector)
 
-__all__ = ["TimeGrid", "Trajectory", "evolve"]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing, nonnegative sample times.
-
-    When ``kac_rescaled`` is set the stored values are understood as
-    t * K (K the Kac constant) and must be divided by K before use as
-    physical times; ``physical_times`` does exactly that.
-    """
-
-    times: np.ndarray
-    kac_rescaled: bool = False
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) == 0:
-            raise ValueError("times must be a nonempty 1d array")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        if times[0] < 0:
-            raise ValueError("times must be nonnegative")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
-
-    @classmethod
-    def linspace(cls, t_max: float, n_points: int, kac_rescaled: bool = False) -> "TimeGrid":
-        if t_max <= 0 or n_points < 2:
-            raise ValueError("need t_max > 0 and at least two points")
-        return cls(np.linspace(0.0, t_max, n_points), kac_rescaled=kac_rescaled)
-
-    def physical_times(self, kac: float) -> np.ndarray:
-        """Times in inverse-coupling units, undoing Kac rescaling if any."""
-        return self.times / kac if self.kac_rescaled else self.times.copy()
-
-    def __len__(self):
-        return len(self.times)
+__all__ = ["Trajectory", "evolve"]
 
 
 @dataclass
 class Trajectory:
-    """States sampled along a time grid, stacked row-wise."""
+    """States at a sequence of physical times, stacked row-wise."""
 
-    grid: TimeGrid
+    times: np.ndarray
     basis: SectorBasis
     states: np.ndarray  # (n_times, dim) complex
 
@@ -72,7 +33,7 @@ class Trajectory:
         return StateVector(self.basis, self.states[i].copy())
 
     def __len__(self):
-        return len(self.grid)
+        return len(self.times)
 
 
 def _check_state(basis: SectorBasis, psi0: StateVector):
@@ -106,23 +67,33 @@ def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
 
 
 def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
-           grid: TimeGrid) -> Trajectory:
-    """States exp(-iHt)|psi0> at every grid time, from one Chebyshev series.
+           times) -> Trajectory:
+    """States exp(-iHt)|psi0> at each of ``times``, from one Chebyshev series.
 
-    exp(-iHt) psi0 = sum_k c_k(Rt) T_k(H/R) psi0 (Tal-Ezer and Kosloff,
-    1984; Weisse et al., Rev. Mod. Phys. 78, 275, 2006).  The vectors
-    T_k(H/R) psi0 do not depend on t, so one three-term recurrence on the
-    sector Hamiltonian's ``apply`` serves every grid time, uniform or
-    not.  H is real, symmetric and entrywise nonnegative, so R = max(H @ 1)
-    is its exact 1-norm and bounds every ||T_k(H/R)|| by 1; a negative
-    coupling raises ValueError.  The trajectory and one block of T_k
-    vectors are refused in bytes (CapacityError) before any product.
+    ``times`` is a 1-D array of physical times, nonempty, finite,
+    nonnegative and strictly increasing; anything else raises ValueError
+    before any allocation.  exp(-iHt) psi0 = sum_k c_k(Rt) T_k(H/R) psi0
+    (Tal-Ezer and Kosloff, 1984; Weisse et al., Rev. Mod. Phys. 78, 275,
+    2006).  The vectors T_k(H/R) psi0 do not depend on t, so one three-term
+    recurrence on the sector Hamiltonian's ``apply`` serves every time,
+    uniform or not.  H is real, symmetric and entrywise nonnegative, so
+    R = max(H @ 1) is its exact 1-norm and bounds every ||T_k(H/R)|| by 1;
+    a negative coupling raises ValueError.  The trajectory and one block
+    of T_k vectors are refused in bytes (CapacityError) before any product.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a nonempty 1d array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if times[0] < 0:
+        raise ValueError("times must be nonnegative")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
     if np.any(coupling.entries < 0):
         raise ValueError("couplings must be nonnegative")
     _check_state(basis, psi0)
     ham = SectorHamiltonian(coupling, basis)
-    times = grid.physical_times(coupling.kac)
     dim = basis.dim
     check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
                  f"{len(times)} states of {dim:,} amplitudes",
@@ -140,4 +111,4 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
             lo = k - k % _BLOCK
             for row, c in zip(out, coef[:, lo:k + 1]):
                 row += c @ block[:k + 1 - lo]
-    return Trajectory(grid=grid, basis=basis, states=out)
+    return Trajectory(times=times, basis=basis, states=out)

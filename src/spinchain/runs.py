@@ -3,12 +3,14 @@
 Every runner is one loop over the coupling exponents.  ``_sweep`` first
 resolves the partition set with ``RunConfig.partition_set``, so a
 partition setting the runner cannot honour is refused before any work.
-The task ``_exponent`` builds an exponent's coupling, time grid and
-``alpha``/``t``/``t_kac`` columns, and calls the runner's reducer, a
-module-level ``rows(cfg, pset, coupling, grid) -> (columns, extra)``;
-``extra`` carries what the runner needs beyond per-time columns.
+The task ``_exponent`` builds an exponent's coupling, physical times
+(the configured grid, divided by the Kac constant when ``kac_rescaled``
+is set: the one place Kac units are converted) and ``alpha``/``t``/
+``t_kac`` columns, and calls the runner's reducer, a module-level
+``rows(cfg, pset, coupling, times) -> (columns, extra)``; ``extra``
+carries what the runner needs beyond per-time columns.
 Sector-quench reducers read ``_table``: one subset-entropy table with a
-row per mask and a column per grid time.  ``_sweep`` maps the task over the
+row per mask and a column per time.  ``_sweep`` maps the task over the
 exponents, in a process pool when SPINCHAIN_THREADS asks for one, and
 stacks the columns in sweep order either way, so the emitted files do
 not depend on the worker count.
@@ -30,7 +32,7 @@ from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
 from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
-from .propagate import TimeGrid, evolve
+from .propagate import evolve
 
 # Nonnegativity floor asserted by the 1-excitation scan.
 ONEBODY_TMI_FLOOR = 1e-10
@@ -64,8 +66,9 @@ def _pmap(fn, items):
         return list(pool.map(fn, *zip(*items)))
 
 
-def _time_grid(cfg: RunConfig) -> TimeGrid:
-    return TimeGrid.linspace(cfg.t_max, cfg.n_points, kac_rescaled=cfg.kac_rescaled)
+def _grid(cfg: RunConfig) -> np.ndarray:
+    """The configured sample times: t, or t * K when Kac rescaled."""
+    return np.linspace(0.0, cfg.t_max, cfg.n_points)
 
 
 def _initial_state(cfg: RunConfig):
@@ -111,12 +114,12 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
 def _exponent(cfg: RunConfig, rows, scan: bool, label: str, spec: ModelSpec):
     """Columns of one exponent (alpha, t, t_kac, then the reducer's) and its extra."""
     coupling = coupling_matrix(spec)
-    grid = _time_grid(cfg)
-    t = grid.physical_times(coupling.kac)
+    grid = _grid(cfg)
+    t = grid / coupling.kac if cfg.kac_rescaled else grid
     # resolved again rather than shipped to a worker: an enumerated family
     # comes from enumerate_partitions' cache, which a forked worker inherits
     try:
-        columns, extra = rows(cfg, cfg.partition_set(scan), coupling, grid)
+        columns, extra = rows(cfg, cfg.partition_set(scan), coupling, t)
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"{exc} (alpha={label})") from exc
     return {"alpha": [label] * len(t), "t": t.tolist(),
@@ -142,25 +145,26 @@ def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
     return pset, stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
 
 
-def _table(cfg: RunConfig, coupling, grid, pset: PartitionSet, *extra_masks):
-    """Subset-entropy table with a row per mask and a column per grid time.
+def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
+    """Subset-entropy table with a row per mask and a column per time.
 
     The initial state of ``cfg`` is quenched under ``coupling``; the table
     holds the masks ``pset`` reads plus ``extra_masks``.  A reflection
     invariant quench (every Neel quench) evaluates one of each mirror pair.
+    The plan is built first, so a plan over the budget costs no propagation.
     """
     basis, psi0 = _initial_state(cfg)
-    traj = evolve(coupling, basis, psi0, grid)
     plan = _plan_for(basis, pset, *extra_masks,
                      reflected=reflection_invariant(coupling, psi0))
+    traj = evolve(coupling, basis, psi0, times)
     values = np.column_stack([plan.evaluate(state).values for state in traj.states])
     return SubsetEntropyTable(basis.n_sites, plan.mask_array, values)
 
 
 # -- tmi-grid ----------------------------------------------------------------
 
-def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    return {"tmi": pset.tmi_values(_table(cfg, coupling, grid, pset))[0].tolist()}, None
+def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
+    return {"tmi": pset.tmi_values(_table(cfg, coupling, times, pset))[0].tolist()}, None
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
@@ -183,9 +187,9 @@ def _half_mask(cfg: RunConfig) -> int:
     return (1 << (cfg.n_sites // 2)) - 1
 
 
-def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
+def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
     half = _half_mask(cfg)
-    table = _table(cfg, coupling, grid, pset, half)
+    table = _table(cfg, coupling, times, pset, half)
     return {"tmi": pset.tmi_values(table)[0].tolist(),
             "half_chain_entropy": table.gather(half).tolist()}, None
 
@@ -206,16 +210,16 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
                    "argmin_a", "argmin_b", "argmin_c", "argmax_a", "argmax_b", "argmax_c")
 
 
-def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
-    scan = tmi_extrema(pset, _table(cfg, coupling, grid, pset),
-                       grid.physical_times(coupling.kac), proper=True)
+def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
+    scan = tmi_extrema(pset, _table(cfg, coupling, times, pset), times, proper=True)
     proper = scan.min_proper
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist(),
-               "min_tmi_proper": [None] * len(grid) if proper is None else proper.tolist()}
+               "min_tmi_proper": [None] * len(times) if proper is None else proper.tolist()}
     for side, j in (("argmin", scan.argmin), ("argmax", scan.argmax)):
         for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
             columns[f"{side}_{part}"] = masks[j].tolist()
-    tau = tau_sign_change(grid.times, columns["min_tmi"], cfg.tau_threshold)
+    # tau in the configured units: the grid itself, as times * K differs by roundoff
+    tau = tau_sign_change(_grid(cfg), columns["min_tmi"], cfg.tau_threshold)
     return columns, (max(columns["max_tmi"]), tau)
 
 
@@ -248,16 +252,16 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 
 # -- onebody-scan --------------------------------------------------------------
 
-def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, grid):
+def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
     basis, psi0 = _initial_state(cfg)
     # k=1 basis states ascend as 1 << site, so column m is site m
-    occupations = np.abs(evolve(coupling, basis, psi0, grid).states) ** 2
-    scan = onebody_tmi_scan(occupations, grid.physical_times(coupling.kac), pset)
+    occupations = np.abs(evolve(coupling, basis, psi0, times).states) ** 2
+    scan = onebody_tmi_scan(occupations, times, pset)
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
         columns[f"p{m}"] = occupations[:, m].tolist()
     i = int(np.argmin(scan.min_values))
-    return columns, (float(grid.times[i]), float(scan.min_values[i]),
+    return columns, (float(_grid(cfg)[i]), float(scan.min_values[i]),
                      pset[int(scan.argmin[i])])
 
 
@@ -295,7 +299,7 @@ def _check_dynamics_oracle():
         for k in (1, 3):
             basis = enumerate_sector(6, k)
             psi0 = neel_state(basis) if k == 3 else single_excitation_state(basis, 2)
-            traj = evolve(coupling, basis, psi0, TimeGrid(times))
+            traj = evolve(coupling, basis, psi0, times)
             full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
             for i in range(len(times)):
                 dev = np.max(np.abs(full[i][basis.states] - traj.states[i]))
@@ -308,7 +312,7 @@ def _evolved_test_table():
     from . import reference
     basis = enumerate_sector(6, 3)
     traj = evolve(coupling_matrix(ModelSpec(6, alpha=0.7)), basis, neel_state(basis),
-                  TimeGrid(np.array([1.3])))
+                  np.array([1.3]))
     psi = traj.state_at(0)
     return subset_entropy_table(psi), reference.embed_state(psi)
 
@@ -340,7 +344,7 @@ def _check_tmi_oracle():
 def _check_onebody_oracle():
     basis = enumerate_sector(8, 1)
     psi = evolve(coupling_matrix(ModelSpec(8, alpha=0.5)), basis,
-                 single_excitation_state(basis, 3), TimeGrid(np.array([2.1]))).state_at(0)
+                 single_excitation_state(basis, 3), np.array([2.1])).state_at(0)
     # k=1 basis states ascend as 1 << site, so site amplitudes map directly
     amps = psi.amplitudes
     table = subset_entropy_table(psi)

@@ -6,7 +6,6 @@ import pytest
 from spinchain import (
     CouplingMatrix,
     ModelSpec,
-    TimeGrid,
     coupling_matrix,
     enumerate_sector,
     evolve,
@@ -47,8 +46,7 @@ def skewed_coupling(n_sites, alpha=0.6):
 def evolved8(basis8):
     """Half-filling N=8 Neel quench at a mid-window time, alpha=0.6."""
     coupling = coupling_matrix(ModelSpec(8, alpha=0.6))
-    grid = TimeGrid(np.array([0.0, 1.7]))
-    traj = evolve(coupling, basis8, neel_state(basis8), grid)
+    traj = evolve(coupling, basis8, neel_state(basis8), np.array([0.0, 1.7]))
     return traj.state_at(1)
 
 

@@ -1,5 +1,6 @@
 """Schmidt spectra, subset entropy tables, MI and TMI."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
+    CapacityError,
     EntropyTablePlan,
     ModelSpec,
     NumericalConsistencyError,
     SchmidtSpectrum,
+    SectorHamiltonian,
     SubsetEntropyTable,
-    TimeGrid,
     coupling_matrix,
     enumerate_sector,
     evolve,
@@ -162,7 +164,7 @@ class TestSubsetEntropyTable:
 
     def test_complement_symmetry_exact(self, evolved8):
         table = subset_entropy_table(evolved8)
-        dense = table.dense
+        dense = table.values
         full = 0b11111111
         for mask in range(1 << 8):
             assert dense[mask] == dense[full ^ mask]
@@ -209,7 +211,7 @@ class TestSubsetEntropyTable:
         # a product state: every Gram matrix is diagonal with entries 0 and 1,
         # so eigvalsh roundoff must not leave a nonzero or NaN entropy
         traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), TimeGrid(np.array([0.0, 0.3])))
+                      neel_state(basis8), np.array([0.0, 0.3]))
         for masks in (None, [0b1, 0b110, 0b11110000, 0b10101010]):
             plan = EntropyTablePlan(basis8, masks)
             for amps in (neel_state(basis8).amplitudes, traj.states[0]):
@@ -241,8 +243,8 @@ class TestSubsetEntropyTable:
         plan = EntropyTablePlan(basis8)
         t1 = plan.evaluate(random_sector_state(basis8, rng))
         t2 = plan.evaluate(random_sector_state(basis8, rng))
-        assert t1.dense.shape == t2.dense.shape
-        assert not np.array_equal(t1.dense, t2.dense)
+        assert t1.values.shape == t2.values.shape
+        assert not np.array_equal(t1.values, t2.values)
 
     def test_entropy_bounds(self, evolved8):
         # 0 <= S(A) <= min(|A|, |complement|) qubits for any subset
@@ -250,8 +252,8 @@ class TestSubsetEntropyTable:
         masks = np.arange(1 << 8)
         sizes = np.bitwise_count(masks).astype(float)
         bound = np.minimum(sizes, 8.0 - sizes)
-        assert np.all(table.dense >= 0.0)
-        assert np.all(table.dense <= bound + 1e-12)
+        assert np.all(table.values >= 0.0)
+        assert np.all(table.values <= bound + 1e-12)
 
 
 class TestReflectedPlans:
@@ -265,15 +267,15 @@ class TestReflectedPlans:
         coupling = coupling_matrix(ModelSpec(n, **spec))
         psi0 = neel_state(basis)
         assert reflection_invariant(coupling, psi0)
-        grid = TimeGrid.linspace(5.0, 4, kac_rescaled=True)
+        times = np.linspace(0.0, 5.0, 4) / coupling.kac
         general = EntropyTablePlan(basis, None)
         reflected = EntropyTablePlan(basis, None, reflected=True)
         masks = np.arange(1 << n)
         full = (1 << n) - 1
         mirrored = reverse_bits(masks, n)
-        for amps in evolve(coupling, basis, psi0, grid).states:
-            expected = general.evaluate(amps).dense
-            found = reflected.evaluate(amps).dense
+        for amps in evolve(coupling, basis, psi0, times).states:
+            expected = general.evaluate(amps).values
+            found = reflected.evaluate(amps).values
             np.testing.assert_allclose(found, expected, rtol=0, atol=1e-12)
             # every image of a mask reads its representative's slot
             for image in (full ^ masks, mirrored, full ^ mirrored):
@@ -314,7 +316,7 @@ class TestReflectedPlans:
     @staticmethod
     def _run_table(cfg, coupling):
         pset = enumerate_partitions(cfg.n_sites, "contiguous")
-        runs._table(cfg, coupling, runs._time_grid(cfg), pset)
+        runs._table(cfg, coupling, runs._grid(cfg), pset)
         basis, _ = runs._initial_state(cfg)
         return basis, pset.read_masks
 
@@ -342,6 +344,77 @@ class TestReflectedPlans:
             reflected.reps, EntropyTablePlan(basis, masks, reflected=True).reps)
         np.testing.assert_array_equal(general.reps, EntropyTablePlan(basis, masks).reps)
         assert len(reflected.reps) < len(general.reps)
+
+
+class TestPlanBudget:
+    """Plan builds are refused in bytes before their mask array or any index grid."""
+
+    @pytest.mark.parametrize("masks", [None, [0b1, 0b110, 0b11110000]],
+                             ids=["full", "explicit"])
+    def test_refused_before_any_grid(self, basis8, monkeypatch, masks):
+        def no_grids(*args):
+            raise AssertionError("an index grid was cut before the budget check")
+
+        monkeypatch.setattr(entropy, "_block_index_grids", no_grids)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 1 << 10)
+        with pytest.raises(CapacityError,
+                           match=r"sector \(8, 4\) entropy plan has up to \d+ representatives"):
+            EntropyTablePlan(basis8, masks)
+
+    def test_full_plan_refused_before_its_mask_array(self, monkeypatch):
+        # the N=20 mask array alone is 8 MiB
+        basis = enumerate_sector(20, 1)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="524,287 representatives of 20 states"):
+                EntropyTablePlan(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n, k, family, reflected", [
+        (12, 6, "full", False), (12, 6, "contiguous", True), (14, 1, "full", False),
+        (12, 0, "full", False), (14, 7, "one mask", False),
+    ])
+    def test_peak_within_guard(self, monkeypatch, n, k, family, reflected):
+        # the bytes the guard refuses above must cover the build's peak
+        basis = enumerate_sector(n, k)
+        masks = {"full": None, "one mask": [0b1]}.get(family)
+        if family == "contiguous":
+            masks = enumerate_partitions(n, family).read_masks
+        needs = []
+        check = entropy.check_budget
+        monkeypatch.setattr(entropy, "check_budget",
+                            lambda subject, need, what: needs.append(need)
+                            or check(subject, need, what))
+        tracemalloc.start()
+        try:
+            EntropyTablePlan(basis, masks, reflected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1
+        assert peak <= needs[0]
+
+    def test_table_refuses_before_propagation(self, monkeypatch):
+        # the 3-state trajectory (12 KB with its Chebyshev vectors) fits the
+        # budget and the plan over the contiguous family's masks does not
+        cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0)
+        pset = enumerate_partitions(8, "contiguous")
+        calls = []
+        apply = SectorHamiltonian.apply
+        monkeypatch.setattr(SectorHamiltonian, "apply",
+                            lambda self, vec: calls.append(1) or apply(self, vec))
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 50_000)
+        runs._cached_plan.cache_clear()
+        try:
+            with pytest.raises(CapacityError, match=r"sector \(8, 4\) entropy plan"):
+                runs._table(cfg, coupling_matrix(cfg.sweep()[0][1]), runs._grid(cfg), pset)
+        finally:
+            runs._cached_plan.cache_clear()
+        assert calls == []
 
 
 class TestInformationMeasures:

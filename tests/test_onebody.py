@@ -12,7 +12,6 @@ from spinchain import (
     ModelSpec,
     OccupationWeights,
     PartitionSet,
-    TimeGrid,
     binary_entropy,
     coupling_matrix,
     enumerate_partitions,
@@ -37,9 +36,9 @@ TMI_AT_QUARTER_POINT = 4.0 * (0.5 + 0.75 * math.log2(4.0 / 3.0)) - 3.0
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
-def _occupations(coupling, site, grid):
-    """Site weights |c_m(t)|^2 from the N x N oracle, a row per grid time."""
-    return np.abs(reference.onebody_amplitudes(coupling, site, grid.times)) ** 2
+def _occupations(coupling, site, times):
+    """Site weights |c_m(t)|^2 from the N x N oracle, a row per time."""
+    return np.abs(reference.onebody_amplitudes(coupling, site, times)) ** 2
 
 
 class TestBinaryEntropy:
@@ -98,6 +97,13 @@ class TestOccupationWeights:
         c = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             occupation_weights(c, 0b011, 0b010, 0b100)
+
+    def test_requires_nonempty(self):
+        # the same check as entropy.tmi, which refuses an empty subset
+        c = np.array([0.0, 1.0, 0.0, 0.0])
+        for a, b, c_subset in ((0, 0b10, 0b100), (0b1, 0, 0b100), (0b1, 0b10, 0)):
+            with pytest.raises(ValueError, match="^subsets must be nonempty$"):
+                occupation_weights(c, a, b, c_subset)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -171,12 +177,12 @@ class TestOnebodyScan:
         coupling = coupling_matrix(spec)
         basis = enumerate_sector(8, 1)
         psi0 = single_excitation_state(basis, 3)
-        grid = TimeGrid.linspace(1.2, 7)
+        times = np.linspace(0.0, 1.2, 7)
         pset = enumerate_partitions(8, "all")
 
-        series = onebody_tmi_scan(_occupations(coupling, 3, grid), grid.times, pset)
-        traj = evolve(coupling, basis, psi0, grid)
-        for i in range(len(grid)):
+        series = onebody_tmi_scan(_occupations(coupling, 3, times), times, pset)
+        traj = evolve(coupling, basis, psi0, times)
+        for i in range(len(times)):
             vals = pset.tmi_values(subset_entropy_table(traj.state_at(i)))
             assert series.min_values[i] == pytest.approx(vals.min(), abs=1e-10)
             assert series.max_values[i] == pytest.approx(vals.max(), abs=1e-10)
@@ -184,17 +190,17 @@ class TestOnebodyScan:
     def test_minimum_never_negative(self):
         spec = ModelSpec(10, alpha=0.4)
         coupling = coupling_matrix(spec)
-        grid = TimeGrid.linspace(3.0, 31)
+        times = np.linspace(0.0, 3.0, 31)
         pset = enumerate_partitions(10, "all")
-        series = onebody_tmi_scan(_occupations(coupling, 4, grid), grid.times, pset)
+        series = onebody_tmi_scan(_occupations(coupling, 4, times), times, pset)
         assert series.min_values.min() >= -1e-12
 
     def test_initial_state_has_zero_tmi(self):
         spec = ModelSpec(8, nn_limit=True)
         coupling = coupling_matrix(spec)
-        grid = TimeGrid.linspace(1.0, 3)
+        times = np.linspace(0.0, 1.0, 3)
         pset = enumerate_partitions(8, "contiguous")
-        series = onebody_tmi_scan(_occupations(coupling, 0, grid), grid.times, pset)
+        series = onebody_tmi_scan(_occupations(coupling, 0, times), times, pset)
         assert series.min_values[0] == 0.0
         assert series.max_values[0] == 0.0
 
@@ -211,11 +217,11 @@ class TestOnebodyScan:
         def refl(mask):
             return int(f"{mask:0{n}b}"[::-1], 2)
 
-        grid = TimeGrid(np.linspace(0.1, 1.6, 16))
+        times = np.linspace(0.1, 1.6, 16)
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
             coupling = coupling_matrix(ModelSpec(n, alpha=alpha))
-            series = onebody_tmi_scan(_occupations(coupling, 3, grid), grid.times, pset)
+            series = onebody_tmi_scan(_occupations(coupling, 3, times), times, pset)
             for i in np.concatenate([series.argmin, series.argmax]):
                 a, b, c = pset[i]
                 if a | b | c == full:
@@ -230,9 +236,9 @@ class TestOnebodyScan:
         # full-length lookup arrays are never built
         family = enumerate_partitions(8, "all")
         pset = PartitionSet(8, family.a, family.b, family.c)
-        grid = TimeGrid.linspace(1.2, 5)
-        onebody_tmi_scan(_occupations(coupling_matrix(ModelSpec(8, alpha=0.7)), 3, grid),
-                         grid.times, pset)
+        times = np.linspace(0.0, 1.2, 5)
+        onebody_tmi_scan(_occupations(coupling_matrix(ModelSpec(8, alpha=0.7)), 3, times),
+                         times, pset)
         assert not any(np.shape(value) == (7, len(pset)) for value in vars(pset).values())
 
     @pytest.mark.parametrize("n_times", [1, 17])
@@ -240,8 +246,8 @@ class TestOnebodyScan:
         # the bytes onebody_tmi_scan refuses above must cover what its
         # table build holds at its peak, read when the scan starts
         n = 12
-        grid = TimeGrid(np.linspace(2.0, 4.0, n_times))
-        occupations = _occupations(coupling_matrix(ModelSpec(n, alpha=0.5)), 4, grid)
+        times = np.linspace(2.0, 4.0, n_times)
+        occupations = _occupations(coupling_matrix(ModelSpec(n, alpha=0.5)), 4, times)
         pset = enumerate_partitions(n, "contiguous")
         peaks = []
 
@@ -251,7 +257,7 @@ class TestOnebodyScan:
         monkeypatch.setattr(onebody, "tmi_extrema", record)
         tracemalloc.start()
         try:
-            onebody_tmi_scan(occupations, grid.times, pset)
+            onebody_tmi_scan(occupations, times, pset)
         finally:
             tracemalloc.stop()
         assert peaks[0] <= (onebody._TABLE_BYTES * n_times + 8) << n
@@ -260,10 +266,10 @@ class TestOnebodyScan:
 
     def test_rejects_mismatched_chain(self):
         coupling = coupling_matrix(ModelSpec(8, alpha=1.0))
-        grid = TimeGrid.linspace(1.0, 3)
+        times = np.linspace(0.0, 1.0, 3)
         pset = enumerate_partitions(6, "all")
         with pytest.raises(ValueError):
-            onebody_tmi_scan(_occupations(coupling, 0, grid), grid.times, pset)
+            onebody_tmi_scan(_occupations(coupling, 0, times), times, pset)
 
 
 class TestOnebodyRunner:

@@ -13,7 +13,6 @@ from spinchain import (
     NumericalConsistencyError,
     PartitionSet,
     SubsetEntropyTable,
-    TimeGrid,
     contiguous_quarters,
     coupling_matrix,
     enumerate_partitions,
@@ -241,12 +240,12 @@ class TestExtremaAndTau:
             return index[tuple(((1 << int(hi - lo)) - 1) << int(lo)
                                for lo, hi in zip(edges[:3], edges[1:]))]
 
-        grid = TimeGrid(np.linspace(0.1, 0.6, 6))
+        times = np.linspace(0.1, 0.6, 6)
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
             traj = evolve(coupling_matrix(ModelSpec(n, alpha=alpha)), basis8,
-                          neel_state(basis8), grid)
-            for k in range(len(grid)):
+                          neel_state(basis8), times)
+            for k in range(len(times)):
                 table = subset_entropy_table(traj.state_at(k))
                 vals = pset.tmi_values(table)
                 lo, i_min, hi, i_max = extrema(vals)
@@ -268,11 +267,11 @@ class TestExtremaAndTau:
         pset = enumerate_partitions(8, "all")
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
         assert len(pset) / 150 >= 50
-        grid = TimeGrid(np.linspace(0.3, 2.7, n_points))
+        times = np.linspace(0.3, 2.7, n_points)
         traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), grid)
+                      neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
-        found = tmi_extrema(pset, batched_table(tables), grid.times, proper=True)
+        found = tmi_extrema(pset, batched_table(tables), times, proper=True)
         # the kernel evaluates one triple per {A, B, C, D} orbit, and sums
         # the other members' TMI in a different order: the bitwise
         # reference is the scan of the representatives
@@ -410,7 +409,7 @@ class TestOrbitReducedScan:
     def test_neel_quench_matches_full_family(self, basis8, monkeypatch, spec):
         times = np.linspace(0.0, 2.7, 10)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
-        traj = evolve(coupling_matrix(spec), basis8, neel_state(basis8), TimeGrid(times))
+        traj = evolve(coupling_matrix(spec), basis8, neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
         self.check_matches_full_family(enumerate_partitions(8, "all"), tables, times)
 
@@ -436,7 +435,7 @@ class TestOrbitReducedScan:
         times = np.linspace(0.0, 2.7, 10)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
         traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), TimeGrid(times))
+                      neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
         self.check_matches_full_family(pset, tables, times, exact=True)
 

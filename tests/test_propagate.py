@@ -1,4 +1,4 @@
-"""Time grids and sector propagation, the single-excitation sector included."""
+"""Sector propagation over arrays of physical times, the single-excitation sector included."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,17 @@ from scipy.special import jv
 from spinchain import (
     ModelSpec,
     SectorHamiltonian,
-    TimeGrid,
+    contiguous_quarters,
     coupling_matrix,
     enumerate_sector,
     evolve,
     neel_state,
     single_excitation_state,
+    subset_entropy_table,
+    tmi,
 )
-from spinchain import reference
+from spinchain import reference, runs
+from spinchain.config import load_config
 from spinchain.errors import CapacityError
 from spinchain.model import CouplingMatrix, StateVector
 
@@ -28,25 +31,67 @@ def _exact_norm1(coupling, basis):
     return np.abs(SectorHamiltonian(coupling, basis).matrix().toarray()).sum(axis=0).max()
 
 
-class TestTimeGrid:
-    def test_linspace(self):
-        grid = TimeGrid.linspace(2.0, 5)
-        np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert not grid.kac_rescaled
+class TestEvolveTimes:
+    def test_validation(self, basis6, monkeypatch):
+        # every check runs before the Hamiltonian is built or applied
+        def no_hamiltonian(*args):
+            raise AssertionError("the Hamiltonian was touched before the time checks")
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([-1.0, 0.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            TimeGrid(np.array([0.0, np.inf]))
+        monkeypatch.setattr(SectorHamiltonian, "__init__", no_hamiltonian)
+        coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
+        for times, message in ((np.array([-1.0, 0.0]), "nonnegative"),
+                               (np.array([0.0, 1.0, 1.0]), "strictly increasing"),
+                               (np.array([0.0, np.inf]), "finite"),
+                               (np.array([]), "nonempty 1d array"),
+                               (np.array([[0.0, 1.0]]), "nonempty 1d array")):
+            with pytest.raises(ValueError, match=f"^times must be (a )?{message}$"):
+                evolve(coupling, basis6, neel_state(basis6), times)
+
+
+class TestTimeGrid:
+    """The runner's time grid: t, or t * K with Kac rescaling.
+
+    The class keeps its original name so that its test ids stay stable.
+    """
+
+    n_points, t_max = 5, 2.0
+
+    def _columns(self, kac):
+        cfg = load_config("smoke", {"time.kac_rescaled": str(kac).lower(),
+                                    "time.n_points": str(self.n_points),
+                                    "time.t_max": str(self.t_max)})
+        (data,) = runs.run_tmi_grid(cfg)
+        for label, spec in cfg.sweep():
+            rows = np.array(data.columns["alpha"]) == label
+            coupling = coupling_matrix(spec)
+            assert coupling.kac != 1.0
+            yield (coupling, np.array(data.columns["t"])[rows],
+                   np.array(data.columns["t_kac"])[rows],
+                   np.array(data.columns["tmi"])[rows])
+
+    @staticmethod
+    def _check_last_tmi(coupling, t, tmi_column):
+        basis = enumerate_sector(8, 4)
+        psi = evolve(coupling, basis, neel_state(basis), t[-1:]).state_at(0)
+        expected = tmi(subset_entropy_table(psi), *contiguous_quarters(8))
+        assert abs(tmi_column[-1] - expected) < 1e-12
+
+    def test_linspace(self):
+        # with Kac off the t column is the plain linspace grid
+        grid = np.linspace(0.0, self.t_max, self.n_points)
+        for coupling, t, t_kac, tmi_column in self._columns(kac=False):
+            np.testing.assert_array_equal(t, grid)
+            np.testing.assert_array_equal(t_kac, t * coupling.kac)
+            self._check_last_tmi(coupling, t, tmi_column)
 
     def test_physical_times(self):
-        grid = TimeGrid(np.array([0.0, 1.0, 2.0]), kac_rescaled=True)
-        np.testing.assert_allclose(grid.physical_times(4.0), [0.0, 0.25, 0.5])
-        plain = TimeGrid(np.array([0.0, 1.0]))
-        np.testing.assert_allclose(plain.physical_times(4.0), [0.0, 1.0])
+        # with Kac on the grid is in t * K; evolve and the t column see
+        # physical times, and t_kac is t * K
+        grid = np.linspace(0.0, self.t_max, self.n_points)
+        for coupling, t, t_kac, tmi_column in self._columns(kac=True):
+            np.testing.assert_array_equal(t, grid / coupling.kac)
+            np.testing.assert_array_equal(t_kac, t * coupling.kac)
+            self._check_last_tmi(coupling, t, tmi_column)
 
 
 class TestDenseEvolution:
@@ -58,7 +103,7 @@ class TestDenseEvolution:
         basis = enumerate_sector(2, 1)
         psi0 = single_excitation_state(basis, 1)
         times = np.array([0.0, 0.3, 1.1])
-        traj = evolve(coupling_matrix(spec), basis, psi0, TimeGrid(times))
+        traj = evolve(coupling_matrix(spec), basis, psi0, times)
         for i, t in enumerate(times):
             expected = np.array(
                 [-1j * np.sin(1.6 * t), np.cos(1.6 * t)], dtype=complex
@@ -68,14 +113,14 @@ class TestDenseEvolution:
     def test_t_zero_reproduces_input(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.9))
         psi0 = neel_state(basis6)
-        traj = evolve(coupling, basis6, psi0, TimeGrid(np.array([0.0])))
+        traj = evolve(coupling, basis6, psi0, np.array([0.0]))
         np.testing.assert_array_equal(traj.states[0], psi0.amplitudes)
 
     def test_matches_full_space(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
         psi0 = neel_state(basis6)
         times = np.array([0.0, 0.4, 1.1, 2.7])
-        traj = evolve(coupling, basis6, psi0, TimeGrid(times))
+        traj = evolve(coupling, basis6, psi0, times)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         for i in range(len(times)):
             np.testing.assert_allclose(
@@ -86,7 +131,7 @@ class TestDenseEvolution:
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         ham = SectorHamiltonian(coupling, basis8)
         psi0 = neel_state(basis8)
-        traj = evolve(coupling, basis8, psi0, TimeGrid.linspace(3.0, 7))
+        traj = evolve(coupling, basis8, psi0, np.linspace(0.0, 3.0, 7))
         e0 = ham.expectation(psi0.amplitudes)
         for i in range(len(traj)):
             amps = traj.states[i]
@@ -97,12 +142,12 @@ class TestDenseEvolution:
         # H is real, so conjugation reverses time: U(-t) psi = conj(U(t) conj(psi)).
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         psi0 = neel_state(basis8)
-        fwd = evolve(coupling, basis8, psi0, TimeGrid(np.array([1.3])))
+        fwd = evolve(coupling, basis8, psi0, np.array([1.3]))
         back = evolve(
             coupling,
             basis8,
             StateVector(basis8, fwd.states[0].conj()),
-            TimeGrid(np.array([1.3])),
+            np.array([1.3]),
         )
         np.testing.assert_allclose(
             back.states[0].conj(), psi0.amplitudes, atol=1e-12
@@ -116,14 +161,14 @@ class TestLongTimeEvolution:
     def test_matches_full_space(self, basis8, alpha):
         coupling = coupling_matrix(ModelSpec(8, alpha=alpha))
         psi0 = neel_state(basis8)
-        grid = TimeGrid.linspace(4.0, 9)
-        full = reference.evolve_full(coupling, reference.embed_state(psi0), grid.times)
-        traj = evolve(coupling, basis8, psi0, grid)
+        times = np.linspace(0.0, 4.0, 9)
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        traj = evolve(coupling, basis8, psi0, times)
         assert np.max(np.abs(full[:, basis8.states] - traj.states)) < 1e-12
 
     def test_norm_preserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.3))
-        traj = evolve(coupling, basis8, neel_state(basis8), TimeGrid.linspace(5.0, 6))
+        traj = evolve(coupling, basis8, neel_state(basis8), np.linspace(0.0, 5.0, 6))
         norms = np.linalg.norm(traj.states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -140,15 +185,14 @@ class TestTaylorStepper:
         coupling = _coupling(n, alpha)
         basis = enumerate_sector(n, n // 2)
         psi0 = neel_state(basis)
-        kac = TimeGrid.linspace(0.8, 31, kac_rescaled=True)
         grids = [
-            kac,
-            TimeGrid(np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.2, 4.25])),
+            np.linspace(0.0, 0.8, 31) / coupling.kac,  # a Kac-rescaled grid
+            np.array([0.0, 0.01, 0.3, 0.31, 1.7, 4.2, 4.25]),
             # one interval with ||dt H||_1 = 100: about 150 terms
-            TimeGrid(np.array([0.0, 100.0 / _exact_norm1(coupling, basis)])),
+            np.array([0.0, 100.0 / _exact_norm1(coupling, basis)]),
         ]
         states = np.concatenate([evolve(coupling, basis, psi0, g).states for g in grids])
-        times = np.concatenate([g.physical_times(coupling.kac) for g in grids])
+        times = np.concatenate(grids)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
 
@@ -157,9 +201,9 @@ class TestTaylorStepper:
         coupling = _coupling(12, 0.0)
         basis = enumerate_sector(12, 6)
         psi0 = neel_state(basis)
-        grid = TimeGrid.linspace(5.0, 201)
-        traj = evolve(coupling, basis, psi0, grid)
-        full = reference.evolve_full(coupling, reference.embed_state(psi0), grid.times)
+        times = np.linspace(0.0, 5.0, 201)
+        traj = evolve(coupling, basis, psi0, times)
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_single_excitation_sector(self):
@@ -167,7 +211,7 @@ class TestTaylorStepper:
         basis = enumerate_sector(8, 1)
         psi0 = single_excitation_state(basis, 2)
         times = np.array([0.0, 0.2, 1.5, 6.0])
-        traj = evolve(coupling, basis, psi0, TimeGrid(times))
+        traj = evolve(coupling, basis, psi0, times)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
@@ -176,7 +220,7 @@ class TestTaylorStepper:
         # the empty and the full sector hold one state and H = 0, so R = 0
         basis = enumerate_sector(8, k)
         psi0 = StateVector(basis, np.array([1j]))
-        traj = evolve(_coupling(8, 0.5), basis, psi0, TimeGrid.linspace(5.0, 11))
+        traj = evolve(_coupling(8, 0.5), basis, psi0, np.linspace(0.0, 5.0, 11))
         np.testing.assert_array_equal(traj.states, np.full((11, 1), 1j))
 
     def test_products_are_propagation_plus_one_norm(self, monkeypatch):
@@ -185,13 +229,13 @@ class TestTaylorStepper:
         # |c_k| = 2 |J_k(R t)| below 2^-53
         coupling = _coupling(12, 0.5)
         basis = enumerate_sector(12, 6)
-        grid = TimeGrid.linspace(0.8, 31, kac_rescaled=True)
+        times = np.linspace(0.0, 0.8, 31) / coupling.kac
         calls = []
         apply = SectorHamiltonian.apply
         monkeypatch.setattr(SectorHamiltonian, "apply",
                             lambda self, vec: calls.append(1) or apply(self, vec))
-        evolve(coupling, basis, neel_state(basis), grid)
-        z = _exact_norm1(coupling, basis) * grid.physical_times(coupling.kac)
+        evolve(coupling, basis, neel_state(basis), times)
+        z = _exact_norm1(coupling, basis) * times
         n_terms = next(k for k in range(1, 1000)
                        if k > z.max() and 2 * np.abs(jv(k, z)).max() < 2.0**-53)
         assert len(calls) == 1 + (n_terms - 1)
@@ -208,18 +252,18 @@ class TestTaylorStepper:
         with pytest.raises(CapacityError,
                            match=r"sector \(8, 4\) trajectory has 31 states of 70 amplitudes"):
             evolve(_coupling(8, 0.4), basis8, neel_state(basis8),
-                   TimeGrid.linspace(3.0, 31))
+                   np.linspace(0.0, 3.0, 31))
 
     def test_negative_coupling_refused(self, basis6):
         entries = coupling_matrix(ModelSpec(6, alpha=1.0)).entries.copy()
         entries[0, 1] = entries[1, 0] = -0.5
         coupling = CouplingMatrix(entries=entries, kac=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve(coupling, basis6, neel_state(basis6), TimeGrid.linspace(1.0, 3))
+            evolve(coupling, basis6, neel_state(basis6), np.linspace(0.0, 1.0, 3))
 
     def test_global_rng_untouched(self, basis8):
         state = np.random.get_state()
-        evolve(_coupling(8, 0.4), basis8, neel_state(basis8), TimeGrid.linspace(3.0, 7))
+        evolve(_coupling(8, 0.4), basis8, neel_state(basis8), np.linspace(0.0, 3.0, 7))
         after = np.random.get_state()
         assert after[0] == state[0] and after[2:] == state[2:]
         np.testing.assert_array_equal(after[1], state[1])
@@ -228,7 +272,7 @@ class TestTaylorStepper:
 class TestEvolveDispatcher:
     def test_trajectory_state_at(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
-        traj = evolve(coupling, basis6, neel_state(basis6), TimeGrid.linspace(1.0, 3))
+        traj = evolve(coupling, basis6, neel_state(basis6), np.linspace(0.0, 1.0, 3))
         assert len(traj) == 3
         sv = traj.state_at(2)
         assert sv.basis is basis6
@@ -246,7 +290,7 @@ class TestOneBody:
         times = np.array([0.0, 0.9, 2.2])
         basis = enumerate_sector(n, 1)
         traj = evolve(coupling, basis, single_excitation_state(basis, site),
-                      TimeGrid(times))
+                      times)
         oracle = reference.onebody_amplitudes(coupling, site, times)
         np.testing.assert_allclose(traj.states, oracle, rtol=0, atol=1e-12)
         norms = np.linalg.norm(traj.states, axis=1)

@@ -66,6 +66,9 @@ INVOCATIONS = (
     # single:5 is the centre of an odd chain: mirror triples tie exactly
     ("onebody-all-n11", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "11",
                          "--partitions", "all"]),
+    # every runner runs with Kac units on and off
+    ("onebody-plain", ["onebody-scan", "--config", "onebody.cfg", "--partitions", "contiguous",
+                       "--kac", "false"]),
     ("fig4-all", ["minmax-scan", "--config", "fig4", "--partitions", "all",
                   "--n-points", "5"]),
     ("fig4", ["minmax-scan", "--config", "fig4", "--n-points", "11"]),
@@ -80,6 +83,7 @@ INVOCATIONS = (
     ("smoke-fixed-unequal", ["minmax-scan", "--config", "smoke", "--partitions",
                              "fixed:1,2,3"]),
     ("fig2", ["tmi-grid", "--config", "fig2", "--n-points", "9"]),
+    ("fig2-kac", ["tmi-grid", "--config", "fig2", "--n-points", "9", "--kac"]),
     ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
     ("triple-grid", ["tmi-grid", "--config", "triple.cfg"]),
 )
