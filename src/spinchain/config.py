@@ -178,7 +178,8 @@ class RunConfig:
 
         An explicit a/b/c triple, or else the default quarters, is a
         one-triple set; any other strategy is a family, which only a
-        ``scan`` runner takes.  Families are enumerated here, at run time,
+        ``scan`` runner takes, the all-assignments family as one triple per
+        {A, B, C, D} orbit.  Families are enumerated here, at run time,
         never while the config loads.
         """
         if self.subset_a is not None:
@@ -186,7 +187,7 @@ class RunConfig:
         elif parse_strategy(self.strategy)[0] == QUARTERS:
             a, b, c = contiguous_quarters(self.n_sites)
         elif scan:
-            return enumerate_partitions(self.n_sites, self.strategy)
+            return enumerate_partitions(self.n_sites, self.strategy, orbits=True)
         else:
             raise ConfigError(
                 f"partitions.strategy: {self.strategy!r} is a partition family; this "

@@ -13,8 +13,8 @@ triples in chunks through buffers made once per scan: each chunk stacks
 its seven lookup masks, gathers their whole table rows in one np.take,
 sums the TMI in place and reduces a time-major copy to its extrema.
 For a pure state the TMI is symmetric in A, B, C and the remainder D
-(acceptance criterion 5), so over the all-assignments family the scan
-evaluates one triple per {A, B, C, D} orbit, about a quarter of them.
+(acceptance criterion 5), so the runners scan the all-assignments family
+through one stored triple per {A, B, C, D} orbit, about a quarter of it.
 """
 
 import math
@@ -61,12 +61,15 @@ class PartitionSet:
     ``pset[i]`` is triple i as an (a, b, c) tuple of ints.  The arrays keep
     exhaustive N=12 scans (millions of triples) affordable and let TMI
     evaluation run as vectorized table gathers.  The masks of AB, AC, BC
-    and ABC are derived where a gather needs them and not kept.
+    and ABC are derived where a gather needs them and not kept.  An
+    ``orbits`` set holds one triple per {A, B, C, D} orbit of its family
+    (see enumerate_partitions).
     """
 
     def __init__(self, n_sites: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 strategy: str = "explicit"):
+                 strategy: str = "explicit", orbits: bool = False):
         self.n_sites = n_sites
+        self.orbits = orbits
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
         self.c = np.asarray(c, dtype=np.int64)
@@ -82,20 +85,15 @@ class PartitionSet:
     def __getitem__(self, i) -> tuple:
         return int(self.a[i]), int(self.b[i]), int(self.c[i])
 
-    def _lookups(self, triples, out=None) -> np.ndarray:
+    def _lookups(self, triples: slice, out=None) -> np.ndarray:
         """The seven subset masks entering TMI for the ``triples``.
 
-        ``triples`` is a slice or an index array.  A (7, n) stack in the order
-        A, B, C, AB, AC, BC, ABC, written to the front columns of the int64
-        buffer ``out`` (new if None).
+        A (7, n) stack in the order A, B, C, AB, AC, BC, ABC, written to the
+        front columns of the int64 buffer ``out`` (new if None).
         """
-        n = len(self.a[triples]) if isinstance(triples, slice) else len(triples)
+        n = len(self.a[triples])
         masks = np.empty((7, n), dtype=np.int64) if out is None else out[:, :n]
-        for part, row in zip((self.a, self.b, self.c), masks):
-            if isinstance(triples, slice):
-                row[:] = part[triples]
-            else:
-                np.take(part, triples, out=row)
+        masks[0], masks[1], masks[2] = self.a[triples], self.b[triples], self.c[triples]
         a, b, c = masks[:3]
         masks[3], masks[4], masks[5] = a | b, a | c, b | c
         np.bitwise_or(masks[3], c, out=masks[6])
@@ -118,17 +116,21 @@ class PartitionSet:
     def covers_chain(self) -> np.ndarray:
         """Boolean flag per triple: A, B, C jointly cover every site.
 
-        For a pure state such covering triples have identically zero TMI
-        (S_ABC = 0 and each pairwise entropy mirrors the remaining part),
-        so extremal scans often want to separate them from proper
-        four-part splits.
+        A pure state's covering triples have identically zero TMI (S_ABC = 0,
+        S_AB = S_C and so on), so scans keep them apart from four-part splits.
         """
         full = (1 << self.n_sites) - 1
         return (self.a | self.b | self.c) == full
 
+    @property
+    def family_size(self) -> int:
+        """Triples of the family the set stands for (an orbits set holds all
+        S(N,3) covering triples of its S(N+1,4), and one per four of the rest)."""
+        return _family_count(self.n_sites, None) if self.orbits else len(self)
+
     def _tmi_block(self, table: SubsetEntropyTable, triples=slice(None),
                    idx=None, work=None) -> tuple:
-        """TMI of the ``triples``, a row per triple, and their lookup masks.
+        """TMI of the ``triples`` (a slice), a row per triple, and their lookup masks.
 
         The one gather behind tmi_values and tmi_extrema: one
         table.positions call checks the (7, rows) stack of lookup masks,
@@ -188,8 +190,14 @@ def fixed_sizes_count(n_sites: int, sizes) -> int:
     return count
 
 
-def _family_count(n_sites: int, sizes, parts: int = 3) -> int:
-    """Canonical ``parts``-tuples of assignments with these sizes (None: any)."""
+def _family_count(n_sites: int, sizes, parts: int = 3, orbits: bool = False) -> int:
+    """Canonical ``parts``-tuples of assignments with these sizes (None: any).
+
+    With ``orbits``, those whose remainder holds the top site (tuples of the
+    other sites) or is empty (one part fewer; the leftover joins the top's).
+    """
+    if orbits:
+        return sum(_family_count(n_sites - 1, None, p) for p in (parts, parts - 1))
     if sizes is not None:
         return fixed_sizes_count(n_sites, sizes)
     # inclusion-exclusion over empty bins, divided by the relabelings
@@ -204,27 +212,31 @@ def _rest_sizes(n_sites: int, sizes) -> dict:
     return {n_sites - size: sizes[:i] + sizes[i + 1:] for i, size in enumerate(sizes)}
 
 
-def _labelings(every, counts, n_bits: int, pair):
+def _labelings(every, counts, n_bits: int, pair, orbits: bool):
     """(B, C) labelings of n_bits bits, as (beta, gamma) mask arrays.
 
     Keeps disjoint nonempty beta < gamma, sorted by (beta, gamma), whose
-    popcounts are ``pair`` in either order (any, if None).  ``every`` and
-    ``counts`` are the masks 0, 1, 2, ... and their popcounts.
+    popcounts are ``pair`` in either order (any, if None), and with
+    ``orbits`` only those whose union lacks the top bit or is every bit.
+    ``every`` and ``counts`` are the masks 0, 1, 2, ... and their popcounts.
     """
     masks = every[1:1 << n_bits]
     if pair is not None:
         masks = masks[np.isin(counts[masks], pair)]
+    top, full = 1 << (n_bits - 1), (1 << n_bits) - 1
     gammas = []
     for i, beta in enumerate(masks):  # ascending: gamma > beta is a suffix
         later = masks[i + 1:]
         keep = (later & beta) == 0
         if pair is not None:
             keep &= counts[later] == sum(pair) - counts[beta]
+        if orbits:
+            keep &= ((later | beta) < top) | ((later | beta) == full)
         gammas.append(later[keep])
     return np.repeat(masks, [len(g) for g in gammas]), np.concatenate(gammas)
 
 
-def _enumerate_assignments(n_sites: int, sizes=None) -> PartitionSet:
+def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> PartitionSet:
     """Canonical triples in (a, b, c) order, one numpy slice per A.
 
     Every assignment, or with ``sizes`` those whose parts have these sizes
@@ -232,13 +244,15 @@ def _enumerate_assignments(n_sites: int, sizes=None) -> PartitionSet:
     other two.  B and C label bits of the rest R of the chain.  Label
     tables index the ascending submasks of R, and depositing bits in R's
     positions keeps their order and popcounts, so (beta, gamma) order is
-    (b, c) order; the rows with b > a form a suffix of the table.
+    (b, c) order; the rows with b > a form a suffix of the table.  A never
+    holds the top site, the top bit of R, so with ``orbits`` the tables
+    keep the labelings that leave it to D or leave D empty.
     """
     every = np.arange(1 << n_sites, dtype=np.int64)
     counts = np.bitwise_count(every)
-    tables = {n_rest: _labelings(every, counts, n_rest, pair)
+    tables = {n_rest: _labelings(every, counts, n_rest, pair, orbits)
               for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
-    total = _family_count(n_sites, sizes)
+    total = _family_count(n_sites, sizes, orbits=orbits)
     out = np.empty((3, total), dtype=np.int64)
     pos = 0
     for a in np.flatnonzero(np.isin(counts, [n_sites - n for n in tables])):
@@ -254,7 +268,7 @@ def _enumerate_assignments(n_sites: int, sizes=None) -> PartitionSet:
         raise AssertionError(f"enumerated {pos} triples, expected {total}")
     strategy = ALL_ASSIGNMENTS if sizes is None else \
         f"{FIXED_SIZES}:{','.join(map(str, sizes))}"
-    return PartitionSet(n_sites, *out, strategy=strategy)
+    return PartitionSet(n_sites, *out, strategy=strategy, orbits=orbits)
 
 
 def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
@@ -307,7 +321,7 @@ def parse_strategy(text: str):
 
 
 @lru_cache(maxsize=4)
-def _enumerate_cached(n_sites: int, strategy: str, sizes):
+def _enumerate_cached(n_sites: int, strategy: str, sizes, orbits: bool):
     if strategy == CONTIGUOUS_BLOCKS:
         return _enumerate_contiguous_blocks(n_sites)
     if strategy == ALL_ASSIGNMENTS:
@@ -318,17 +332,19 @@ def _enumerate_cached(n_sites: int, strategy: str, sizes):
         name = f"fixed-sizes family {','.join(map(str, sizes))}"
     else:
         raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
-    count = _family_count(n_sites, sizes)
+    count = _family_count(n_sites, sizes, orbits=orbits)
     # three int64 masks per triple; beta, gamma and gamma's pieces per row of
     # the (B, C) labeling tables
-    rows = count + sum(_family_count(n_rest, pair, parts=2)
+    rows = count + sum(_family_count(n_rest, pair, 2, orbits)
                        for n_rest, pair in _rest_sizes(n_sites, sizes).items())
-    check_budget(f"{name} of {n_sites} sites has {count:,} triples",
+    check_budget(f"{name} of {n_sites} sites has {count:,} "
+                 f"{'orbit representatives' if orbits else 'triples'}",
                  24 * rows + (SCRATCH_BYTES_PER_MASK << n_sites), "of masks and scratch")
-    return _enumerate_assignments(n_sites, sizes)
+    return _enumerate_assignments(n_sites, sizes, orbits)
 
 
-def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS) -> PartitionSet:
+def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
+                         orbits: bool = False) -> PartitionSet:
     """All canonical partition triples of a family, named as parse_strategy reads it.
 
     'all' (all-assignments): every site->{A,B,C,D} map with A, B, C
@@ -336,11 +352,17 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS) -> Parti
     'contiguous' (contiguous-blocks): chain cuts into 3 or 4 consecutive
     blocks.  'fixed:SA,SB,SC' (fixed-sizes): all assignments with
     |A|, |B|, |C| = SA, SB, SC.
+
+    With ``orbits`` the all family keeps one triple per orbit {A,B,C},
+    {A,B,D}, {A,C,D}, {B,C,D}: the first in family order, whose D is empty
+    or holds the top site (S(N,3) + S(N,4) triples, 698,027 of 2,532,530
+    at N=12).  A pure state's TMI is symmetric in A, B, C and D, so these
+    give the family's extrema.  Other families are enumerated whole.
     """
     strategy, sizes = parse_strategy(strategy)
     if n_sites < 3:
         raise ValueError(f"need at least 3 sites to form a triple, got {n_sites}")
-    return _enumerate_cached(n_sites, strategy, sizes)
+    return _enumerate_cached(n_sites, strategy, sizes, orbits and strategy == ALL_ASSIGNMENTS)
 
 
 def _first_within(vals: np.ndarray, lo, hi) -> tuple:
@@ -370,24 +392,14 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     """Per-time TMI extrema over a partition set, from a time-batched table.
 
     ``table`` holds a row of entropies per mask and a column per entry of
-    ``times``.  The triples stream through in chunks, each gathering
-    whole table rows for every time at once (PartitionSet._tmi_block).
+    ``times``.  The triples stream through in slices, each gathering whole
+    table rows for every time at once (PartitionSet._tmi_block).
     ``zero(a, b, c, abc)``, if given, takes a chunk's masks and marks the
     (triple, time) entries whose TMI is exactly zero.  Ties resolve as by
-    extrema; ``min_proper`` is filled when ``proper`` is set.
-
-    The table must come from a pure state.  Then S_X = S_{X^c}, so the TMI
-    is symmetric under every permutation of A, B, C and the remainder D
-    (acceptance criterion 5 checks this at 1e-9), and the triples {A,B,C},
-    {A,B,D}, {A,C,D}, {B,C,D} of a four-part split tie up to roundoff.
-    Over the all-assignments family only one triple per orbit is
-    evaluated: the one whose D is empty or holds the top site, which is
-    the first of its orbit in (a, b, c) order, so ties still go to the
-    first triple.  At N=12 that is 698,027 of 2,532,530 triples, and they
-    read every mask the family reads.  The family is filtered in strides
-    of four chunks, and the kept triples fill chunks of the same size.
-    Other sets are evaluated whole.  ``argmin`` and ``argmax`` index the
-    full set.
+    extrema, and ``argmin``/``argmax`` index ``pset``; ``min_proper`` is
+    filled when ``proper`` is set.  An ``orbits`` set needs a pure state's
+    table: its TMI ties across each orbit up to roundoff, and each
+    representative comes first in its orbit, so the picks are the family's.
 
     Only the first chunk holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier chunk holds
@@ -398,45 +410,24 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
         raise ValueError("empty partition list")
     n_t = table.values.shape[1]
     rows = max(1, _BLOCK_BYTES // (8 * n_t))
-    full, top = (1 << pset.n_sites) - 1, 1 << (pset.n_sites - 1)
-    orbits = pset.strategy == ALL_ASSIGNMENTS
-    # about a quarter of the all-assignments family is kept
-    stride = 4 * rows
+    full = (1 << pset.n_sites) - 1
     # scratch reused by every chunk: new arrays this large come from mmap
     # and fault in their pages, chunk after chunk
     size = min(rows, len(pset))
     idx, work = np.empty((7, size), dtype=np.int64), np.empty((7, size, n_t))
     by_time = np.empty((n_t, size))
 
-    def chunks(start):
-        """Indices of the triples to evaluate from ``start`` on, ``rows`` at a time."""
-        pending = np.empty(0, dtype=np.int64)
-        for first in range(start, len(pset), stride):
-            stop = min(first + stride, len(pset))
-            kept = np.arange(first, stop)
-            if orbits:
-                union = pset.a[first:stop] | pset.b[first:stop] | pset.c[first:stop]
-                kept = kept[(union < top) | (union == full)]
-            pending = np.concatenate((pending, kept))
-            while len(pending) >= rows:
-                yield pending[:rows]
-                pending = pending[rows:]
-        if len(pending):
-            yield pending
-
-    def block(kept):
-        vals, masks = pset._tmi_block(table, kept, idx, work)
+    def block(k):
+        vals, masks = pset._tmi_block(table, slice(k * rows, (k + 1) * rows), idx, work)
         if zero is not None:
             a, b, c, *_, abc = masks
             np.copyto(vals, 0.0, where=zero(a, b, c, abc))
         return vals, masks[6]
 
     block_lo, block_hi = [], []
-    firsts = []  # each chunk's first triple, where chunks() finds it again
     proper_lo = None
-    for kept in chunks(0):
-        firsts.append(kept[0])
-        vals, abc = block(kept)
+    for k in range(-(-len(pset) // rows)):
+        vals, abc = block(k)
         # reduce a time-major copy along its rows: contiguous, unlike axis 0
         vals_t = by_time[:, :len(vals)]
         np.copyto(vals_t, vals.T)
@@ -456,11 +447,10 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     i_min = np.empty(n_t, dtype=np.int64)
     i_max = np.empty(n_t, dtype=np.int64)
     for k in np.union1d(k_min, k_max):
-        kept = next(chunks(firsts[k]))
-        first_lo, first_hi = _first_within(block(kept)[0], lo, hi)
+        first_lo, first_hi = _first_within(block(k)[0], lo, hi)
         at_min, at_max = k_min == k, k_max == k
-        i_min[at_min] = kept[first_lo[at_min]]
-        i_max[at_max] = kept[first_hi[at_max]]
+        i_min[at_min] = k * rows + first_lo[at_min]
+        i_max[at_max] = k * rows + first_hi[at_max]
     return TmiSeries(lo, i_min, hi, i_max, proper_lo)
 
 

@@ -66,6 +66,15 @@ def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
         columns.append(c)
 
 
+def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):
+    """The sector Hamiltonian, unbuilt, once it and ``n_times`` states pass their byte guards."""
+    ham = SectorHamiltonian(coupling, basis)
+    check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
+                 f"{n_times} states of {basis.dim:,} amplitudes",
+                 16 * (n_times + _BLOCK) * basis.dim, "with its Chebyshev vectors")
+    return ham
+
+
 def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
            times) -> Trajectory:
     """States exp(-iHt)|psi0> at each of ``times``, from one Chebyshev series.
@@ -78,8 +87,8 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     recurrence on the sector Hamiltonian's ``apply`` serves every time,
     uniform or not.  H is real, symmetric and entrywise nonnegative, so
     R = max(H @ 1) is its exact 1-norm and bounds every ||T_k(H/R)|| by 1;
-    a negative coupling raises ValueError.  The trajectory and one block
-    of T_k vectors are refused in bytes (CapacityError) before any product.
+    a negative coupling raises ValueError.  check_sizes refuses the
+    Hamiltonian or the trajectory in bytes before any product.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -93,11 +102,8 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     if np.any(coupling.entries < 0):
         raise ValueError("couplings must be nonnegative")
     _check_state(basis, psi0)
-    ham = SectorHamiltonian(coupling, basis)
+    ham = check_sizes(coupling, basis, len(times))
     dim = basis.dim
-    check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
-                 f"{len(times)} states of {dim:,} amplitudes",
-                 16 * (len(times) + _BLOCK) * dim, "with its Chebyshev vectors")
     radius = float(ham.apply(np.ones(dim)).real.max())
     coef = _chebyshev_coefficients(radius * times)
     out = np.zeros((len(times), dim), dtype=np.complex128)

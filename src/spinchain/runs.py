@@ -32,7 +32,7 @@ from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
 from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
 from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
-from .propagate import evolve
+from .propagate import check_sizes, evolve
 
 # Nonnegativity floor asserted by the 1-excitation scan.
 ONEBODY_TMI_FLOOR = 1e-10
@@ -151,9 +151,11 @@ def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
     The initial state of ``cfg`` is quenched under ``coupling``; the table
     holds the masks ``pset`` reads plus ``extra_masks``.  A reflection
     invariant quench (every Neel quench) evaluates one of each mirror pair.
-    The plan is built first, so a plan over the budget costs no propagation.
+    The size guards run before the plan is built, and the plan before any
+    propagation, so a refusal costs neither.
     """
     basis, psi0 = _initial_state(cfg)
+    check_sizes(coupling, basis, len(times))
     plan = _plan_for(basis, pset, *extra_masks,
                      reflected=reflection_invariant(coupling, psi0))
     traj = evolve(coupling, basis, psi0, times)
@@ -241,8 +243,8 @@ def run_minmax_scan(cfg: RunConfig) -> list:
     summary = {"alpha": [label for label, _ in extras],
                "peak_max_tmi": [peak for _, (peak, _) in extras],
                "tau": [tau for _, (_, tau) in extras]}
-    meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
-                      n_proper_partitions=int((~pset.covers_chain).sum()),
+    meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=pset.family_size,
+                      n_proper_partitions=pset.family_size - int(pset.covers_chain.sum()),
                       tau_threshold=cfg.tau_threshold)
     return [
         Dataset(name="minmax_scan", meta=meta, columns=columns),
@@ -283,7 +285,7 @@ def run_onebody_scan(cfg: RunConfig) -> list:
             raise NumericalConsistencyError(
                 f"TMI {v_min} below -{ONEBODY_TMI_FLOOR} at alpha={label}, "
                 f"t={t_min}, partition masks={masks}")
-    meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=len(pset),
+    meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=pset.family_size,
                       site=cfg.resolved_site(), tmi_floor=ONEBODY_TMI_FLOOR)
     return [Dataset(name="onebody_scan", meta=meta, columns=columns)]
 

@@ -192,10 +192,12 @@ class TestExitCodes:
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
-        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "15",
+        # the scan stores S(16,3) + S(16,4) orbit representatives (N=15 fits)
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "16",
                         "--partitions", "all", "--out", str(out_dir)])
         assert code == 3
-        assert "171,798,901 triples, about 4.2 GB" in capsys.readouterr().err
+        assert ("all-assignments family of 16 sites has 178,940,587 orbit representatives, "
+                "about 4.4 GB") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from spinchain import (
     ModelSpec,
     NumericalConsistencyError,
     PartitionSet,
+    RunConfig,
     SubsetEntropyTable,
     contiguous_quarters,
     coupling_matrix,
@@ -45,6 +46,14 @@ def brute_force_all_assignments(n):
         if a and b and c:
             seen.add(tuple(sorted((a, b, c))))
     return seen
+
+
+def stirling2(n, k):
+    """Partitions of n sites into k nonempty blocks (Stirling number of the second kind)."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+    return row[k]
 
 
 def orbit_representatives(pset):
@@ -118,7 +127,7 @@ class TestEnumeration:
     def test_capacity_guard_counts_bytes_before_allocating(self, monkeypatch):
         calls = []
         monkeypatch.setattr(partitions, "_enumerate_assignments",
-                            lambda n, sizes: calls.append(n) or n)
+                            lambda n, *rest: calls.append(n) or n)
         try:
             # 171,798,901 triples of three int64 masks (4.1 GB), and the
             # (B, C) labeling tables (0.09 GB): 4.2 GB
@@ -128,6 +137,24 @@ class TestEnumeration:
             # 42,355,950 triples, 1.05 GB with the tables: inside the budget
             assert enumerate_partitions(14, "all") == 14
             assert calls == [14]
+        finally:
+            partitions._enumerate_cached.cache_clear()
+
+    def test_orbit_guard_counts_representatives(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(partitions, "_enumerate_assignments",
+                            lambda n, *rest: calls.append(n) or n)
+        try:
+            # S(16,3) + S(16,4) = 178,940,587 representatives of three int64
+            # masks (4.3 GB), and the filtered labeling tables: 4.4 GB
+            with pytest.raises(CapacityError, match="178,940,587 orbit representatives, "
+                                                    "about 4.4 GB"):
+                enumerate_partitions(16, "all", orbits=True)
+            assert calls == []
+            # 44,731,051 representatives, 1.1 GB with the tables: inside the
+            # budget, where the whole N=15 family is not
+            assert enumerate_partitions(15, "all", orbits=True) == 15
+            assert calls == [15]
         finally:
             partitions._enumerate_cached.cache_clear()
 
@@ -141,7 +168,7 @@ class TestEnumeration:
     def test_fixed_sizes_guard_refuses_before_enumerating(self, monkeypatch):
         calls = []
         monkeypatch.setattr(partitions, "_enumerate_assignments",
-                            lambda n, sizes: calls.append(n) or n)
+                            lambda n, *rest: calls.append(n) or n)
         try:
             # 107,207,100 triples of three int64 masks: 2.6 GB
             with pytest.raises(CapacityError,
@@ -262,8 +289,9 @@ class TestExtremaAndTau:
     def test_block_boundaries_do_not_change_sector_extrema(self, basis8, monkeypatch,
                                                            n_points):
         # the Neel quench is invariant under reflection with a spin flip, so
-        # mirror triples tie exactly, and in blocks of 150 triples the ties
-        # straddle block boundaries
+        # mirror triples tie exactly, and so do the triples of an orbit up
+        # to roundoff; in blocks of 150 triples the ties straddle block
+        # boundaries
         pset = enumerate_partitions(8, "all")
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
         assert len(pset) / 150 >= 50
@@ -272,16 +300,11 @@ class TestExtremaAndTau:
                       neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
         found = tmi_extrema(pset, batched_table(tables), times, proper=True)
-        # the kernel evaluates one triple per {A, B, C, D} orbit, and sums
-        # the other members' TMI in a different order: the bitwise
-        # reference is the scan of the representatives
-        reps = orbit_representatives(pset)
         for k, table in enumerate(tables):
-            vals = pset.tmi_values(table)[reps]
-            lo, i_min, hi, i_max = extrema(vals)
+            vals = pset.tmi_values(table)
             assert (found.min_values[k], found.argmin[k], found.max_values[k],
-                    found.argmax[k]) == (lo, reps[i_min], hi, reps[i_max])
-            assert found.min_proper[k] == vals[~pset.covers_chain[reps]].min()
+                    found.argmax[k]) == extrema(vals)
+            assert found.min_proper[k] == vals[~pset.covers_chain].min()
 
     @pytest.mark.parametrize("n_points", [1, 9])
     def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
@@ -368,10 +391,9 @@ class TestExtremaAndTau:
 
 
 class TestOrbitReducedScan:
-    """Over the all family, tmi_extrema evaluates one triple per orbit."""
+    """The runners scan the all family through one stored triple per orbit."""
 
-    # blocks of 37 triples: chunks of kept triples straddle the strides
-    # they are filtered from, and orbits and ties straddle chunk edges
+    # blocks of 37 triples: orbits and ties straddle chunk edges
     ROWS = 37
 
     def test_one_representative_per_orbit_and_it_comes_first(self):
@@ -389,19 +411,48 @@ class TestOrbitReducedScan:
                      for trio in combinations(parts, 3) if all(trio)]
             assert is_rep[orbit].sum() == 1 and is_rep[min(orbit)]
 
-    def check_matches_full_family(self, pset, tables, times, exact=False):
+    def test_representatives_are_the_filtered_family(self):
+        # element for element and in family order, at odd and even N
+        for n in range(3, 13):
+            family = enumerate_partitions(n, "all")
+            pset = enumerate_partitions(n, "all", orbits=True)
+            reps = orbit_representatives(family)
+            assert len(pset) == len(reps) == stirling2(n, 3) + stirling2(n, 4)
+            for part in "abc":
+                assert np.array_equal(getattr(pset, part), getattr(family, part)[reps])
+            assert (pset.strategy, pset.orbits, family.orbits) == \
+                (family.strategy, True, False)
+            # every covering triple is its own representative
+            assert pset.family_size == family.family_size == len(family)
+            assert pset.covers_chain.sum() == family.covers_chain.sum() == stirling2(n, 3)
+        assert enumerate_partitions(9, "all", orbits=True).family_size == 34_105
+
+    def test_representatives_read_every_mask_the_family_reads(self):
+        for n in range(4, 11):
+            masks = enumerate_partitions(n, "all", orbits=True).read_masks
+            assert np.array_equal(masks, enumerate_partitions(n, "all").read_masks)
+            assert np.array_equal(masks, np.arange(1, 1 << n))
+
+    def test_other_families_ignore_orbits(self):
+        for strategy in ("contiguous", "fixed:2,2,2"):
+            pset = enumerate_partitions(8, strategy, orbits=True)
+            assert pset is enumerate_partitions(8, strategy) and not pset.orbits
+
+    def check_matches_family(self, pset, family, tables, times, exact=0):
+        """tmi_extrema over ``pset`` picks the triples and values that
+        extrema picks over every triple of ``family``: the first ``exact``
+        of (min, max, proper min) bitwise, all within 1e-12."""
         found = tmi_extrema(pset, batched_table(tables), times, proper=True)
-        covers = pset.covers_chain
+        covers = family.covers_chain
         for k, table in enumerate(tables):
-            vals = pset.tmi_values(table)
+            vals = family.tmi_values(table)
             lo, i_min, hi, i_max = extrema(vals)
-            assert found.argmin[k] == i_min and found.argmax[k] == i_max
+            assert pset[found.argmin[k]] == family[i_min]
+            assert pset[found.argmax[k]] == family[i_max]
             got = (found.min_values[k], found.max_values[k], found.min_proper[k])
             expected = (lo, hi, vals[~covers].min())
-            if exact:
-                assert got == expected
-            else:
-                assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
+            assert np.max(np.abs(np.subtract(got, expected))) < 1e-12
+            assert got[:exact] == expected[:exact]
 
     @pytest.mark.parametrize("spec", [ModelSpec(8, alpha=0.6), ModelSpec(8, alpha=2.5),
                                       ModelSpec(8, nn_limit=True)],
@@ -411,25 +462,30 @@ class TestOrbitReducedScan:
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
         traj = evolve(coupling_matrix(spec), basis8, neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
-        self.check_matches_full_family(enumerate_partitions(8, "all"), tables, times)
+        self.check_matches_family(enumerate_partitions(8, "all", orbits=True),
+                                  enumerate_partitions(8, "all"), tables, times)
 
     def test_onebody_tables_match_full_family(self, monkeypatch):
         n, times = 8, np.linspace(0.0, 2.0, 9)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         occupations = np.abs(reference.onebody_amplitudes(coupling, 3, times)) ** 2
-        # the mirror-symmetric average makes mirror triples tie exactly
-        for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
+        # the mirror-symmetric average makes mirror triples tie exactly, and
+        # the extrema then match bitwise (the proper minimum only to roundoff)
+        for occ, exact in ((occupations, 0),
+                           (0.5 * (occupations + occupations[:, ::-1]), 2)):
             entropies = binary_entropy(_subset_probability_table(occ.T))
             tables = [SubsetEntropyTable(n, np.arange(1 << n), column)
                       for column in entropies.T]
-            self.check_matches_full_family(enumerate_partitions(n, "all"), tables, times)
+            self.check_matches_family(enumerate_partitions(n, "all", orbits=True),
+                                      enumerate_partitions(n, "all"), tables, times, exact)
 
     @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "fixed:1,2,3",
-                                          "explicit"])
+                                          "explicit", "all"])
     def test_other_sets_scan_every_triple(self, basis8, monkeypatch, strategy):
         # the explicit triple's remainder lacks the top site: no orbit member
-        # of the all family would stand for it, and it is still scanned
+        # of the all family would stand for it, and it is still scanned; the
+        # whole all family is scanned whole, and argmin/argmax index it
         pset = PartitionSet(8, [0b1], [0b10], [0b10000000]) \
             if strategy == "explicit" else enumerate_partitions(8, strategy)
         times = np.linspace(0.0, 2.7, 10)
@@ -437,7 +493,23 @@ class TestOrbitReducedScan:
         traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
                       neel_state(basis8), times)
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
-        self.check_matches_full_family(pset, tables, times, exact=True)
+        self.check_matches_family(pset, pset, tables, times, exact=3)
+
+    def test_runner_set_stores_only_representatives(self):
+        # 24 B per representative plus the filtered labeling tables and
+        # 32 B per mask of scratch, the guard's 17.9 MB estimate; the whole
+        # N=12 family's masks alone are 61 MB
+        cfg = RunConfig(n_sites=12, alphas=(1.0,), strategy="all")
+        partitions._enumerate_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            pset = cfg.partition_set(scan=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            partitions._enumerate_cached.cache_clear()
+        assert len(pset) == 698_027 and pset.orbits
+        assert 24 * len(pset) < peak < 24 * (len(pset) + 44_281) + (32 << 12)
 
     def test_scan_holds_no_whole_family_temporary(self):
         # one int64 per triple of the N=12 family is 20 MB; the scan's peak

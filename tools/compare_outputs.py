@@ -77,6 +77,9 @@ INVOCATIONS = (
     ("smoke-minmax", ["minmax-scan", "--config", "smoke"]),
     # a Neel scan of every triple at N=8, with the proper-split minimum
     ("smoke-all", ["minmax-scan", "--config", "smoke", "--partitions", "all"]),
+    # at odd N, with n_proper_partitions counted from the orbit representatives
+    ("smoke-all-n9", ["minmax-scan", "--config", "smoke", "--partitions", "all",
+                      "--n-sites", "9"]),
     ("smoke-fixed-nn", ["minmax-scan", "--config", "smoke", "--partitions", "fixed:2,2,2",
                         "--nn-limit"]),
     # unequal sizes: A takes each of them
