@@ -12,16 +12,15 @@ the closed-form single-excitation diagnostics.
 __version__ = "0.1.0"
 
 from .config import RunConfig, load_config
-from .entropy import (EntropyTablePlan, SchmidtSpectrum, SubsetEntropyTable,
-                      mutual_information, subset_entropy_table, subsystem_spectrum, tmi,
-                      von_neumann)
+from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
+                      subset_entropy_table, subsystem_spectrum, tmi, von_neumann)
 from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
                      SpinChainError)
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     StateVector, coupling_matrix, enumerate_sector, neel_state,
                     sector_dimension, single_excitation_state)
-from .onebody import (OccupationWeights, binary_entropy, occupation_weights,
-                      onebody_tmi_scan, simplex_scan, tmi_binary)
+from .onebody import (binary_entropy, occupation_weights, onebody_tmi_scan, simplex_scan,
+                      tmi_binary)
 from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
                          enumerate_partitions, extrema, lightcone_onset, tau_sign_change)
 from .propagate import Trajectory, evolve
@@ -34,10 +33,10 @@ __all__ = [
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
     "Trajectory", "evolve",
-    "EntropyTablePlan", "SchmidtSpectrum", "SubsetEntropyTable",
+    "EntropyTablePlan", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",
-    "OccupationWeights", "binary_entropy", "occupation_weights",
+    "binary_entropy", "occupation_weights",
     "onebody_tmi_scan", "simplex_scan", "tmi_binary",
     "PartitionSet", "TmiSeries", "contiguous_quarters",
     "enumerate_partitions", "extrema", "lightcone_onset", "tau_sign_change",

@@ -33,8 +33,6 @@ def _add_run_flags(sub):
                      help=f"config file or preset ({', '.join(PRESET_NAMES)})")
     for flag, _, text in _FLAG_MAP:
         sub.add_argument(flag, help=text)
-    sub.add_argument("--nn-limit", nargs="?", const="true",
-                     help="include the nearest-neighbour limit in the sweep")
     sub.add_argument("--kac", nargs="?", const="true",
                      help="interpret the time grid in Kac-rescaled units")
     sub.add_argument("--paper-scale", action="store_true",
@@ -47,8 +45,6 @@ def _overrides(args) -> dict:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None:
             over[dotted] = value
-    if args.nn_limit is not None:
-        over["model.nn_limit"] = args.nn_limit
     if args.kac is not None:
         over["time.kac_rescaled"] = args.kac
     return over
@@ -78,6 +74,9 @@ def _execute(args) -> int:
     if args.command == "validate":
         return 0 if runs.validate_suite(print) else 4
 
+    if args.paper_scale and args.n_sites is not None:
+        raise ConfigError("--paper-scale sets the chain length from model.paper_n_sites; "
+                          "it cannot go with --n-sites")
     cfg = load_config(args.config, _overrides(args))
     if args.paper_scale:
         if cfg.paper_n_sites is None:

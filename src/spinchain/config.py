@@ -53,17 +53,9 @@ def _parse_int(text, where):
 
 def _parse_alpha_list(text, where):
     """Comma list of exponents; the token 'nn' selects the nearest-neighbour limit."""
-    alphas = []
-    nn = False
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok.lower() == "nn":
-            nn = True
-        else:
-            alphas.append(_parse_float(tok, where))
-    return tuple(alphas), nn
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    nn = any(tok.lower() == "nn" for tok in tokens)
+    return tuple(_parse_float(tok, where) for tok in tokens if tok.lower() != "nn"), nn
 
 
 def _parse_site_list(text, where):
@@ -108,9 +100,11 @@ class RunConfig:
             raise ConfigError(f"model.j0: must be positive and finite, got {self.j0}")
         if not self.alphas and not self.nn_limit:
             raise ConfigError("model.alphas: at least one coupling exponent (or 'nn') required")
-        for a in self.alphas:
-            if not math.isfinite(a) or a < 0:
-                raise ConfigError(f"model.alphas: exponent {a} must be finite and >= 0")
+        for key, exponents in (("model.alphas", self.alphas),
+                               ("scan.inset_alphas", self.inset_alphas)):
+            for a in exponents:
+                if not math.isfinite(a) or a < 0:
+                    raise ConfigError(f"{key}: exponent {a} must be finite and >= 0")
         if self.paper_n_sites is not None and self.paper_n_sites < 2:
             raise ConfigError(f"model.paper_n_sites: need at least 2 sites, got {self.paper_n_sites}")
         if self.initial_state not in ("neel", "single"):
@@ -231,8 +225,7 @@ class RunConfig:
 
 def _parse_alphas(text, where):
     alphas, nn = _parse_alpha_list(text, where)
-    # 'nn' only switches the limit on; model.nn_limit = false cannot undo it
-    return {"alphas": alphas, **({"nn_limit": True} if nn else {})}
+    return {"alphas": alphas, "nn_limit": nn}
 
 
 def _parse_insets(text, where):
@@ -267,7 +260,6 @@ _KEYS = {
     "model.n_sites": _field("n_sites", _parse_int),
     "model.j0": _field("j0", _parse_float),
     "model.alphas": _parse_alphas,
-    "model.nn_limit": lambda text, where: {"nn_limit": True} if _parse_bool(text, where) else {},
     "model.paper_n_sites": _field("paper_n_sites", _parse_int),
     "initial.state": _parse_state,
     "time.t_max": _field("t_max", _parse_float),

@@ -14,13 +14,12 @@ Entropies are in bits (log base 2).
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.special import xlogy
 
-from .bits import popcount, reverse_bits
+from .bits import reverse_bits
 from .errors import NumericalConsistencyError, check_budget
 from .model import SectorBasis, StateVector
 
@@ -35,7 +34,7 @@ WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
 _INDEX_BYTES = 10
 
 __all__ = [
-    "SchmidtSpectrum", "SubsetEntropyTable", "EntropyTablePlan",
+    "SubsetEntropyTable", "EntropyTablePlan",
     "subsystem_spectrum", "von_neumann", "subset_entropy_table",
     "mutual_information", "tmi",
 ]
@@ -49,33 +48,6 @@ def _as_mask(mask, n_sites: int) -> int:
     return mask
 
 
-@dataclass
-class SchmidtSpectrum:
-    """Reduced-density-matrix eigenvalues of a bipartition, descending.
-
-    Weights in [-1e-12, 0) from roundoff are snapped to zero; anything
-    more negative, or a weight sum off unity, raises
-    NumericalConsistencyError.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _snap_weights(np.asarray(self.weights, dtype=float))
-        total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise NumericalConsistencyError(
-                f"Schmidt weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}"
-            )
-        self.weights = np.sort(w)[::-1]
-
-    def entropy(self) -> float:
-        return von_neumann(self)
-
-    def __len__(self):
-        return len(self.weights)
-
-
 def _snap_weights(w: np.ndarray) -> np.ndarray:
     """Weights in [-WEIGHT_CLIP, 0) become 0; anything lower raises."""
     low = float(w.min(initial=0.0))
@@ -86,10 +58,9 @@ def _snap_weights(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def von_neumann(spectrum) -> float:
-    """Von Neumann entropy -sum(w log2 w) of a weight spectrum, in bits."""
-    w = spectrum.weights if isinstance(spectrum, SchmidtSpectrum) else np.asarray(spectrum, dtype=float)
-    return float(-np.sum(xlogy(w, w)) / math.log(2.0))
+def von_neumann(weights: np.ndarray) -> float:
+    """Von Neumann entropy -sum(w log2 w) of an array of Schmidt weights, in bits."""
+    return float(-np.sum(xlogy(weights, weights)) / math.log(2.0))
 
 
 def _split_range(k: int, n_a: int, n_b: int):
@@ -108,21 +79,25 @@ def _block_index_grids(basis: SectorBasis, mask: int):
     the subset pattern lists the grid row by row.
     """
     k = basis.n_excitations
-    n_a = popcount(mask)
+    n_a = mask.bit_count()
     states = basis.states
-    in_a = popcount(states & mask)
+    in_a = np.bitwise_count(states & mask)
     for j in _split_range(k, n_a, basis.n_sites - n_a):
         sel = np.flatnonzero(in_a == j)
         order = np.argsort(states[sel] & mask, kind="stable")
         yield sel[order].astype(np.int32).reshape(math.comb(n_a, j), -1)
 
 
-def subsystem_spectrum(psi: StateVector, subset) -> SchmidtSpectrum:
-    """Schmidt spectrum of the sites in the bitmask ``subset`` against the rest."""
+def subsystem_spectrum(psi: StateVector, subset) -> np.ndarray:
+    """Schmidt weights of the sites in the bitmask ``subset`` against the rest.
+
+    The reduced density matrix's eigenvalues, descending.  A weight sum
+    off unity by more than WEIGHT_SUM_TOL raises NumericalConsistencyError.
+    """
     basis = psi.basis
     mask = _as_mask(subset, basis.n_sites)
     if mask == 0 or mask == basis.full_mask:
-        return SchmidtSpectrum(np.array([1.0]))
+        return np.array([1.0])
     amps = psi.amplitudes
     weights = []
     for idx2d in _block_index_grids(basis, mask):
@@ -132,7 +107,14 @@ def subsystem_spectrum(psi: StateVector, subset) -> SchmidtSpectrum:
         else:
             s = np.linalg.svd(block, compute_uv=False)
             weights.append(s * s)
-    return SchmidtSpectrum(np.concatenate(weights))
+    # squared singular values and block norms: never negative, so no snap
+    w = np.concatenate(weights)
+    total = float(w.sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise NumericalConsistencyError(
+            f"Schmidt weights sum to {total}, expected 1 within {WEIGHT_SUM_TOL}"
+        )
+    return np.sort(w)[::-1]
 
 
 class SubsetEntropyTable:
@@ -196,7 +178,8 @@ def _gram_weights(blocks: np.ndarray) -> np.ndarray:
     """Schmidt weights of a stack of blocks, one row per block.
 
     The weights are the eigenvalues of the smaller Gram matrix, B B^dag or
-    B^dag B, snapped by the same rule as SchmidtSpectrum's.
+    B^dag B, which roundoff can leave slightly negative: _snap_weights
+    zeroes those and refuses anything lower.
     """
     rows, cols = blocks.shape[1:]
     if rows <= cols:

@@ -27,7 +27,7 @@ NORM_TOL = 1e-10
 _TABLE_BYTES = 25
 
 __all__ = [
-    "OccupationWeights", "SimplexScan", "binary_entropy", "occupation_weights",
+    "SimplexScan", "binary_entropy", "occupation_weights",
     "tmi_binary", "simplex_scan", "onebody_tmi_scan",
 ]
 
@@ -50,35 +50,30 @@ def binary_entropy(p):
     h = xlogy(h, h, out=h)
     h += xlogy(rest, rest, out=rest)
     h /= -_LN2  # (-x) / y and x / (-y) round alike
-    if np.isscalar(p) or np.ndim(p) == 0:
+    if np.ndim(p) == 0:
         return float(h)
     return h
 
 
-@dataclass(frozen=True)
-class OccupationWeights:
-    """Excitation probabilities of three disjoint subsets."""
+def _checked_weights(*weights) -> tuple:
+    """Occupation weights (p_a, p_b, p_c) of three disjoint subsets, checked.
 
-    p_a: float
-    p_b: float
-    p_c: float
-
-    def __post_init__(self):
-        for name in ("p_a", "p_b", "p_c"):
-            p = getattr(self, name)
-            if not -P_SNAP <= p <= 1.0 + P_SNAP:
-                raise ValueError(f"{name}={p} outside [0, 1]")
-            object.__setattr__(self, name, min(max(p, 0.0), 1.0))
-        total = self.p_a + self.p_b + self.p_c
-        if total > 1.0 + NORM_TOL:
-            raise ValueError(f"occupation weights sum to {total} > 1")
-
-    def as_tuple(self):
-        return (self.p_a, self.p_b, self.p_c)
+    Each must lie in [0, 1] up to P_SNAP, and is clipped into it; a sum
+    above 1 + NORM_TOL raises ValueError.
+    """
+    weights = [float(p) for p in weights]
+    for name, p in zip(("p_a", "p_b", "p_c"), weights):
+        if not -P_SNAP <= p <= 1.0 + P_SNAP:
+            raise ValueError(f"{name}={p} outside [0, 1]")
+    p_a, p_b, p_c = (min(max(p, 0.0), 1.0) for p in weights)
+    total = p_a + p_b + p_c
+    if total > 1.0 + NORM_TOL:
+        raise ValueError(f"occupation weights sum to {total} > 1")
+    return p_a, p_b, p_c
 
 
-def occupation_weights(c: np.ndarray, a, b, c_subset) -> OccupationWeights:
-    """Subset occupation probabilities of a normalized k=1 amplitude vector.
+def occupation_weights(c: np.ndarray, a, b, c_subset) -> tuple:
+    """Subset occupation probabilities (p_a, p_b, p_c) of a normalized k=1 amplitude vector.
 
     ``a``, ``b``, ``c_subset`` are site bitmasks, nonempty and pairwise
     disjoint (ValueError otherwise); site m of the chain is entry m of ``c``.
@@ -91,20 +86,17 @@ def occupation_weights(c: np.ndarray, a, b, c_subset) -> OccupationWeights:
     masks = _disjoint_masks(n, (a, b, c_subset))
     w = np.abs(c) ** 2
     ps = [float(np.sum(w[bit_positions(m)])) for m in masks]
-    return OccupationWeights(*ps)
+    return _checked_weights(*ps)
 
 
-def tmi_binary(w, p_b=None, p_c=None) -> float:
-    """TMI of a k=1 state as a function of occupation weights, in bits.
+def tmi_binary(p_a: float, p_b: float, p_c: float) -> float:
+    """TMI of a k=1 state as a function of its occupation weights, in bits.
 
-    Accepts an OccupationWeights or three probabilities.  Returns 0.0
+    The weights are checked as occupation_weights' are.  Returns 0.0
     exactly when any weight vanishes or the three sum to one: those are
     the boundary faces of the parameter simplex.
     """
-    if p_b is None:
-        p_a, p_b, p_c = w.as_tuple()
-    else:
-        p_a, p_b, p_c = OccupationWeights(float(w), float(p_b), float(p_c)).as_tuple()
+    p_a, p_b, p_c = _checked_weights(p_a, p_b, p_c)
     return float(_tmi_binary_grid(p_a, p_b, p_c, p_a + p_b + p_c))
 
 
@@ -127,13 +119,12 @@ class SimplexScan:
     argmax: tuple
 
 
-def simplex_scan(resolution: float = 0.01, refine: bool = True) -> SimplexScan:
+def simplex_scan(resolution: float = 0.01) -> SimplexScan:
     """Scan tmi_binary over a regular simplex grid.
 
     The minimum sits on the simplex boundary (where the TMI vanishes
     identically) and the maximum at the interior point (1/4, 1/4, 1/4);
-    with ``refine`` the maximum is polished on two successively finer
-    local grids.
+    the maximum is then polished on two successively finer local grids.
     """
     steps = round(1.0 / resolution)
     if steps < 4 or abs(steps * resolution - 1.0) > 1e-9:
@@ -150,23 +141,22 @@ def simplex_scan(resolution: float = 0.01, refine: bool = True) -> SimplexScan:
     argmax = (i[i_max] / steps, j[i_max] / steps, k[i_max] / steps)
     max_value = float(vals[i_max])
 
-    if refine:
-        span = resolution
-        for _ in range(2):
-            span /= 10.0
-            offsets = np.linspace(-5 * span, 5 * span, 11)
-            pa = argmax[0] + offsets[:, None, None]
-            pb = argmax[1] + offsets[None, :, None]
-            pc = argmax[2] + offsets[None, None, :]
-            pa, pb, pc = np.broadcast_arrays(pa, pb, pc)
-            ok = (pa > 0) & (pb > 0) & (pc > 0) & (pa + pb + pc < 1.0)
-            vals_f = np.full(pa.shape, -np.inf)
-            vals_f[ok] = _tmi_binary_grid(pa[ok], pb[ok], pc[ok],
-                                          pa[ok] + pb[ok] + pc[ok])
-            best = np.unravel_index(np.argmax(vals_f), vals_f.shape)
-            if vals_f[best] > max_value:
-                max_value = float(vals_f[best])
-                argmax = (float(pa[best]), float(pb[best]), float(pc[best]))
+    span = resolution
+    for _ in range(2):
+        span /= 10.0
+        offsets = np.linspace(-5 * span, 5 * span, 11)
+        pa = argmax[0] + offsets[:, None, None]
+        pb = argmax[1] + offsets[None, :, None]
+        pc = argmax[2] + offsets[None, None, :]
+        pa, pb, pc = np.broadcast_arrays(pa, pb, pc)
+        ok = (pa > 0) & (pb > 0) & (pc > 0) & (pa + pb + pc < 1.0)
+        vals_f = np.full(pa.shape, -np.inf)
+        vals_f[ok] = _tmi_binary_grid(pa[ok], pb[ok], pc[ok],
+                                      pa[ok] + pb[ok] + pc[ok])
+        best = np.unravel_index(np.argmax(vals_f), vals_f.shape)
+        if vals_f[best] > max_value:
+            max_value = float(vals_f[best])
+            argmax = (float(pa[best]), float(pb[best]), float(pc[best]))
     return SimplexScan(resolution=resolution, min_value=float(vals[i_min]),
                        argmin=tuple(float(x) for x in argmin),
                        max_value=max_value,

@@ -112,15 +112,18 @@ class PartitionSet:
         masks.flags.writeable = False
         return masks
 
-    @cached_property
-    def covers_chain(self) -> np.ndarray:
-        """Boolean flag per triple: A, B, C jointly cover every site.
+    @property
+    def n_covering(self) -> int:
+        """Number of triples whose A, B, C jointly cover every site.
 
         A pure state's covering triples have identically zero TMI (S_ABC = 0,
         S_AB = S_C and so on), so scans keep them apart from four-part splits.
+        The unions are formed a block of _BLOCK_BYTES at a time.
         """
-        full = (1 << self.n_sites) - 1
-        return (self.a | self.b | self.c) == full
+        full, rows = (1 << self.n_sites) - 1, _BLOCK_BYTES // 8
+        blocks = (slice(k, k + rows) for k in range(0, len(self), rows))
+        return sum(int(np.count_nonzero((self.a[s] | self.b[s] | self.c[s]) == full))
+                   for s in blocks)
 
     @property
     def family_size(self) -> int:

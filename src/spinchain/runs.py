@@ -244,7 +244,7 @@ def run_minmax_scan(cfg: RunConfig) -> list:
                "peak_max_tmi": [peak for _, (peak, _) in extras],
                "tau": [tau for _, (_, tau) in extras]}
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=pset.family_size,
-                      n_proper_partitions=pset.family_size - int(pset.covers_chain.sum()),
+                      n_proper_partitions=pset.family_size - pset.n_covering,
                       tau_threshold=cfg.tau_threshold)
     return [
         Dataset(name="minmax_scan", meta=meta, columns=columns),
@@ -357,7 +357,7 @@ def _check_onebody_oracle():
         a, b, c = (int(1 << sites[0] | 1 << sites[1]), int(1 << sites[2]),
                    int(1 << sites[3] | 1 << sites[4]))
         w = occupation_weights(amps, a, b, c)
-        worst = max(worst, abs(tmi_binary(w) - tmi(table, a, b, c)))
+        worst = max(worst, abs(tmi_binary(*w) - tmi(table, a, b, c)))
     return worst < 1e-9, f"max closed-form vs pipeline deviation {worst:.3g}"
 
 

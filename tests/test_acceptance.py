@@ -206,7 +206,7 @@ def test_criterion_04_closed_form_vs_pipeline():
         b = int(sum(1 << s for s in sites[sa:sa + sb]))
         c = int(sum(1 << s for s in sites[sa + sb:sa + sb + sc]))
         w = occupation_weights(amps[i], a, b, c)
-        worst = max(worst, abs(tmi_binary(w) - tmi(table, a, b, c)))
+        worst = max(worst, abs(tmi_binary(*w) - tmi(table, a, b, c)))
     ok = worst < 1e-9
     _line(4, ok, f"max closed-form vs table deviation {worst:.3g} over 50 "
                  f"random (t, partition) samples, {time.time() - t0:.0f}s")

@@ -273,6 +273,18 @@ class TestExitCodes:
         assert run_cli(["tmi-grid", "--config", str(cfg), "--paper-scale",
                         "--out", str(tmp_path / "out")]) == 2
 
+    def test_paper_scale_refuses_n_sites(self, tmp_path, capsys, monkeypatch):
+        # --paper-scale sets N, so an --n-sites beside it would be dropped;
+        # the stub runner stands in for an N=20 run that must not start
+        started = []
+        monkeypatch.setattr("spinchain.runs.run_tmi_grid", lambda cfg: started.append(cfg) or [])
+        code = run_cli(["tmi-grid", "--config", "fig2", "--n-sites", "12", "--paper-scale",
+                        "--out", str(tmp_path / "out")])
+        assert (code, started) == (2, [])
+        assert "--paper-scale" in capsys.readouterr().err
+        assert run_cli(["tmi-grid", "--config", "fig2", "--paper-scale"]) == 0
+        assert [cfg.n_sites for cfg in started] == [20]
+
 
 class TestPartitionRules:
     """Every runner reads what [partitions] names, or exits 2 before writing."""

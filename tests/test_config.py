@@ -260,6 +260,14 @@ class TestPresets:
         assert cfg.n_sites >= 2
         assert cfg.alphas or cfg.nn_limit
 
+    def test_figure_presets_sweep_nn(self):
+        # the nn token replaced a separate nn_limit key; the experiments,
+        # and so their hashes, are the same
+        for name, digest in (("fig2", "f3de28b1c264"), ("fig3", "2d6b82cb5f59")):
+            cfg = load_config(name)
+            assert cfg.sweep()[-1] == ("nn", ModelSpec(16, nn_limit=True))
+            assert cfg.config_hash() == digest
+
     def test_figure_presets_desk_scale(self):
         assert load_config("fig2").n_sites == 16
         assert load_config("fig3").n_sites == 16
@@ -301,7 +309,6 @@ KEY_SAMPLES = {
     "model.n_sites": ("10", {"n_sites": 10}),
     "model.j0": ("0.5", {"j0": 0.5}),
     "model.alphas": ("0.3, nn", {"alphas": (0.3,), "nn_limit": True}),
-    "model.nn_limit": ("true", {"nn_limit": True}),
     "model.paper_n_sites": ("20", {"paper_n_sites": 20}),
     "initial.state": ("single:3", {"initial_state": "single", "initial_site": 3}),
     "time.t_max": ("2.5", {"t_max": 2.5}),
@@ -370,9 +377,26 @@ class TestKeyTable:
         with pytest.raises(ConfigError, match=r"^unknown key partitions\.sizes$"):
             load_config(None, {"model.alphas": "1", "partitions.sizes": "2, 2, 2"})
 
-    def test_nn_token_outlasts_nn_limit_false(self):
-        cfg = load_config(None, {"model.alphas": "1, nn", "model.nn_limit": "false"})
-        assert cfg.nn_limit is True
+    def test_nn_limit_key_is_unknown(self, tmp_path):
+        # the nn token in model.alphas is the one spelling of the limit
+        path = tmp_path / "old.cfg"
+        path.write_text("[model]\nalphas = 1\nnn_limit = true\n")
+        with pytest.raises(ConfigError, match=r"^unknown key model\.nn_limit$"):
+            load_config(path)
+        from spinchain.cli import main
+
+        assert main(["tmi-grid", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(SystemExit):
+            main(["tmi-grid", "--alpha", "1", "--nn-limit"])
+
+    def test_inset_alphas_checked_like_alphas(self):
+        for text, bad in (("-1, nan", "-1.0"), ("0.5, nan", "nan"), ("inf", "inf")):
+            with pytest.raises(ConfigError,
+                               match=rf"^scan\.inset_alphas: exponent {bad} must be finite"):
+                load_config("smoke", {"scan.inset_alphas": text})
+        with pytest.raises(ConfigError, match=r"^scan\.inset_alphas: exponent -0\.5 "):
+            RunConfig(alphas=(1.0,), inset_alphas=(-0.5,))
 
     def test_inset_alphas_rejects_nn(self, tmp_path):
         path = tmp_path / "insets.cfg"

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import eigvalsh
 
 from spinchain import (
     CapacityError,
     EntropyTablePlan,
     ModelSpec,
     NumericalConsistencyError,
-    SchmidtSpectrum,
     SectorHamiltonian,
     SubsetEntropyTable,
     coupling_matrix,
@@ -62,48 +62,68 @@ class TestMaskValidation:
 
 
 class TestSchmidtSpectrum:
+    """Checks on arrays of Schmidt weights: the roundoff snap and floor of
+    the plan path's _snap_weights, and the sum and order that
+    subsystem_spectrum enforces.  The class keeps the name of the spectrum
+    type that made these checks before the weights became plain arrays,
+    so the test ids stay."""
+
     def test_tiny_negative_weights_snap_to_zero(self):
-        spec = SchmidtSpectrum(np.array([1.0 + 5e-13, -5e-13]))
-        assert spec.weights[-1] == 0.0
-        assert spec.entropy() == pytest.approx(0.0, abs=1e-11)
+        w = entropy._snap_weights(np.array([1.0 + 5e-13, -5e-13]))
+        assert w[-1] == 0.0
+        assert von_neumann(w) == pytest.approx(0.0, abs=1e-11)
+        # the plan path snaps the Gram eigenvalues: those of a rank-1 block
+        # that should be zero come out as roundoff, here negative
+        rng = np.random.default_rng(0)
+        u, v = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+        block = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))[None]
+        assert eigvalsh(block @ block.conj().transpose(0, 2, 1)).min() < 0.0
+        w = entropy._gram_weights(block)
+        assert w.min() == 0.0 and w.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_rejects_genuinely_negative_weights(self):
-        with pytest.raises(NumericalConsistencyError):
-            SchmidtSpectrum(np.array([1.0, -1e-6]))
+        with pytest.raises(NumericalConsistencyError, match="below the roundoff floor"):
+            entropy._snap_weights(np.array([1.0, -1e-6]))
 
-    def test_rejects_bad_normalization(self):
-        with pytest.raises(NumericalConsistencyError):
-            SchmidtSpectrum(np.array([0.7, 0.2]))
+    def test_rejects_bad_normalization(self, basis6):
+        amps = np.zeros(basis6.dim, dtype=complex)
+        amps[[0, 1]] = np.sqrt([0.7, 0.2])
+        psi = StateVector(basis6, amps)
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^Schmidt weights sum to 0\.[89]\d*, expected 1 within 1e-10$"):
+            subsystem_spectrum(psi, 0b000111)
 
-    def test_sorted_descending(self):
-        spec = SchmidtSpectrum(np.array([0.25, 0.5, 0.25]))
-        np.testing.assert_array_equal(spec.weights, [0.5, 0.25, 0.25])
+    def test_sorted_descending(self, evolved8):
+        for mask in (0b1, 0b1010, 0b01110001):
+            w = subsystem_spectrum(evolved8, mask)
+            assert len(w) > 1
+            assert np.all(np.diff(w) <= 0.0)
 
     def test_entropy_values(self):
-        assert SchmidtSpectrum(np.array([1.0])).entropy() == 0.0
-        assert SchmidtSpectrum(np.array([0.5, 0.5])).entropy() == pytest.approx(1.0)
+        assert von_neumann(np.array([1.0])) == 0.0
+        assert von_neumann(np.array([0.5, 0.5])) == pytest.approx(1.0)
         assert von_neumann(np.array([0.25] * 4)) == pytest.approx(2.0)
 
 
 class TestSubsystemSpectrum:
     def test_product_state_is_pure(self, basis6):
         psi = neel_state(basis6)
-        spec = subsystem_spectrum(psi, 0b000111)
-        np.testing.assert_allclose(spec.weights[0], 1.0, atol=1e-14)
-        assert spec.entropy() == pytest.approx(0.0, abs=1e-12)
+        w = subsystem_spectrum(psi, 0b000111)
+        np.testing.assert_allclose(w[0], 1.0, atol=1e-14)
+        assert von_neumann(w) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_pair(self):
         basis = enumerate_sector(2, 1)
         psi = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2.0))
-        spec = subsystem_spectrum(psi, 0b01)
-        np.testing.assert_allclose(spec.weights, [0.5, 0.5], atol=1e-14)
-        assert spec.entropy() == pytest.approx(1.0)
+        w = subsystem_spectrum(psi, 0b01)
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-14)
+        assert von_neumann(w) == pytest.approx(1.0)
 
     def test_matches_full_space(self, evolved8, rng):
         full = reference.embed_state(evolved8)
         for mask in rng.integers(1, 255, size=12):
             mask = int(mask)
-            mine = subsystem_spectrum(evolved8, subset=mask).weights
+            mine = subsystem_spectrum(evolved8, subset=mask)
             ref = reference.reduced_spectrum_full(full, 8, mask)
             ref = np.sort(ref)[::-1][: len(mine)]
             np.testing.assert_allclose(mine, ref, atol=1e-10)
@@ -112,7 +132,7 @@ class TestSubsystemSpectrum:
         # a site subset is an integer mask, numpy's included
         via_mask = subsystem_spectrum(evolved8, subset=0b1010)
         via_numpy = subsystem_spectrum(evolved8, subset=np.int64(0b1010))
-        np.testing.assert_array_equal(via_mask.weights, via_numpy.weights)
+        np.testing.assert_array_equal(via_mask, via_numpy)
 
 
 def grids_from_site_lists(basis, mask):
@@ -466,5 +486,5 @@ def test_table_weights_consistent_under_random_masks(mask):
     rng = np.random.default_rng(mask)
     psi = StateVector(basis, random_sector_state(basis, rng))
     table = subset_entropy_table(psi)
-    spec = subsystem_spectrum(psi, subset=mask)
-    assert abs(table[mask] - spec.entropy()) < 1e-10
+    w = subsystem_spectrum(psi, subset=mask)
+    assert abs(table[mask] - von_neumann(w)) < 1e-10

@@ -19,7 +19,7 @@ from spinchain import (
     single_excitation_state,
 )
 from spinchain import reference
-from spinchain.bits import popcount, reverse_bits
+from spinchain.bits import reverse_bits
 from spinchain.model import reflection_invariant
 
 from conftest import skewed_coupling
@@ -94,7 +94,7 @@ class TestSectorBasis:
         basis = enumerate_sector(6, 2)
         assert basis.dim == 15
         assert np.all(np.diff(basis.states) > 0)
-        assert np.all(popcount(basis.states) == 2)
+        assert np.all(np.bitwise_count(basis.states) == 2)
 
     def test_rank_round_trip(self, basis8):
         for i in (0, 1, 17, basis8.dim - 1):
@@ -207,7 +207,7 @@ class TestSectorHamiltonian:
         # H never connects different excitation sectors.
         coupling = coupling_matrix(ModelSpec(6, alpha=1.2))
         full = reference.full_hamiltonian(coupling)
-        weight = popcount(np.arange(1 << 6))
+        weight = np.bitwise_count(np.arange(1 << 6))
         off_sector = weight[:, None] != weight[None, :]
         assert np.max(np.abs(full[off_sector])) == 0.0
 
@@ -275,7 +275,7 @@ class TestSectorHamiltonian:
 
 def total_excitation_mask_weight(basis):
     """Eigenvalues of sum_m Z_m per basis state (Z|1> = +|1>, Z|0> = -|0>)."""
-    return 2.0 * popcount(basis.states) - basis.n_sites
+    return 2.0 * np.bitwise_count(basis.states) - basis.n_sites
 
 
 def test_total_excitation_weight(basis8):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spinchain import (
     ModelSpec,
-    OccupationWeights,
     PartitionSet,
     binary_entropy,
     coupling_matrix,
@@ -84,10 +83,10 @@ class TestBinaryEntropy:
 class TestOccupationWeights:
     def test_from_amplitudes(self):
         c = np.sqrt(np.array([0.4, 0.3, 0.2, 0.1]))
-        w = occupation_weights(c, 0b0001, 0b0010, 0b1100)
-        assert w.p_a == pytest.approx(0.4)
-        assert w.p_b == pytest.approx(0.3)
-        assert w.p_c == pytest.approx(0.3)
+        p_a, p_b, p_c = occupation_weights(c, 0b0001, 0b0010, 0b1100)
+        assert p_a == pytest.approx(0.4)
+        assert p_b == pytest.approx(0.3)
+        assert p_c == pytest.approx(0.3)
 
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
@@ -106,10 +105,15 @@ class TestOccupationWeights:
                 occupation_weights(c, a, b, c_subset)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            OccupationWeights(0.5, 0.4, 0.3)
-        with pytest.raises(ValueError):
-            OccupationWeights(-0.1, 0.1, 0.1)
+        # occupation_weights and tmi_binary share one check of the weights
+        with pytest.raises(ValueError, match=r"^occupation weights sum to 1\.2 > 1$"):
+            tmi_binary(0.5, 0.4, 0.3)
+        with pytest.raises(ValueError, match=r"^p_a=-0\.1 outside \[0, 1\]$"):
+            tmi_binary(-0.1, 0.1, 0.1)
+        with pytest.raises(ValueError, match=r"^p_c=1\.5 outside \[0, 1\]$"):
+            tmi_binary(0.0, 0.0, 1.5)
+        # roundoff past [0, 1] is clipped, and the clipped weights are returned
+        assert onebody._checked_weights(1.0 + 5e-13, -5e-13, 0.0) == (1.0, 0.0, 0.0)
 
 
 class TestTmiBinary:
@@ -126,8 +130,11 @@ class TestTmiBinary:
         )
 
     def test_accepts_weights_object(self):
-        w = OccupationWeights(0.25, 0.25, 0.25)
-        assert tmi_binary(w) == tmi_binary(0.25, 0.25, 0.25)
+        # the weights occupation_weights returns unpack into tmi_binary
+        c = np.full(4, 0.5)
+        w = occupation_weights(c, 0b0001, 0b0010, 0b0100)
+        assert w == (0.25, 0.25, 0.25)
+        assert tmi_binary(*w) == tmi_binary(0.25, 0.25, 0.25)
 
     def test_symmetry_in_arguments(self):
         val = tmi_binary(0.1, 0.2, 0.3)
@@ -149,11 +156,6 @@ class TestSimplexScan:
         assert scan.max_value == pytest.approx(TMI_AT_QUARTER_POINT, abs=1e-6)
         for coord in scan.argmax:
             assert coord == pytest.approx(0.25, abs=2e-3)
-
-    def test_unrefined_is_lower_bound(self):
-        coarse = simplex_scan(resolution=0.05, refine=False)
-        fine = simplex_scan(resolution=0.05, refine=True)
-        assert coarse.max_value <= fine.max_value + 1e-15
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -278,7 +280,7 @@ class TestOnebodyRunner:
         # holds because the sector rank of 1 << m is m
         n, site = 16, 5
         cfg = load_config(None, {
-            "model.n_sites": str(n), "model.alphas": "0.3, 2.5", "model.nn_limit": "true",
+            "model.n_sites": str(n), "model.alphas": "0.3, 2.5, nn",
             "initial.state": f"single:{site}", "time.t_max": "3.0", "time.n_points": "9",
             "time.kac_rescaled": "true", "partitions.strategy": "contiguous"})
         (data,) = run_onebody_scan(cfg)

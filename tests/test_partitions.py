@@ -28,7 +28,7 @@ from spinchain import (
     tmi,
 )
 from spinchain import partitions, reference, runs
-from spinchain.bits import bit_positions, popcount
+from spinchain.bits import bit_positions
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
 
@@ -61,6 +61,11 @@ def orbit_representatives(pset):
     union = pset.a | pset.b | pset.c
     full = (1 << pset.n_sites) - 1
     return np.flatnonzero((union < 1 << (pset.n_sites - 1)) | (union == full))
+
+
+def covers_chain(pset):
+    """Boolean flag per triple: A, B, C jointly cover every site."""
+    return (pset.a | pset.b | pset.c) == (1 << pset.n_sites) - 1
 
 
 def batched_table(tables):
@@ -116,7 +121,7 @@ class TestEnumeration:
     def test_fixed_sizes(self):
         pset = enumerate_partitions(4, "fixed:1,1,1")
         assert len(pset) == 4
-        sizes = {tuple(sorted(map(popcount, pset[i]))) for i in range(len(pset))}
+        sizes = {tuple(sorted(m.bit_count() for m in pset[i])) for i in range(len(pset))}
         assert sizes == {(1, 1, 1)}
         assert len(enumerate_partitions(6, "fixed:2,2,2")) == 15
 
@@ -185,11 +190,23 @@ class TestEnumeration:
             partitions._enumerate_cached.cache_clear()
 
     def test_covers_chain_flag(self):
+        # n_covering counts the triples that covers_chain flags
         pset = enumerate_partitions(6, "contiguous")
-        full = (1 << 6) - 1
-        expect = (pset.a | pset.b | pset.c) == full
-        np.testing.assert_array_equal(pset.covers_chain, expect)
-        assert int(pset.covers_chain.sum()) == 10
+        assert pset.n_covering == int(covers_chain(pset).sum()) == 10
+        assert PartitionSet(6, [], [], []).n_covering == 0
+
+    def test_covering_count_needs_no_set_sized_array(self):
+        # 8 B per triple would be an int64 array as long as the set
+        pset = enumerate_partitions(12, "all", orbits=True)
+        expected = int(covers_chain(pset).sum())
+        tracemalloc.start()
+        try:
+            count = pset.n_covering
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == expected == stirling2(12, 3)
+        assert peak < 8 * len(pset) / 4, peak
 
     def test_parse_strategy(self):
         assert parse_strategy(" Quarters") == ("quarters", None)
@@ -227,7 +244,7 @@ class TestExtremaAndTau:
         table = subset_entropy_table(evolved8)
         pset = enumerate_partitions(8, "contiguous")
         vals = pset.tmi_values(table)
-        assert np.max(np.abs(vals[pset.covers_chain])) < 1e-12
+        assert np.max(np.abs(vals[covers_chain(pset)])) < 1e-12
 
     def test_tmi_values_matches_scalar(self, evolved8):
         table = subset_entropy_table(evolved8)
@@ -262,12 +279,13 @@ class TestExtremaAndTau:
         index = {pset[i]: i for i in range(len(pset))}
 
         def mirror(i):
-            sizes = [popcount(m) for m in pset[i]]
+            sizes = [m.bit_count() for m in pset[i]]
             edges = np.cumsum([0, n - sum(sizes)] + sizes[::-1])
             return index[tuple(((1 << int(hi - lo)) - 1) << int(lo)
                                for lo, hi in zip(edges[:3], edges[1:]))]
 
         times = np.linspace(0.1, 0.6, 6)
+        covers = covers_chain(pset)
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
             traj = evolve(coupling_matrix(ModelSpec(n, alpha=alpha)), basis8,
@@ -277,7 +295,7 @@ class TestExtremaAndTau:
                 vals = pset.tmi_values(table)
                 lo, i_min, hi, i_max = extrema(vals)
                 for value, i in ((lo, int(i_min)), (hi, int(i_max))):
-                    if pset.covers_chain[i]:
+                    if covers[i]:
                         continue
                     j = mirror(i)
                     assert abs(vals[j] - value) < 1e-12
@@ -304,7 +322,7 @@ class TestExtremaAndTau:
             vals = pset.tmi_values(table)
             assert (found.min_values[k], found.argmin[k], found.max_values[k],
                     found.argmax[k]) == extrema(vals)
-            assert found.min_proper[k] == vals[~pset.covers_chain].min()
+            assert found.min_proper[k] == vals[~covers_chain(pset)].min()
 
     @pytest.mark.parametrize("n_points", [1, 9])
     def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
@@ -424,7 +442,7 @@ class TestOrbitReducedScan:
                 (family.strategy, True, False)
             # every covering triple is its own representative
             assert pset.family_size == family.family_size == len(family)
-            assert pset.covers_chain.sum() == family.covers_chain.sum() == stirling2(n, 3)
+            assert pset.n_covering == family.n_covering == stirling2(n, 3)
         assert enumerate_partitions(9, "all", orbits=True).family_size == 34_105
 
     def test_representatives_read_every_mask_the_family_reads(self):
@@ -443,7 +461,7 @@ class TestOrbitReducedScan:
         extrema picks over every triple of ``family``: the first ``exact``
         of (min, max, proper min) bitwise, all within 1e-12."""
         found = tmi_extrema(pset, batched_table(tables), times, proper=True)
-        covers = family.covers_chain
+        covers = covers_chain(family)
         for k, table in enumerate(tables):
             vals = family.tmi_values(table)
             lo, i_min, hi, i_max = extrema(vals)

@@ -7,10 +7,10 @@ Usage, from anywhere inside the repository:
 
 REF is checked out into a temporary directory with ``git worktree``.  A
 fixed list of CLI invocations then runs on REF and on this checkout
-(uncommitted edits included), each with ``SPINCHAIN_THREADS`` 1 and 2 and
-``--format csv,json``, with BLAS pinned to one thread.  Every run is
-compared with REF's run at one worker: exit status, each dataset file,
-stdout and stderr.  Every difference, and every invocation that fails, is
+(uncommitted edits included), each with ``SPINCHAIN_THREADS`` 1 and 2,
+with BLAS pinned to one thread; the runners write ``--format csv,json``,
+and ``validate`` writes no dataset.  Every run is compared with REF's run
+at one worker: exit status, each dataset file, stdout and stderr.  Every difference, and every invocation that fails, is
 printed; a differing dataset file also gets the largest absolute
 difference between its numbers, and a differing CSV file the count of
 differing cells in each column.  The exit status is 1 if there is any
@@ -81,7 +81,7 @@ INVOCATIONS = (
     ("smoke-all-n9", ["minmax-scan", "--config", "smoke", "--partitions", "all",
                       "--n-sites", "9"]),
     ("smoke-fixed-nn", ["minmax-scan", "--config", "smoke", "--partitions", "fixed:2,2,2",
-                        "--nn-limit"]),
+                        "--alpha", "0.5,2.0,nn"]),
     # unequal sizes: A takes each of them
     ("smoke-fixed-unequal", ["minmax-scan", "--config", "smoke", "--partitions",
                              "fixed:1,2,3"]),
@@ -89,6 +89,8 @@ INVOCATIONS = (
     ("fig2-kac", ["tmi-grid", "--config", "fig2", "--n-points", "9", "--kac"]),
     ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
     ("triple-grid", ["tmi-grid", "--config", "triple.cfg"]),
+    # the oracle cross-checks print their deviations; they write no dataset
+    ("validate", ["validate"]),
 )
 WORKERS = (1, 2)
 
@@ -107,10 +109,9 @@ def run_all(tree, label, scratch):
                 with open(os.path.join(cwd, config), "w") as fh:
                     fh.write(text)
             print(f"{label} workers={workers} {name}", file=sys.stderr, flush=True)
-            done = subprocess.run(
-                [sys.executable, "-m", "spinchain.cli", *argv,
-                 "--out", "out", "--format", "csv,json"],
-                cwd=cwd, env=env, capture_output=True)
+            output = [] if argv[0] == "validate" else ["--out", "out", "--format", "csv,json"]
+            done = subprocess.run([sys.executable, "-m", "spinchain.cli", *argv, *output],
+                                  cwd=cwd, env=env, capture_output=True)
             for stream in ("stdout", "stderr"):
                 with open(os.path.join(cwd, stream), "wb") as fh:
                     fh.write(getattr(done, stream))
