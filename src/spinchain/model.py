@@ -90,19 +90,31 @@ class SectorBasis:
     """Ordered basis of all n_sites-bit masks with exactly k set bits.
 
     States are stored ascending as integers, so ranks are positions in
-    that order and lookups reduce to binary search.
+    that order.
     """
 
     def __init__(self, n_sites: int, n_excitations: int):
         dim = sector_dimension(n_sites, n_excitations)
-        # 8 B per int64 mask: the budget admits at most 2^28 states, so every
-        # rank also fits the int32 indices of the sector's CSR matrix
+        half = n_sites // 2
+        # 8 B per int64 mask and per rank-table entry: the budget admits at
+        # most 2^28 states, so every rank also fits the int32 indices of the
+        # sector's CSR matrix
         check_budget(f"sector ({n_sites}, {n_excitations}) has {dim:,} states",
-                     8 * dim, "as int64 masks")
+                     8 * (dim + (1 << half) + (1 << (n_sites - half))),
+                     "as int64 masks and rank tables")
         self.n_sites = n_sites
         self.n_excitations = n_excitations
         self.states = _enumerate_masks(n_sites, n_excitations)
         self.states.flags.writeable = False
+        # Lin's two tables (PRB 42, 6561, 1990) over the bits below and from
+        # ``half``: the states before each high half, and each low half's
+        # rank among the low halves of its popcount
+        self._half = half
+        self._offset = np.searchsorted(self.states, np.arange(1 << (n_sites - half)) << half)
+        low = np.bitwise_count(np.arange(1 << half))
+        self._rank_lo = np.empty(1 << half, dtype=np.int64)
+        for p in range(half + 1):
+            self._rank_lo[low == p] = np.arange(math.comb(half, p))
 
     @property
     def dim(self) -> int:
@@ -120,8 +132,14 @@ class SectorBasis:
         return i
 
     def rank_many(self, masks) -> np.ndarray:
-        """Vectorized rank lookup; assumes every mask belongs to the sector."""
-        return np.searchsorted(self.states, masks)
+        """Vectorized rank lookup; assumes every mask belongs to the sector.
+
+        A mask's rank is the number of states with a smaller high half
+        (bits n_sites // 2 and up) plus its low half's rank among the low
+        halves with the same popcount, two table gathers per mask.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        return self._offset[masks >> self._half] + self._rank_lo[masks & ((1 << self._half) - 1)]
 
     def __repr__(self):
         return f"SectorBasis(n_sites={self.n_sites}, k={self.n_excitations}, dim={self.dim})"
@@ -218,10 +236,11 @@ class SectorHamiltonian:
     Each coupled pair (m, n) hops an excitation between the two sites with
     amplitude 2*J_mn; doubly occupied or empty pairs contribute nothing, and
     there is no diagonal part.  H is applied through its CSR matrix, built
-    on first use.  A hop from site e to site f acts on the C(N-2, k-1)
-    states with e excited and f empty, so the matrix size is known before
-    the build, and construction raises CapacityError when it exceeds the
-    memory budget.
+    on first use, to real vectors.  A hop from site e to site f acts on the
+    C(N-2, k-1) states with e excited and f empty, so the matrix size is
+    known before the build, and construction raises CapacityError when it
+    exceeds the memory budget.  The build enumerates each hop's states
+    directly and ranks them with the basis's two tables.
     """
 
     def __init__(self, coupling: CouplingMatrix, basis: SectorBasis):
@@ -253,39 +272,46 @@ class SectorHamiltonian:
         """Sector Hamiltonian as a real symmetric CSR matrix (built lazily).
 
         Rows are counted first, so the arrays are allocated at their final
-        size, then filled hop by hop.
+        size, then filled hop by hop.  Hop (e, f) acts on the states with e
+        excited and f empty: the (N-2, k-1) sector's masks with zero bits
+        inserted at e and f, then bit e set.
         """
         if self._matrix is None:
-            states = self.basis.states
-
-            def hopped(e, f):  # 1 where site e is excited and site f empty
-                return (states >> e) & ~(states >> f) & 1
-
-            indptr = np.zeros(self.dim + 1, dtype=np.int32)
+            states, n = self.basis.states, self.basis.n_sites
+            reach = [0] * n  # per site, the mask of sites it hops to
             for e, f, _ in self._hops:
-                indptr[1:] += hopped(e, f)
-            np.cumsum(indptr, out=indptr)
+                reach[e] |= 1 << f
+            # a row's entries: per excited site e, the empty sites e hops to
+            counts = sum(((states >> e) & 1) * np.bitwise_count(~states & reach[e])
+                         for e in range(n))
+            indptr = np.zeros(self.dim + 1, dtype=np.int32)
+            np.cumsum(counts, out=indptr[1:])
             indices = np.empty(self.nnz, dtype=np.int32)
             data = np.empty(self.nnz)
-            fill = indptr[:-1].copy()
-            for e, f, amp in self._hops:
-                sel = np.flatnonzero(hopped(e, f))
-                slots = fill[sel]
-                indices[slots] = self.basis.rank_many(states[sel] + ((1 << f) - (1 << e)))
-                data[slots] = amp
-                fill[sel] = slots + 1
+            if self.nnz:
+                fill = indptr[:-1].copy()
+                rest = enumerate_sector(n - 2, self.basis.n_excitations - 1).states
+                for e, f, amp in self._hops:
+                    lo, hi = min(e, f), max(e, f)
+                    src = _insert_zero(_insert_zero(rest, lo), hi) | (1 << e)
+                    rows = self.basis.rank_many(src)
+                    slots = fill[rows]
+                    indices[slots] = self.basis.rank_many(src + ((1 << f) - (1 << e)))
+                    data[slots] = amp
+                    fill[rows] = slots + 1
             self._matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
         return self._matrix
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec inside the sector; ``vec`` is (dim,) or (dim, n_columns)."""
-        vec = np.asarray(vec)
-        mat = self.matrix()
-        if np.iscomplexobj(vec):
-            # two real matvecs avoid per-call dtype upcasts of the matrix
-            return mat @ vec.real + 1j * (mat @ vec.imag)
-        return mat @ vec
+        """H @ vec inside the sector for a real ``vec`` of shape (dim,) or (dim, n_columns)."""
+        return self.matrix() @ vec
 
     def expectation(self, vec: np.ndarray) -> float:
-        """Real energy <vec|H|vec>."""
-        return float(np.vdot(vec, self.apply(vec)).real)
+        """Real energy <vec|H|vec>: H is real symmetric, so the cross terms cancel."""
+        vec = np.asarray(vec)
+        return float(sum(part @ self.apply(part) for part in (vec.real, vec.imag)))
+
+
+def _insert_zero(masks: np.ndarray, bit: int) -> np.ndarray:
+    """``masks`` with a zero bit inserted at ``bit``, the higher bits moved up one."""
+    return ((masks >> bit) << (bit + 1)) | (masks & ((1 << bit) - 1))

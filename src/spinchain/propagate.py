@@ -4,8 +4,10 @@ One path serves every sector size and every grid: a Chebyshev expansion
 of exp(-iHt) (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967, 1984) whose
 vectors T_k(H/R) psi0 come from one three-term recurrence on the sector
 Hamiltonian's ``apply``, weighted by Bessel coefficients J_k(Rt) into
-the state at each sample time.  The single-excitation sector takes the
-same path as every other.
+the state at each sample time.  H is real, so the recurrence runs on
+real vectors: a real psi0 (every Neel and single-excitation quench) in
+one pass, a complex one as its real and then its imaginary part.  The
+single-excitation sector takes the same path as every other.
 """
 
 import itertools
@@ -46,32 +48,50 @@ def _check_state(basis: SectorBasis, psi0: StateVector):
 # Coefficients below 2^-53 change no amplitude of a unit-norm state in
 # double precision, since every ||T_k(H/R)|| <= 1
 _CUT = 2.0**-53
-# T_k vectors folded into the trajectory per GEMV: at N=16, 16 folded no
-# faster than 8 at 1.6 MB more peak RSS, and 1 folded fig2's grid 4x slower
-_BLOCK = 8
+# Real T_k vectors folded into the trajectory per GEMV, half of them even
+# k and half odd.  At N=16, evolve on fig2's grid (alpha 0 and nn) took
+# 1.7 and 0.5 s with 8, 1.5 and 0.3 s with 16 and about as long with 32,
+# which added 1.9 MB of quench-n16 peak RSS (64 added 3.7 MB)
+_BLOCK = 16
 
 
-def _chebyshev_coefficients(z: np.ndarray) -> np.ndarray:
-    """c_k(z) in exp(-i z x) = sum_k c_k(z) T_k(x) on [-1, 1], a row per z.
+def _chebyshev_coefficients(z: np.ndarray):
+    """Real a_k(z), with exp(-i z x) = sum_k i^(k mod 2) a_k(z) T_k(x) on [-1, 1].
 
-    c_0 = J_0(z) and c_k = 2 (-i)^k J_k(z).  Columns are kept until one,
-    past k = max(z), has |c_k| < 2^-53 at every z; past k = z, J_k(z)
-    falls with k, so no later column reaches the cut either.
+    c_k = 2 (-i)^k J_k(z) (c_0 = J_0(z)) is real for even k and imaginary
+    for odd k; a_k is its real or imaginary part, a row per ascending z.
+    Past k = z, J_k(z) falls with k and grows with z, so the rows cut
+    below 2^-53 there are a prefix that no later column brings back: they
+    stay zero, and J_k is evaluated only for the rows after them.  Returns
+    the table and, per column, its first uncut row; the columns end where
+    every row is cut.
     """
-    columns = []
+    columns, firsts, first = [], [], 0
     for k in itertools.count():
-        c = (2.0 if k else 1.0) * (1, -1j, -1, 1j)[k % 4] * jv(k, z)
-        if k > z.max() and np.abs(c).max() < _CUT:
-            return np.stack(columns, axis=1)
-        columns.append(c)
+        a = (2.0 if k else 1.0) * (1, -1, -1, 1)[k % 4] * jv(k, z[first:])
+        live = (k <= z[first:]) | (np.abs(a) >= _CUT)
+        if not live.any():
+            break
+        skip = int(np.argmax(live))
+        first += skip
+        columns.append(a[skip:])
+        firsts.append(first)
+    coef = np.zeros((len(z), len(columns)))
+    for k, a in enumerate(columns):
+        coef[firsts[k]:, k] = a
+    return coef, firsts
 
 
 def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):
-    """The sector Hamiltonian, unbuilt, once it and ``n_times`` states pass their byte guards."""
+    """The sector Hamiltonian, unbuilt, once it and ``n_times`` states pass their byte guards.
+
+    Counted: the complex trajectory, the real fold block, and four real
+    vectors (three of the recurrence and the fold's product).
+    """
     ham = SectorHamiltonian(coupling, basis)
     check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
                  f"{n_times} states of {basis.dim:,} amplitudes",
-                 16 * (n_times + _BLOCK) * basis.dim, "with its Chebyshev vectors")
+                 (16 * n_times + 8 * (_BLOCK + 4)) * basis.dim, "with its Chebyshev vectors")
     return ham
 
 
@@ -85,7 +105,10 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     (Tal-Ezer and Kosloff, 1984; Weisse et al., Rev. Mod. Phys. 78, 275,
     2006).  The vectors T_k(H/R) psi0 do not depend on t, so one three-term
     recurrence on the sector Hamiltonian's ``apply`` serves every time,
-    uniform or not.  H is real, symmetric and entrywise nonnegative, so
+    uniform or not.  It runs on real vectors, once per nonzero part of
+    psi0, and folds even k into the real and odd k into the imaginary
+    part of each state (the other way round for the imaginary part of
+    psi0).  H is real, symmetric and entrywise nonnegative, so
     R = max(H @ 1) is its exact 1-norm and bounds every ||T_k(H/R)|| by 1;
     a negative coupling raises ValueError.  check_sizes refuses the
     Hamiltonian or the trajectory in bytes before any product.
@@ -104,17 +127,33 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     _check_state(basis, psi0)
     ham = check_sizes(coupling, basis, len(times))
     dim = basis.dim
-    radius = float(ham.apply(np.ones(dim)).real.max())
-    coef = _chebyshev_coefficients(radius * times)
+    radius = float(ham.apply(np.ones(dim)).max())
+    coef, firsts = _chebyshev_coefficients(radius * times)
+    n_terms = coef.shape[1]
     out = np.zeros((len(times), dim), dtype=np.complex128)
-    block = np.empty((_BLOCK, dim), dtype=np.complex128)
-    prev, cur = None, psi0.amplitudes
-    for k in range(coef.shape[1]):
-        if k:  # T_1 = (H/R) T_0, T_{k+1} = 2 (H/R) T_k - T_{k-1}
-            prev, cur = cur, ham.apply(cur) * (min(k, 2) / radius) - (prev if k > 1 else 0)
-        block[k % _BLOCK] = cur
-        if k % _BLOCK == _BLOCK - 1 or k == coef.shape[1] - 1:
-            lo = k - k % _BLOCK
-            for row, c in zip(out, coef[:, lo:k + 1]):
-                row += c @ block[:k + 1 - lo]
+    block = np.empty((2, _BLOCK // 2, dim))  # even k, then odd k, each contiguous
+    tmp = np.empty(dim)
+    # H is real, so psi0 = u + iw evolves as U u + i U w, each part through
+    # real vectors: T_k u enters out with the phase i^(k mod 2), T_k w with
+    # i^(k mod 2 + 1)
+    for j, part in enumerate((psi0.amplitudes.real, psi0.amplitudes.imag)):
+        if not part.any():
+            continue
+        prev, cur = None, np.ascontiguousarray(part)
+        for k in range(n_terms):
+            if k:  # T_1 = (H/R) T_0, T_{k+1} = 2 (H/R) T_k - T_{k-1}
+                nxt = ham.apply(cur)
+                nxt *= min(k, 2) / radius
+                if k > 1:
+                    nxt -= prev
+                prev, cur = cur, nxt
+            block[k % 2, k % _BLOCK // 2] = cur
+            if k % _BLOCK == _BLOCK - 1 or k == n_terms - 1:
+                lo, first = k - k % _BLOCK, firsts[k - k % _BLOCK]
+                for p in (0, 1):
+                    dest = (out.real, out.imag)[(p + j) % 2]
+                    fold = np.subtract if p + j == 2 else np.add
+                    for row, c in zip(dest[first:], coef[first:, lo + p:k + 1:2]):
+                        np.dot(c, block[p, :len(c)], out=tmp)
+                        fold(row, tmp, out=row)
     return Trajectory(times=times, basis=basis, states=out)

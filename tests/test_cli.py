@@ -229,7 +229,7 @@ class TestExitCodes:
                         "--alpha", "nn", "--out", str(out_dir)])
         assert code == 3
         assert ("sector (24, 12) trajectory has 161 states of 2,704,156 amplitudes, "
-                "about 7.3 GB" in capsys.readouterr().err)
+                "about 7.4 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_onebody_table_capacity_is_3(self, tmp_path, capsys):

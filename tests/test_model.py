@@ -110,14 +110,29 @@ class TestSectorBasis:
         assert enumerate_sector(6, 3) is enumerate_sector(6, 3)
 
     def test_capacity_guard(self):
-        # 8 B per int64 mask, refused before Gosper's loop runs
+        # 8 B per int64 mask and per entry of the two rank tables (2^(N//2)
+        # and 2^(N - N//2) entries), refused before Gosper's loop runs
         with pytest.raises(CapacityError, match=r"sector \(40, 20\) has 137,846,528,820 "
                                                 r"states, about 1102\.8 GB as int64 masks"):
             enumerate_sector(40, 20)
         with pytest.raises(CapacityError, match=r"sector \(32, 16\) has 601,080,390 states, "
-                                                r"about 4\.8 GB as int64 masks, over the "
-                                                r"2 GiB budget"):
+                                                r"about 4\.8 GB as int64 masks and rank "
+                                                r"tables, over the 2 GiB budget"):
             enumerate_sector(32, 16)
+        # a sparse sector of a long chain is refused for its tables alone
+        with pytest.raises(CapacityError, match=r"sector \(60, 1\) has 60 states, about "
+                                                r"17\.2 GB as int64 masks and rank tables"):
+            enumerate_sector(60, 1)
+
+    def test_two_table_rank_matches_binary_search(self, rng):
+        # every sector up to N=12, odd N and k = 0 and k = N included, with
+        # the masks in a random order
+        for n in range(1, 13):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                masks = rng.permutation(basis.states)
+                np.testing.assert_array_equal(basis.rank_many(masks),
+                                              np.searchsorted(basis.states, masks))
 
     @given(
         st.integers(min_value=2, max_value=10).flatmap(
@@ -193,15 +208,18 @@ class TestReflectionInvariant:
 
 class TestSectorHamiltonian:
     def test_matches_full_space_restriction(self, rng):
-        # Project the 2^N-space Hamiltonian onto the sector and compare.
-        for spec in (ModelSpec(6, alpha=0.7), ModelSpec(6, nn_limit=True)):
-            coupling = coupling_matrix(spec)
-            full = reference.full_hamiltonian(coupling)
-            for k in (1, 2, 3):
-                basis = enumerate_sector(6, k)
-                block = full[np.ix_(basis.states, basis.states)]
-                ham = SectorHamiltonian(coupling, basis)
-                np.testing.assert_allclose(ham.matrix().toarray(), block, atol=1e-13)
+        # Project the 2^N-space Hamiltonian onto the sector and compare; at
+        # odd N the two halves of the rank tables differ in width
+        for n, ks in ((6, (1, 2, 3)), (9, (1, 4, 8))):
+            for spec in (ModelSpec(n, alpha=0.7), ModelSpec(n, nn_limit=True)):
+                coupling = coupling_matrix(spec)
+                full = reference.full_hamiltonian(coupling)
+                for k in ks:
+                    basis = enumerate_sector(n, k)
+                    block = full[np.ix_(basis.states, basis.states)]
+                    mat = SectorHamiltonian(coupling, basis).matrix()
+                    assert mat.has_canonical_format
+                    np.testing.assert_allclose(mat.toarray(), block, atol=1e-13)
 
     def test_full_space_block_diagonal(self):
         # H never connects different excitation sectors.
@@ -236,7 +254,7 @@ class TestSectorHamiltonian:
             mat = ham.matrix()
             assert mat.nnz == ham.nnz == (pairs * 2 * math.comb(n - 2, k - 1) if k else 0)
             assert mat.indices.dtype == mat.indptr.dtype == np.int32
-            assert mat.has_sorted_indices
+            assert mat.has_sorted_indices and mat.has_canonical_format
             for row in np.split(mat.indices, mat.indptr[1:-1]):
                 assert np.all(np.diff(row) > 0)
             assert ham.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes

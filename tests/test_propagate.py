@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from spinchain import (
@@ -20,6 +22,7 @@ from spinchain import reference, runs
 from spinchain.config import load_config
 from spinchain.errors import CapacityError
 from spinchain.model import CouplingMatrix, StateVector
+from spinchain.propagate import check_sizes
 
 
 def _coupling(n, alpha):
@@ -203,7 +206,11 @@ class TestTaylorStepper:
         psi0 = neel_state(basis)
         times = np.linspace(0.0, 5.0, 201)
         traj = evolve(coupling, basis, psi0, times)
-        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        # scipy's expm_multiply on the Pauli-built full-space matrix: no
+        # 4,096 x 4,096 diagonalization, and independent of the sector code
+        h = sp.csr_matrix(reference.full_hamiltonian(coupling))
+        full = expm_multiply(-1j * h, reference.embed_state(psi0),
+                             start=0.0, stop=5.0, num=201, endpoint=True)
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_single_excitation_sector(self):
@@ -226,24 +233,49 @@ class TestTaylorStepper:
     def test_products_are_propagation_plus_one_norm(self, monkeypatch):
         # one product for the 1-norm R, then one per Chebyshev term past T_0:
         # K terms, cut after max(R t) at the first k with every
-        # |c_k| = 2 |J_k(R t)| below 2^-53
+        # |c_k| = 2 |J_k(R t)| below 2^-53.  The real and imaginary parts
+        # of psi0 each run the K - 1 products of one real recurrence, and a
+        # part that is all zero runs none
         coupling = _coupling(12, 0.5)
         basis = enumerate_sector(12, 6)
         times = np.linspace(0.0, 0.8, 31) / coupling.kac
-        calls = []
-        apply = SectorHamiltonian.apply
-        monkeypatch.setattr(SectorHamiltonian, "apply",
-                            lambda self, vec: calls.append(1) or apply(self, vec))
-        evolve(coupling, basis, neel_state(basis), times)
         z = _exact_norm1(coupling, basis) * times
         n_terms = next(k for k in range(1, 1000)
                        if k > z.max() and 2 * np.abs(jv(k, z)).max() < 2.0**-53)
-        assert len(calls) == 1 + (n_terms - 1)
-        assert len(calls) <= 60
+        assert n_terms <= 60
+        u, w = np.random.default_rng(3).normal(size=(2, basis.dim))
+        calls = []
+        apply = SectorHamiltonian.apply
+        monkeypatch.setattr(SectorHamiltonian, "apply",
+                            lambda self, vec: calls.append(vec.dtype) or apply(self, vec))
+        for amps, parts in ((neel_state(basis).amplitudes, 1), (u + 1j * w, 2), (1j * w, 1)):
+            calls.clear()
+            evolve(coupling, basis, StateVector(basis, amps / np.linalg.norm(amps)), times)
+            assert len(calls) == 1 + parts * (n_terms - 1)
+            assert set(calls) == {np.dtype(float)}
+
+    def test_complex_state_matches_full_space(self):
+        # a generic complex psi0: real and imaginary parts both nonzero and
+        # not proportional, each run through the real recurrence
+        coupling = _coupling(10, 0.7)
+        basis = enumerate_sector(10, 5)
+        u, w = np.random.default_rng(5).normal(size=(2, basis.dim))
+        assert np.linalg.matrix_rank(np.stack([u, w])) == 2
+        psi0 = StateVector(basis, (u + 1j * w) / np.linalg.norm(u + 1j * w))
+        times = np.array([0.0, 0.01, 0.3, 1.7, 4.2])
+        traj = evolve(coupling, basis, psi0, times)
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_trajectory_refused_before_any_product(self, basis8, monkeypatch):
-        # 31 states and 8 Chebyshev vectors of 70 amplitudes, 16 B each
-        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 16 * 39 * 70 - 1)
+        # 31 complex states, then a fold block of 16 real Chebyshev vectors
+        # and four real vectors (three of the recurrence and the fold's
+        # product), all of 70 amplitudes
+        need = 16 * 31 * 70 + 8 * (16 + 4) * 70
+        coupling = _coupling(8, 0.4)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", need)
+        check_sizes(coupling, basis8, 31)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", need - 1)
 
         def no_product(self, vec):
             raise AssertionError("a product ran before the trajectory guard")
@@ -251,8 +283,7 @@ class TestTaylorStepper:
         monkeypatch.setattr(SectorHamiltonian, "apply", no_product)
         with pytest.raises(CapacityError,
                            match=r"sector \(8, 4\) trajectory has 31 states of 70 amplitudes"):
-            evolve(_coupling(8, 0.4), basis8, neel_state(basis8),
-                   np.linspace(0.0, 3.0, 31))
+            evolve(coupling, basis8, neel_state(basis8), np.linspace(0.0, 3.0, 31))
 
     def test_negative_coupling_refused(self, basis6):
         entries = coupling_matrix(ModelSpec(6, alpha=1.0)).entries.copy()
