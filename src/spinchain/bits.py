@@ -25,3 +25,18 @@ def reverse_bits(masks, n_bits: int) -> np.ndarray:
     for i in range(n_bits):
         out |= ((masks >> i) & 1) << (n_bits - 1 - i)
     return out
+
+
+def submask_tables(mask: int, n_bits: int):
+    """The ascending submasks of ``mask`` as two tables, split at bit n_bits // 2.
+
+    The i-th smallest submask of ``mask`` (the bits of i, lowest first, on
+    the set bits of ``mask``) is ``low[i & (len(low) - 1)] | high[i >> shift]``
+    with len(low) = 2^shift, so neither table has more than 2^ceil(n_bits/2)
+    entries.  Returns (low, high, shift).
+    """
+    half = n_bits // 2
+    low = np.arange(1 << half, dtype=np.int64)
+    high = np.arange(1 << (n_bits - half), dtype=np.int64) << half
+    low, high = (t[(t & ~mask) == 0] for t in (low, high))
+    return low, high, len(low).bit_length() - 1

@@ -17,7 +17,6 @@ import operator
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.special import xlogy
 
 from .bits import reverse_bits
 from .errors import NumericalConsistencyError, check_budget
@@ -32,6 +31,9 @@ WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
 # 32 B per state of temporaries while one representative's grids are cut,
 # and 64 KiB fixed (read: up to 560 B, 26 B and 9 KB)
 _INDEX_BYTES = 10
+# The least positive double: x log max(x, _TINY) is x log x for x > 0 and
+# exactly 0 at x = 0, with no mask
+_TINY = 5e-324
 
 __all__ = [
     "SubsetEntropyTable", "EntropyTablePlan",
@@ -58,9 +60,16 @@ def _snap_weights(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
+def _xlogx(x: np.ndarray, out=None) -> np.ndarray:
+    """x log x elementwise for x >= 0, with 0 log 0 = 0, into ``out`` (new if None)."""
+    log = np.maximum(x, _TINY, out=np.empty(np.shape(x)))
+    np.log(log, out=log)
+    return np.multiply(x, log, out=log if out is None else out)
+
+
 def von_neumann(weights: np.ndarray) -> float:
-    """Von Neumann entropy -sum(w log2 w) of an array of Schmidt weights, in bits."""
-    return float(-np.sum(xlogy(weights, weights)) / math.log(2.0))
+    """Von Neumann entropy -sum(w log2 w) of an array of Schmidt weights (w >= 0), in bits."""
+    return float(-np.sum(_xlogx(weights)) / math.log(2.0))
 
 
 def _split_range(k: int, n_a: int, n_b: int):
@@ -260,7 +269,7 @@ class EntropyTablePlan:
         wsum = np.zeros(n_reps)
         for idx, rep_ids in self.groups:
             w = _gram_weights(amplitudes[idx])
-            ent[:n_reps] -= np.bincount(rep_ids, weights=np.sum(xlogy(w, w), axis=1),
+            ent[:n_reps] -= np.bincount(rep_ids, weights=np.sum(_xlogx(w), axis=1),
                                         minlength=n_reps)
             wsum += np.bincount(rep_ids, weights=np.sum(w, axis=1), minlength=n_reps)
         bad = np.nonzero(np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)[0]

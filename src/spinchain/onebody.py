@@ -12,18 +12,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .bits import bit_positions
-from .entropy import SubsetEntropyTable, _disjoint_masks, tmi_terms
+from .entropy import SubsetEntropyTable, _disjoint_masks, _xlogx, tmi_terms
 from .errors import check_budget
 from .partitions import PartitionSet, TmiSeries, tmi_extrema
 
 P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
 NORM_TOL = 1e-10
-# Peak bytes per (mask, time) of onebody_tmi_scan's table: the weights p and
-# binary_entropy's two arrays, besides 8 B per mask for the mask array;
-# beyond those 8 B, tracemalloc read 24.0-24.6 at N = 11-16 and 1-41 times
+# Peak bytes per (mask, time) of onebody_tmi_scan's table: binary_entropy's
+# three arrays, one of them the weights p; the guard adds 8 B per mask for
+# the mask array, made after them.  tracemalloc read 24.00-24.06 at N = 11-16
+# and 5-41 times, and 26-27 B per mask at one time (the mask array, copied)
 _TABLE_BYTES = 25
 
 __all__ = [
@@ -34,21 +34,22 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def binary_entropy(p):
+def binary_entropy(p, out=None):
     """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, in bits.
 
     Values within 1e-12 outside [0, 1] are clipped; anything farther out
-    raises ValueError.
+    raises ValueError.  ``out``, a float array of p's shape, receives the
+    result and may be ``p`` itself.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr < -P_SNAP) or np.any(arr > 1.0 + P_SNAP):
         bad = arr[(arr < -P_SNAP) | (arr > 1.0 + P_SNAP)]
         raise ValueError(f"probability {np.ravel(bad)[0]} outside [0, 1]")
-    # two arrays of the table's size, each transformed in place
-    h = np.clip(arr, 0.0, 1.0, out=np.empty_like(arr))
+    # besides ``out``, two arrays of p's size: 1 - p and _xlogx's logarithm
+    h = np.clip(arr, 0.0, 1.0, out=np.empty_like(arr) if out is None else out)
     rest = np.subtract(1.0, h, out=np.empty_like(h))
-    h = xlogy(h, h, out=h)
-    h += xlogy(rest, rest, out=rest)
+    _xlogx(h, out=h)
+    h += _xlogx(rest, out=rest)
     h /= -_LN2  # (-x) / y and x / (-y) round alike
     if np.ndim(p) == 0:
         return float(h)
@@ -169,11 +170,13 @@ def _subset_probability_table(weights: np.ndarray) -> np.ndarray:
     ``weights`` has a row per site; further axes (times) carry through.
     """
     n = len(weights)
-    table = np.zeros((1 << n, *weights.shape[1:]))
+    table = np.empty((1 << n, *weights.shape[1:]))
+    table[0] = 0.0
     for s in range(n):
         half = 1 << s
-        # masks with bit s set are the upper half of each 2^(s+1) stride
-        table.reshape(-1, 2 * half, *weights.shape[1:])[:, half:] += weights[s]
+        # the masks with top bit s are those below 2^s with site s added;
+        # contiguous blocks, so numpy needs no buffers
+        np.add(table[:half], weights[s], out=table[half:2 * half])
     return table
 
 
@@ -193,8 +196,13 @@ def onebody_tmi_scan(occupations: np.ndarray, times, pset: PartitionSet) -> TmiS
     check_budget(f"k=1 entropy table of {n} sites has {1 << n:,} masks x {n_times} times",
                  (_TABLE_BYTES * n_times + 8) << n, "at its peak")
     p = _subset_probability_table(occupations.T)
-    table = SubsetEntropyTable(n, np.arange(1 << n), binary_entropy(p))
+    entropies = binary_entropy(p, out=p)
+    # summed again for the snap flags: keeping p through binary_entropy
+    # would hold a fourth table-sized array at its peak
+    p = _subset_probability_table(occupations.T)
     low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
+    del p
+    table = SubsetEntropyTable(n, np.arange(1 << n), entropies)
 
     def boundary(a, b, c, abc):
         # same boundary snap as tmi_binary: zero on the simplex faces

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bits import bit_positions
+from .bits import bit_positions, submask_tables
 from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec
@@ -36,8 +36,9 @@ FIXED_SIZES = "fixed-sizes"
 
 # Scratch bytes per mask of the chain (2^N) that enumerating a family of
 # assignments holds beside its masks and labeling tables: the masks 0..2^N-1
-# (8), their popcounts (1), the choices of A (up to 8) and, per A, a masked
-# copy (8), its flags (1) and the submasks of the rest (up to 4)
+# (8), their popcounts (1) and the choices of A (a flag and up to 8 B each);
+# per A it only adds tables of about 2^(N/2) submasks and one array as long
+# as A's labelings
 SCRATCH_BYTES_PER_MASK = 32
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
@@ -247,7 +248,9 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
     other two.  B and C label bits of the rest R of the chain.  Label
     tables index the ascending submasks of R, and depositing bits in R's
     positions keeps their order and popcounts, so (beta, gamma) order is
-    (b, c) order; the rows with b > a form a suffix of the table.  A never
+    (b, c) order; the rows with b > a form a suffix of the table.  The
+    deposit looks each label up in two tables of R's submasks
+    (bits.submask_tables), so no A costs a pass over all 2^N masks.  A never
     holds the top site, the top bit of R, so with ``orbits`` the tables
     keep the labelings that leave it to D or leave D empty.
     """
@@ -257,15 +260,27 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
               for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
     total = _family_count(n_sites, sizes, orbits=orbits)
     out = np.empty((3, total), dtype=np.int64)
-    pos = 0
-    for a in np.flatnonzero(np.isin(counts, [n_sites - n for n in tables])):
-        beta, gamma = tables[n_sites - int(counts[a])]
-        subs = every[(every & a) == 0]  # ascending submasks of the rest
-        first = int(np.searchsorted(beta, np.searchsorted(subs, a)))
+    pos, full = 0, (1 << n_sites) - 1
+    for a in map(int, np.flatnonzero(np.isin(counts, [n_sites - n for n in tables]))):
+        beta, gamma = tables[n_sites - a.bit_count()]
+        rest = full ^ a
+        # a submask of the rest (disjoint from a) is below a exactly when it
+        # lies under a's top bit: the 2^popcount of those bits lowest labels
+        below = rest & ((1 << (a.bit_length() - 1)) - 1)
+        first = int(np.searchsorted(beta, 1 << below.bit_count()))
         stop = pos + len(beta) - first
-        out[0, pos:stop] = a
-        np.take(subs, beta[first:], out=out[1, pos:stop])
-        np.take(subs, gamma[first:], out=out[2, pos:stop])
+        if stop == pos:
+            continue
+        # B and C: each label's bits on the rest's sites, looked up in two
+        # tables; a's row holds the lookup index until a is written
+        low, high, shift = submask_tables(rest, n_sites)
+        index = out[0, pos:stop]
+        for row, label in zip(out[1:, pos:stop], (beta[first:], gamma[first:])):
+            np.right_shift(label, shift, out=index)
+            np.take(high, index, out=row, mode="clip")  # in range; "raise" would copy
+            np.bitwise_and(label, len(low) - 1, out=index)
+            row |= np.take(low, index, mode="clip")
+        index[:] = a
         pos = stop
     if pos != total:
         raise AssertionError(f"enumerated {pos} triples, expected {total}")

@@ -10,11 +10,9 @@ one pass, a complex one as its real and then its imaginary part.  The
 single-excitation sector takes the same path as every other.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import check_budget
 from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
@@ -60,26 +58,44 @@ def _chebyshev_coefficients(z: np.ndarray):
 
     c_k = 2 (-i)^k J_k(z) (c_0 = J_0(z)) is real for even k and imaginary
     for odd k; a_k is its real or imaginary part, a row per ascending z.
-    Past k = z, J_k(z) falls with k and grows with z, so the rows cut
-    below 2^-53 there are a prefix that no later column brings back: they
-    stay zero, and J_k is evaluated only for the rows after them.  Returns
-    the table and, per column, its first uncut row; the columns end where
-    every row is cut.
+    Every J_k(z) comes from one backward Miller recurrence
+    J_{k-1} = (2k/z) J_k - J_{k+1} (Abramowitz and Stegun 9.12; Numerical
+    Recipes 6.5), started past the last term any row keeps and normalised
+    by J_0 + 2 sum_j J_2j = 1.  It runs on the ratios J_k / J_{k-1}, which
+    rescales every row to J_k = 1 at each step: no z overflows, and z = 0
+    gives exactly J_0 = 1.  Past k = z, J_k(z) falls with k and grows with
+    z, so the rows cut below 2^-53 there are a prefix that no later column
+    brings back: they are set to zero.  Returns the table and, per column,
+    its first uncut row; the columns end where every row is cut.
     """
-    columns, firsts, first = [], [], 0
-    for k in itertools.count():
-        a = (2.0 if k else 1.0) * (1, -1, -1, 1)[k % 4] * jv(k, z[first:])
-        live = (k <= z[first:]) | (np.abs(a) >= _CUT)
-        if not live.any():
-            break
-        skip = int(np.argmax(live))
-        first += skip
-        columns.append(a[skip:])
-        firsts.append(first)
-    coef = np.zeros((len(z), len(columns)))
-    for k, a in enumerate(columns):
-        coef[firsts[k]:, k] = a
-    return coef, firsts
+    z_max = float(z[-1])
+    # the last kept term is near k = z + 15 (z/2)^(1/3) for large z (Debye's
+    # expansion); starting 8 (z/2)^(1/3) + 40 orders past it leaves the kept
+    # terms within roundoff of J_k
+    n_start = int(z_max + 23 * (z_max / 2) ** (1 / 3)) + 40
+    table = np.empty((n_start, len(z)))  # row k: J_k / J_{k-1}, at last a_k
+    ratio, den = np.zeros(len(z)), np.empty(len(z))
+    for k in range(n_start - 1, 0, -1):
+        np.subtract(2.0 * k, np.multiply(z, ratio, out=den), out=den)
+        # J_{k-1} = 0 to rounding: a tiny denominator keeps this ratio and
+        # the next finite, and their product is still -1
+        den[den == 0.0] = 1e-200
+        np.divide(z, den, out=ratio)
+        table[k] = ratio
+    table[0] = 1.0
+    np.cumprod(table, axis=0, out=table)  # J_k / J_0
+    table *= 1.0 / (1.0 + 2.0 * table[2::2].sum(axis=0))
+    table[1:] *= 2.0
+    table[1::4] *= -1.0  # (-i)^k is -i or -1 at k = 1 or 2 (mod 4)
+    table[2::4] *= -1.0
+    live = (np.abs(table) >= _CUT) | (np.arange(n_start)[:, None] <= z)
+    if live[-1, -1]:
+        raise AssertionError(f"Bessel recurrence started too low for z = {z_max}")
+    n_terms = int(np.argmin(live[:, -1]))  # the largest z is cut last
+    firsts = np.maximum.accumulate(np.argmax(live[:n_terms], axis=1))
+    coef = table[:n_terms].T.copy()
+    coef[np.arange(len(z))[:, None] < firsts] = 0.0
+    return coef, firsts.tolist()
 
 
 def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):

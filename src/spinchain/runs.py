@@ -17,7 +17,6 @@ not depend on the worker count.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +59,9 @@ def _pmap(fn, items):
     items = list(items)
     if thread_count() <= 1 or len(items) <= 1:
         return [fn(*item) for item in items]
+    # imported here: a serial run never loads the process pool machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(thread_count(), len(items))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map preserves submission order, keeping output deterministic

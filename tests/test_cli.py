@@ -172,9 +172,11 @@ class TestExitCodes:
         from spinchain import onebody
         real_entropy = onebody.binary_entropy
 
-        def one_nan(p):
-            h = real_entropy(p)
-            h.flat[np.flatnonzero((np.ravel(p) > 0.1) & (np.ravel(p) < 0.9))[0]] = np.nan
+        def one_nan(p, **kwargs):
+            # picked before the call: the scan has the entropies overwrite p
+            inside = np.flatnonzero((np.ravel(p) > 0.1) & (np.ravel(p) < 0.9))[0]
+            h = real_entropy(p, **kwargs)
+            h.flat[inside] = np.nan
             return h
 
         monkeypatch.setattr(onebody, "binary_entropy", one_nan)
@@ -389,3 +391,24 @@ def test_runtime_imports_leave_scipy_linalg_out():
                                "print('scipy.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_serial_run_imports_no_oracles_or_pool(tmp_path):
+    # a one-worker run of every runner loads neither scipy.special nor
+    # scipy.linalg (the oracles' modules) nor the process pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinchain.__file__)))
+    env = dict(os.environ, SPINCHAIN_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    (tmp_path / "one.cfg").write_text(ONEBODY_CFG)
+    script = (
+        "import sys\n"
+        "from spinchain.cli import main\n"
+        "for command in ('tmi-grid', 'tmi-vs-entropy', 'minmax-scan'):\n"
+        "    assert main([command, '--config', 'smoke', '--out', 'out']) == 0\n"
+        "assert main(['onebody-scan', '--config', 'one.cfg', '--partitions', 'all',\n"
+        "             '--out', 'out']) == 0\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.linalg',\n"
+        "                         'concurrent.futures.process') if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

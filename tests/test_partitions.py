@@ -28,7 +28,7 @@ from spinchain import (
     tmi,
 )
 from spinchain import partitions, reference, runs
-from spinchain.bits import bit_positions
+from spinchain.bits import bit_positions, submask_tables
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
 
@@ -46,6 +46,17 @@ def brute_force_all_assignments(n):
         if a and b and c:
             seen.add(tuple(sorted((a, b, c))))
     return seen
+
+
+def brute_force_fixed_sizes(n, sizes):
+    """Canonical triples with parts of these sizes, in order, from site combinations."""
+    seen = set()
+    for a in combinations(range(n), sizes[0]):
+        rest = [s for s in range(n) if s not in a]
+        for b in combinations(rest, sizes[1]):
+            for c in combinations([s for s in rest if s not in b], sizes[2]):
+                seen.add(tuple(sorted(sum(1 << s for s in part) for part in (a, b, c))))
+    return sorted(seen)
 
 
 def stirling2(n, k):
@@ -97,6 +108,27 @@ class TestEnumeration:
                 pset = enumerate_partitions(n, strategy)
                 mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
                 assert mine == expected, (n, strategy)
+
+    def test_small_fixed_family_on_a_long_chain(self):
+        # the rest's bits come from two half-chain tables, not from a pass
+        # over all 2^N masks per A; the order is still (a, b, c)
+        for n, sizes in ((22, (1, 1, 1)), (16, (1, 1, 2)), (13, (2, 1, 2))):
+            expected = brute_force_fixed_sizes(n, sizes)
+            pset = enumerate_partitions(n, "fixed:" + ",".join(map(str, sizes)))
+            mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
+            assert mine == expected, (n, sizes)
+
+    def test_submask_tables(self):
+        # entry i is the i-th smallest submask: the bits of i on the mask's sites
+        rng = np.random.default_rng(4)
+        for n_bits in (1, 2, 5, 8, 11):
+            for mask in [0, (1 << n_bits) - 1, *rng.integers(0, 1 << n_bits, 4).tolist()]:
+                low, high, shift = submask_tables(mask, n_bits)
+                assert len(low) == 1 << shift
+                i = np.arange(1 << mask.bit_count())
+                expected = [m for m in range(1 << n_bits) if m & ~mask == 0]
+                np.testing.assert_array_equal(low[i & (len(low) - 1)] | high[i >> shift],
+                                              expected)
 
     def test_triples_are_canonical_and_disjoint(self):
         pset = enumerate_partitions(8, "all")

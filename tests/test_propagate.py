@@ -1,5 +1,7 @@
 """Sector propagation over arrays of physical times, the single-excitation sector included."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,7 +24,7 @@ from spinchain import reference, runs
 from spinchain.config import load_config
 from spinchain.errors import CapacityError
 from spinchain.model import CouplingMatrix, StateVector
-from spinchain.propagate import check_sizes
+from spinchain.propagate import _chebyshev_coefficients, check_sizes
 
 
 def _coupling(n, alpha):
@@ -298,6 +300,87 @@ class TestTaylorStepper:
         after = np.random.get_state()
         assert after[0] == state[0] and after[2:] == state[2:]
         np.testing.assert_array_equal(after[1], state[1])
+
+
+def _jv_terms(k, z):
+    """a_k(z) from scipy's jv: c_k = 2 (-i)^k J_k(z) (c_0 = J_0(z)) without its i^(k mod 2)."""
+    k = np.asarray(k)
+    return np.where(k > 0, 2.0, 1.0) * np.array([1, -1, -1, 1])[k % 4] * jv(k, z)
+
+
+def _jv_coefficients(z):
+    """a_k(z) column by column from scipy's jv, cut as _chebyshev_coefficients
+    cuts them: (table, firsts), as that function returns them."""
+    columns, firsts, first = [], [], 0
+    for k in itertools.count():
+        a = _jv_terms(k, z[first:])
+        live = (k <= z[first:]) | (np.abs(a) >= 2.0**-53)
+        if not live.any():
+            break
+        skip = int(np.argmax(live))
+        first += skip
+        columns.append(a[skip:])
+        firsts.append(first)
+    coef = np.zeros((len(z), len(columns)))
+    for k, a in enumerate(columns):
+        coef[firsts[k]:, k] = a
+    return coef, firsts
+
+
+def _grid_z(n, k, alpha, t_max, n_points, kac):
+    """R t on a runner's grid: R = max(H @ 1) of the (n, k) sector, t in Kac units if ``kac``."""
+    coupling = _coupling(n, alpha)
+    basis = enumerate_sector(n, k)
+    radius = SectorHamiltonian(coupling, basis).apply(np.ones(basis.dim)).max()
+    times = np.linspace(0.0, t_max, n_points)
+    return radius * (times / coupling.kac if kac else times)
+
+
+class TestBesselCoefficients:
+    """The Miller-recurrence table against scipy.special.jv."""
+
+    Z = np.array([0.0, 1e-300, 1e-12, 1e-6, 0.5, 3.0, 30.0, 300.0, 3000.0])
+
+    def test_matches_jv(self):
+        # one table over every z, and each z alone
+        for z in [self.Z, *self.Z[:, None]]:
+            coef, _ = _chebyshev_coefficients(z)
+            assert np.all(np.isfinite(coef))
+            expected = _jv_terms(np.arange(coef.shape[1]), z[:, None])
+            assert np.max(np.abs(coef - expected)) <= 1e-13
+
+    def test_zero_row_is_exact(self):
+        coef, _ = _chebyshev_coefficients(self.Z)
+        np.testing.assert_array_equal(coef[0], np.eye(1, coef.shape[1])[0])
+        coef, firsts = _chebyshev_coefficients(np.zeros(3))
+        np.testing.assert_array_equal(coef, np.ones((3, 1)))
+        assert firsts == [0]
+
+    def test_large_argument_is_finite(self):
+        # rescaled at every step: nothing overflows up to z = 1e4
+        z = np.array([0.0, 1e-300, 1.0, 1e4])
+        coef, firsts = _chebyshev_coefficients(z)
+        assert np.all(np.isfinite(coef))
+        assert coef.shape[1] > 1e4 and firsts[-1] == 3
+        expected = _jv_terms(np.arange(coef.shape[1]), 1e4)
+        assert np.max(np.abs(coef[3] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n, k, alphas, t_max, n_points, kac", [
+        (16, 8, (0.1, 0.55, 1.0, "nn"), 0.8, 31, True),
+        (12, 6, (0.1, 0.55, 1.0, 2.0, 3.0), 5.0, 11, True),
+        (12, 1, (0.1, 0.55, 1.0, 2.0, 3.0), 5.0, 17, True),
+        (16, 8, (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, "nn"), 5.0, 201, False),
+    ], ids=["quench-n16", "extremal-n12", "onebody-all-n12", "fig2"])
+    def test_same_terms_as_jv_on_runner_grids(self, n, k, alphas, t_max, n_points, kac):
+        # the benchmark workloads' grids and fig2's: the same number of
+        # terms and the same first uncut row of every column
+        for alpha in alphas:
+            z = _grid_z(n, k, alpha, t_max, n_points, kac)
+            coef, firsts = _chebyshev_coefficients(z)
+            expected, expected_firsts = _jv_coefficients(z)
+            assert coef.shape == expected.shape
+            assert firsts == expected_firsts
+            assert np.max(np.abs(coef - expected)) <= 1e-13
 
 
 class TestEvolveDispatcher:

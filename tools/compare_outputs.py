@@ -63,6 +63,10 @@ INVOCATIONS = (
                             "--partitions", "contiguous"]),
     ("onebody-fixed", ["onebody-scan", "--config", "onebody.cfg",
                        "--partitions", "fixed:2,2,2"]),
+    # a tiny fixed family on a longer chain: B and C deposited from two
+    # half-chain tables of the rest's submasks
+    ("onebody-fixed-n16", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "16",
+                           "--partitions", "fixed:1,1,1"]),
     # single:5 is the centre of an odd chain: mirror triples tie exactly
     ("onebody-all-n11", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "11",
                          "--partitions", "all"]),
