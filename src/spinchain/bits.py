@@ -18,6 +18,11 @@ def bit_positions(mask):
     return out
 
 
+def mask_dtype(n_bits: int) -> np.dtype:
+    """Narrowest signed integer type holding every mask of ``n_bits`` bits and its ~."""
+    return np.min_scalar_type(-(1 << n_bits))
+
+
 def reverse_bits(masks, n_bits: int) -> np.ndarray:
     """Masks with their low ``n_bits`` bits in reverse order (bit i to n_bits-1-i)."""
     masks = np.asarray(masks, dtype=np.int64)
@@ -33,10 +38,10 @@ def submask_tables(mask: int, n_bits: int):
     The i-th smallest submask of ``mask`` (the bits of i, lowest first, on
     the set bits of ``mask``) is ``low[i & (len(low) - 1)] | high[i >> shift]``
     with len(low) = 2^shift, so neither table has more than 2^ceil(n_bits/2)
-    entries.  Returns (low, high, shift).
+    entries.  Returns (low, high, shift), the tables in mask_dtype(n_bits).
     """
-    half = n_bits // 2
-    low = np.arange(1 << half, dtype=np.int64)
-    high = np.arange(1 << (n_bits - half), dtype=np.int64) << half
+    half, dtype = n_bits // 2, mask_dtype(n_bits)
+    low = np.arange(1 << half, dtype=dtype)
+    high = np.arange(1 << (n_bits - half), dtype=dtype) << half
     low, high = (t[(t & ~mask) == 0] for t in (low, high))
     return low, high, len(low).bit_length() - 1

@@ -22,8 +22,8 @@ P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
 NORM_TOL = 1e-10
 # Peak bytes per (mask, time) of onebody_tmi_scan's table: binary_entropy's
 # three arrays, one of them the weights p; the guard adds 8 B per mask for
-# the mask array, made after them.  tracemalloc read 24.00-24.06 at N = 11-16
-# and 5-41 times, and 26-27 B per mask at one time (the mask array, copied)
+# the mask array, made after them.  tracemalloc read 24.00-24.07 at N = 11-16
+# and 5-41 times, and 24.0-24.5 B per mask at one time
 _TABLE_BYTES = 25
 
 __all__ = [
@@ -202,11 +202,19 @@ def onebody_tmi_scan(occupations: np.ndarray, times, pset: PartitionSet) -> TmiS
     p = _subset_probability_table(occupations.T)
     low, high = p <= P_SNAP, p >= 1.0 - P_SNAP
     del p
-    table = SubsetEntropyTable(n, np.arange(1 << n), entropies)
+    masks = np.arange(1 << n)
+    masks.flags.writeable = False  # the table keeps it rather than a copy
+    table = SubsetEntropyTable(n, masks, entropies)
+    buffers = []  # made at the first block, the largest, after the table's peak
 
     def boundary(a, b, c, abc):
         # same boundary snap as tmi_binary: zero on the simplex faces
-        return (np.take(low, a, axis=0) | np.take(low, b, axis=0)
-                | np.take(low, c, axis=0) | np.take(high, abc, axis=0))
+        if not buffers:
+            buffers.extend(np.empty((2, len(a), n_times), dtype=bool))
+        snap, part = (buffer[:len(a)] for buffer in buffers)
+        np.take(low, a, axis=0, out=snap, mode="clip")  # in range; "raise" would copy
+        for flags, index in ((low, b), (low, c), (high, abc)):
+            snap |= np.take(flags, index, axis=0, out=part, mode="clip")
+        return snap
 
     return tmi_extrema(pset, table, times, zero=boundary)

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bits import bit_positions, submask_tables
+from .bits import bit_positions, mask_dtype, submask_tables
 from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec
@@ -36,9 +36,8 @@ FIXED_SIZES = "fixed-sizes"
 
 # Scratch bytes per mask of the chain (2^N) that enumerating a family of
 # assignments holds beside its masks and labeling tables: the masks 0..2^N-1
-# (8), their popcounts (1) and the choices of A (a flag and up to 8 B each);
-# per A it only adds tables of about 2^(N/2) submasks and one array as long
-# as A's labelings
+# (up to 8), their popcounts (1) and the choices of A (a flag and up to 8 B
+# each); per A it only adds tables of about 2^(N/2) submasks
 SCRATCH_BYTES_PER_MASK = 32
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
@@ -57,10 +56,11 @@ __all__ = [
 
 
 class PartitionSet:
-    """Immutable sequence of canonical triples, stored as three int64 mask arrays.
+    """Immutable sequence of canonical triples, stored as three mask arrays.
 
-    ``pset[i]`` is triple i as an (a, b, c) tuple of ints.  The arrays keep
-    exhaustive N=12 scans (millions of triples) affordable and let TMI
+    ``pset[i]`` is triple i as an (a, b, c) tuple of ints.  The arrays, in
+    the narrowest type holding N-bit masks (bits.mask_dtype: int16 up to
+    N=15), keep exhaustive scans (millions of triples) affordable and let TMI
     evaluation run as vectorized table gathers.  The masks of AB, AC, BC
     and ABC are derived where a gather needs them and not kept.  An
     ``orbits`` set holds one triple per {A, B, C, D} orbit of its family
@@ -71,9 +71,8 @@ class PartitionSet:
                  strategy: str = "explicit", orbits: bool = False):
         self.n_sites = n_sites
         self.orbits = orbits
-        self.a = np.asarray(a, dtype=np.int64)
-        self.b = np.asarray(b, dtype=np.int64)
-        self.c = np.asarray(c, dtype=np.int64)
+        dtype = mask_dtype(n_sites)
+        self.a, self.b, self.c = (np.asarray(m, dtype=dtype) for m in (a, b, c))
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise ValueError("mask arrays must have equal length")
         self.strategy = strategy
@@ -254,12 +253,15 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
     holds the top site, the top bit of R, so with ``orbits`` the tables
     keep the labelings that leave it to D or leave D empty.
     """
-    every = np.arange(1 << n_sites, dtype=np.int64)
+    dtype = mask_dtype(n_sites)
+    every = np.arange(1 << n_sites, dtype=dtype)
     counts = np.bitwise_count(every)
     tables = {n_rest: _labelings(every, counts, n_rest, pair, orbits)
               for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
     total = _family_count(n_sites, sizes, orbits=orbits)
-    out = np.empty((3, total), dtype=np.int64)
+    out = np.empty((3, total), dtype=dtype)
+    # np.take would copy a narrower index to intp, label by label
+    lookup = np.empty(max(len(beta) for beta, _ in tables.values()), dtype=np.intp)
     pos, full = 0, (1 << n_sites) - 1
     for a in map(int, np.flatnonzero(np.isin(counts, [n_sites - n for n in tables]))):
         beta, gamma = tables[n_sites - a.bit_count()]
@@ -267,20 +269,21 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
         # a submask of the rest (disjoint from a) is below a exactly when it
         # lies under a's top bit: the 2^popcount of those bits lowest labels
         below = rest & ((1 << (a.bit_length() - 1)) - 1)
-        first = int(np.searchsorted(beta, 1 << below.bit_count()))
+        # (a value of beta's type: a Python int would have beta copied to int64)
+        first = int(np.searchsorted(beta, dtype.type(1 << below.bit_count())))
         stop = pos + len(beta) - first
         if stop == pos:
             continue
         # B and C: each label's bits on the rest's sites, looked up in two
-        # tables; a's row holds the lookup index until a is written
+        # tables; a's row holds the low table's part until a is written
         low, high, shift = submask_tables(rest, n_sites)
-        index = out[0, pos:stop]
+        index, part = lookup[:stop - pos], out[0, pos:stop]
         for row, label in zip(out[1:, pos:stop], (beta[first:], gamma[first:])):
             np.right_shift(label, shift, out=index)
             np.take(high, index, out=row, mode="clip")  # in range; "raise" would copy
             np.bitwise_and(label, len(low) - 1, out=index)
-            row |= np.take(low, index, mode="clip")
-        index[:] = a
+            row |= np.take(low, index, out=part, mode="clip")
+        part[:] = a
         pos = stop
     if pos != total:
         raise AssertionError(f"enumerated {pos} triples, expected {total}")
@@ -300,9 +303,7 @@ def _enumerate_contiguous_blocks(n_sites: int) -> PartitionSet:
             triples.append(tuple(block(edges[i], edges[i + 1]) for i in range(3)))
     # position order is mask order for contiguous blocks, already canonical
     triples.sort()
-    arr = np.array(triples, dtype=np.int64)
-    return PartitionSet(n_sites, arr[:, 0], arr[:, 1], arr[:, 2],
-                        strategy=CONTIGUOUS_BLOCKS)
+    return PartitionSet(n_sites, *zip(*triples), strategy=CONTIGUOUS_BLOCKS)
 
 
 _STRATEGY_NAMES = {
@@ -351,13 +352,14 @@ def _enumerate_cached(n_sites: int, strategy: str, sizes, orbits: bool):
     else:
         raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
     count = _family_count(n_sites, sizes, orbits=orbits)
-    # three int64 masks per triple; beta, gamma and gamma's pieces per row of
-    # the (B, C) labeling tables
-    rows = count + sum(_family_count(n_rest, pair, 2, orbits)
-                       for n_rest, pair in _rest_sizes(n_sites, sizes).items())
+    labels = [_family_count(n_rest, pair, 2, orbits)
+              for n_rest, pair in _rest_sizes(n_sites, sizes).items()]
+    # three masks per triple; beta, gamma and gamma's pieces per row of the
+    # (B, C) labeling tables; an intp lookup index as long as the largest
+    need = 3 * mask_dtype(n_sites).itemsize * (count + sum(labels)) + 8 * max(labels)
     check_budget(f"{name} of {n_sites} sites has {count:,} "
                  f"{'orbit representatives' if orbits else 'triples'}",
-                 24 * rows + (SCRATCH_BYTES_PER_MASK << n_sites), "of masks and scratch")
+                 need + (SCRATCH_BYTES_PER_MASK << n_sites), "of masks and scratch")
     return _enumerate_assignments(n_sites, sizes, orbits)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spinchain
+from spinchain import ModelSpec, coupling_matrix, occupation_weights, reference, tmi_binary
 from spinchain.cli import main
 
 SMOKE_CFG = """\
@@ -199,17 +200,19 @@ class TestExitCodes:
                         "--partitions", "all", "--out", str(out_dir)])
         assert code == 3
         assert ("all-assignments family of 16 sites has 178,940,587 orbit representatives, "
-                "about 4.4 GB") in capsys.readouterr().err
+                "about 2.2 GB") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(SMOKE_CFG)
         out_dir = tmp_path / "out"
-        code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "18",
+        # three int32 masks per triple; N=18 (1.3 GB) fits
+        code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "20",
                         "--partitions", "fixed:4,4,4", "--out", str(out_dir)])
         assert code == 3
-        assert "107,207,100 triples, about 2.6 GB" in capsys.readouterr().err
+        assert ("fixed-sizes family 4,4,4 of 20 sites has 727,476,750 triples, about 8.8 GB"
+                in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):
@@ -341,6 +344,28 @@ class TestPartitionRules:
             triple = {(a, b, c) for a, b, c in zip(columns["argmin_a"], columns["argmin_b"],
                                                    columns["argmin_c"])}
             assert triple == {(0b11, 0b10000, 0b1100000000)}
+
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_scan_writes_top_site_masks_as_positive_ints(self, tmp_path, n):
+        # one excitation starting on the top site: the extremal triples
+        # hold its mask 1 << (N-1), which int16 holds at N=15 and not at 16
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(SMOKE_CFG.replace("n_sites = 8", f"n_sites = {n}")
+                       + f"\n[initial]\nstate = single:{n - 1}\n")
+        out_dir = tmp_path / "out"
+        assert run_cli(["minmax-scan", "--config", str(cfg), "--partitions", "fixed:1,1,1",
+                        "--alpha", "1.0", "--out", str(out_dir), "--format", "json"]) == 0
+        columns = json.loads((out_dir / "minmax_scan.json").read_text())["columns"]
+        amplitudes = reference.onebody_amplitudes(
+            coupling_matrix(ModelSpec(n, alpha=1.0)), n - 1, columns["t"])
+        for side in ("min", "max"):
+            triples = list(zip(*(columns[f"arg{side}_{part}"] for part in "abc")))
+            assert all(0 < a < b < c < 1 << n and a.bit_count() == b.bit_count()
+                       == c.bit_count() == 1 for a, b, c in triples)
+            values = [tmi_binary(*occupation_weights(amps, *triple))
+                      for amps, triple in zip(amplitudes, triples)]
+            np.testing.assert_allclose(values, columns[f"{side}_tmi"], atol=1e-9)
+        assert 1 << (n - 1) in columns["argmax_c"]
 
 
 class TestDeterminism:

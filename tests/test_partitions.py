@@ -28,7 +28,7 @@ from spinchain import (
     tmi,
 )
 from spinchain import partitions, reference, runs
-from spinchain.bits import bit_positions, submask_tables
+from spinchain.bits import bit_positions, mask_dtype, submask_tables
 from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
 
@@ -57,6 +57,32 @@ def brute_force_fixed_sizes(n, sizes):
             for c in combinations([s for s in rest if s not in b], sizes[2]):
                 seen.add(tuple(sorted(sum(1 << s for s in part) for part in (a, b, c))))
     return sorted(seen)
+
+
+def brute_force_family(n, sizes=None, orbits=False):
+    """Canonical triples as int64 rows (a, b, c) in family order, from pairwise
+    disjointness tests of every mask: the (b, c) pairs of each a from one
+    outer product, no labeling or submask tables.  ``sizes`` keeps the
+    triples whose parts have these sizes in some order, ``orbits`` those
+    whose remainder is empty or holds the top site."""
+    every = np.arange(1, 1 << n, dtype=np.int64)
+    if sizes is not None:
+        every = every[np.isin(np.bitwise_count(every), sizes)]
+    full, rows = (1 << n) - 1, []
+    for a in every:
+        later = every[(every > a) & ((every & a) == 0)]
+        # row-major nonzero: ascending b, then ascending c
+        b, c = (later[i] for i in np.nonzero((later[:, None] < later)
+                                              & ((later[:, None] & later) == 0)))
+        keep = np.ones(len(b), dtype=bool)
+        if sizes is not None:
+            counts = np.sort(np.bitwise_count(np.stack([np.full_like(b, a), b, c])), axis=0)
+            keep &= (counts == np.sort(sizes)[:, None]).all(axis=0)
+        if orbits:
+            rest = full ^ (a | b | c)
+            keep &= (rest == 0) | (rest >> (n - 1) == 1)
+        rows.append(np.stack([np.full(np.count_nonzero(keep), a), b[keep], c[keep]]))
+    return np.concatenate(rows, axis=1)
 
 
 def stirling2(n, k):
@@ -111,12 +137,40 @@ class TestEnumeration:
 
     def test_small_fixed_family_on_a_long_chain(self):
         # the rest's bits come from two half-chain tables, not from a pass
-        # over all 2^N masks per A; the order is still (a, b, c)
-        for n, sizes in ((22, (1, 1, 1)), (16, (1, 1, 2)), (13, (2, 1, 2))):
+        # over all 2^N masks per A; the order is still (a, b, c).  The last
+        # triple holds the top site: 1 << 14 fits int16 at N=15, and 1 << 15
+        # needs int32 at N=16
+        for n, sizes in ((22, (1, 1, 1)), (16, (1, 1, 2)), (13, (2, 1, 2)),
+                         (15, (1, 1, 1)), (16, (1, 1, 1))):
             expected = brute_force_fixed_sizes(n, sizes)
             pset = enumerate_partitions(n, "fixed:" + ",".join(map(str, sizes)))
             mine = list(zip(pset.a.tolist(), pset.b.tolist(), pset.c.tolist()))
-            assert mine == expected, (n, sizes)
+            assert mine == expected and pset.a.dtype == mask_dtype(n), (n, sizes)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_narrow_masks_match_int64_brute_force(self, n):
+        families = [("all", None, False), ("all", None, True)] + [
+            ("fixed:" + ",".join(map(str, sizes)), sizes, False)
+            for sizes in ((1, 1, 1), (1, 2, 1), (2, 3, 2)) if sum(sizes) <= n]
+        for strategy, sizes, orbits in families:
+            pset = enumerate_partitions(n, strategy, orbits=orbits)
+            expected = brute_force_family(n, sizes, orbits)
+            for masks, column in zip((pset.a, pset.b, pset.c), expected):
+                assert masks.dtype == mask_dtype(n)
+                np.testing.assert_array_equal(masks, column, err_msg=f"{n} {strategy}")
+
+    @pytest.mark.parametrize("n, dtype", [(7, np.int8), (8, np.int16), (15, np.int16),
+                                          (16, np.int32), (31, np.int32), (32, np.int64)])
+    def test_masks_take_the_narrowest_signed_type(self, n, dtype):
+        # N bits, and their complements down to -2^N, must fit
+        top, full = 1 << (n - 1), (1 << n) - 1
+        explicit = RunConfig(n_sites=n, alphas=(1.0,), subset_a=(0,), subset_b=(1,),
+                             subset_c=(n - 1,)).partition_set(scan=False)
+        # the second triple covers the chain
+        given = PartitionSet(n, [1, 1], [2, 2], [top, full ^ 3])
+        for pset in (given, explicit, enumerate_partitions(n, "contiguous")):
+            assert pset.a.dtype == pset.b.dtype == pset.c.dtype == dtype
+        assert given[0] == explicit[0] == (1, 2, top) and given.n_covering == 1
 
     def test_submask_tables(self):
         # entry i is the i-th smallest submask: the bits of i on the mask's sites
@@ -166,14 +220,15 @@ class TestEnumeration:
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
         try:
-            # 171,798,901 triples of three int64 masks (4.1 GB), and the
-            # (B, C) labeling tables (0.09 GB): 4.2 GB
-            with pytest.raises(CapacityError, match="171,798,901 triples, about 4.2 GB"):
-                enumerate_partitions(15, "all")
+            # 694,337,290 triples of three int32 masks (8.3 GB), and the
+            # (B, C) labeling tables with their lookup index (0.19 GB): 8.5 GB
+            with pytest.raises(CapacityError, match="694,337,290 triples, about 8.5 GB"):
+                enumerate_partitions(16, "all")
             assert calls == []
-            # 42,355,950 triples, 1.05 GB with the tables: inside the budget
-            assert enumerate_partitions(14, "all") == 14
-            assert calls == [14]
+            # 171,798,901 triples of three int16 masks, 1.07 GB with the
+            # tables: inside the budget
+            assert enumerate_partitions(15, "all") == 15
+            assert calls == [15]
         finally:
             partitions._enumerate_cached.cache_clear()
 
@@ -182,14 +237,14 @@ class TestEnumeration:
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
         try:
-            # S(16,3) + S(16,4) = 178,940,587 representatives of three int64
-            # masks (4.3 GB), and the filtered labeling tables: 4.4 GB
+            # S(16,3) + S(16,4) = 178,940,587 representatives of three int32
+            # masks (2.1 GB), and the filtered labeling tables: 2.2 GB
             with pytest.raises(CapacityError, match="178,940,587 orbit representatives, "
-                                                    "about 4.4 GB"):
+                                                    "about 2.2 GB"):
                 enumerate_partitions(16, "all", orbits=True)
             assert calls == []
-            # 44,731,051 representatives, 1.1 GB with the tables: inside the
-            # budget, where the whole N=15 family is not
+            # 44,731,051 representatives of three int16 masks, 0.28 GB with
+            # the tables: inside the budget
             assert enumerate_partitions(15, "all", orbits=True) == 15
             assert calls == [15]
         finally:
@@ -207,17 +262,19 @@ class TestEnumeration:
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
         try:
-            # 107,207,100 triples of three int64 masks: 2.6 GB
+            # 727,476,750 triples of three int32 masks: 8.8 GB
             with pytest.raises(CapacityError,
-                               match="107,207,100 triples, about 2.6 GB"):
-                enumerate_partitions(18, "fixed:4,4,4")
+                               match="727,476,750 triples, about 8.8 GB"):
+                enumerate_partitions(20, "fixed:4,4,4")
             # 4,060 triples, but 32 B of scratch per mask of 30 sites: 34.4 GB
             with pytest.raises(CapacityError, match="4,060 triples, about 34.4 GB"):
                 enumerate_partitions(30, "fixed:1,1,1")
             assert calls == []
-            # 560,560 triples, 0.01 GB: inside the budget
+            # 560,560 triples, 0.01 GB, and 107,207,100 of three int32
+            # masks, 1.3 GB: inside the budget
             assert enumerate_partitions(14, "fixed:3,3,3") == 14
-            assert calls == [14]
+            assert enumerate_partitions(18, "fixed:4,4,4") == 18
+            assert calls == [14, 18]
         finally:
             partitions._enumerate_cached.cache_clear()
 
@@ -545,10 +602,14 @@ class TestOrbitReducedScan:
         tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
         self.check_matches_family(pset, pset, tables, times, exact=3)
 
-    def test_runner_set_stores_only_representatives(self):
-        # 24 B per representative plus the filtered labeling tables and
-        # 32 B per mask of scratch, the guard's 17.9 MB estimate; the whole
-        # N=12 family's masks alone are 61 MB
+    def test_runner_set_stores_only_representatives(self, monkeypatch):
+        # three int16 masks (6 B) per representative, plus the filtered
+        # labeling tables, an intp lookup index and 32 B per mask of
+        # scratch: the guard's 4.8 MB estimate, which the peak must not
+        # pass; the whole N=12 family's masks alone are 15 MB
+        estimates = []
+        monkeypatch.setattr(partitions, "check_budget",
+                            lambda subject, need, what: estimates.append(need))
         cfg = RunConfig(n_sites=12, alphas=(1.0,), strategy="all")
         partitions._enumerate_cached.cache_clear()
         tracemalloc.start()
@@ -558,8 +619,8 @@ class TestOrbitReducedScan:
         finally:
             tracemalloc.stop()
             partitions._enumerate_cached.cache_clear()
-        assert len(pset) == 698_027 and pset.orbits
-        assert 24 * len(pset) < peak < 24 * (len(pset) + 44_281) + (32 << 12)
+        assert len(pset) == 698_027 and pset.orbits and pset.a.dtype == np.int16
+        assert 6 * len(pset) < peak <= estimates[0]
 
     def test_scan_holds_no_whole_family_temporary(self):
         # one int64 per triple of the N=12 family is 20 MB; the scan's peak

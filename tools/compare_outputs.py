@@ -12,7 +12,8 @@ with BLAS pinned to one thread; the runners write ``--format csv,json``,
 and ``validate`` writes no dataset.  Every run is compared with REF's run
 at one worker: exit status, each dataset file, stdout and stderr.  Every difference, and every invocation that fails, is
 printed; a differing dataset file also gets the largest absolute
-difference between its numbers, and a differing CSV file the count of
+difference between its numbers, the largest in units of the last printed
+digit (a rounding flip reads 1), and a differing CSV file the count of
 differing cells in each column.  The exit status is 1 if there is any
 difference or failure, else 0.
 """
@@ -81,6 +82,9 @@ INVOCATIONS = (
     ("smoke-minmax", ["minmax-scan", "--config", "smoke"]),
     # a Neel scan of every triple at N=8, with the proper-split minimum
     ("smoke-all", ["minmax-scan", "--config", "smoke", "--partitions", "all"]),
+    # N=7, the widest chain whose masks are int8
+    ("smoke-all-n7", ["minmax-scan", "--config", "smoke", "--partitions", "all",
+                      "--n-sites", "7"]),
     # at odd N, with n_proper_partitions counted from the orbit representatives
     ("smoke-all-n9", ["minmax-scan", "--config", "smoke", "--partitions", "all",
                       "--n-sites", "9"]),
@@ -143,20 +147,30 @@ def column_counts(ref, run):
     return f"{sum(counts)} of {len(header) * (len(ref_rows) - 1)} cells differ: {columns}"
 
 
+def last_digit(number):
+    """One unit in the last printed digit of a number, e.g. 1e-12 for b"0.109645606677"."""
+    mantissa, _, exponent = number.lower().partition(b"e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(b".")[2]))
+
+
 def deviation(ref_path, run_path):
     """How two dataset files differ: the largest absolute difference of
-    their numbers, with column_counts for a CSV file, or a note that the
-    text around the numbers differs."""
+    their numbers and the largest in units of the pair's last printed
+    digit, with column_counts for a CSV file, or a note that the text
+    around the numbers differs."""
     with open(ref_path, "rb") as fh:
         ref = fh.read()
     with open(run_path, "rb") as fh:
         run = fh.read()
     if _NUMBER.sub(b"#", ref) != _NUMBER.sub(b"#", run):
         return "text differs"
-    largest = max((abs(float(x) - float(y)) for x, y in
-                   zip(_NUMBER.findall(ref), _NUMBER.findall(run)) if x != y), default=0.0)
+    pairs = [(x, y) for x, y in zip(_NUMBER.findall(ref), _NUMBER.findall(run)) if x != y]
+    largest = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+    digits = max((abs(float(x) - float(y)) / max(last_digit(x), last_digit(y))
+                  for x, y in pairs), default=0.0)
     counts = column_counts(ref, run) if ref_path.endswith(".csv") else None
-    return f"max |diff| {largest:.3g}" + (f"; {counts}" if counts else "")
+    return (f"max |diff| {largest:.3g}, {digits:.3g} in the last digit"
+            + (f"; {counts}" if counts else ""))
 
 
 def differences(ref_dir, run_dir):
