@@ -5,8 +5,10 @@ Y_m Y_n) with power-law couplings J_mn = J0 / |m - n|^alpha on an open
 chain, exploiting excitation-number conservation throughout, and measures
 how quantum information delocalizes: Von Neumann entropies of arbitrary
 site subsets, mutual information, and the tripartite mutual information
-across subsystem partitionings, including exhaustive partition scans and
-the closed-form single-excitation diagnostics.
+across subsystem partitionings, including exhaustive partition scans.
+Single-excitation quenches run on the same path as every other; the
+closed-form k=1 TMI that certifies them lives with the other oracles in
+``spinchain.reference``, which is not imported here.
 """
 
 __version__ = "0.1.0"
@@ -19,8 +21,6 @@ from .errors import (CapacityError, ConfigError, NumericalConsistencyError,
 from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     StateVector, coupling_matrix, enumerate_sector, neel_state,
                     sector_dimension, single_excitation_state)
-from .onebody import (binary_entropy, occupation_weights, onebody_tmi_scan, simplex_scan,
-                      tmi_binary)
 from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
                          enumerate_partitions, extrema, lightcone_onset, tau_sign_change)
 from .propagate import Trajectory, evolve
@@ -36,8 +36,6 @@ __all__ = [
     "EntropyTablePlan", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",
-    "binary_entropy", "occupation_weights",
-    "onebody_tmi_scan", "simplex_scan", "tmi_binary",
     "PartitionSet", "TmiSeries", "contiguous_quarters",
     "enumerate_partitions", "extrema", "lightcone_onset", "tau_sign_change",
     "RunConfig", "load_config",

@@ -60,11 +60,11 @@ def _snap_weights(w: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _xlogx(x: np.ndarray, out=None) -> np.ndarray:
-    """x log x elementwise for x >= 0, with 0 log 0 = 0, into ``out`` (new if None)."""
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x log x elementwise for x >= 0, with 0 log 0 = 0, as a new array."""
     log = np.maximum(x, _TINY, out=np.empty(np.shape(x)))
     np.log(log, out=log)
-    return np.multiply(x, log, out=log if out is None else out)
+    return np.multiply(x, log, out=log)
 
 
 def von_neumann(weights: np.ndarray) -> float:
@@ -263,7 +263,14 @@ class EntropyTablePlan:
         ]
 
     def evaluate(self, amplitudes: np.ndarray) -> SubsetEntropyTable:
-        """Subset entropies of one state (amplitudes over the plan's basis)."""
+        """Subset entropies of one state (amplitudes over the plan's basis).
+
+        A non-finite amplitude raises NumericalConsistencyError.
+        """
+        finite = np.isfinite(amplitudes)
+        if not finite.all():
+            raise NumericalConsistencyError(
+                f"non-finite amplitude at sector rank {int(np.argmin(finite))}")
         n_reps = len(self.reps)
         ent = np.zeros(n_reps + 1)
         wsum = np.zeros(n_reps)

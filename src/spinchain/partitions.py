@@ -71,8 +71,7 @@ class PartitionSet:
                  strategy: str = "explicit", orbits: bool = False):
         self.n_sites = n_sites
         self.orbits = orbits
-        dtype = mask_dtype(n_sites)
-        self.a, self.b, self.c = (np.asarray(m, dtype=dtype) for m in (a, b, c))
+        self.a, self.b, self.c = (_narrow(m, mask_dtype(n_sites)) for m in (a, b, c))
         if not (len(self.a) == len(self.b) == len(self.c)):
             raise ValueError("mask arrays must have equal length")
         self.strategy = strategy
@@ -153,6 +152,15 @@ class PartitionSet:
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
         """TMI of every triple from one subset-entropy table (rows per triple)."""
         return self._tmi_block(table)[0]
+
+
+def _narrow(masks, dtype) -> np.ndarray:
+    """``masks`` as an array of ``dtype``; ValueError if the cast changes a value."""
+    masks = np.asarray(masks)
+    narrow = masks.astype(dtype, copy=False)
+    if narrow is not masks and not np.array_equal(narrow, masks):
+        raise ValueError(f"masks do not fit {dtype} unchanged")
+    return narrow
 
 
 @dataclass
@@ -408,18 +416,17 @@ def extrema(vals: np.ndarray) -> tuple:
 
 
 def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
-                zero=None, proper: bool = False) -> TmiSeries:
+                proper: bool = False) -> TmiSeries:
     """Per-time TMI extrema over a partition set, from a time-batched table.
 
     ``table`` holds a row of entropies per mask and a column per entry of
     ``times``.  The triples stream through in slices, each gathering whole
-    table rows for every time at once (PartitionSet._tmi_block).
-    ``zero(a, b, c, abc)``, if given, takes a chunk's masks and marks the
-    (triple, time) entries whose TMI is exactly zero.  Ties resolve as by
-    extrema, and ``argmin``/``argmax`` index ``pset``; ``min_proper`` is
-    filled when ``proper`` is set.  An ``orbits`` set needs a pure state's
-    table: its TMI ties across each orbit up to roundoff, and each
-    representative comes first in its orbit, so the picks are the family's.
+    table rows for every time at once (PartitionSet._tmi_block).  Ties
+    resolve as by extrema, and ``argmin``/``argmax`` index ``pset``;
+    ``min_proper`` is filled when ``proper`` is set.  An ``orbits`` set
+    needs a pure state's table: its TMI ties across each orbit up to
+    roundoff, and each representative comes first in its orbit, so the
+    picks are the family's.
 
     Only the first chunk holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier chunk holds
@@ -439,9 +446,6 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
 
     def block(k):
         vals, masks = pset._tmi_block(table, slice(k * rows, (k + 1) * rows), idx, work)
-        if zero is not None:
-            a, b, c, *_, abc = masks
-            np.copyto(vals, 0.0, where=zero(a, b, c, abc))
         return vals, masks[6]
 
     block_lo, block_hi = [], []

@@ -1,17 +1,25 @@
-"""Brute-force full-Hilbert-space reference implementations.
+"""Reference implementations: the oracles the production pipeline is checked against.
 
-Everything here works on dense 2^N vectors with no sector bookkeeping:
-the Hamiltonian is assembled from explicit Pauli operators, evolution
-diagonalizes the full matrix, and reduced density matrices come from
-literal partial traces.  Deliberately simple and exponentially expensive,
-these routines exist to validate the production pipeline (see the CLI
-``validate`` subcommand) and the test suite, not to run experiments.
-The one exception to the 12-site cap is ``onebody_amplitudes``, which
-diagonalizes the N x N single-excitation Hamiltonian: the k=1 oracle at
-any N.
+The full-space routines work on dense 2^N vectors with no sector
+bookkeeping: the Hamiltonian is assembled from explicit Pauli operators,
+evolution diagonalizes the full matrix, and reduced density matrices
+come from literal partial traces.  Deliberately simple and exponentially
+expensive, these routines exist to validate the production pipeline (see
+the CLI ``validate`` subcommand) and the test suite, not to run
+experiments, and are capped at 12 sites.
+
+Two single-excitation oracles have no cap.  ``onebody_amplitudes``
+diagonalizes the N x N single-excitation Hamiltonian.  The k=1 closed
+form uses that, with one excitation, every reduced state is at most
+rank 2 and all entropies reduce to the binary entropy of subset
+occupation weights p_X = sum_{m in X} |c_m|^2.  The TMI then becomes an
+explicit function of (p_A, p_B, p_C), which is nonnegative everywhere on
+the probability simplex and vanishes exactly on its boundary: a
+certificate of the sign structure the general pipeline must reproduce.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,10 +27,13 @@ from scipy.linalg import eigh
 from scipy.special import xlogy
 
 from .bits import bit_positions
+from .entropy import SubsetEntropyTable, _disjoint_masks, _xlogx, tmi_terms
 from .errors import CapacityError
 from .model import CouplingMatrix, StateVector
 
 FULL_SPACE_MAX_SITES = 12
+P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
+NORM_TOL = 1e-10
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -33,7 +44,11 @@ __all__ = [
     "op_at", "full_hamiltonian", "embed_state", "evolve_full",
     "reduced_spectrum_full", "subset_entropy_full", "mutual_information_full",
     "tmi_full", "onebody_amplitudes",
+    "SimplexScan", "binary_entropy", "occupation_weights", "tmi_binary", "simplex_scan",
+    "onebody_entropy_table",
 ]
+
+_LN2 = math.log(2.0)
 
 
 def _check_sites(n_sites: int):
@@ -146,3 +161,158 @@ def onebody_amplitudes(coupling: CouplingMatrix, site: int, times) -> np.ndarray
     w, v = eigh(2.0 * coupling.entries)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), w))
     return (phases * v[site]) @ v.T
+
+
+# -- the k=1 closed form -----------------------------------------------------
+
+def binary_entropy(p):
+    """H(p) = -p log2 p - (1-p) log2 (1-p), elementwise, in bits.
+
+    Values within 1e-12 outside [0, 1] are clipped; anything farther out
+    raises ValueError.
+    """
+    arr = np.asarray(p, dtype=float)
+    if np.any(arr < -P_SNAP) or np.any(arr > 1.0 + P_SNAP):
+        bad = arr[(arr < -P_SNAP) | (arr > 1.0 + P_SNAP)]
+        raise ValueError(f"probability {np.ravel(bad)[0]} outside [0, 1]")
+    h = np.clip(arr, 0.0, 1.0)
+    h = (_xlogx(h) + _xlogx(1.0 - h)) / -_LN2  # (-x) / y and x / (-y) round alike
+    if np.ndim(p) == 0:
+        return float(h)
+    return h
+
+
+def _checked_weights(*weights) -> tuple:
+    """Occupation weights (p_a, p_b, p_c) of three disjoint subsets, checked.
+
+    Each must lie in [0, 1] up to P_SNAP, and is clipped into it; a sum
+    above 1 + NORM_TOL raises ValueError.
+    """
+    weights = [float(p) for p in weights]
+    for name, p in zip(("p_a", "p_b", "p_c"), weights):
+        if not -P_SNAP <= p <= 1.0 + P_SNAP:
+            raise ValueError(f"{name}={p} outside [0, 1]")
+    p_a, p_b, p_c = (min(max(p, 0.0), 1.0) for p in weights)
+    total = p_a + p_b + p_c
+    if total > 1.0 + NORM_TOL:
+        raise ValueError(f"occupation weights sum to {total} > 1")
+    return p_a, p_b, p_c
+
+
+def occupation_weights(c: np.ndarray, a, b, c_subset) -> tuple:
+    """Subset occupation probabilities (p_a, p_b, p_c) of a normalized k=1 amplitude vector.
+
+    ``a``, ``b``, ``c_subset`` are site bitmasks, nonempty and pairwise
+    disjoint (ValueError otherwise); site m of the chain is entry m of ``c``.
+    """
+    c = np.asarray(c, dtype=np.complex128)
+    n = len(c)
+    norm = np.linalg.norm(c)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"amplitudes are not normalized (norm {norm})")
+    masks = _disjoint_masks(n, (a, b, c_subset))
+    w = np.abs(c) ** 2
+    ps = [float(np.sum(w[bit_positions(m)])) for m in masks]
+    return _checked_weights(*ps)
+
+
+def tmi_binary(p_a: float, p_b: float, p_c: float) -> float:
+    """TMI of a k=1 state as a function of its occupation weights, in bits.
+
+    The weights are checked as occupation_weights' are.  Returns 0.0
+    exactly when any weight vanishes or the three sum to one: those are
+    the boundary faces of the parameter simplex.
+    """
+    p_a, p_b, p_c = _checked_weights(p_a, p_b, p_c)
+    return float(_tmi_binary_grid(p_a, p_b, p_c, p_a + p_b + p_c))
+
+
+def _tmi_binary_grid(pa, pb, pc, psum):
+    """Vectorized TMI with the same boundary snap as tmi_binary."""
+    vals = tmi_terms(*(binary_entropy(p) for p in
+                       (pa, pb, pc, pa + pb, pa + pc, pb + pc, psum)))
+    boundary = (np.minimum(np.minimum(pa, pb), pc) <= P_SNAP) | (psum >= 1.0 - P_SNAP)
+    return np.where(boundary, 0.0, vals)
+
+
+@dataclass
+class SimplexScan:
+    """Extrema of the k=1 TMI over the weight simplex p_i >= 0, sum <= 1."""
+
+    resolution: float
+    min_value: float
+    argmin: tuple
+    max_value: float
+    argmax: tuple
+
+
+def simplex_scan(resolution: float = 0.01) -> SimplexScan:
+    """Scan tmi_binary over a regular simplex grid.
+
+    The minimum sits on the simplex boundary (where the TMI vanishes
+    identically) and the maximum at the interior point (1/4, 1/4, 1/4);
+    the maximum is then polished on two successively finer local grids.
+    """
+    steps = round(1.0 / resolution)
+    if steps < 4 or abs(steps * resolution - 1.0) > 1e-9:
+        raise ValueError(f"resolution {resolution} must divide 1 into >= 4 steps")
+    i, j, k = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1),
+                          np.arange(steps + 1), indexing="ij")
+    keep = (i + j + k) <= steps
+    i, j, k = i[keep], j[keep], k[keep]
+    # integer sums keep the simplex boundary i+j+k == steps exact
+    vals = _tmi_binary_grid(i / steps, j / steps, k / steps, (i + j + k) / steps)
+    i_min = int(np.argmin(vals))
+    i_max = int(np.argmax(vals))
+    argmin = (i[i_min] / steps, j[i_min] / steps, k[i_min] / steps)
+    argmax = (i[i_max] / steps, j[i_max] / steps, k[i_max] / steps)
+    max_value = float(vals[i_max])
+
+    span = resolution
+    for _ in range(2):
+        span /= 10.0
+        offsets = np.linspace(-5 * span, 5 * span, 11)
+        pa = argmax[0] + offsets[:, None, None]
+        pb = argmax[1] + offsets[None, :, None]
+        pc = argmax[2] + offsets[None, None, :]
+        pa, pb, pc = np.broadcast_arrays(pa, pb, pc)
+        ok = (pa > 0) & (pb > 0) & (pc > 0) & (pa + pb + pc < 1.0)
+        vals_f = np.full(pa.shape, -np.inf)
+        vals_f[ok] = _tmi_binary_grid(pa[ok], pb[ok], pc[ok],
+                                      pa[ok] + pb[ok] + pc[ok])
+        best = np.unravel_index(np.argmax(vals_f), vals_f.shape)
+        if vals_f[best] > max_value:
+            max_value = float(vals_f[best])
+            argmax = (float(pa[best]), float(pb[best]), float(pc[best]))
+    return SimplexScan(resolution=resolution, min_value=float(vals[i_min]),
+                       argmin=tuple(float(x) for x in argmin),
+                       max_value=max_value,
+                       argmax=tuple(float(x) for x in argmax))
+
+
+def _subset_probability_table(weights: np.ndarray) -> np.ndarray:
+    """p[mask] = sum of site weights selected by the mask, for all masks.
+
+    ``weights`` has a row per site; further axes (times) carry through.
+    """
+    n = len(weights)
+    table = np.empty((1 << n, *weights.shape[1:]))
+    table[0] = 0.0
+    for s in range(n):
+        half = 1 << s
+        # the masks with top bit s are those below 2^s with site s added;
+        # contiguous blocks, so numpy needs no buffers
+        np.add(table[:half], weights[s], out=table[half:2 * half])
+    return table
+
+
+def onebody_entropy_table(occupations: np.ndarray) -> SubsetEntropyTable:
+    """Closed-form entropies of every subset of a k=1 state, a column per time.
+
+    ``occupations`` holds the site weights |c_m(t)|^2, a row per time and
+    a column per site; the entropy of subset X is the binary entropy of
+    its weight p_X.  The table is dense: a row per mask, 0 to 2^N - 1.
+    """
+    n = occupations.shape[1]
+    entropies = binary_entropy(_subset_probability_table(occupations.T))
+    return SubsetEntropyTable(n, np.arange(1 << n), entropies)

@@ -9,11 +9,11 @@ is set: the one place Kac units are converted) and ``alpha``/``t``/
 ``t_kac`` columns, and calls the runner's reducer, a module-level
 ``rows(cfg, pset, coupling, times) -> (columns, extra)``; ``extra``
 carries what the runner needs beyond per-time columns.
-Sector-quench reducers read ``_table``: one subset-entropy table with a
-row per mask and a column per time.  ``_sweep`` maps the task over the
-exponents, in a process pool when SPINCHAIN_THREADS asks for one, and
-stacks the columns in sweep order either way, so the emitted files do
-not depend on the worker count.
+Every reducer reads ``_table``: one subset-entropy table with a row per
+mask and a column per time, and the evolved states it came from.
+``_sweep`` maps the task over the exponents, in a process pool when
+SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
+either way, so the emitted files do not depend on the worker count.
 """
 
 import os
@@ -29,7 +29,6 @@ from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
-from .onebody import occupation_weights, onebody_tmi_scan, simplex_scan, tmi_binary
 from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
 from .propagate import check_sizes, evolve
 
@@ -148,11 +147,12 @@ def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
 
 
 def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
-    """Subset-entropy table with a row per mask and a column per time.
+    """Subset-entropy table with a row per mask and a column per time, and the states.
 
     The initial state of ``cfg`` is quenched under ``coupling``; the table
-    holds the masks ``pset`` reads plus ``extra_masks``.  A reflection
-    invariant quench (every Neel quench) evaluates one of each mirror pair.
+    holds the masks ``pset`` reads plus ``extra_masks``, and the states
+    are the trajectory's (n_times, dim) array.  A reflection invariant
+    quench (every Neel quench) evaluates one of each mirror pair.
     The size guards run before the plan is built, and the plan before any
     propagation, so a refusal costs neither.
     """
@@ -162,13 +162,14 @@ def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
                      reflected=reflection_invariant(coupling, psi0))
     traj = evolve(coupling, basis, psi0, times)
     values = np.column_stack([plan.evaluate(state).values for state in traj.states])
-    return SubsetEntropyTable(basis.n_sites, plan.mask_array, values)
+    return SubsetEntropyTable(basis.n_sites, plan.mask_array, values), traj.states
 
 
 # -- tmi-grid ----------------------------------------------------------------
 
 def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    return {"tmi": pset.tmi_values(_table(cfg, coupling, times, pset))[0].tolist()}, None
+    table, _ = _table(cfg, coupling, times, pset)
+    return {"tmi": pset.tmi_values(table)[0].tolist()}, None
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
@@ -193,7 +194,7 @@ def _half_mask(cfg: RunConfig) -> int:
 
 def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
     half = _half_mask(cfg)
-    table = _table(cfg, coupling, times, pset, half)
+    table, _ = _table(cfg, coupling, times, pset, half)
     return {"tmi": pset.tmi_values(table)[0].tolist(),
             "half_chain_entropy": table.gather(half).tolist()}, None
 
@@ -215,7 +216,8 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
 
 
 def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    scan = tmi_extrema(pset, _table(cfg, coupling, times, pset), times, proper=True)
+    table, _ = _table(cfg, coupling, times, pset)
+    scan = tmi_extrema(pset, table, times, proper=True)
     proper = scan.min_proper
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist(),
                "min_tmi_proper": [None] * len(times) if proper is None else proper.tolist()}
@@ -257,10 +259,10 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 # -- onebody-scan --------------------------------------------------------------
 
 def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    basis, psi0 = _initial_state(cfg)
+    table, states = _table(cfg, coupling, times, pset)
+    scan = tmi_extrema(pset, table, times)
     # k=1 basis states ascend as 1 << site, so column m is site m
-    occupations = np.abs(evolve(coupling, basis, psi0, times).states) ** 2
-    scan = onebody_tmi_scan(occupations, times, pset)
+    occupations = np.abs(states) ** 2
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
         columns[f"p{m}"] = occupations[:, m].tolist()
@@ -272,8 +274,9 @@ def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
 def run_onebody_scan(cfg: RunConfig) -> list:
     """Single-excitation TMI extrema with occupation-weight trajectories.
 
-    Asserts the closed-form nonnegativity: any partition TMI below
-    -1e-10 aborts the run with the offending time and triple.
+    The extrema come from the same entropy table and scan as minmax-scan.
+    Asserts the nonnegativity the k=1 closed form proves: any partition
+    TMI below -1e-10 aborts the run with the offending time and triple.
     """
     if cfg.initial_state != "single":
         raise ConfigError(
@@ -346,6 +349,7 @@ def _check_tmi_oracle():
 
 
 def _check_onebody_oracle():
+    from . import reference
     basis = enumerate_sector(8, 1)
     psi = evolve(coupling_matrix(ModelSpec(8, alpha=0.5)), basis,
                  single_excitation_state(basis, 3), np.array([2.1])).state_at(0)
@@ -358,13 +362,14 @@ def _check_onebody_oracle():
         sites = rng.permutation(8)
         a, b, c = (int(1 << sites[0] | 1 << sites[1]), int(1 << sites[2]),
                    int(1 << sites[3] | 1 << sites[4]))
-        w = occupation_weights(amps, a, b, c)
-        worst = max(worst, abs(tmi_binary(*w) - tmi(table, a, b, c)))
+        w = reference.occupation_weights(amps, a, b, c)
+        worst = max(worst, abs(reference.tmi_binary(*w) - tmi(table, a, b, c)))
     return worst < 1e-9, f"max closed-form vs pipeline deviation {worst:.3g}"
 
 
 def _check_simplex():
-    scan = simplex_scan(0.01)
+    from . import reference
+    scan = reference.simplex_scan(0.01)
     target = 4.0 * (2.0 - 0.75 * np.log2(3.0)) - 3.0  # 4 H(1/4) - 3
     ok = (scan.min_value == 0.0
           and abs(scan.max_value - target) < 1e-9

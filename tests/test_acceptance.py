@@ -26,15 +26,12 @@ from spinchain import (
     enumerate_sector,
     evolve,
     neel_state,
-    occupation_weights,
-    onebody_tmi_scan,
-    simplex_scan,
     single_excitation_state,
     subset_entropy_table,
     tmi,
-    tmi_binary,
 )
 from spinchain import reference
+from spinchain.partitions import tmi_extrema
 from spinchain.cli import main as cli_main
 from spinchain.config import load_config
 from spinchain.runs import (
@@ -172,11 +169,11 @@ def test_criterion_03_onebody_nonnegativity():
         coupling = coupling_matrix(spec)
         times = grid / coupling.kac
         occupations = np.abs(reference.onebody_amplitudes(coupling, 6, times)) ** 2
-        scan = onebody_tmi_scan(occupations, times, pset)
+        scan = tmi_extrema(pset, reference.onebody_entropy_table(occupations), times)
         floor = min(floor, float(scan.min_values.min()))
     ok_scan = floor >= -1e-10
 
-    sx = simplex_scan(resolution=0.01)
+    sx = reference.simplex_scan(resolution=0.01)
     ok_sx = (sx.min_value == 0.0
              and abs(sx.max_value - SIMPLEX_PEAK) < 1e-9
              and max(abs(p - 0.25) for p in sx.argmax) <= 0.01)
@@ -205,8 +202,8 @@ def test_criterion_04_closed_form_vs_pipeline():
         a = int(sum(1 << s for s in sites[:sa]))
         b = int(sum(1 << s for s in sites[sa:sa + sb]))
         c = int(sum(1 << s for s in sites[sa + sb:sa + sb + sc]))
-        w = occupation_weights(amps[i], a, b, c)
-        worst = max(worst, abs(tmi_binary(*w) - tmi(table, a, b, c)))
+        w = reference.occupation_weights(amps[i], a, b, c)
+        worst = max(worst, abs(reference.tmi_binary(*w) - tmi(table, a, b, c)))
     ok = worst < 1e-9
     _line(4, ok, f"max closed-form vs table deviation {worst:.3g} over 50 "
                  f"random (t, partition) samples, {time.time() - t0:.0f}s")

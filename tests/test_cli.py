@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinchain
-from spinchain import ModelSpec, coupling_matrix, occupation_weights, reference, tmi_binary
+from spinchain import ModelSpec, coupling_matrix, reference
 from spinchain.cli import main
 
 SMOKE_CFG = """\
@@ -168,19 +168,17 @@ class TestExitCodes:
         assert "Schmidt weights" in err
 
     def test_non_finite_tmi_is_4(self, tmp_path, capsys, monkeypatch):
-        # one NaN entropy of a subset with weight inside (0.1, 0.9) reaches
-        # TMI values off the boundary snap
-        from spinchain import onebody
-        real_entropy = onebody.binary_entropy
+        # one NaN entropy in the onebody runner's table reaches the TMI of
+        # every triple that reads it
+        from spinchain import runs
+        real_table = runs._table
 
-        def one_nan(p, **kwargs):
-            # picked before the call: the scan has the entropies overwrite p
-            inside = np.flatnonzero((np.ravel(p) > 0.1) & (np.ravel(p) < 0.9))[0]
-            h = real_entropy(p, **kwargs)
-            h.flat[inside] = np.nan
-            return h
+        def one_nan(*args):
+            table, states = real_table(*args)
+            table.values[1, 2] = np.nan
+            return table, states
 
-        monkeypatch.setattr(onebody, "binary_entropy", one_nan)
+        monkeypatch.setattr(runs, "_table", one_nan)
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
@@ -189,6 +187,28 @@ class TestExitCodes:
         assert code == 4
         err = capsys.readouterr().err
         assert "error: non-finite TMI at t=" in err and "(alpha=0.5)" in err
+        assert not out_dir.exists()
+
+    def test_non_finite_amplitude_is_4(self, tmp_path, capsys, monkeypatch):
+        # a NaN amplitude in a Neel trajectory is refused by the entropy plan
+        # rather than handed to eigvalsh
+        from spinchain import runs
+        real_evolve = runs.evolve
+
+        def one_nan(*args):
+            traj = real_evolve(*args)
+            traj.states[1, 3] = np.nan
+            return traj
+
+        monkeypatch.setattr(runs, "evolve", one_nan)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["tmi-grid", "--config", str(cfg), "--out", str(out_dir)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "error: non-finite amplitude at sector rank 3 (alpha=0.5)" in err
         assert not out_dir.exists()
 
     def test_all_assignments_capacity_is_3(self, tmp_path, capsys):
@@ -237,31 +257,17 @@ class TestExitCodes:
                 "about 7.4 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
-    def test_onebody_table_capacity_is_3(self, tmp_path, capsys):
-        # 25 B per (mask, time) and 8 B per mask over 2^24 masks and 17
-        # times; the scan is refused before its table is allocated
-        cfg = tmp_path / "one.cfg"
-        cfg.write_text(ONEBODY_CFG)
-        out_dir = tmp_path / "out"
-        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "24",
-                        "--partitions", "contiguous", "--n-points", "17",
-                        "--out", str(out_dir)])
-        assert code == 3
-        assert ("k=1 entropy table of 24 sites has 16,777,216 masks x 17 times, "
-                "about 7.3 GB" in capsys.readouterr().err)
-        assert not out_dir.exists()
-
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs
-        real_scan = runs.onebody_tmi_scan
+        real_scan = runs.tmi_extrema
 
         def negative(*args, **kwargs):
             scan = real_scan(*args, **kwargs)
             scan.min_values[2] = -1e-9
             return scan
 
-        monkeypatch.setattr(runs, "onebody_tmi_scan", negative)
+        monkeypatch.setattr(runs, "tmi_extrema", negative)
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
@@ -362,7 +368,7 @@ class TestPartitionRules:
             triples = list(zip(*(columns[f"arg{side}_{part}"] for part in "abc")))
             assert all(0 < a < b < c < 1 << n and a.bit_count() == b.bit_count()
                        == c.bit_count() == 1 for a, b, c in triples)
-            values = [tmi_binary(*occupation_weights(amps, *triple))
+            values = [reference.tmi_binary(*reference.occupation_weights(amps, *triple))
                       for amps, triple in zip(amplitudes, triples)]
             np.testing.assert_allclose(values, columns[f"{side}_tmi"], atol=1e-9)
         assert 1 << (n - 1) in columns["argmax_c"]

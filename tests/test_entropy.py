@@ -259,6 +259,18 @@ class TestSubsetEntropyTable:
         with pytest.raises(NumericalConsistencyError, match="roundoff floor"):
             plan.evaluate(evolved8.amplitudes)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitude_raises(self, k, bad):
+        # a NaN passes the weight-sum check at k=1 and stops eigvalsh at k>=2;
+        # neither may reach the table
+        basis = enumerate_sector(6, k)
+        amps = np.zeros(basis.dim, dtype=complex)
+        amps[0], amps[2] = 1.0, bad
+        with pytest.raises(NumericalConsistencyError,
+                           match="^non-finite amplitude at sector rank 2$"):
+            EntropyTablePlan(basis).evaluate(amps)
+
     def test_plan_reuse_across_states(self, basis8, rng):
         plan = EntropyTablePlan(basis8)
         t1 = plan.evaluate(random_sector_state(basis8, rng))

@@ -1,7 +1,6 @@
-"""Closed-form single-excitation diagnostics against the sector pipeline."""
+"""The k=1 closed form (a reference oracle) and the single-excitation runner."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,22 +10,22 @@ from hypothesis import strategies as st
 from spinchain import (
     ModelSpec,
     PartitionSet,
-    binary_entropy,
+    RunConfig,
     coupling_matrix,
     enumerate_partitions,
-    enumerate_sector,
-    evolve,
-    occupation_weights,
-    onebody_tmi_scan,
-    simplex_scan,
-    single_excitation_state,
-    subset_entropy_table,
-    tmi_binary,
+    runs,
 )
-from spinchain import onebody, reference
+from spinchain import reference
 from spinchain.bits import bit_positions
 from spinchain.config import load_config
-from spinchain.onebody import _subset_probability_table
+from spinchain.partitions import tmi_extrema
+from spinchain.reference import (
+    _subset_probability_table,
+    binary_entropy,
+    occupation_weights,
+    simplex_scan,
+    tmi_binary,
+)
 from spinchain.runs import run_onebody_scan
 
 # 3 H(1/4) + H(3/4) - 3 H(1/2) at the simplex center
@@ -38,6 +37,14 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 def _occupations(coupling, site, times):
     """Site weights |c_m(t)|^2 from the N x N oracle, a row per time."""
     return np.abs(reference.onebody_amplitudes(coupling, site, times)) ** 2
+
+
+def _runner_scan(spec, site, times, pset):
+    """The onebody runner's extrema: tmi_extrema over its table of the quench."""
+    cfg = RunConfig(n_sites=spec.n_sites, alphas=(1.0,), initial_state="single",
+                    initial_site=site)
+    table, _ = runs._table(cfg, coupling_matrix(spec), times, pset)
+    return tmi_extrema(pset, table, times)
 
 
 class TestBinaryEntropy:
@@ -113,7 +120,7 @@ class TestOccupationWeights:
         with pytest.raises(ValueError, match=r"^p_c=1\.5 outside \[0, 1\]$"):
             tmi_binary(0.0, 0.0, 1.5)
         # roundoff past [0, 1] is clipped, and the clipped weights are returned
-        assert onebody._checked_weights(1.0 + 5e-13, -5e-13, 0.0) == (1.0, 0.0, 0.0)
+        assert reference._checked_weights(1.0 + 5e-13, -5e-13, 0.0) == (1.0, 0.0, 0.0)
 
 
 class TestTmiBinary:
@@ -175,34 +182,27 @@ class TestSubsetProbabilityTable:
 
 class TestOnebodyScan:
     def test_matches_sector_pipeline(self):
+        # the runner's extrema against the closed form over the whole family
         spec = ModelSpec(8, alpha=0.7)
-        coupling = coupling_matrix(spec)
-        basis = enumerate_sector(8, 1)
-        psi0 = single_excitation_state(basis, 3)
         times = np.linspace(0.0, 1.2, 7)
         pset = enumerate_partitions(8, "all")
 
-        series = onebody_tmi_scan(_occupations(coupling, 3, times), times, pset)
-        traj = evolve(coupling, basis, psi0, times)
-        for i in range(len(times)):
-            vals = pset.tmi_values(subset_entropy_table(traj.state_at(i)))
-            assert series.min_values[i] == pytest.approx(vals.min(), abs=1e-10)
-            assert series.max_values[i] == pytest.approx(vals.max(), abs=1e-10)
+        series = _runner_scan(spec, 3, times, pset)
+        closed = reference.onebody_entropy_table(_occupations(coupling_matrix(spec), 3, times))
+        vals = pset.tmi_values(closed)
+        np.testing.assert_allclose(series.min_values, vals.min(axis=0), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(series.max_values, vals.max(axis=0), rtol=0, atol=1e-10)
 
     def test_minimum_never_negative(self):
         spec = ModelSpec(10, alpha=0.4)
-        coupling = coupling_matrix(spec)
         times = np.linspace(0.0, 3.0, 31)
-        pset = enumerate_partitions(10, "all")
-        series = onebody_tmi_scan(_occupations(coupling, 4, times), times, pset)
+        series = _runner_scan(spec, 4, times, enumerate_partitions(10, "all"))
         assert series.min_values.min() >= -1e-12
 
     def test_initial_state_has_zero_tmi(self):
         spec = ModelSpec(8, nn_limit=True)
-        coupling = coupling_matrix(spec)
         times = np.linspace(0.0, 1.0, 3)
-        pset = enumerate_partitions(8, "contiguous")
-        series = onebody_tmi_scan(_occupations(coupling, 0, times), times, pset)
+        series = _runner_scan(spec, 0, times, enumerate_partitions(8, "contiguous"))
         assert series.min_values[0] == 0.0
         assert series.max_values[0] == 0.0
 
@@ -222,8 +222,7 @@ class TestOnebodyScan:
         times = np.linspace(0.1, 1.6, 16)
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
-            coupling = coupling_matrix(ModelSpec(n, alpha=alpha))
-            series = onebody_tmi_scan(_occupations(coupling, 3, times), times, pset)
+            series = _runner_scan(ModelSpec(n, alpha=alpha), 3, times, pset)
             for i in np.concatenate([series.argmin, series.argmax]):
                 a, b, c = pset[i]
                 if a | b | c == full:
@@ -238,40 +237,14 @@ class TestOnebodyScan:
         # full-length lookup arrays are never built
         family = enumerate_partitions(8, "all")
         pset = PartitionSet(8, family.a, family.b, family.c)
-        times = np.linspace(0.0, 1.2, 5)
-        onebody_tmi_scan(_occupations(coupling_matrix(ModelSpec(8, alpha=0.7)), 3, times),
-                         times, pset)
+        _runner_scan(ModelSpec(8, alpha=0.7), 3, np.linspace(0.0, 1.2, 5), pset)
         assert not any(np.shape(value) == (7, len(pset)) for value in vars(pset).values())
 
-    @pytest.mark.parametrize("n_times", [1, 17])
-    def test_table_peak_within_guard(self, monkeypatch, n_times):
-        # the bytes onebody_tmi_scan refuses above must cover what its
-        # table build holds at its peak, read when the scan starts
-        n = 12
-        times = np.linspace(2.0, 4.0, n_times)
-        occupations = _occupations(coupling_matrix(ModelSpec(n, alpha=0.5)), 4, times)
-        pset = enumerate_partitions(n, "contiguous")
-        peaks = []
-
-        def record(*args, **kwargs):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-
-        monkeypatch.setattr(onebody, "tmi_extrema", record)
-        tracemalloc.start()
-        try:
-            onebody_tmi_scan(occupations, times, pset)
-        finally:
-            tracemalloc.stop()
-        assert peaks[0] <= (onebody._TABLE_BYTES * n_times + 8) << n
-        # the table itself is most of it: the estimate is not padded
-        assert peaks[0] >= (onebody._TABLE_BYTES - 1) * n_times << n
-
     def test_rejects_mismatched_chain(self):
-        coupling = coupling_matrix(ModelSpec(8, alpha=1.0))
         times = np.linspace(0.0, 1.0, 3)
         pset = enumerate_partitions(6, "all")
         with pytest.raises(ValueError):
-            onebody_tmi_scan(_occupations(coupling, 0, times), times, pset)
+            _runner_scan(ModelSpec(8, alpha=1.0), 0, times, pset)
 
 
 class TestOnebodyRunner:

@@ -22,15 +22,14 @@ from spinchain import (
     extrema,
     lightcone_onset,
     neel_state,
-    onebody_tmi_scan,
     subset_entropy_table,
     tau_sign_change,
     tmi,
 )
 from spinchain import partitions, reference, runs
 from spinchain.bits import bit_positions, mask_dtype, submask_tables
-from spinchain.onebody import P_SNAP, _subset_probability_table, binary_entropy
 from spinchain.partitions import parse_strategy, tmi_extrema
+from spinchain.reference import _subset_probability_table, binary_entropy
 
 from conftest import lookup_masks
 
@@ -415,21 +414,18 @@ class TestExtremaAndTau:
 
     @pytest.mark.parametrize("n_points", [1, 9])
     def test_block_boundaries_do_not_change_onebody_extrema(self, monkeypatch, n_points):
-        # the boundary snap makes many exact zeros, which tie across blocks
+        # the k=1 TMI vanishes on the simplex boundary, so many values sit
+        # within roundoff of zero and tie across blocks
         n = 8
         pset = enumerate_partitions(n, "all")
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
-        ia, ib, ic, *_, iabc = lookup_masks(pset)
 
         def per_time_scan(occupations):
             # the scan the kernel replaced, one time at a time: the reference
             for occ in occupations:
                 p = _subset_probability_table(occ)
-                vals = pset.tmi_values(SubsetEntropyTable(n, np.arange(1 << n),
-                                                          binary_entropy(p)))
-                boundary = (np.minimum(np.minimum(p[ia], p[ib]), p[ic]) <= P_SNAP) \
-                    | (p[iabc] >= 1.0 - P_SNAP)
-                yield extrema(np.where(boundary, 0.0, vals))
+                yield extrema(pset.tmi_values(SubsetEntropyTable(n, np.arange(1 << n),
+                                                                 binary_entropy(p))))
 
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         times = np.linspace(0.0, 2.0, n_points)
@@ -437,7 +433,7 @@ class TestExtremaAndTau:
         # with its mirror image on site 4 added, the occupations are
         # reflection-symmetric, so mirror triples tie exactly as well
         for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
-            series = onebody_tmi_scan(occ, times, pset)
+            series = tmi_extrema(pset, reference.onebody_entropy_table(occ), times)
             assert series.min_proper is None
             for k, expected in enumerate(per_time_scan(occ)):
                 assert (series.min_values[k], series.argmin[k], series.max_values[k],
@@ -581,9 +577,9 @@ class TestOrbitReducedScan:
         # the extrema then match bitwise (the proper minimum only to roundoff)
         for occ, exact in ((occupations, 0),
                            (0.5 * (occupations + occupations[:, ::-1]), 2)):
-            entropies = binary_entropy(_subset_probability_table(occ.T))
-            tables = [SubsetEntropyTable(n, np.arange(1 << n), column)
-                      for column in entropies.T]
+            closed = reference.onebody_entropy_table(occ)
+            tables = [SubsetEntropyTable(n, closed.mask_array, column)
+                      for column in closed.values.T]
             self.check_matches_family(enumerate_partitions(n, "all", orbits=True),
                                       enumerate_partitions(n, "all"), tables, times, exact)
 
@@ -628,8 +624,7 @@ class TestOrbitReducedScan:
         pset = enumerate_partitions(12, "all")
         occupations = np.random.default_rng(5).random((17, 12))
         occupations /= occupations.sum(axis=1, keepdims=True)
-        table = SubsetEntropyTable(12, np.arange(1 << 12),
-                                   binary_entropy(_subset_probability_table(occupations.T)))
+        table = reference.onebody_entropy_table(occupations)
         tracemalloc.start()
         try:
             tmi_extrema(pset, table, np.arange(17.0))
@@ -681,6 +676,15 @@ class TestPartitionSetBasics:
         pset = PartitionSet(6, *np.array(triples).T)
         assert len(pset) == 2
         assert [pset[i] for i in range(2)] == triples
+
+    def test_mask_arrays_refuse_a_lossy_cast(self):
+        # int16 holds 8-site masks; a wider array must not wrap into it
+        with pytest.raises(ValueError, match="do not fit int16 unchanged"):
+            PartitionSet(8, np.array([1]), np.array([2]), np.array([1 << 16]))
+        with pytest.raises(ValueError, match="do not fit int8 unchanged"):
+            PartitionSet(7, [1], [2.5], [4])
+        pset = PartitionSet(8, np.array([1]), np.array([2]), np.array([1 << 7]))
+        assert pset[0] == (1, 2, 128) and pset.c.dtype == np.int16
 
     def test_plan_reuse_reads_the_family_once(self, monkeypatch):
         # every exponent of a scan asks _plan_for for the plan it already
