@@ -5,9 +5,10 @@ any bipartition is block diagonal over the excitation count inside the
 subsystem.  Every routine here exploits that.  A single Schmidt spectrum
 comes from per-block SVDs (``subsystem_spectrum``, the reference path).
 Tables of subset entropies come from an EntropyTablePlan: one batched
-``eigvalsh`` of the smaller Gram matrix per block shape, over the masks
-the plan was built for (a scan's plan holds the masks its partitions
-touch).
+``eigvalsh`` of the smaller Gram matrix per block shape, one entropy per
+orbit representative of the masks the plan was built for (a scan's plan
+holds the masks its partitions touch).  A SubsetEntropyTable finds a
+mask's entropy through one map from each of the 2^N masks to a row.
 
 Entropies are in bits (log base 2).
 """
@@ -29,7 +30,7 @@ WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
 # 8.1-9.9 at half filling, N = 12-16.  Its guard adds 600 B per
 # (representative, excitation block) of array headers and list entries,
 # 32 B per state of temporaries while one representative's grids are cut,
-# and 64 KiB fixed (read: up to 560 B, 26 B and 9 KB)
+# the 2^N row map and 64 KiB fixed (read: up to 560 B, 26 B and 9 KB)
 _INDEX_BYTES = 10
 # The least positive double: x log max(x, _TINY) is x log x for x > 0 and
 # exactly 0 at x = 0, with no mask
@@ -129,47 +130,31 @@ def subsystem_spectrum(psi: StateVector, subset) -> np.ndarray:
 class SubsetEntropyTable:
     """Entanglement entropies of site subsets, keyed by subset bitmask.
 
-    Holds a sorted int64 mask array and the matching entropy values: one
-    value per mask, or, in a time-batched table, one row per mask with one
-    column per time.  All tables evaluated from one EntropyTablePlan share
-    the plan's read-only mask array.  Looking up a mask the table lacks
-    raises KeyError.
+    ``rows`` maps each of the 2^N masks to a row of ``values`` (one
+    entropy, or one per time in a time-batched table), or to -1 where the
+    table holds none; looking such a mask up raises KeyError.  A plan's
+    tables share its read-only map, a row per representative;
+    ``np.arange(2**N)`` is the dense map, whose values[mask] is the entry.
     """
 
-    def __init__(self, n_sites: int, masks: np.ndarray, values: np.ndarray):
-        masks = np.asarray(masks, dtype=np.int64)
+    def __init__(self, n_sites: int, rows: np.ndarray, values: np.ndarray):
+        rows = np.asarray(rows)
         values = np.asarray(values, dtype=float)
-        if masks.ndim != 1 or values.ndim not in (1, 2) or len(values) != len(masks):
-            raise ValueError("need one entropy value, or one row of them, per mask")
-        if len(masks) and (masks[0] < 0 or masks[-1] >= 1 << n_sites
-                           or np.any(masks[1:] <= masks[:-1])):
-            raise ValueError(f"masks must be ascending, distinct and fit {n_sites} sites")
-        if masks.flags.writeable:
-            # lookups bisect this array, so it must stay sorted
-            masks = masks.copy()
-            masks.flags.writeable = False
+        if (rows.shape != (1 << n_sites,) or rows.dtype.kind != "i"
+                or values.ndim not in (1, 2) or rows.max() >= len(values)):
+            raise ValueError(f"need a row of values, or -1, for each mask of {n_sites} sites")
         self.n_sites = n_sites
-        self.mask_array = masks
+        self.rows = rows
         self.values = values
 
-    @property
-    def is_dense(self) -> bool:
-        """True when every bitmask is present, so values[mask] is the entry."""
-        return len(self.mask_array) == 1 << self.n_sites
-
     def positions(self, masks) -> np.ndarray:
-        """Indices of ``masks`` into ``values``; KeyError if any is absent."""
-        masks = np.asarray(masks, dtype=np.int64)
-        if self.is_dense:
-            pos = masks
-            found = (masks >= 0) & (masks < len(self.values))
-        else:
-            # a mask past the last entry would index out of range; clamping
-            # it makes the equality test below reject it
-            pos = np.minimum(np.searchsorted(self.mask_array, masks),
-                             len(self.mask_array) - 1)
-            found = self.mask_array[pos] == masks
-        if not np.all(found):
+        """Rows of ``masks`` in ``values``; KeyError if any is absent."""
+        masks = np.asarray(masks)
+        pos = self.rows.take(masks, mode="clip")
+        if not (masks.min(initial=0) >= 0 and masks.max(initial=0) < len(self.rows)
+                and pos.min(initial=0) >= 0):
+            # a clipped take read a neighbour's row for a mask out of range
+            found = (masks >= 0) & (masks < len(self.rows)) & (pos >= 0)
             missing = int(masks.flat[np.argmin(found)])
             raise KeyError(f"mask {missing:#x} was not included in this table")
         return pos
@@ -198,75 +183,83 @@ def _gram_weights(blocks: np.ndarray) -> np.ndarray:
     return _snap_weights(gram[:, :, 0].real if gram.shape[1] == 1 else eigvalsh(gram))
 
 
+def _images(masks: np.ndarray, n_sites: int, reflected: bool) -> list:
+    """Each mask's orbit: X, Xc and, ``reflected``, R(X) and R(Xc)."""
+    full = (1 << n_sites) - 1
+    mirrored = [reverse_bits(masks, n_sites)] if reflected else []
+    return [m for x in [masks, *mirrored] for m in (x, full ^ x)]
+
+
+def _representatives(masks: np.ndarray, n_sites: int, reflected: bool) -> np.ndarray:
+    """The least mask of each orbit of ``masks`` but {0, full}'s, ascending."""
+    least = np.unique(np.minimum.reduce(_images(masks, n_sites, reflected)))
+    return least[least != 0]
+
+
 class EntropyTablePlan:
     """Reusable index plan for evaluating subset entropies of many states.
 
-    The plan covers the requested masks plus the empty set and the whole
-    chain, or every bitmask when ``masks`` is None; a scan passes the masks
-    its partitions read.  A build whose peak would exceed the memory budget
-    is refused (CapacityError) before the plan's mask array or any index
-    grid is allocated.  Complement symmetry S_X = S_Xc (Xc the complement
-    of X) leaves one representative per orbit {X, Xc}, its least mask.
-    A plan built ``reflected`` also identifies X with its
-    mirror image R(X), site i to N-1-i, so the orbit is {X, Xc, R(X),
-    R(Xc)}; that holds only for states with S_X = S_R(X), which runners
-    check with ``model.reflection_invariant``.  A representative need not
-    be a requested mask, so the weight-sum error may name a mirror image.
-    The representatives, ``reps``, have their excitation blocks grouped by
-    shape into ``groups``, a list of (index stack, rep ids).  Evaluation
-    gathers each group's amplitudes into a (n_blocks, rows, cols) stack
-    and takes the Schmidt weights from one batched ``eigvalsh`` of the
-    smaller Gram matrix.  Build once per (basis, mask set), evaluate once
-    per state.
+    The plan covers the requested masks (a scan passes the masks its
+    partitions read), or every bitmask when ``masks`` is None.  Complement
+    symmetry S_X = S_Xc leaves one representative per orbit {X, Xc}, its
+    least mask; a plan built ``reflected`` also identifies X with its
+    mirror image R(X), site i to N-1-i, which holds only for states with
+    S_X = S_R(X) (runners check ``model.reflection_invariant``), so a
+    weight-sum error may name a mirror image.  ``rows`` maps each of the
+    2^N masks to its representative's row of an evaluated table, the
+    empty set and the whole chain to the last row (of zeros), and a mask
+    outside the orbits to -1.  A build over the memory budget is refused
+    (CapacityError) before any 2^N array or index grid exists.  The
+    representatives, ``reps``, have their excitation blocks grouped by
+    shape into ``groups``, (index stack, rep ids) pairs; evaluation takes
+    each group's Schmidt weights from one batched ``eigvalsh`` of the
+    smaller Gram matrices.  Build once per (basis, mask set), evaluate
+    once per state.
     """
 
     def __init__(self, basis: SectorBasis, masks=None, reflected: bool = False):
         n, k, dim = basis.n_sites, basis.n_excitations, basis.dim
-        full = basis.full_mask
         self.basis = basis
-        if masks is not None:
-            masks = np.fromiter((_as_mask(m, n) for m in masks), dtype=np.int64)
-        # at most one representative per {X, Xc} pair but {0, full}
-        n_reps = min(1 << n if masks is None else len(masks), (1 << n) // 2 - 1)
-        blocks = min(k, n - k) + 1
-        check_budget(f"sector ({n}, {k}) entropy plan has up to {n_reps:,} "
-                     f"representatives of {dim:,} states",
-                     (_INDEX_BYTES * n_reps + 32) * dim + 600 * n_reps * blocks + (1 << 16),
-                     "at its build's peak")
         if masks is None:
-            masks = np.arange(1 << n, dtype=np.int64)
+            # orbits of every mask but {0, full}, reflected by Burnside's lemma:
+            # R fixes 2^ceil(N/2) masks, R with complement 2^(N/2) at even N
+            fixed = (1 << -(-n // 2)) + (n % 2 == 0) * (1 << n // 2)
+            n_reps = ((1 << n) + fixed) // 4 - 1 if reflected else (1 << n - 1) - 1
         else:
-            masks = np.union1d(masks, [0, full])
-        masks.flags.writeable = False
-        self.mask_array = masks
-        # one representative per orbit: the least of its masks
-        orbit = [masks, full ^ masks]
-        if reflected:
-            mirrored = reverse_bits(masks, n)
-            orbit += [mirrored, full ^ mirrored]
-        rep_of = np.minimum.reduce(orbit)
-        self.reps = np.unique(rep_of[rep_of != 0])
-        # slot of each mask's entropy; the extra last slot holds the zero
-        # entropy of the empty set and the whole chain
-        self._slots = np.where(rep_of == 0, len(self.reps),
-                               np.searchsorted(self.reps, rep_of))
+            masks = np.fromiter((_as_mask(m, n) for m in masks), dtype=np.int64)
+            self.reps = _representatives(masks, n, reflected)
+            n_reps = len(self.reps)
+        row_type = np.min_scalar_type(-n_reps - 1)
+        check_budget(f"sector ({n}, {k}) entropy plan has {n_reps:,} "
+                     f"representatives of {dim:,} states",
+                     (_INDEX_BYTES * n_reps + 32) * dim + 600 * n_reps * (min(k, n - k) + 1)
+                     + (row_type.itemsize << n) + (1 << 16), "at its build's peak")
+        if masks is None:
+            self.reps = _representatives(np.arange(1 << n), n, reflected)
+        self.rows = np.full(1 << n, -1, dtype=row_type)
+        for images in _images(self.reps, n, reflected):
+            self.rows[images] = np.arange(n_reps)
+        self.rows[[0, basis.full_mask]] = n_reps
+        self.rows.flags.writeable = False
         groups = {}
         for rep_id, mask in enumerate(self.reps):
             for idx2d in _block_index_grids(basis, int(mask)):
-                key = idx2d.shape
-                grids, ids = groups.setdefault(key, ([], []))
+                grids, ids = groups.setdefault(idx2d.shape, ([], []))
                 grids.append(idx2d)
                 ids.append(rep_id)
-        self.groups = [
-            (np.stack(grids), np.asarray(ids, dtype=np.int64))
-            for (grids, ids) in groups.values()
-        ]
+        self.groups = [(np.stack(grids), np.asarray(ids, dtype=np.int64))
+                       for grids, ids in groups.values()]
 
     def evaluate(self, amplitudes: np.ndarray) -> SubsetEntropyTable:
         """Subset entropies of one state (amplitudes over the plan's basis).
 
-        A non-finite amplitude raises NumericalConsistencyError.
+        An (n_states, dim) stack gives the time-batched table, a column
+        per state, each state evaluated in turn.  A non-finite amplitude
+        raises NumericalConsistencyError.
         """
+        if np.ndim(amplitudes) == 2:
+            return SubsetEntropyTable(self.basis.n_sites, self.rows, np.column_stack(
+                [self.evaluate(state).values for state in amplitudes]))
         finite = np.isfinite(amplitudes)
         if not finite.all():
             raise NumericalConsistencyError(
@@ -283,19 +276,23 @@ class EntropyTablePlan:
         if len(bad):
             raise NumericalConsistencyError(
                 f"Schmidt weights of mask {int(self.reps[bad[0]]):#x} sum to "
-                f"{wsum[bad[0]]}, expected 1 within {WEIGHT_SUM_TOL}"
-            )
+                f"{wsum[bad[0]]}, expected 1 within {WEIGHT_SUM_TOL}")
         ent /= math.log(2.0)
         np.clip(ent, 0.0, None, out=ent)
-        return SubsetEntropyTable(self.basis.n_sites, self.mask_array, ent[self._slots])
+        return SubsetEntropyTable(self.basis.n_sites, self.rows, ent)
 
 
 def subset_entropy_table(psi: StateVector, masks=None) -> SubsetEntropyTable:
     """Entropies of the requested subsets (all bitmasks when ``masks`` is None).
 
-    A table for explicit masks also holds the empty set and the whole chain.
+    The table of all bitmasks is dense (values[mask] is the entry); one of
+    explicit masks also holds their complements, the empty set and the chain.
     """
-    return EntropyTablePlan(psi.basis, masks).evaluate(psi.amplitudes)
+    table = EntropyTablePlan(psi.basis, masks).evaluate(psi.amplitudes)
+    if masks is None:
+        return SubsetEntropyTable(table.n_sites, np.arange(len(table.rows)),
+                                  table.values[table.rows])
+    return table
 
 
 def _disjoint_masks(n_sites: int, subsets) -> list:

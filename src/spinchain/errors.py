@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the memory budget."""
 
-# Memory one guarded allocation may take (a partition family, a sector basis,
-# Hamiltonian or trajectory, the k=1 entropy table); the size guards refuse
-# anything larger before allocating it
+# Memory one guarded allocation may take (a partition family or its read
+# masks, a sector basis, Hamiltonian or trajectory, an entropy plan); the
+# size guards refuse anything larger before allocating it
 MEMORY_BUDGET = 2 << 30
 
 

@@ -8,10 +8,10 @@ reproducible and extremum tie-breaking deterministic.
 
 Scanning TMI over millions of triples reduces to seven table lookups per
 triple once subset entropies are tabulated.  ``tmi_extrema`` takes a
-time-batched table (a row per mask, a column per time) and streams the
-triples in chunks through buffers made once per scan: each chunk stacks
-its seven lookup masks, gathers their whole table rows in one np.take,
-sums the TMI in place and reduces a time-major copy to its extrema.
+time-batched table (a column per time) and streams the triples in chunks
+through buffers made once per scan: each chunk stacks its seven lookup
+masks, gathers their whole table rows in one np.take, sums the TMI in
+place and reduces a time-major copy to its extrema.
 For a pure state the TMI is symmetric in A, B, C and the remainder D
 (acceptance criterion 5), so the runners scan the all-assignments family
 through one stored triple per {A, B, C, D} orbit, about a quarter of it.
@@ -101,9 +101,13 @@ class PartitionSet:
     @cached_property
     def read_masks(self) -> np.ndarray:
         """Ascending distinct masks whose entropies some triple's TMI reads (read-only)."""
-        # a presence table, not np.unique: 2.5M triples make 17.7M lookups
-        seen = np.zeros(1 << self.n_sites, dtype=bool)
-        rows = _BLOCK_BYTES // 8
+        # a presence table, not np.unique: 2.5M triples make 17.7M lookups;
+        # the table, the masks and the lookup buffer are guarded first
+        n, rows = self.n_sites, _BLOCK_BYTES // 8
+        check_budget(f"the read masks of a {n}-site partition set",
+                     (1 << n) + 8 * min(1 << n, 7 * len(self)) + 56 * min(rows, len(self)),
+                     "in a presence table of every mask")
+        seen = np.zeros(1 << n, dtype=bool)
         buffer = np.empty((7, min(rows, len(self))), dtype=np.int64)
         for start in range(0, len(self), rows):
             seen[self._lookups(slice(start, start + rows), buffer)] = True
@@ -419,14 +423,13 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
                 proper: bool = False) -> TmiSeries:
     """Per-time TMI extrema over a partition set, from a time-batched table.
 
-    ``table`` holds a row of entropies per mask and a column per entry of
-    ``times``.  The triples stream through in slices, each gathering whole
-    table rows for every time at once (PartitionSet._tmi_block).  Ties
-    resolve as by extrema, and ``argmin``/``argmax`` index ``pset``;
-    ``min_proper`` is filled when ``proper`` is set.  An ``orbits`` set
-    needs a pure state's table: its TMI ties across each orbit up to
-    roundoff, and each representative comes first in its orbit, so the
-    picks are the family's.
+    ``table`` holds a column of entropies per entry of ``times``.  The
+    triples stream through in slices, each gathering whole table rows for
+    every time at once (PartitionSet._tmi_block).  Ties resolve as by
+    extrema, and ``argmin``/``argmax`` index ``pset``; ``min_proper`` is
+    filled when ``proper`` is set.  An ``orbits`` set needs a pure state's
+    table: its TMI ties across each orbit up to roundoff, and each
+    representative comes first in its orbit, so the picks are the family's.
 
     Only the first chunk holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier chunk holds
@@ -448,23 +451,23 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
         vals, masks = pset._tmi_block(table, slice(k * rows, (k + 1) * rows), idx, work)
         return vals, masks[6]
 
-    block_lo, block_hi = [], []
+    # each chunk's extrema, made once: 56 MB at N=14 for fig4's 101 times
+    block_lo, block_hi = np.empty((2, -(-len(pset) // rows), n_t))
     proper_lo = None
-    for k in range(-(-len(pset) // rows)):
+    for k in range(len(block_lo)):
         vals, abc = block(k)
         # reduce a time-major copy along its rows: contiguous, unlike axis 0
         vals_t = by_time[:, :len(vals)]
         np.copyto(vals_t, vals.T)
-        block_lo.append(vals_t.min(axis=1))
-        block_hi.append(vals_t.max(axis=1))
-        bad = ~(np.isfinite(block_lo[-1]) & np.isfinite(block_hi[-1]))
+        vals_t.min(axis=1, out=block_lo[k])
+        vals_t.max(axis=1, out=block_hi[k])
+        bad = ~(np.isfinite(block_lo[k]) & np.isfinite(block_hi[k]))
         if bad.any():
             raise NumericalConsistencyError(
                 f"non-finite TMI at t={times[int(np.argmax(bad))]}")
         if proper and not (covers := abc == full).all():
             lo_k = vals[~covers].min(axis=0)
             proper_lo = lo_k if proper_lo is None else np.minimum(proper_lo, lo_k)
-    block_lo, block_hi = np.array(block_lo), np.array(block_hi)
     lo, hi = block_lo.min(axis=0), block_hi.max(axis=0)
     k_min = _first_within(block_lo, lo, hi)[0]
     k_max = _first_within(block_hi, lo, hi)[1]

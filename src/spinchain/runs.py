@@ -9,8 +9,8 @@ is set: the one place Kac units are converted) and ``alpha``/``t``/
 ``t_kac`` columns, and calls the runner's reducer, a module-level
 ``rows(cfg, pset, coupling, times) -> (columns, extra)``; ``extra``
 carries what the runner needs beyond per-time columns.
-Every reducer reads ``_table``: one subset-entropy table with a row per
-mask and a column per time, and the evolved states it came from.
+Every reducer reads ``_table``: the plan's time-batched subset-entropy
+table (a column per time) and the evolved states it came from.
 ``_sweep`` maps the task over the exponents, in a process pool when
 SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
 either way, so the emitted files do not depend on the worker count.
@@ -24,8 +24,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import (EntropyTablePlan, SubsetEntropyTable, mutual_information,
-                      subset_entropy_table, tmi)
+from .entropy import EntropyTablePlan, mutual_information, subset_entropy_table, tmi
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
@@ -147,7 +146,7 @@ def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
 
 
 def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
-    """Subset-entropy table with a row per mask and a column per time, and the states.
+    """Time-batched subset-entropy table (a column per time) and the states.
 
     The initial state of ``cfg`` is quenched under ``coupling``; the table
     holds the masks ``pset`` reads plus ``extra_masks``, and the states
@@ -161,8 +160,7 @@ def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
     plan = _plan_for(basis, pset, *extra_masks,
                      reflected=reflection_invariant(coupling, psi0))
     traj = evolve(coupling, basis, psi0, times)
-    values = np.column_stack([plan.evaluate(state).values for state in traj.states])
-    return SubsetEntropyTable(basis.n_sites, plan.mask_array, values), traj.states
+    return plan.evaluate(traj.states), traj.states
 
 
 # -- tmi-grid ----------------------------------------------------------------

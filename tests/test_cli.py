@@ -257,6 +257,19 @@ class TestExitCodes:
                 "about 7.4 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
+    def test_read_masks_capacity_is_3(self, tmp_path, capsys):
+        # one excitation on 36 sites passes the sector guards; the presence
+        # table of the quarter triple's read masks would hold 2^36 flags
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(SMOKE_CFG + "\n[initial]\nstate = single:3\n")
+        out_dir = tmp_path / "out"
+        code = run_cli(["tmi-grid", "--config", str(cfg), "--n-sites", "36",
+                        "--out", str(out_dir)])
+        assert code == 3
+        assert ("the read masks of a 36-site partition set, about 68.7 GB in a presence table"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
     def test_onebody_floor_check_is_4(self, tmp_path, capsys, monkeypatch):
         # a TMI below -ONEBODY_TMI_FLOOR contradicts the k=1 closed form
         from spinchain import runs

@@ -58,7 +58,9 @@ class TestMaskValidation:
         # numpy integers are masks like any other
         assert table[np.int64(0b1011)] == table[0b1011]
         assert tmi(table, np.uint8(1), 2, np.int32(4)) == tmi(table, 1, 2, 4)
-        assert EntropyTablePlan(basis6, np.array([2])).mask_array.tolist() == [0, 2, 63]
+        # the plan covers mask 2, its complement and the trivial masks
+        plan = EntropyTablePlan(basis6, np.array([2]))
+        assert np.flatnonzero(plan.rows >= 0).tolist() == [0, 2, 61, 63]
 
 
 class TestSchmidtSpectrum:
@@ -201,11 +203,10 @@ class TestSubsetEntropyTable:
     def test_masks_mode(self, evolved8):
         masks = [0b1, 0b1100, 0b11110000]
         table = subset_entropy_table(evolved8, masks=masks)
-        assert not table.is_dense
-        assert set(table.mask_array) >= set(masks)
+        # a row per representative (0b1, 0b1100, 0b1111) and the zero row
+        assert len(table.values) == 4
         dense = subset_entropy_table(evolved8)
-        for m in masks:
-            assert table[m] == pytest.approx(dense[m], abs=1e-12)
+        np.testing.assert_allclose(table.gather(masks), dense.gather(masks), rtol=0, atol=1e-12)
         with pytest.raises(KeyError):
             table[0b1010]
 
@@ -221,11 +222,30 @@ class TestSubsetEntropyTable:
             with pytest.raises(KeyError):
                 table[absent]
         # below the first and above the last stored mask
-        sparse = SubsetEntropyTable(8, np.array([0b10, 0b100]), np.array([0.5, 0.25]))
+        rows = np.full(1 << 8, -1)
+        rows[[0b10, 0b100]] = [0, 1]
+        sparse = SubsetEntropyTable(8, rows, np.array([0.5, 0.25]))
         for absent in (0b1, 0b11, 0b1000):
             with pytest.raises(KeyError):
                 sparse.gather(np.array([absent]))
         assert sparse[0b100] == 0.25
+
+    @pytest.mark.parametrize("kind", ["plan", "identity"])
+    def test_lookups_outside_the_map_raise(self, evolved8, kind):
+        # a clipped take would read the row of mask 0 or of mask 255
+        table = subset_entropy_table(evolved8, None if kind == "identity" else [0b1, 0b110])
+        absent = [-1, 1 << 8] + ([0b1010] if kind == "plan" else [])
+        for mask in absent:
+            for lookup in (table.gather, table.positions):
+                with pytest.raises(KeyError, match=f"mask {mask:#x} was not included"):
+                    lookup(np.array([0b1, mask]))
+        assert table.positions(np.array([0, 0b1, 255])).shape == (3,)
+
+    def test_table_needs_a_row_map_of_every_mask(self):
+        with pytest.raises(ValueError, match="for each mask of 3 sites"):
+            SubsetEntropyTable(3, np.arange(7), np.zeros(7))
+        with pytest.raises(ValueError, match="for each mask of 3 sites"):
+            SubsetEntropyTable(3, np.arange(8), np.zeros(7))
 
     def test_neel_entropies_exactly_zero(self, basis8):
         # a product state: every Gram matrix is diagonal with entries 0 and 1,
@@ -235,7 +255,8 @@ class TestSubsetEntropyTable:
         for masks in (None, [0b1, 0b110, 0b11110000, 0b10101010]):
             plan = EntropyTablePlan(basis8, masks)
             for amps in (neel_state(basis8).amplitudes, traj.states[0]):
-                values = plan.evaluate(amps).values
+                values = plan.evaluate(amps).gather(np.arange(1 << 8) if masks is None
+                                                    else masks)
                 assert not np.any(np.isnan(values))
                 assert np.all(values == 0.0)
 
@@ -244,7 +265,7 @@ class TestSubsetEntropyTable:
         plan = EntropyTablePlan(basis8)
         monkeypatch.setattr(entropy, "eigvalsh",
                             lambda g: np.linalg.eigvalsh(g) - 0.5 * entropy.WEIGHT_CLIP)
-        values = plan.evaluate(neel_state(basis8).amplitudes).values
+        values = plan.evaluate(neel_state(basis8).amplitudes).gather(np.arange(1 << 8))
         assert not np.any(np.isnan(values))
         assert np.max(values) < 1e-10
 
@@ -306,8 +327,8 @@ class TestReflectedPlans:
         full = (1 << n) - 1
         mirrored = reverse_bits(masks, n)
         for amps in evolve(coupling, basis, psi0, times).states:
-            expected = general.evaluate(amps).values
-            found = reflected.evaluate(amps).values
+            expected = general.evaluate(amps).gather(masks)
+            found = reflected.evaluate(amps).gather(masks)
             np.testing.assert_allclose(found, expected, rtol=0, atol=1e-12)
             # every image of a mask reads its representative's slot
             for image in (full ^ masks, mirrored, full ^ mirrored):
@@ -367,6 +388,21 @@ class TestReflectedPlans:
         assert len(EntropyTablePlan(basis, masks, reflected=True).reps) < len(general)
         np.testing.assert_array_equal(plan.reps, general)
 
+    def test_time_batched_table_has_a_row_per_representative(self, built_plans):
+        # the N=12 contiguous scan plans 299 masks (the 298 it reads and the
+        # empty set) and keeps 121 reflected representatives and the zero row
+        cfg = RunConfig(n_sites=12, alphas=(0.6,), n_points=3, t_max=1.0)
+        pset = enumerate_partitions(12, "contiguous")
+        table, states = runs._table(cfg, coupling_matrix(cfg.sweep()[0][1]),
+                                    runs._grid(cfg), pset)
+        (plan,) = built_plans
+        assert len(np.union1d(pset.read_masks, [0])) == 299
+        assert table.values.shape == (len(plan.reps) + 1, 3) == (122, 3)
+        assert table.rows is plan.rows
+        for k, state in enumerate(states):
+            np.testing.assert_array_equal(table.gather(pset.read_masks)[:, k],
+                                          plan.evaluate(state).gather(pset.read_masks))
+
     def test_cached_plan_keys_on_reflection(self, built_plans):
         cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0)
         basis, masks = self._run_table(cfg, coupling_matrix(cfg.sweep()[0][1]))
@@ -390,7 +426,7 @@ class TestPlanBudget:
         monkeypatch.setattr(entropy, "_block_index_grids", no_grids)
         monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 1 << 10)
         with pytest.raises(CapacityError,
-                           match=r"sector \(8, 4\) entropy plan has up to \d+ representatives"):
+                           match=r"sector \(8, 4\) entropy plan has \d+ representatives"):
             EntropyTablePlan(basis8, masks)
 
     def test_full_plan_refused_before_its_mask_array(self, monkeypatch):
@@ -408,7 +444,7 @@ class TestPlanBudget:
 
     @pytest.mark.parametrize("n, k, family, reflected", [
         (12, 6, "full", False), (12, 6, "contiguous", True), (14, 1, "full", False),
-        (12, 0, "full", False), (14, 7, "one mask", False),
+        (12, 0, "full", False), (14, 7, "one mask", False), (12, 6, "full", True),
     ])
     def test_peak_within_guard(self, monkeypatch, n, k, family, reflected):
         # the bytes the guard refuses above must cover the build's peak
@@ -429,6 +465,34 @@ class TestPlanBudget:
             tracemalloc.stop()
         assert len(needs) == 1
         assert peak <= needs[0]
+
+    def test_full_plan_counts_its_representatives_exactly(self, monkeypatch):
+        # the guard counts the orbits of every mask before any 2^N array exists
+        counts = []
+        monkeypatch.setattr(entropy, "check_budget", lambda subject, need, what: counts.append(
+            int(subject.split(" has ")[1].split()[0].replace(",", ""))))
+        for n in range(1, 13):
+            basis = enumerate_sector(n, n // 2)
+            for reflected in (False, True):
+                assert len(EntropyTablePlan(basis, None, reflected).reps) == counts[-1]
+        assert counts[-2:] == [2047, 1055]
+
+    def test_contiguous_plan_admitted_at_n20(self, monkeypatch):
+        # the reflected plan over the contiguous family's masks: 589
+        # representatives, counted before any grid is cut, about 1.0 GiB
+        class Estimated(Exception):
+            pass
+
+        def estimate(subject, need, what):
+            raise Estimated(subject, need)
+
+        masks = enumerate_partitions(20, "contiguous").read_masks
+        monkeypatch.setattr(entropy, "check_budget", estimate)
+        with pytest.raises(Estimated) as caught:
+            EntropyTablePlan(enumerate_sector(20, 10), masks, reflected=True)
+        subject, need = caught.value.args
+        assert "has 589 representatives of 184,756 states" in subject
+        assert need < 2 << 30
 
     def test_table_refuses_before_propagation(self, monkeypatch):
         # the 3-state trajectory (12 KB with its Chebyshev vectors) fits the

@@ -105,8 +105,8 @@ def covers_chain(pset):
 
 
 def batched_table(tables):
-    """One time-batched table from per-time tables of the same masks."""
-    return SubsetEntropyTable(tables[0].n_sites, tables[0].mask_array,
+    """One time-batched table from per-time tables of the same row map."""
+    return SubsetEntropyTable(tables[0].n_sites, tables[0].rows,
                               np.column_stack([t.values for t in tables]))
 
 
@@ -347,8 +347,8 @@ class TestExtremaAndTau:
         masks = np.unique(np.concatenate(lookup_masks(pset)))
         driven = EntropyTablePlan(basis8, masks).evaluate(evolved8.amplitudes)
         full = EntropyTablePlan(basis8).evaluate(evolved8.amplitudes)
-        # the exhaustive family touches every nonempty mask: a dense table
-        assert driven.is_dense == (strategy == "all")
+        # the exhaustive family touches every nonempty mask: a map of every mask
+        assert np.all(driven.rows >= 0) == (strategy == "all")
         diff = pset.tmi_values(driven) - pset.tmi_values(full)
         assert np.max(np.abs(diff)) < 1e-12
 
@@ -465,8 +465,10 @@ class TestExtremaAndTau:
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * 2)
         masks = pset.read_masks
         kept = masks[masks != self.LAST_READ_ONLY]
-        table = SubsetEntropyTable(6, kept, np.zeros((len(kept), 2)))
-        assert len(kept) == len(masks) - 1 and not table.is_dense
+        rows = np.full(1 << 6, -1)
+        rows[kept] = np.arange(len(kept))
+        table = SubsetEntropyTable(6, rows, np.zeros((len(kept), 2)))
+        assert np.count_nonzero(table.rows >= 0) == len(masks) - 1
         with pytest.raises(KeyError, match=f"mask {self.LAST_READ_ONLY:#x} was not included"):
             tmi_extrema(pset, table, np.array([0.0, 0.5]))
 
@@ -578,7 +580,7 @@ class TestOrbitReducedScan:
         for occ, exact in ((occupations, 0),
                            (0.5 * (occupations + occupations[:, ::-1]), 2)):
             closed = reference.onebody_entropy_table(occ)
-            tables = [SubsetEntropyTable(n, closed.mask_array, column)
+            tables = [SubsetEntropyTable(n, closed.rows, column)
                       for column in closed.values.T]
             self.check_matches_family(enumerate_partitions(n, "all", orbits=True),
                                       enumerate_partitions(n, "all"), tables, times, exact)
@@ -632,6 +634,38 @@ class TestOrbitReducedScan:
         finally:
             tracemalloc.stop()
         assert peak < 8 * len(pset)
+
+    def test_scan_extrema_held_in_two_arrays(self, monkeypatch):
+        # two triples a chunk: 3,885 chunks of the N=8 family, whose minima
+        # and maxima at one time fill two 31 KB arrays; kept as a list of
+        # arrays and then copied, they peaked at 1.2 MB under tracemalloc
+        pset = enumerate_partitions(8, "all")
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2)
+        occupations = np.random.default_rng(5).random((1, 8))
+        table = reference.onebody_entropy_table(occupations / occupations.sum())
+        n_chunks = -(-len(pset) // 2)
+        tracemalloc.start()
+        try:
+            tmi_extrema(pset, table, np.zeros(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_chunks == 3885 and peak < 2 * 16 * n_chunks
+
+    def test_read_masks_refused_before_the_presence_table(self, monkeypatch):
+        # 2^30 flags of presence are 1.1 GB, over a 0.5 GiB budget
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 1 << 29)
+        pset = PartitionSet(30, [1], [2], [4])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="read masks of a 30-site partition "
+                                                    "set, about 1.1 GB"):
+                pset.read_masks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert PartitionSet(8, [1], [2], [4]).read_masks.tolist() == [1, 2, 3, 4, 5, 6, 7]
 
 
 class TestLightconeOnset:
@@ -703,4 +737,5 @@ class TestPartitionSetBasics:
             runs._cached_plan.cache_clear()
         assert plans[0] is plans[1]
         assert len(calls) == 1
-        assert plans[0].mask_array.tolist() == np.union1d(pset.read_masks, [0, 255]).tolist()
+        np.testing.assert_array_equal(plans[0].reps, EntropyTablePlan(basis, pset.read_masks).reps)
+        assert np.all(plans[0].rows[np.union1d(pset.read_masks, [0, 255])] >= 0)

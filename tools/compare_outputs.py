@@ -10,12 +10,14 @@ fixed list of CLI invocations then runs on REF and on this checkout
 (uncommitted edits included), each with ``SPINCHAIN_THREADS`` 1 and 2,
 with BLAS pinned to one thread; the runners write ``--format csv,json``,
 and ``validate`` writes no dataset.  Every run is compared with REF's run
-at one worker: exit status, each dataset file, stdout and stderr.  Every difference, and every invocation that fails, is
-printed; a differing dataset file also gets the largest absolute
-difference between its numbers, the largest in units of the last printed
-digit (a rounding flip reads 1), and a differing CSV file the count of
-differing cells in each column.  The exit status is 1 if there is any
-difference or failure, else 0.
+at one worker: exit status, each dataset file, stdout and stderr.  A
+nonzero status equal to REF's (a refusal, say) is compared like any
+other; a status that differs from REF's is a difference.  Every
+difference is printed; a differing dataset file also gets the largest
+absolute difference between its numbers, the largest in units of the
+last printed digit (a rounding flip reads 1), and a differing CSV file
+the count of differing cells in each column.  The exit status is 1 if
+there is any difference, else 0.
 """
 
 import csv
@@ -96,6 +98,9 @@ INVOCATIONS = (
     ("fig2", ["tmi-grid", "--config", "fig2", "--n-points", "9"]),
     ("fig2-kac", ["tmi-grid", "--config", "fig2", "--n-points", "9", "--kac"]),
     ("fig3", ["tmi-vs-entropy", "--config", "fig3", "--n-points", "9"]),
+    # refused (exit 3) before the first product: the N=24 trajectory's estimate
+    ("fig3-paper-nn", ["tmi-vs-entropy", "--config", "fig3", "--paper-scale",
+                       "--alpha", "nn"]),
     ("triple-grid", ["tmi-grid", "--config", "triple.cfg"]),
     # the oracle cross-checks print their deviations; they write no dataset
     ("validate", ["validate"]),
@@ -212,11 +217,6 @@ def main(argv):
         problems = 0
         for label, runs in (("ref", ref_runs), ("head", head_runs)):
             for (name, workers), run_dir in runs.items():
-                with open(os.path.join(run_dir, "status")) as fh:
-                    status = fh.read().strip()
-                if status != "0":
-                    problems += 1
-                    print(f"FAILED {name} {label} workers={workers}: exit {status}")
                 if (label, workers) == ("ref", 1):
                     continue
                 for item in differences(ref_runs[name, 1], run_dir):
