@@ -4,7 +4,7 @@ The Hamiltonian is a sum over site pairs of XX+YY terms with power-law
 couplings J0/|m-n|^alpha (open boundaries).  It conserves the number of
 excited sites, so states live in fixed-excitation sectors spanned by
 bitmask basis states; all operations here act inside one sector, where
-H is applied through one CSR matrix.
+H is applied through one CSR matrix of its strict upper triangle.
 """
 
 import math
@@ -235,12 +235,14 @@ class SectorHamiltonian:
 
     Each coupled pair (m, n) hops an excitation between the two sites with
     amplitude 2*J_mn; doubly occupied or empty pairs contribute nothing, and
-    there is no diagonal part.  H is applied through its CSR matrix, built
-    on first use, to real vectors.  A hop from site e to site f acts on the
-    C(N-2, k-1) states with e excited and f empty, so the matrix size is
-    known before the build, and construction raises CapacityError when it
-    exceeds the memory budget.  The build enumerates each hop's states
-    directly and ranks them with the basis's two tables.
+    there is no diagonal part.  H is real symmetric with a zero diagonal, so
+    only its strict upper triangle U is stored, as one CSR matrix built on
+    first use, and H = U + U^T is applied to real vectors.  In the ascending
+    basis U holds exactly the hops from a site e to a higher site f, which
+    act on the C(N-2, k-1) states with e excited and f empty, so the matrix
+    size is known before the build, and construction raises CapacityError
+    when it exceeds the memory budget.  The build enumerates each hop's
+    states directly and ranks them with the basis's two tables.
     """
 
     def __init__(self, coupling: CouplingMatrix, basis: SectorBasis):
@@ -251,25 +253,26 @@ class SectorHamiltonian:
         self.coupling = coupling
         self.basis = basis
         n, k = basis.n_sites, basis.n_excitations
-        # (e, f, amplitude) per hop, which takes state s to s + 2^f - 2^e;
-        # ordered by that shift, so filling rows hop by hop sorts them
+        # (e, f, amplitude) per upward hop, which takes state s to the larger
+        # s + 2^f - 2^e; ordered by that shift, so filling rows hop by hop
+        # sorts them
         self._hops = sorted(
-            ((e, f, 2.0 * coupling.entries[e, f]) for e in range(n) for f in range(n)
-             if e != f and coupling.entries[e, f] != 0.0),
+            ((e, f, 2.0 * coupling.entries[e, f]) for e in range(n) for f in range(e + 1, n)
+             if coupling.entries[e, f] != 0.0),
             key=lambda hop: (1 << hop[1]) - (1 << hop[0]))
         self.nnz = len(self._hops) * (math.comb(n - 2, k - 1) if k else 0)
         # float64 data and int32 indices per nonzero, int32 row pointers
         self.nbytes = 12 * self.nnz + 4 * (self.dim + 1)
         check_budget(f"sector ({n}, {k}) Hamiltonian has {self.nnz:,} nonzeros",
                      self.nbytes, "as a CSR matrix")
-        self._matrix = None
+        self._matrix = self._transpose = None
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     def matrix(self) -> sp.csr_matrix:
-        """Sector Hamiltonian as a real symmetric CSR matrix (built lazily).
+        """Strict upper triangle U of the sector Hamiltonian, H = U + U^T, as CSR (built lazily).
 
         Rows are counted first, so the arrays are allocated at their final
         size, then filled hop by hop.  Hop (e, f) acts on the states with e
@@ -278,10 +281,10 @@ class SectorHamiltonian:
         """
         if self._matrix is None:
             states, n = self.basis.states, self.basis.n_sites
-            reach = [0] * n  # per site, the mask of sites it hops to
+            reach = [0] * n  # per site, the mask of higher sites it hops to
             for e, f, _ in self._hops:
                 reach[e] |= 1 << f
-            # a row's entries: per excited site e, the empty sites e hops to
+            # a row's entries: per excited site e, the higher empty sites e hops to
             counts = sum(((states >> e) & 1) * np.bitwise_count(~states & reach[e])
                          for e in range(n))
             indptr = np.zeros(self.dim + 1, dtype=np.int32)
@@ -292,19 +295,21 @@ class SectorHamiltonian:
                 fill = indptr[:-1].copy()
                 rest = enumerate_sector(n - 2, self.basis.n_excitations - 1).states
                 for e, f, amp in self._hops:
-                    lo, hi = min(e, f), max(e, f)
-                    src = _insert_zero(_insert_zero(rest, lo), hi) | (1 << e)
+                    src = _insert_zero(_insert_zero(rest, e), f) | (1 << e)
                     rows = self.basis.rank_many(src)
                     slots = fill[rows]
                     indices[slots] = self.basis.rank_many(src + ((1 << f) - (1 << e)))
                     data[slots] = amp
                     fill[rows] = slots + 1
             self._matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
+            self._transpose = self._matrix.T  # a CSC view of the same arrays
         return self._matrix
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec inside the sector for a real ``vec`` of shape (dim,) or (dim, n_columns)."""
-        return self.matrix() @ vec
+        """H @ vec = U @ vec + U^T @ vec for a real ``vec`` of shape (dim,) or (dim, n_columns)."""
+        out = self.matrix() @ vec
+        out += self._transpose @ vec
+        return out
 
     def expectation(self, vec: np.ndarray) -> float:
         """Real energy <vec|H|vec>: H is real symmetric, so the cross terms cancel."""

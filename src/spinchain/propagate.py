@@ -46,11 +46,15 @@ def _check_state(basis: SectorBasis, psi0: StateVector):
 # Coefficients below 2^-53 change no amplitude of a unit-norm state in
 # double precision, since every ||T_k(H/R)|| <= 1
 _CUT = 2.0**-53
-# Real T_k vectors folded into the trajectory per GEMV, half of them even
-# k and half odd.  At N=16, evolve on fig2's grid (alpha 0 and nn) took
-# 1.7 and 0.5 s with 8, 1.5 and 0.3 s with 16 and about as long with 32,
-# which added 1.9 MB of quench-n16 peak RSS (64 added 3.7 MB)
+# Real T_k vectors folded into the trajectory per block, half of them even
+# k and half odd.  At N=16, evolve on fig2's grid (alpha 0 and nn, best of
+# 12 on a 2-core Xeon, one BLAS thread) took 1.54 and 0.27 s with 8,
+# 1.01 and 0.17 s with 16, and 0.90 and 0.13 s with 32, whose 16 more
+# vectors add 1.6 MB to quench-n16's peak RSS
 _BLOCK = 16
+# Trajectory rows per fold GEMM of a block's coefficients into one reused
+# buffer; 8 rows timed the same as 4
+_ROWS = 4
 
 
 def _chebyshev_coefficients(z: np.ndarray):
@@ -101,13 +105,15 @@ def _chebyshev_coefficients(z: np.ndarray):
 def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):
     """The sector Hamiltonian, unbuilt, once it and ``n_times`` states pass their byte guards.
 
-    Counted: the complex trajectory, the real fold block, and four real
-    vectors (three of the recurrence and the fold's product).
+    Counted: the complex trajectory, the real fold block and its product
+    rows, and four real vectors (three of the recurrence and the second
+    product of each apply).
     """
     ham = SectorHamiltonian(coupling, basis)
     check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
                  f"{n_times} states of {basis.dim:,} amplitudes",
-                 (16 * n_times + 8 * (_BLOCK + 4)) * basis.dim, "with its Chebyshev vectors")
+                 (16 * n_times + 8 * (_BLOCK + _ROWS + 4)) * basis.dim,
+                 "with its Chebyshev vectors")
     return ham
 
 
@@ -146,9 +152,12 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
     radius = float(ham.apply(np.ones(dim)).max())
     coef, firsts = _chebyshev_coefficients(radius * times)
     n_terms = coef.shape[1]
+    # even-k and odd-k coefficients apart, so a chunk of rows is a
+    # contiguous GEMM operand
+    halves = (coef[:, 0::2].copy(), coef[:, 1::2].copy())
     out = np.zeros((len(times), dim), dtype=np.complex128)
     block = np.empty((2, _BLOCK // 2, dim))  # even k, then odd k, each contiguous
-    tmp = np.empty(dim)
+    prod = np.empty((_ROWS, dim))
     # H is real, so psi0 = u + iw evolves as U u + i U w, each part through
     # real vectors: T_k u enters out with the phase i^(k mod 2), T_k w with
     # i^(k mod 2 + 1)
@@ -165,11 +174,13 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
                 prev, cur = cur, nxt
             block[k % 2, k % _BLOCK // 2] = cur
             if k % _BLOCK == _BLOCK - 1 or k == n_terms - 1:
-                lo, first = k - k % _BLOCK, firsts[k - k % _BLOCK]
-                for p in (0, 1):
+                lo = k - k % _BLOCK
+                for p in range(min(2, k - lo + 1)):
                     dest = (out.real, out.imag)[(p + j) % 2]
                     fold = np.subtract if p + j == 2 else np.add
-                    for row, c in zip(dest[first:], coef[first:, lo + p:k + 1:2]):
-                        np.dot(c, block[p, :len(c)], out=tmp)
-                        fold(row, tmp, out=row)
+                    cols = halves[p][:, lo // 2:(k - p) // 2 + 1]
+                    for r in range(firsts[lo], len(times), _ROWS):
+                        c = cols[r:r + _ROWS]
+                        np.matmul(c, block[p, :c.shape[1]], out=prod[:len(c)])
+                        fold(dest[r:r + _ROWS], prod[:len(c)], out=dest[r:r + _ROWS])
     return Trajectory(times=times, basis=basis, states=out)

@@ -236,25 +236,26 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):
-        # fig3 at paper scale: 276 pairs x 2 C(22, 11) nonzeros in the N=24
-        # Neel sector, refused before the CSR matrix is built
+        # fig3 at paper scale: 276 pairs x C(22, 11) nonzeros of the upper
+        # triangle in the N=24 Neel sector, refused before the CSR matrix is
+        # built
         out_dir = tmp_path / "out"
         code = run_cli(["tmi-vs-entropy", "--n-sites", "24", "--alpha", "0.3",
                         "--n-points", "2", "--out", str(out_dir)])
         assert code == 3
-        assert ("sector (24, 12) Hamiltonian has 389,398,464 nonzeros, about 4.7 GB"
+        assert ("sector (24, 12) Hamiltonian has 194,699,232 nonzeros, about 2.3 GB"
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_trajectory_capacity_is_3(self, tmp_path, capsys):
-        # fig3 at paper scale, nn: the 0.4 GB matrix fits, but 161 states of
+        # fig3 at paper scale, nn: the 0.2 GB matrix fits, but 161 states of
         # the N=24 Neel sector do not, so evolve refuses before any product
         out_dir = tmp_path / "out"
         code = run_cli(["tmi-vs-entropy", "--config", "fig3", "--paper-scale",
                         "--alpha", "nn", "--out", str(out_dir)])
         assert code == 3
         assert ("sector (24, 12) trajectory has 161 states of 2,704,156 amplitudes, "
-                "about 7.4 GB" in capsys.readouterr().err)
+                "about 7.5 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_read_masks_capacity_is_3(self, tmp_path, capsys):

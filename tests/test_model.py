@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -209,17 +210,18 @@ class TestReflectionInvariant:
 class TestSectorHamiltonian:
     def test_matches_full_space_restriction(self, rng):
         # Project the 2^N-space Hamiltonian onto the sector and compare; at
-        # odd N the two halves of the rank tables differ in width
-        for n, ks in ((6, (1, 2, 3)), (9, (1, 4, 8))):
+        # odd N the two halves of the rank tables differ in width, and the
+        # edge sectors k = 0 and k = N hold one state with no hop
+        for n, ks in ((6, (0, 1, 2, 3, 6)), (9, (0, 1, 4, 8, 9))):
             for spec in (ModelSpec(n, alpha=0.7), ModelSpec(n, nn_limit=True)):
                 coupling = coupling_matrix(spec)
                 full = reference.full_hamiltonian(coupling)
                 for k in ks:
                     basis = enumerate_sector(n, k)
                     block = full[np.ix_(basis.states, basis.states)]
-                    mat = SectorHamiltonian(coupling, basis).matrix()
-                    assert mat.has_canonical_format
-                    np.testing.assert_allclose(mat.toarray(), block, atol=1e-13)
+                    ham = SectorHamiltonian(coupling, basis)
+                    assert ham.matrix().has_canonical_format
+                    np.testing.assert_allclose(ham.apply(np.eye(basis.dim)), block, atol=1e-13)
 
     def test_full_space_block_diagonal(self):
         # H never connects different excitation sectors.
@@ -232,19 +234,23 @@ class TestSectorHamiltonian:
     def test_apply_matches_matrix(self, basis8, rng):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
         ham = SectorHamiltonian(coupling, basis8)
+        full = reference.full_hamiltonian(coupling)
+        block = full[np.ix_(basis8.states, basis8.states)]
         vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
-        np.testing.assert_allclose(
-            ham.apply(vec), ham.matrix() @ vec, rtol=0, atol=1e-12
-        )
-        # apply also takes a block of columns, here one of shape (dim, 1)
+        np.testing.assert_allclose(ham.apply(vec), block @ vec, rtol=0, atol=1e-12)
+        # apply also takes a block of columns, here of shape (dim, 1) and
+        # (dim, 3)
         col = ham.apply(vec[:, None])
         assert col.shape == (basis8.dim, 1)
         np.testing.assert_allclose(col[:, 0], ham.apply(vec), atol=1e-14)
+        cols = rng.normal(size=(basis8.dim, 3))
+        np.testing.assert_allclose(ham.apply(cols), block @ cols, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [8, 9, 10, 12])
     @pytest.mark.parametrize("alpha", [0.5, 3.0, "nn"])
     def test_csr_exact_size(self, n, alpha):
-        # nnz = coupled pairs x 2 C(N-2, k-1), and the byte estimate the
+        # the stored strict upper triangle holds one hop per coupled pair
+        # and state, nnz = pairs x C(N-2, k-1), and the byte estimate the
         # guard refuses on is exactly what the built matrix holds
         spec = ModelSpec(n, nn_limit=True) if alpha == "nn" else ModelSpec(n, alpha=alpha)
         coupling = coupling_matrix(spec)
@@ -252,7 +258,8 @@ class TestSectorHamiltonian:
         for k in (0, 1, 2, n // 2, n - 1, n):
             ham = SectorHamiltonian(coupling, enumerate_sector(n, k))
             mat = ham.matrix()
-            assert mat.nnz == ham.nnz == (pairs * 2 * math.comb(n - 2, k - 1) if k else 0)
+            assert mat.nnz == ham.nnz == (pairs * math.comb(n - 2, k - 1) if k else 0)
+            assert sp.tril(mat).nnz == 0
             assert mat.indices.dtype == mat.indptr.dtype == np.int32
             assert mat.has_sorted_indices and mat.has_canonical_format
             for row in np.split(mat.indices, mat.indptr[1:-1]):
@@ -261,25 +268,27 @@ class TestSectorHamiltonian:
 
     def test_budget_refuses_before_building(self, basis8, monkeypatch):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
-        # 28 pairs x 2 C(6, 3) = 1,120 nonzeros; 12 B each plus 71 row pointers
-        assert SectorHamiltonian(coupling, basis8).nbytes == 13_724
-        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 13_723)
+        # 28 pairs x C(6, 3) = 560 nonzeros; 12 B each plus 71 row pointers
+        assert SectorHamiltonian(coupling, basis8).nbytes == 7_004
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 7_003)
 
         def no_matrix(self):
             raise AssertionError("the guard let the CSR build start")
 
         monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
         with pytest.raises(CapacityError,
-                           match=r"sector \(8, 4\) Hamiltonian has 1,120 nonzeros, "
+                           match=r"sector \(8, 4\) Hamiltonian has 560 nonzeros, "
                                  r"about 0\.0 GB as a CSR matrix"):
             SectorHamiltonian(coupling, basis8)
-        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 13_724)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 7_004)
         SectorHamiltonian(coupling, basis8)
 
     def test_hermitian(self, basis6):
-        ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)
-        dense = ham.matrix().toarray()
+        coupling = coupling_matrix(ModelSpec(6, alpha=0.3))
+        dense = SectorHamiltonian(coupling, basis6).apply(np.eye(basis6.dim))
         np.testing.assert_array_equal(dense, dense.T.conj())
+        block = reference.full_hamiltonian(coupling)[np.ix_(basis6.states, basis6.states)]
+        np.testing.assert_allclose(dense, block, rtol=0, atol=1e-13)
 
     def test_expectation_real(self, basis6, rng):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)

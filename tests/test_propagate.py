@@ -33,7 +33,8 @@ def _coupling(n, alpha):
 
 
 def _exact_norm1(coupling, basis):
-    return np.abs(SectorHamiltonian(coupling, basis).matrix().toarray()).sum(axis=0).max()
+    block = reference.full_hamiltonian(coupling)[np.ix_(basis.states, basis.states)]
+    return np.abs(block).sum(axis=0).max()
 
 
 class TestEvolveTimes:
@@ -270,10 +271,10 @@ class TestTaylorStepper:
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_trajectory_refused_before_any_product(self, basis8, monkeypatch):
-        # 31 complex states, then a fold block of 16 real Chebyshev vectors
-        # and four real vectors (three of the recurrence and the fold's
-        # product), all of 70 amplitudes
-        need = 16 * 31 * 70 + 8 * (16 + 4) * 70
+        # 31 complex states, then a fold block of 16 real Chebyshev vectors,
+        # its 4 product rows and four real vectors (three of the recurrence
+        # and the second product of each apply), all of 70 amplitudes
+        need = 16 * 31 * 70 + 8 * (16 + 4 + 4) * 70
         coupling = _coupling(8, 0.4)
         monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", need)
         check_sizes(coupling, basis8, 31)
