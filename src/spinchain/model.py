@@ -4,7 +4,8 @@ The Hamiltonian is a sum over site pairs of XX+YY terms with power-law
 couplings J0/|m-n|^alpha (open boundaries).  It conserves the number of
 excited sites, so states live in fixed-excitation sectors spanned by
 bitmask basis states; all operations here act inside one sector, where
-H is applied through one CSR matrix of its strict upper triangle.
+H is applied through the (k-1)-excitation sector by two index gathers
+and one dense product with the couplings.
 """
 
 import math
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bits import reverse_bits
 from .errors import check_budget
@@ -96,9 +96,7 @@ class SectorBasis:
     def __init__(self, n_sites: int, n_excitations: int):
         dim = sector_dimension(n_sites, n_excitations)
         half = n_sites // 2
-        # 8 B per int64 mask and per rank-table entry: the budget admits at
-        # most 2^28 states, so every rank also fits the int32 indices of the
-        # sector's CSR matrix
+        # 8 B per int64 mask and per rank-table entry
         check_budget(f"sector ({n_sites}, {n_excitations}) has {dim:,} states",
                      8 * (dim + (1 << half) + (1 << (n_sites - half))),
                      "as int64 masks and rank tables")
@@ -235,14 +233,21 @@ class SectorHamiltonian:
 
     Each coupled pair (m, n) hops an excitation between the two sites with
     amplitude 2*J_mn; doubly occupied or empty pairs contribute nothing, and
-    there is no diagonal part.  H is real symmetric with a zero diagonal, so
-    only its strict upper triangle U is stored, as one CSR matrix built on
-    first use, and H = U + U^T is applied to real vectors.  In the ascending
-    basis U holds exactly the hops from a site e to a higher site f, which
-    act on the C(N-2, k-1) states with e excited and f empty, so the matrix
-    size is known before the build, and construction raises CapacityError
-    when it exceeds the memory budget.  The build enumerates each hop's
-    states directly and ranks them with the basis's two tables.
+    there is no diagonal part.  So H = sum_m s+_m (sum_n 2 J_mn s-_n)
+    factors through the (k-1)-excitation sector, and ``apply`` takes three
+    steps on two index tables, built on first use from the rank tables of
+    both sectors:
+
+    - a gather phi[n, r] = v[r | 2^n] over the (k-1) states r, through
+      ``low`` of shape (N, C(N, k-1)), whose entry is dim, a trailing zero,
+      where r already holds bit n;
+    - one GEMM chi = (2J) @ phi;
+    - a gather and sum (Hv)[s] = sum over the excited sites m of s of
+      chi[m, s - 2^m], through ``up`` of shape (k, dim).
+
+    The tables and the work buffers of a vector are O(N dim) and sized
+    before the build, so construction raises CapacityError when they
+    exceed the memory budget.
     """
 
     def __init__(self, coupling: CouplingMatrix, basis: SectorBasis):
@@ -253,70 +258,75 @@ class SectorHamiltonian:
         self.coupling = coupling
         self.basis = basis
         n, k = basis.n_sites, basis.n_excitations
-        # (e, f, amplitude) per upward hop, which takes state s to the larger
-        # s + 2^f - 2^e; ordered by that shift, so filling rows hop by hop
-        # sorts them
-        self._hops = sorted(
-            ((e, f, 2.0 * coupling.entries[e, f]) for e in range(n) for f in range(e + 1, n)
-             if coupling.entries[e, f] != 0.0),
-            key=lambda hop: (1 << hop[1]) - (1 << hop[0]))
-        self.nnz = len(self._hops) * (math.comb(n - 2, k - 1) if k else 0)
-        # float64 data and int32 indices per nonzero, int32 row pointers
-        self.nbytes = 12 * self.nnz + 4 * (self.dim + 1)
-        check_budget(f"sector ({n}, {k}) Hamiltonian has {self.nnz:,} nonzeros",
-                     self.nbytes, "as a CSR matrix")
-        self._matrix = self._transpose = None
+        self._lower_dim = math.comb(n, k - 1) if k else 0
+        # int64 tables (np.take casts narrower indices on every call) and
+        # float64 buffers: ext (dim + 1), phi and chi (N per lower state), the
+        # gathered terms (k per state)
+        self.nbytes = 8 * (3 * n * self._lower_dim + 2 * k * self.dim + self.dim + 1)
+        check_budget(f"sector ({n}, {k}) Hamiltonian factored through the "
+                     f"{self._lower_dim:,} states of sector ({n}, {k - 1})",
+                     self.nbytes, "as index tables and work buffers")
+        self._hop = 2.0 * coupling.entries
+        np.fill_diagonal(self._hop, 0.0)
+        self._tables = self._work = None
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
-    def matrix(self) -> sp.csr_matrix:
-        """Strict upper triangle U of the sector Hamiltonian, H = U + U^T, as CSR (built lazily).
+    def _build(self):
+        """The tables ``low`` and ``up``, and the work buffers of a vector, built on first use."""
+        if self._tables is None:
+            n, k, states = self.basis.n_sites, self.basis.n_excitations, self.basis.states
+            lower = enumerate_sector(n, k - 1) if k else None  # k = 0: both tables empty
+            rest = lower.states if k else np.empty(0, dtype=np.int64)
+            low = np.empty((n, len(rest)), dtype=np.int64)
+            for site in range(n):
+                low[site] = np.where(rest & (1 << site), self.dim,
+                                     self.basis.rank_many(rest | (1 << site)))
+            # row j: the j-th lowest excited site m of each state, as the row
+            # m * C(N, k-1) + rank(s - 2^m) of chi flattened
+            up = np.empty((k, self.dim), dtype=np.int64)
+            left = states.copy()
+            for j in range(k):
+                bit = left & -left
+                site = np.bitwise_count(bit - 1).astype(np.int64)
+                np.add(site * self._lower_dim, lower.rank_many(states - bit), out=up[j])
+                left -= bit
+            self._tables = low, up
+            self._work = self._buffers(())
+        return self._tables
 
-        Rows are counted first, so the arrays are allocated at their final
-        size, then filled hop by hop.  Hop (e, f) acts on the states with e
-        excited and f empty: the (N-2, k-1) sector's masks with zero bits
-        inserted at e and f, then bit e set.
-        """
-        if self._matrix is None:
-            states, n = self.basis.states, self.basis.n_sites
-            reach = [0] * n  # per site, the mask of higher sites it hops to
-            for e, f, _ in self._hops:
-                reach[e] |= 1 << f
-            # a row's entries: per excited site e, the higher empty sites e hops to
-            counts = sum(((states >> e) & 1) * np.bitwise_count(~states & reach[e])
-                         for e in range(n))
-            indptr = np.zeros(self.dim + 1, dtype=np.int32)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.empty(self.nnz, dtype=np.int32)
-            data = np.empty(self.nnz)
-            if self.nnz:
-                fill = indptr[:-1].copy()
-                rest = enumerate_sector(n - 2, self.basis.n_excitations - 1).states
-                for e, f, amp in self._hops:
-                    src = _insert_zero(_insert_zero(rest, e), f) | (1 << e)
-                    rows = self.basis.rank_many(src)
-                    slots = fill[rows]
-                    indices[slots] = self.basis.rank_many(src + ((1 << f) - (1 << e)))
-                    data[slots] = amp
-                    fill[rows] = slots + 1
-            self._matrix = sp.csr_matrix((data, indices, indptr), shape=(self.dim, self.dim))
-            self._transpose = self._matrix.T  # a CSC view of the same arrays
-        return self._matrix
+    def _buffers(self, columns: tuple):
+        """Work buffers ext, phi, chi and the gathered terms for vectors of shape (dim, *columns)."""
+        n, k = self.basis.n_sites, self.basis.n_excitations
+        ext = np.zeros((self.dim + 1, *columns))
+        phi = np.empty((n, self._lower_dim, *columns))
+        return ext, phi, np.empty_like(phi), np.empty((k, self.dim, *columns))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec = U @ vec + U^T @ vec for a real ``vec`` of shape (dim,) or (dim, n_columns)."""
-        out = self.matrix() @ vec
-        out += self._transpose @ vec
-        return out
+        """H @ vec for ``vec`` of shape (dim,) or (dim, n_columns), real or complex.
+
+        A 1-D real vector (every product of the propagation) reuses one set
+        of work buffers; a block of columns gets its own.
+        """
+        vec = np.asarray(vec)
+        if vec.shape[:1] != (self.dim,) or vec.ndim > 2:
+            raise ValueError(f"vector of shape {vec.shape} for a sector of dimension {self.dim}")
+        if np.iscomplexobj(vec):  # H is real: each part on its own
+            return self.apply(vec.real) + 1j * self.apply(vec.imag)
+        low, up = self._build()
+        ext, phi, chi, terms = self._work if vec.ndim == 1 else self._buffers(vec.shape[1:])
+        n = self.basis.n_sites
+        ext[:-1] = vec
+        # mode="clip" writes straight into out; "raise" buffers the result
+        np.take(ext, low, axis=0, out=phi, mode="clip")
+        np.matmul(self._hop, phi.reshape(n, -1), out=chi.reshape(n, -1))
+        np.take(chi.reshape(n * self._lower_dim, *vec.shape[1:]), up, axis=0, out=terms,
+                mode="clip")
+        return terms.sum(axis=0)
 
     def expectation(self, vec: np.ndarray) -> float:
         """Real energy <vec|H|vec>: H is real symmetric, so the cross terms cancel."""
         vec = np.asarray(vec)
         return float(sum(part @ self.apply(part) for part in (vec.real, vec.imag)))
-
-
-def _insert_zero(masks: np.ndarray, bit: int) -> np.ndarray:
-    """``masks`` with a zero bit inserted at ``bit``, the higher bits moved up one."""
-    return ((masks >> bit) << (bit + 1)) | (masks & ((1 << bit) - 1))

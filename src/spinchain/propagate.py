@@ -103,17 +103,18 @@ def _chebyshev_coefficients(z: np.ndarray):
 
 
 def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):
-    """The sector Hamiltonian, unbuilt, once it and ``n_times`` states pass their byte guards.
+    """The sector Hamiltonian, unbuilt, once it passes its byte guard and,
+    with ``n_times`` states, the guard of the whole propagation.
 
-    Counted: the complex trajectory, the real fold block and its product
-    rows, and four real vectors (three of the recurrence and the second
-    product of each apply).
+    One budget counts the Hamiltonian's tables and work buffers, the
+    complex trajectory, the real fold block and its product rows, and the
+    three real vectors of the recurrence.
     """
     ham = SectorHamiltonian(coupling, basis)
     check_budget(f"sector ({basis.n_sites}, {basis.n_excitations}) trajectory has "
                  f"{n_times} states of {basis.dim:,} amplitudes",
-                 (16 * n_times + 8 * (_BLOCK + _ROWS + 4)) * basis.dim,
-                 "with its Chebyshev vectors")
+                 ham.nbytes + (16 * n_times + 8 * (_BLOCK + _ROWS + 3)) * basis.dim,
+                 f"with its Chebyshev vectors and the {ham.nbytes / 1e9:.1f} GB Hamiltonian")
     return ham
 
 

@@ -236,26 +236,28 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):
-        # fig3 at paper scale: 276 pairs x C(22, 11) nonzeros of the upper
-        # triangle in the N=24 Neel sector, refused before the CSR matrix is
-        # built
+        # fig3 at paper scale: the N=24 Neel sector's Hamiltonian (2.0 GB of
+        # index tables and work buffers) fits alone, but not with even two
+        # states and the Chebyshev vectors, so it is refused before the
+        # tables are built
         out_dir = tmp_path / "out"
         code = run_cli(["tmi-vs-entropy", "--n-sites", "24", "--alpha", "0.3",
                         "--n-points", "2", "--out", str(out_dir)])
         assert code == 3
-        assert ("sector (24, 12) Hamiltonian has 194,699,232 nonzeros, about 2.3 GB"
+        assert ("sector (24, 12) trajectory has 2 states of 2,704,156 amplitudes, about 2.6 GB "
+                "with its Chebyshev vectors and the 2.0 GB Hamiltonian"
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_trajectory_capacity_is_3(self, tmp_path, capsys):
-        # fig3 at paper scale, nn: the 0.2 GB matrix fits, but 161 states of
-        # the N=24 Neel sector do not, so evolve refuses before any product
+        # fig3 at paper scale, nn: 161 states of the N=24 Neel sector do not
+        # fit, so evolve refuses before any product
         out_dir = tmp_path / "out"
         code = run_cli(["tmi-vs-entropy", "--config", "fig3", "--paper-scale",
                         "--alpha", "nn", "--out", str(out_dir)])
         assert code == 3
         assert ("sector (24, 12) trajectory has 161 states of 2,704,156 amplitudes, "
-                "about 7.5 GB" in capsys.readouterr().err)
+                "about 9.4 GB" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_read_masks_capacity_is_3(self, tmp_path, capsys):
@@ -426,21 +428,21 @@ class TestDeterminism:
 
 
 def test_runtime_imports_leave_scipy_linalg_out():
-    # only the reference oracles diagonalize; the runners never import them
-    # at module level
+    # only the reference oracles use scipy; the runtime modules import
+    # numpy alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinchain.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, spinchain.cli, spinchain.runs; "
-                               "print('scipy.linalg' in sys.modules)"],
+                               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_serial_run_imports_no_oracles_or_pool(tmp_path):
-    # a one-worker run of every runner loads neither scipy.special nor
-    # scipy.linalg (the oracles' modules) nor the process pool
+    # a one-worker run of every runner loads no scipy module (only the
+    # oracles use scipy) and not the process pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinchain.__file__)))
     env = dict(os.environ, SPINCHAIN_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -452,8 +454,8 @@ def test_serial_run_imports_no_oracles_or_pool(tmp_path):
         "    assert main([command, '--config', 'smoke', '--out', 'out']) == 0\n"
         "assert main(['onebody-scan', '--config', 'one.cfg', '--partitions', 'all',\n"
         "             '--out', 'out']) == 0\n"
-        "print(sorted(m for m in ('scipy.special', 'scipy.linalg',\n"
-        "                         'concurrent.futures.process') if m in sys.modules))\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'concurrent.futures.process'))\n")
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"

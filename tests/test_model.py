@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,7 +219,6 @@ class TestSectorHamiltonian:
                     basis = enumerate_sector(n, k)
                     block = full[np.ix_(basis.states, basis.states)]
                     ham = SectorHamiltonian(coupling, basis)
-                    assert ham.matrix().has_canonical_format
                     np.testing.assert_allclose(ham.apply(np.eye(basis.dim)), block, atol=1e-13)
 
     def test_full_space_block_diagonal(self):
@@ -246,41 +244,86 @@ class TestSectorHamiltonian:
         cols = rng.normal(size=(basis8.dim, 3))
         np.testing.assert_allclose(ham.apply(cols), block @ cols, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [7, 9])
+    @pytest.mark.parametrize("alpha", [0.6, "nn"])
+    def test_apply_at_odd_n_and_edge_sectors(self, n, alpha, rng):
+        # complex vectors and blocks of columns, in the sectors where one of
+        # the two tables is empty (k = 0) or the (k-1) sector is the largest
+        # (k = N, whose H is zero)
+        coupling = coupling_matrix(ModelSpec(n, nn_limit=True) if alpha == "nn"
+                                   else ModelSpec(n, alpha=alpha))
+        full = reference.full_hamiltonian(coupling)
+        for k in (0, 1, n - 1, n):
+            basis = enumerate_sector(n, k)
+            block = full[np.ix_(basis.states, basis.states)]
+            ham = SectorHamiltonian(coupling, basis)
+            vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            cols = rng.normal(size=(basis.dim, 3)) + 1j * rng.normal(size=(basis.dim, 3))
+            for v in (vec, vec.real, cols, cols.real):
+                out = ham.apply(v)
+                assert out.shape == v.shape and out.dtype == v.dtype
+                np.testing.assert_allclose(out, block @ v, rtol=0, atol=1e-13)
+            # a vector of another length is refused, not broadcast
+            for v in (np.ones(basis.dim + 1), np.ones((basis.dim + 2, 3)), np.ones((basis.dim, 2, 2))):
+                with pytest.raises(ValueError, match="for a sector of dimension"):
+                    ham.apply(v)
+
+    # the name dates from the CSR matrix the tables replaced; it is kept so
+    # that the test ids stay stable
     @pytest.mark.parametrize("n", [8, 9, 10, 12])
     @pytest.mark.parametrize("alpha", [0.5, 3.0, "nn"])
     def test_csr_exact_size(self, n, alpha):
-        # the stored strict upper triangle holds one hop per coupled pair
-        # and state, nnz = pairs x C(N-2, k-1), and the byte estimate the
-        # guard refuses on is exactly what the built matrix holds
+        # the tables hold N entries per state of the (k-1) sector and k per
+        # state, whatever the couplings, and the byte estimate the guard
+        # refuses on is exactly what the built tables and the work buffers
+        # of a vector hold
         spec = ModelSpec(n, nn_limit=True) if alpha == "nn" else ModelSpec(n, alpha=alpha)
         coupling = coupling_matrix(spec)
-        pairs = n - 1 if alpha == "nn" else n * (n - 1) // 2
         for k in (0, 1, 2, n // 2, n - 1, n):
-            ham = SectorHamiltonian(coupling, enumerate_sector(n, k))
-            mat = ham.matrix()
-            assert mat.nnz == ham.nnz == (pairs * math.comb(n - 2, k - 1) if k else 0)
-            assert sp.tril(mat).nnz == 0
-            assert mat.indices.dtype == mat.indptr.dtype == np.int32
-            assert mat.has_sorted_indices and mat.has_canonical_format
-            for row in np.split(mat.indices, mat.indptr[1:-1]):
-                assert np.all(np.diff(row) > 0)
-            assert ham.nbytes == mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+            basis = enumerate_sector(n, k)
+            ham = SectorHamiltonian(coupling, basis)
+            ham.apply(np.ones(basis.dim))
+            low, up = ham._tables
+            lower = math.comb(n, k - 1) if k else 0
+            assert low.shape == (n, lower) and up.shape == (k, basis.dim)
+            assert low.dtype == up.dtype == np.int64
+            assert ham.nbytes == sum(a.nbytes for a in (low, up, *ham._work))
+            ext, phi, chi, terms = ham._work
+            assert ext.shape == (basis.dim + 1,) and phi.shape == chi.shape == (n, lower)
+            assert terms.shape == (k, basis.dim)
+            if not k:
+                continue
+            # low: the state r + 2^m of each lower state r, or the sentinel
+            # dim where r holds bit m; up: each state's excited sites m,
+            # ascending, at the rows of s - 2^m in chi flattened
+            rest = enumerate_sector(n, k - 1).states
+            for m in range(n):
+                held = (rest >> m & 1).astype(bool)
+                np.testing.assert_array_equal(low[m, held], basis.dim)
+                np.testing.assert_array_equal(basis.states[low[m, ~held]], rest[~held] | 1 << m)
+            for j, s in enumerate(basis.states.tolist()):
+                sites = [m for m in range(n) if s >> m & 1]
+                assert up[:, j].tolist() == [m * lower + int(np.searchsorted(rest, s - (1 << m)))
+                                             for m in sites]
 
     def test_budget_refuses_before_building(self, basis8, monkeypatch):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.5))
-        # 28 pairs x C(6, 3) = 560 nonzeros; 12 B each plus 71 row pointers
-        assert SectorHamiltonian(coupling, basis8).nbytes == 7_004
-        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 7_003)
+        # C(8, 3) = 56 lower states: 8 B for each of the 3 x 8 x 56 entries
+        # of low, phi and chi, the 2 x 4 x 70 of up and the gathered terms,
+        # and the 71 of ext
+        assert SectorHamiltonian(coupling, basis8).nbytes == 15_800
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 15_799)
 
-        def no_matrix(self):
-            raise AssertionError("the guard let the CSR build start")
+        def no_tables(self):
+            raise AssertionError("the guard let the table build start")
 
-        monkeypatch.setattr(SectorHamiltonian, "matrix", no_matrix)
+        monkeypatch.setattr(SectorHamiltonian, "_build", no_tables)
         with pytest.raises(CapacityError,
-                           match=r"sector \(8, 4\) Hamiltonian has 560 nonzeros, "
-                                 r"about 0\.0 GB as a CSR matrix"):
+                           match=r"sector \(8, 4\) Hamiltonian factored through the 56 "
+                                 r"states of sector \(8, 3\), about 0\.0 GB as index tables "
+                                 r"and work buffers"):
             SectorHamiltonian(coupling, basis8)
-        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 7_004)
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 15_800)
         SectorHamiltonian(coupling, basis8)
 
     def test_hermitian(self, basis6):

@@ -271,10 +271,11 @@ class TestTaylorStepper:
         assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
 
     def test_trajectory_refused_before_any_product(self, basis8, monkeypatch):
-        # 31 complex states, then a fold block of 16 real Chebyshev vectors,
-        # its 4 product rows and four real vectors (three of the recurrence
-        # and the second product of each apply), all of 70 amplitudes
-        need = 16 * 31 * 70 + 8 * (16 + 4 + 4) * 70
+        # one budget: the Hamiltonian's 15,800 B of tables and buffers, 31
+        # complex states, then a fold block of 16 real Chebyshev vectors, its
+        # 4 product rows and the three real vectors of the recurrence, all of
+        # 70 amplitudes
+        need = 15_800 + 16 * 31 * 70 + 8 * (16 + 4 + 3) * 70
         coupling = _coupling(8, 0.4)
         monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", need)
         check_sizes(coupling, basis8, 31)

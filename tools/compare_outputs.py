@@ -15,13 +15,15 @@ nonzero status equal to REF's (a refusal, say) is compared like any
 other; a status that differs from REF's is a difference.  Every
 difference is printed; a differing dataset file also gets the largest
 absolute difference between its numbers, the largest in units of the
-last printed digit (a rounding flip reads 1), and a differing CSV file
+last printed digit (a rounding flip reads 1; see ``deviation``), and a differing CSV file
 the count of differing cells in each column.  The exit status is 1 if
 there is any difference, else 0.
 """
 
 import csv
 import filecmp
+import json
+import math
 import os
 import re
 import subprocess
@@ -134,13 +136,13 @@ def run_all(tree, label, scratch):
     return runs
 
 
-_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
 def column_counts(ref, run):
     """Differing cells of two CSV datasets, in total and per column, e.g.
     "24 of 578 cells differ: p0 3, p4 21"; None if their headers differ."""
-    ref_rows, run_rows = ([row for row in csv.reader(text.decode().splitlines())
+    ref_rows, run_rows = ([row for row in csv.reader(text.splitlines())
                            if row and not row[0].startswith("# ")] for text in (ref, run))
     if ref_rows[:1] != run_rows[:1]:
         return None
@@ -153,26 +155,82 @@ def column_counts(ref, run):
 
 
 def last_digit(number):
-    """One unit in the last printed digit of a number, e.g. 1e-12 for b"0.109645606677"."""
-    mantissa, _, exponent = number.lower().partition(b"e")
-    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(b".")[2]))
+    """One unit in the last printed digit of a number, e.g. 1e-12 for "0.109645606677"."""
+    mantissa, _, exponent = number.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+# significant digits the runners print (the dataset writers' default)
+PRECISION = 12
+
+
+def resolution(tokens):
+    """The largest finite number of ``tokens`` in absolute value, and one unit
+    in its last digit when printed with PRECISION significant digits: the
+    absolute print resolution of the numbers (0.0 if none is nonzero)."""
+    top = max((v for v in (abs(float(x)) for x in tokens) if v < float("inf")), default=0.0)
+    return top, 10.0 ** (math.floor(math.log10(top)) - PRECISION + 1) if top else 0.0
+
+
+def number_columns(path, text):
+    """The numbers of a dataset file as printed, by column: {name: [token, ...]}.
+
+    Metadata entries are columns of their own.  JSON files hold floats
+    normalised to the print precision, so their repr is the printed text.
+    """
+    columns = {}
+    if path.endswith(".json"):
+        payload = json.loads(text)
+        for section in ("meta", "columns"):
+            for key, value in payload[section].items():
+                columns[f"{section}.{key}"] = [
+                    repr(v) for v in (value if isinstance(value, list) else [value])
+                    if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        return columns
+    lines = text.splitlines()
+    for line in lines:
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(" = ")
+            columns[f"meta.{key}"] = _NUMBER.findall(value)
+    rows = list(csv.reader(line for line in lines if line and not line.startswith("# ")))
+    for i, name in enumerate(rows[0] if rows else []):
+        columns[name] = [row[i] for row in rows[1:] if _NUMBER.fullmatch(row[i])]
+    return columns
 
 
 def deviation(ref_path, run_path):
     """How two dataset files differ: the largest absolute difference of
-    their numbers and the largest in units of the pair's last printed
-    digit, with column_counts for a CSV file, or a note that the text
-    around the numbers differs."""
-    with open(ref_path, "rb") as fh:
+    their numbers and the largest in units of the last printed digit, with
+    column_counts for a CSV file, or a note that the text around the
+    numbers differs.
+
+    A pair's unit is the coarser of the two cells' last digits, floored at
+    the column's absolute print resolution (see ``resolution``), so a
+    rounding flip in a column reads 1 and roundoff around an exact zero in
+    it reads far less.  A column of roundoff alone, whose largest number
+    is below the print resolution of the whole file's non-integer numbers,
+    is floored at that resolution instead.
+    """
+    with open(ref_path) as fh:
         ref = fh.read()
-    with open(run_path, "rb") as fh:
+    with open(run_path) as fh:
         run = fh.read()
-    if _NUMBER.sub(b"#", ref) != _NUMBER.sub(b"#", run):
+    if _NUMBER.sub("#", ref) != _NUMBER.sub("#", run):
         return "text differs"
-    pairs = [(x, y) for x, y in zip(_NUMBER.findall(ref), _NUMBER.findall(run)) if x != y]
-    largest = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
-    digits = max((abs(float(x) - float(y)) / max(last_digit(x), last_digit(y))
-                  for x, y in pairs), default=0.0)
+    ref_cols, run_cols = number_columns(ref_path, ref), number_columns(run_path, run)
+    _, whole = resolution(x for tokens in (*ref_cols.values(), *run_cols.values())
+                          for x in tokens if not x.lstrip("-").isdigit())
+    largest = digits = 0.0
+    for name, ref_tokens in ref_cols.items():
+        run_tokens = run_cols[name]
+        top, floor = resolution(ref_tokens + run_tokens)
+        if top < whole:
+            floor = whole
+        for x, y in zip(ref_tokens, run_tokens):
+            if x != y:
+                diff = abs(float(x) - float(y))
+                largest = max(largest, diff)
+                digits = max(digits, diff / max(last_digit(x), last_digit(y), floor))
     counts = column_counts(ref, run) if ref_path.endswith(".csv") else None
     return (f"max |diff| {largest:.3g}, {digits:.3g} in the last digit"
             + (f"; {counts}" if counts else ""))
