@@ -6,9 +6,12 @@ chain, exploiting excitation-number conservation throughout, and measures
 how quantum information delocalizes: Von Neumann entropies of arbitrary
 site subsets, mutual information, and the tripartite mutual information
 across subsystem partitionings, including exhaustive partition scans.
-Single-excitation quenches run on the same path as every other; the
-closed-form k=1 TMI that certifies them lives with the other oracles in
-``spinchain.reference``, which is not imported here.
+Single-excitation quenches run on the same path as every other.
+``evolve`` returns the states as a plain (n_times, dim) array.  The
+oracles the pipeline is checked against (full-space evolution and
+partial traces, the closed-form k=1 TMI, brute-force extrema) and the
+checks of the CLI's ``validate`` live in ``spinchain.reference``, which
+is not imported here.
 """
 
 __version__ = "0.1.0"
@@ -22,8 +25,8 @@ from .model import (CouplingMatrix, ModelSpec, SectorBasis, SectorHamiltonian,
                     StateVector, coupling_matrix, enumerate_sector, neel_state,
                     sector_dimension, single_excitation_state)
 from .partitions import (PartitionSet, TmiSeries, contiguous_quarters,
-                         enumerate_partitions, extrema, lightcone_onset, tau_sign_change)
-from .propagate import Trajectory, evolve
+                         enumerate_partitions, lightcone_onset, tau_sign_change)
+from .propagate import evolve
 
 __all__ = [
     "__version__",
@@ -32,11 +35,11 @@ __all__ = [
     "CouplingMatrix", "ModelSpec", "SectorBasis", "SectorHamiltonian",
     "StateVector", "coupling_matrix", "enumerate_sector",
     "neel_state", "sector_dimension", "single_excitation_state",
-    "Trajectory", "evolve",
+    "evolve",
     "EntropyTablePlan", "SubsetEntropyTable",
     "mutual_information", "subset_entropy_table",
     "subsystem_spectrum", "tmi", "von_neumann",
     "PartitionSet", "TmiSeries", "contiguous_quarters",
-    "enumerate_partitions", "extrema", "lightcone_onset", "tau_sign_change",
+    "enumerate_partitions", "lightcone_onset", "tau_sign_change",
     "RunConfig", "load_config",
 ]

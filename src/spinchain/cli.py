@@ -69,10 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _execute(args) -> int:
-    from . import runs
-
     if args.command == "validate":
-        return 0 if runs.validate_suite(print) else 4
+        from . import reference
+        return 0 if reference.validate_suite(print) else 4
+
+    from . import runs
 
     if args.paper_scale and args.n_sites is not None:
         raise ConfigError("--paper-scale sets the chain length from model.paper_n_sites; "

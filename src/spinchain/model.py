@@ -102,17 +102,24 @@ class SectorBasis:
                      "as int64 masks and rank tables")
         self.n_sites = n_sites
         self.n_excitations = n_excitations
-        self.states = _enumerate_masks(n_sites, n_excitations)
-        self.states.flags.writeable = False
         # Lin's two tables (PRB 42, 6561, 1990) over the bits below and from
-        # ``half``: the states before each high half, and each low half's
-        # rank among the low halves of its popcount
+        # ``half``: each low half's rank among the low halves of its
+        # popcount, and the states before each high half
         self._half = half
-        self._offset = np.searchsorted(self.states, np.arange(1 << (n_sites - half)) << half)
-        low = np.bitwise_count(np.arange(1 << half))
+        low_pop = np.bitwise_count(np.arange(1 << half))
+        lows = [np.flatnonzero(low_pop == p) for p in range(half + 1)]
         self._rank_lo = np.empty(1 << half, dtype=np.int64)
-        for p in range(half + 1):
-            self._rank_lo[low == p] = np.arange(math.comb(half, p))
+        for low in lows:
+            self._rank_lo[low] = np.arange(len(low))
+        # high half h, in ascending order, holds the block (h << half) | lows[p]
+        # with p = k - popcount(h), or no state when p is out of range
+        none = np.empty(0, dtype=np.int64)
+        high_pop = np.bitwise_count(np.arange(1 << (n_sites - half))).tolist()
+        blocks = [(h << half) | lows[n_excitations - q] if 0 <= n_excitations - q <= half
+                  else none for h, q in enumerate(high_pop)]
+        self._offset = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        self.states = np.concatenate(blocks)
+        self.states.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -124,10 +131,10 @@ class SectorBasis:
 
     def rank(self, mask: int) -> int:
         """Index of ``mask`` in the basis; KeyError if absent."""
-        i = int(np.searchsorted(self.states, mask))
-        if i >= self.dim or self.states[i] != mask:
+        mask = int(mask)
+        if not 0 <= mask <= self.full_mask or mask.bit_count() != self.n_excitations:
             raise KeyError(f"mask {mask:#b} not in sector ({self.n_sites}, {self.n_excitations})")
-        return i
+        return int(self.rank_many(mask))
 
     def rank_many(self, masks) -> np.ndarray:
         """Vectorized rank lookup; assumes every mask belongs to the sector.
@@ -141,22 +148,6 @@ class SectorBasis:
 
     def __repr__(self):
         return f"SectorBasis(n_sites={self.n_sites}, k={self.n_excitations}, dim={self.dim})"
-
-
-def _enumerate_masks(n: int, k: int) -> np.ndarray:
-    dim = math.comb(n, k)
-    out = np.empty(dim, dtype=np.int64)
-    if k == 0:
-        out[0] = 0
-        return out
-    v = (1 << k) - 1
-    for i in range(dim):
-        out[i] = v
-        # Gosper's hack: next-larger integer with the same popcount
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -294,36 +285,27 @@ class SectorHamiltonian:
                 np.add(site * self._lower_dim, lower.rank_many(states - bit), out=up[j])
                 left -= bit
             self._tables = low, up
-            self._work = self._buffers(())
+            # work buffers of a vector: ext, phi, chi and the gathered terms
+            phi = np.empty((n, self._lower_dim))
+            self._work = np.zeros(self.dim + 1), phi, np.empty_like(phi), np.empty((k, self.dim))
         return self._tables
 
-    def _buffers(self, columns: tuple):
-        """Work buffers ext, phi, chi and the gathered terms for vectors of shape (dim, *columns)."""
-        n, k = self.basis.n_sites, self.basis.n_excitations
-        ext = np.zeros((self.dim + 1, *columns))
-        phi = np.empty((n, self._lower_dim, *columns))
-        return ext, phi, np.empty_like(phi), np.empty((k, self.dim, *columns))
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec for ``vec`` of shape (dim,) or (dim, n_columns), real or complex.
+        """H @ vec for a real vector of shape (dim,), through one set of reused work buffers.
 
-        A 1-D real vector (every product of the propagation) reuses one set
-        of work buffers; a block of columns gets its own.
+        Any other shape, or a complex vector, raises ValueError.
         """
         vec = np.asarray(vec)
-        if vec.shape[:1] != (self.dim,) or vec.ndim > 2:
-            raise ValueError(f"vector of shape {vec.shape} for a sector of dimension {self.dim}")
-        if np.iscomplexobj(vec):  # H is real: each part on its own
-            return self.apply(vec.real) + 1j * self.apply(vec.imag)
+        if vec.shape != (self.dim,) or np.iscomplexobj(vec):
+            raise ValueError(f"{vec.dtype} vector of shape {vec.shape} for a sector of "
+                             f"dimension {self.dim}: apply takes one real vector")
         low, up = self._build()
-        ext, phi, chi, terms = self._work if vec.ndim == 1 else self._buffers(vec.shape[1:])
-        n = self.basis.n_sites
+        ext, phi, chi, terms = self._work
         ext[:-1] = vec
         # mode="clip" writes straight into out; "raise" buffers the result
         np.take(ext, low, axis=0, out=phi, mode="clip")
-        np.matmul(self._hop, phi.reshape(n, -1), out=chi.reshape(n, -1))
-        np.take(chi.reshape(n * self._lower_dim, *vec.shape[1:]), up, axis=0, out=terms,
-                mode="clip")
+        np.matmul(self._hop, phi, out=chi)
+        np.take(chi.reshape(-1), up, axis=0, out=terms, mode="clip")
         return terms.sum(axis=0)
 
     def expectation(self, vec: np.ndarray) -> float:

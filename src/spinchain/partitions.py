@@ -50,7 +50,7 @@ _BLOCK_BYTES = 1 << 18
 __all__ = [
     "PartitionSet", "TmiSeries",
     "contiguous_quarters", "enumerate_partitions", "parse_strategy",
-    "tmi_extrema", "extrema", "tau_sign_change", "lightcone_onset",
+    "tmi_extrema", "tau_sign_change", "lightcone_onset",
     "QUARTERS", "ALL_ASSIGNMENTS", "CONTIGUOUS_BLOCKS", "FIXED_SIZES",
 ]
 
@@ -408,32 +408,22 @@ def _first_within(vals: np.ndarray, lo, hi) -> tuple:
             np.argmax(vals >= hi - EXTREMUM_TIE_TOL, axis=0))
 
 
-def extrema(vals: np.ndarray) -> tuple:
-    """(min, argmin, max, argmax) of a TMI array along its first axis.
-
-    Values within EXTREMUM_TIE_TOL of an extremum count as tied with it,
-    and ties go to the first index (see _first_within).
-    """
-    lo, hi = vals.min(axis=0), vals.max(axis=0)
-    i_min, i_max = _first_within(vals, lo, hi)
-    return lo, i_min, hi, i_max
-
-
 def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
                 proper: bool = False) -> TmiSeries:
     """Per-time TMI extrema over a partition set, from a time-batched table.
 
     ``table`` holds a column of entropies per entry of ``times``.  The
     triples stream through in slices, each gathering whole table rows for
-    every time at once (PartitionSet._tmi_block).  Ties resolve as by
-    extrema, and ``argmin``/``argmax`` index ``pset``; ``min_proper`` is
-    filled when ``proper`` is set.  An ``orbits`` set needs a pure state's
-    table: its TMI ties across each orbit up to roundoff, and each
-    representative comes first in its orbit, so the picks are the family's.
+    every time at once (PartitionSet._tmi_block).  Ties resolve as by the
+    brute-force reference.extrema, and ``argmin``/``argmax`` index
+    ``pset``; ``min_proper`` is filled when ``proper`` is set.  An
+    ``orbits`` set needs a pure state's table: its TMI ties across each
+    orbit up to roundoff, and each representative comes first in its
+    orbit, so the picks are the family's.
 
     Only the first chunk holding a value within EXTREMUM_TIE_TOL of an
     extremum is evaluated again to place the pick: no earlier chunk holds
-    such a value, so the pick is the one extrema would make.  A
+    such a value, so the pick is the one reference.extrema would make.  A
     non-finite TMI raises NumericalConsistencyError naming its time.
     """
     if len(pset) == 0:

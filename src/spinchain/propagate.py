@@ -10,37 +10,12 @@ one pass, a complex one as its real and then its imaginary part.  The
 single-excitation sector takes the same path as every other.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import check_budget
-from .model import (CouplingMatrix, SectorBasis, SectorHamiltonian,
-                    StateVector)
+from .model import CouplingMatrix, SectorBasis, SectorHamiltonian, StateVector
 
-__all__ = ["Trajectory", "evolve"]
-
-
-@dataclass
-class Trajectory:
-    """States at a sequence of physical times, stacked row-wise."""
-
-    times: np.ndarray
-    basis: SectorBasis
-    states: np.ndarray  # (n_times, dim) complex
-
-    def state_at(self, i: int) -> StateVector:
-        return StateVector(self.basis, self.states[i].copy())
-
-    def __len__(self):
-        return len(self.times)
-
-
-def _check_state(basis: SectorBasis, psi0: StateVector):
-    if psi0.amplitudes.shape != (basis.dim,):
-        raise ValueError("initial state does not match the sector dimension")
-    if abs(psi0.norm - 1.0) > 1e-10:
-        raise ValueError(f"initial state is not normalized (norm {psi0.norm})")
+__all__ = ["evolve"]
 
 
 # Coefficients below 2^-53 change no amplitude of a unit-norm state in
@@ -118,13 +93,14 @@ def check_sizes(coupling: CouplingMatrix, basis: SectorBasis, n_times: int):
     return ham
 
 
-def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
-           times) -> Trajectory:
+def evolve(coupling: CouplingMatrix, psi0: StateVector, times) -> np.ndarray:
     """States exp(-iHt)|psi0> at each of ``times``, from one Chebyshev series.
 
-    ``times`` is a 1-D array of physical times, nonempty, finite,
-    nonnegative and strictly increasing; anything else raises ValueError
-    before any allocation.  exp(-iHt) psi0 = sum_k c_k(Rt) T_k(H/R) psi0
+    Returns an (n_times, dim) complex array, a row per time, over the
+    sector of ``psi0.basis``.  ``psi0`` has unit norm, and ``times`` is a
+    1-D array of physical times, nonempty, finite, nonnegative and
+    strictly increasing; anything else raises ValueError before any
+    allocation.  exp(-iHt) psi0 = sum_k c_k(Rt) T_k(H/R) psi0
     (Tal-Ezer and Kosloff, 1984; Weisse et al., Rev. Mod. Phys. 78, 275,
     2006).  The vectors T_k(H/R) psi0 do not depend on t, so one three-term
     recurrence on the sector Hamiltonian's ``apply`` serves every time,
@@ -147,7 +123,9 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
         raise ValueError("times must be strictly increasing")
     if np.any(coupling.entries < 0):
         raise ValueError("couplings must be nonnegative")
-    _check_state(basis, psi0)
+    if abs(psi0.norm - 1.0) > 1e-10:
+        raise ValueError(f"initial state is not normalized (norm {psi0.norm})")
+    basis = psi0.basis
     ham = check_sizes(coupling, basis, len(times))
     dim = basis.dim
     radius = float(ham.apply(np.ones(dim)).max())
@@ -184,4 +162,4 @@ def evolve(coupling: CouplingMatrix, basis: SectorBasis, psi0: StateVector,
                         c = cols[r:r + _ROWS]
                         np.matmul(c, block[p, :c.shape[1]], out=prod[:len(c)])
                         fold(dest[r:r + _ROWS], prod[:len(c)], out=dest[r:r + _ROWS])
-    return Trajectory(times=times, basis=basis, states=out)
+    return out

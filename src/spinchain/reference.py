@@ -16,6 +16,12 @@ occupation weights p_X = sum_{m in X} |c_m|^2.  The TMI then becomes an
 explicit function of (p_A, p_B, p_C), which is nonnegative everywhere on
 the probability simplex and vanishes exactly on its boundary: a
 certificate of the sign structure the general pipeline must reproduce.
+
+``extrema`` is the brute-force pick of TMI extrema that the streamed
+``partitions.tmi_extrema`` is checked against, and ``validate_suite``
+runs the five quick cross-checks of the CLI's ``validate`` subcommand.
+No runtime module imports this one; the CLI loads it for ``validate``
+only.
 """
 
 import math
@@ -27,9 +33,13 @@ from scipy.linalg import eigh
 from scipy.special import xlogy
 
 from .bits import bit_positions
-from .entropy import SubsetEntropyTable, _disjoint_masks, _xlogx, tmi_terms
+from .entropy import (SubsetEntropyTable, _disjoint_masks, _xlogx, mutual_information,
+                      subset_entropy_table, tmi, tmi_terms)
 from .errors import CapacityError
-from .model import CouplingMatrix, StateVector
+from .model import (CouplingMatrix, ModelSpec, StateVector, coupling_matrix,
+                    enumerate_sector, neel_state, single_excitation_state)
+from .partitions import _first_within
+from .propagate import evolve
 
 FULL_SPACE_MAX_SITES = 12
 P_SNAP = 1e-12      # distance from {0, 1} inside which p snaps to the endpoint
@@ -45,7 +55,7 @@ __all__ = [
     "reduced_spectrum_full", "subset_entropy_full", "mutual_information_full",
     "tmi_full", "onebody_amplitudes",
     "SimplexScan", "binary_entropy", "occupation_weights", "tmi_binary", "simplex_scan",
-    "onebody_entropy_table",
+    "onebody_entropy_table", "extrema", "validate_suite",
 ]
 
 _LN2 = math.log(2.0)
@@ -316,3 +326,103 @@ def onebody_entropy_table(occupations: np.ndarray) -> SubsetEntropyTable:
     n = occupations.shape[1]
     entropies = binary_entropy(_subset_probability_table(occupations.T))
     return SubsetEntropyTable(n, np.arange(1 << n), entropies)
+
+
+# -- brute-force extrema, and the checks of the CLI's validate ------------------
+
+def extrema(vals: np.ndarray) -> tuple:
+    """(min, argmin, max, argmax) of a TMI array along its first axis.
+
+    Values within EXTREMUM_TIE_TOL of an extremum count as tied with it,
+    and ties go to the first index, as in partitions.tmi_extrema, which
+    streams its triples in chunks and is checked against this.
+    """
+    lo, hi = vals.min(axis=0), vals.max(axis=0)
+    i_min, i_max = _first_within(vals, lo, hi)
+    return lo, i_min, hi, i_max
+
+
+def _check_dynamics_oracle():
+    worst = 0.0
+    times = np.array([0.7, 1.9])
+    for spec in (ModelSpec(6, alpha=0.7), ModelSpec(6, nn_limit=True)):
+        coupling = coupling_matrix(spec)
+        for k in (1, 3):
+            basis = enumerate_sector(6, k)
+            psi0 = neel_state(basis) if k == 3 else single_excitation_state(basis, 2)
+            states = evolve(coupling, psi0, times)
+            full = evolve_full(coupling, embed_state(psi0), times)
+            worst = max(worst, float(np.max(np.abs(full[:, basis.states] - states))))
+    return worst < 1e-9, f"max amplitude deviation {worst:.3g}"
+
+
+def _evolved_test_table():
+    """Subset-entropy table and full-space vector of one evolved N=6 state."""
+    basis = enumerate_sector(6, 3)
+    states = evolve(coupling_matrix(ModelSpec(6, alpha=0.7)), neel_state(basis),
+                    np.array([1.3]))
+    psi = StateVector(basis, states[0])
+    return subset_entropy_table(psi), embed_state(psi)
+
+
+def _check_entropy_oracle():
+    table, full = _evolved_test_table()
+    worst = max(abs(table[m] - subset_entropy_full(full, 6, m)) for m in range(1 << 6))
+    return worst < 1e-9, f"max entropy deviation {worst:.3g} over 64 subsets"
+
+
+def _check_tmi_oracle():
+    table, full = _evolved_test_table()
+    worst = 0.0
+    triples = [(0b000001, 0b000010, 0b000100), (0b001001, 0b000010, 0b110000),
+               (0b000011, 0b001100, 0b110000)]
+    for a, b, c in triples:
+        worst = max(worst, abs(mutual_information(table, a, b)
+                               - mutual_information_full(full, 6, a, b)))
+        worst = max(worst, abs(tmi(table, a, b, c) - tmi_full(full, 6, a, b, c)))
+    return worst < 1e-9, f"max MI/TMI deviation {worst:.3g}"
+
+
+def _check_onebody_oracle():
+    basis = enumerate_sector(8, 1)
+    states = evolve(coupling_matrix(ModelSpec(8, alpha=0.5)),
+                    single_excitation_state(basis, 3), np.array([2.1]))
+    # k=1 basis states ascend as 1 << site, so site amplitudes map directly
+    amps = states[0]
+    table = subset_entropy_table(StateVector(basis, amps))
+    rng = np.random.default_rng(20240817)
+    worst = 0.0
+    for _ in range(5):
+        sites = rng.permutation(8)
+        a, b, c = (int(1 << sites[0] | 1 << sites[1]), int(1 << sites[2]),
+                   int(1 << sites[3] | 1 << sites[4]))
+        worst = max(worst, abs(tmi_binary(*occupation_weights(amps, a, b, c))
+                               - tmi(table, a, b, c)))
+    return worst < 1e-9, f"max closed-form vs pipeline deviation {worst:.3g}"
+
+
+def _check_simplex():
+    scan = simplex_scan(0.01)
+    target = 4.0 * (2.0 - 0.75 * np.log2(3.0)) - 3.0  # 4 H(1/4) - 3
+    ok = (scan.min_value == 0.0
+          and abs(scan.max_value - target) < 1e-9
+          and max(abs(p - 0.25) for p in scan.argmax) <= 0.01)
+    return ok, (f"min {scan.min_value}, max {scan.max_value:.12g} at "
+                f"{tuple(round(p, 4) for p in scan.argmax)}")
+
+
+def validate_suite(write=print) -> bool:
+    """Quick oracle cross-checks; writes one PASS/FAIL line per check."""
+    checks = [
+        ("sector evolution vs full-space evolution (N=6)", _check_dynamics_oracle),
+        ("subset entropies vs full-space partial traces (N=6)", _check_entropy_oracle),
+        ("MI/TMI vs full-space values (N=6)", _check_tmi_oracle),
+        ("k=1 closed form vs general pipeline (N=8)", _check_onebody_oracle),
+        ("simplex extrema of the k=1 TMI", _check_simplex),
+    ]
+    all_ok = True
+    for name, fn in checks:
+        ok, detail = fn()
+        all_ok &= ok
+        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    return all_ok

@@ -14,6 +14,8 @@ table (a column per time) and the evolved states it came from.
 ``_sweep`` maps the task over the exponents, in a process pool when
 SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
 either way, so the emitted files do not depend on the worker count.
+The module holds the runners alone: the oracles and the checks behind
+the CLI's ``validate`` live in ``reference``, which no runner imports.
 """
 
 import os
@@ -24,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import EntropyTablePlan, mutual_information, subset_entropy_table, tmi
+from .entropy import EntropyTablePlan
 from .errors import ConfigError, NumericalConsistencyError
 from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
@@ -73,10 +75,8 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 def _initial_state(cfg: RunConfig):
     if cfg.initial_state == "neel":
-        basis = enumerate_sector(cfg.n_sites, cfg.n_sites // 2)
-        return basis, neel_state(basis)
-    basis = enumerate_sector(cfg.n_sites, 1)
-    return basis, single_excitation_state(basis, cfg.resolved_site())
+        return neel_state(enumerate_sector(cfg.n_sites, cfg.n_sites // 2))
+    return single_excitation_state(enumerate_sector(cfg.n_sites, 1), cfg.resolved_site())
 
 
 def _plan_for(basis, pset: PartitionSet, *extra, reflected: bool) -> EntropyTablePlan:
@@ -150,17 +150,18 @@ def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
 
     The initial state of ``cfg`` is quenched under ``coupling``; the table
     holds the masks ``pset`` reads plus ``extra_masks``, and the states
-    are the trajectory's (n_times, dim) array.  A reflection invariant
+    are evolve's (n_times, dim) array.  A reflection invariant
     quench (every Neel quench) evaluates one of each mirror pair.
     The size guards run before the plan is built, and the plan before any
     propagation, so a refusal costs neither.
     """
-    basis, psi0 = _initial_state(cfg)
+    psi0 = _initial_state(cfg)
+    basis = psi0.basis
     check_sizes(coupling, basis, len(times))
     plan = _plan_for(basis, pset, *extra_masks,
                      reflected=reflection_invariant(coupling, psi0))
-    traj = evolve(coupling, basis, psi0, times)
-    return plan.evaluate(traj.states), traj.states
+    states = evolve(coupling, psi0, times)
+    return plan.evaluate(states), states
 
 
 # -- tmi-grid ----------------------------------------------------------------
@@ -291,103 +292,3 @@ def run_onebody_scan(cfg: RunConfig) -> list:
     meta = _base_meta(cfg, strategy=pset.strategy, n_partitions=pset.family_size,
                       site=cfg.resolved_site(), tmi_floor=ONEBODY_TMI_FLOOR)
     return [Dataset(name="onebody_scan", meta=meta, columns=columns)]
-
-
-# -- validate ------------------------------------------------------------------
-
-def _check_dynamics_oracle():
-    from . import reference
-    worst = 0.0
-    times = np.array([0.7, 1.9])
-    for spec in (ModelSpec(6, alpha=0.7), ModelSpec(6, nn_limit=True)):
-        coupling = coupling_matrix(spec)
-        for k in (1, 3):
-            basis = enumerate_sector(6, k)
-            psi0 = neel_state(basis) if k == 3 else single_excitation_state(basis, 2)
-            traj = evolve(coupling, basis, psi0, times)
-            full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
-            for i in range(len(times)):
-                dev = np.max(np.abs(full[i][basis.states] - traj.states[i]))
-                worst = max(worst, float(dev))
-    return worst < 1e-9, f"max amplitude deviation {worst:.3g}"
-
-
-def _evolved_test_table():
-    """Subset-entropy table and full-space vector of one evolved N=6 state."""
-    from . import reference
-    basis = enumerate_sector(6, 3)
-    traj = evolve(coupling_matrix(ModelSpec(6, alpha=0.7)), basis, neel_state(basis),
-                  np.array([1.3]))
-    psi = traj.state_at(0)
-    return subset_entropy_table(psi), reference.embed_state(psi)
-
-
-def _check_entropy_oracle():
-    from . import reference
-    table, full = _evolved_test_table()
-    worst = max(
-        abs(table[m] - reference.subset_entropy_full(full, 6, m))
-        for m in range(1 << 6)
-    )
-    return worst < 1e-9, f"max entropy deviation {worst:.3g} over 64 subsets"
-
-
-def _check_tmi_oracle():
-    from . import reference
-    table, full = _evolved_test_table()
-    worst = 0.0
-    triples = [(0b000001, 0b000010, 0b000100), (0b001001, 0b000010, 0b110000),
-               (0b000011, 0b001100, 0b110000)]
-    for a, b, c in triples:
-        worst = max(worst, abs(mutual_information(table, a, b)
-                               - reference.mutual_information_full(full, 6, a, b)))
-        worst = max(worst, abs(tmi(table, a, b, c)
-                               - reference.tmi_full(full, 6, a, b, c)))
-    return worst < 1e-9, f"max MI/TMI deviation {worst:.3g}"
-
-
-def _check_onebody_oracle():
-    from . import reference
-    basis = enumerate_sector(8, 1)
-    psi = evolve(coupling_matrix(ModelSpec(8, alpha=0.5)), basis,
-                 single_excitation_state(basis, 3), np.array([2.1])).state_at(0)
-    # k=1 basis states ascend as 1 << site, so site amplitudes map directly
-    amps = psi.amplitudes
-    table = subset_entropy_table(psi)
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for _ in range(5):
-        sites = rng.permutation(8)
-        a, b, c = (int(1 << sites[0] | 1 << sites[1]), int(1 << sites[2]),
-                   int(1 << sites[3] | 1 << sites[4]))
-        w = reference.occupation_weights(amps, a, b, c)
-        worst = max(worst, abs(reference.tmi_binary(*w) - tmi(table, a, b, c)))
-    return worst < 1e-9, f"max closed-form vs pipeline deviation {worst:.3g}"
-
-
-def _check_simplex():
-    from . import reference
-    scan = reference.simplex_scan(0.01)
-    target = 4.0 * (2.0 - 0.75 * np.log2(3.0)) - 3.0  # 4 H(1/4) - 3
-    ok = (scan.min_value == 0.0
-          and abs(scan.max_value - target) < 1e-9
-          and max(abs(p - 0.25) for p in scan.argmax) <= 0.01)
-    return ok, (f"min {scan.min_value}, max {scan.max_value:.12g} at "
-                f"{tuple(round(p, 4) for p in scan.argmax)}")
-
-
-def validate_suite(write=print) -> bool:
-    """Quick oracle cross-checks; prints one PASS/FAIL line per check."""
-    checks = [
-        ("sector evolution vs full-space evolution (N=6)", _check_dynamics_oracle),
-        ("subset entropies vs full-space partial traces (N=6)", _check_entropy_oracle),
-        ("MI/TMI vs full-space values (N=6)", _check_tmi_oracle),
-        ("k=1 closed form vs general pipeline (N=8)", _check_onebody_oracle),
-        ("simplex extrema of the k=1 TMI", _check_simplex),
-    ]
-    all_ok = True
-    for name, fn in checks:
-        ok, detail = fn()
-        all_ok &= ok
-        write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    return all_ok

@@ -6,6 +6,7 @@ import pytest
 from spinchain import (
     CouplingMatrix,
     ModelSpec,
+    StateVector,
     coupling_matrix,
     enumerate_sector,
     evolve,
@@ -46,8 +47,8 @@ def skewed_coupling(n_sites, alpha=0.6):
 def evolved8(basis8):
     """Half-filling N=8 Neel quench at a mid-window time, alpha=0.6."""
     coupling = coupling_matrix(ModelSpec(8, alpha=0.6))
-    traj = evolve(coupling, basis8, neel_state(basis8), np.array([0.0, 1.7]))
-    return traj.state_at(1)
+    states = evolve(coupling, neel_state(basis8), np.array([0.0, 1.7]))
+    return StateVector(basis8, states[1])
 
 
 def lookup_masks(pset):

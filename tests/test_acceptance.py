@@ -34,12 +34,7 @@ from spinchain import reference
 from spinchain.partitions import tmi_extrema
 from spinchain.cli import main as cli_main
 from spinchain.config import load_config
-from spinchain.runs import (
-    run_minmax_scan,
-    run_tmi_grid,
-    run_tmi_vs_entropy,
-    validate_suite,
-)
+from spinchain.runs import run_minmax_scan, run_tmi_grid, run_tmi_vs_entropy
 
 from conftest import lookup_masks
 
@@ -101,11 +96,11 @@ def test_criterion_01_sector_vs_full_dynamics():
                 basis = enumerate_sector(n, k)
                 psi0 = neel_state(basis) if k == n // 2 \
                     else single_excitation_state(basis, n // 2)
-                traj = evolve(coupling, basis, psi0, times)
+                states = evolve(coupling, psi0, times)
                 full = reference.evolve_full(
                     coupling, reference.embed_state(psi0), times)
                 for i in range(len(times)):
-                    dev = np.max(np.abs(full[i][basis.states] - traj.states[i]))
+                    dev = np.max(np.abs(full[i][basis.states] - states[i]))
                     worst = max(worst, float(dev))
                 n_runs += 1
     ok = worst < 1e-9
@@ -132,9 +127,8 @@ def test_criterion_02_sector_vs_full_entropies():
     for n in (6, 8, 10):
         basis = enumerate_sector(n, n // 2)
         coupling = coupling_matrix(ModelSpec(n, alpha=0.7))
-        traj = evolve(coupling, basis, neel_state(basis),
-                      np.array([1.3]))
-        psi = traj.state_at(0)
+        states = evolve(coupling, neel_state(basis), np.array([1.3]))
+        psi = StateVector(basis, states[0])
         table = subset_entropy_table(psi).values
         full = reference.embed_state(psi)
         s_full = np.array([reference.subset_entropy_full(full, n, m)
@@ -215,7 +209,7 @@ def test_criterion_05_permutation_symmetry():
     basis = enumerate_sector(12, 6)
     coupling = coupling_matrix(ModelSpec(12, alpha=0.5))
     times = np.linspace(0.3, 3.0, 10)
-    traj = evolve(coupling, basis, neel_state(basis), times)
+    states = evolve(coupling, neel_state(basis), times)
     rng = np.random.default_rng(20250819)
     parts = []
     for _ in range(100):
@@ -225,7 +219,7 @@ def test_criterion_05_permutation_symmetry():
         parts.append(tuple(int(sum(1 << s for s in g)) for g in groups))
     worst = 0.0
     for i in range(len(times)):
-        table = subset_entropy_table(traj.state_at(i))
+        table = subset_entropy_table(StateVector(basis, states[i]))
         for a, b, c, d in parts:
             worst = max(worst, abs(tmi(table, a, b, c) - tmi(table, b, c, d)))
     ok = worst < 1e-9
@@ -254,10 +248,10 @@ def test_criterion_06_invariant_suite():
                 psi0 = neel_state(basis) if k == n // 2 \
                     else single_excitation_state(basis, n // 2)
                 times = np.array([0.9, 2.3])
-                traj = evolve(coupling, basis, psi0, times)
+                states = evolve(coupling, psi0, times)
                 e0 = ham.expectation(psi0.amplitudes)
                 for i in range(len(times)):
-                    psi = traj.state_at(i)
+                    psi = StateVector(basis, states[i])
                     n_states += 1
                     worst["norm"] = max(worst["norm"], abs(psi.norm - 1.0))
                     et = ham.expectation(psi.amplitudes)
@@ -277,7 +271,7 @@ def test_criterion_06_invariant_suite():
                                              (iab, ia, iac)):
                         gain = (t[joint] - t[iabc]) - (t[two] - t[pair])
                         worst["mono"] = max(worst["mono"], float(-gain.min()))
-    oracle_ok = validate_suite(write=lambda _: None)
+    oracle_ok = reference.validate_suite(write=lambda _: None)
     ok = (worst["norm"] < 1e-10 and worst["energy"] < 1e-9
           and worst["bound"] < 1e-9 and worst["mi"] < 1e-9
           and worst["mono"] < 1e-9 and worst["mirror"] < 1e-10 and oracle_ok)

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -152,9 +153,7 @@ class TestExitCodes:
         real_evolve = runs.evolve
 
         def inflated(*args, **kwargs):
-            traj = real_evolve(*args, **kwargs)
-            traj.states *= 1.01
-            return traj
+            return real_evolve(*args, **kwargs) * 1.01
 
         monkeypatch.setattr(runs, "evolve", inflated)
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
@@ -196,9 +195,9 @@ class TestExitCodes:
         real_evolve = runs.evolve
 
         def one_nan(*args):
-            traj = real_evolve(*args)
-            traj.states[1, 3] = np.nan
-            return traj
+            states = real_evolve(*args)
+            states[1, 3] = np.nan
+            return states
 
         monkeypatch.setattr(runs, "evolve", one_nan)
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
@@ -459,3 +458,40 @@ def test_serial_run_imports_no_oracles_or_pool(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def _reference_imports(tree):
+    """The import statements of a module's syntax tree that load spinchain.reference."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}" if base else a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(name.removeprefix("spinchain.") == "reference" for name in names):
+            yield node
+
+
+def test_only_validate_imports_the_oracles():
+    # the layering in source: no runtime module imports reference.py, and
+    # cli.py does only inside its validate branch
+    src = os.path.dirname(os.path.abspath(spinchain.__file__))
+    found = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "reference.py":
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            allowed = set()
+            if name == "cli.py":
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.If) and any(
+                            isinstance(c, ast.Constant) and c.value == "validate"
+                            for c in ast.walk(node.test)):
+                        allowed |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+            found[name] = [(node.lineno, id(node) in allowed)
+                           for node in _reference_imports(tree)]
+    assert {name: lines for name, lines in found.items()
+            if name != "cli.py" and lines} == {}
+    assert len(found["cli.py"]) == 1 and found["cli.py"][0][1], found["cli.py"]

@@ -250,11 +250,11 @@ class TestSubsetEntropyTable:
     def test_neel_entropies_exactly_zero(self, basis8):
         # a product state: every Gram matrix is diagonal with entries 0 and 1,
         # so eigvalsh roundoff must not leave a nonzero or NaN entropy
-        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), np.array([0.0, 0.3]))
+        states = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)),
+                        neel_state(basis8), np.array([0.0, 0.3]))
         for masks in (None, [0b1, 0b110, 0b11110000, 0b10101010]):
             plan = EntropyTablePlan(basis8, masks)
-            for amps in (neel_state(basis8).amplitudes, traj.states[0]):
+            for amps in (neel_state(basis8).amplitudes, states[0]):
                 values = plan.evaluate(amps).gather(np.arange(1 << 8) if masks is None
                                                     else masks)
                 assert not np.any(np.isnan(values))
@@ -326,7 +326,7 @@ class TestReflectedPlans:
         masks = np.arange(1 << n)
         full = (1 << n) - 1
         mirrored = reverse_bits(masks, n)
-        for amps in evolve(coupling, basis, psi0, times).states:
+        for amps in evolve(coupling, psi0, times):
             expected = general.evaluate(amps).gather(masks)
             found = reflected.evaluate(amps).gather(masks)
             np.testing.assert_allclose(found, expected, rtol=0, atol=1e-12)
@@ -370,7 +370,7 @@ class TestReflectedPlans:
     def _run_table(cfg, coupling):
         pset = enumerate_partitions(cfg.n_sites, "contiguous")
         runs._table(cfg, coupling, runs._grid(cfg), pset)
-        basis, _ = runs._initial_state(cfg)
+        basis = runs._initial_state(cfg).basis
         return basis, pset.read_masks
 
     @pytest.mark.parametrize("initial_state, site, skewed", [

@@ -25,6 +25,11 @@ from spinchain.model import reflection_invariant
 from conftest import skewed_coupling
 
 
+def dense(ham):
+    """The sector Hamiltonian as a dense matrix, built column by column."""
+    return np.column_stack([ham.apply(col) for col in np.eye(ham.dim)])
+
+
 class TestModelSpec:
     def test_requires_alpha_or_nn_limit(self):
         with pytest.raises(ValueError):
@@ -106,12 +111,28 @@ class TestSectorBasis:
         with pytest.raises(KeyError):
             basis8.rank(0b111)  # weight 3, not in the k=4 sector
 
+    def test_states_match_popcount_filter(self):
+        # Lin's blocks, one per high half, against a filter of every mask
+        for n in range(1, 15):
+            for k in range(n + 1):
+                basis = enumerate_sector(n, k)
+                expected = np.flatnonzero(np.bitwise_count(np.arange(2**n)) == k)
+                np.testing.assert_array_equal(basis.states, expected)
+                np.testing.assert_array_equal(basis.rank_many(basis.states),
+                                              np.arange(basis.dim))
+
+    @pytest.mark.parametrize("mask", [0b1110111, -0b1111, -1, 1 << 8, (1 << 8) | 0b111])
+    def test_rank_refuses_masks_outside_the_sector(self, basis8, mask):
+        # a wrong popcount, a negative mask, or one of 2^N and above
+        with pytest.raises(KeyError, match=r"not in sector \(8, 4\)"):
+            basis8.rank(mask)
+
     def test_enumerate_sector_is_cached(self):
         assert enumerate_sector(6, 3) is enumerate_sector(6, 3)
 
     def test_capacity_guard(self):
         # 8 B per int64 mask and per entry of the two rank tables (2^(N//2)
-        # and 2^(N - N//2) entries), refused before Gosper's loop runs
+        # and 2^(N - N//2) entries), refused before the states are built
         with pytest.raises(CapacityError, match=r"sector \(40, 20\) has 137,846,528,820 "
                                                 r"states, about 1102\.8 GB as int64 masks"):
             enumerate_sector(40, 20)
@@ -219,7 +240,7 @@ class TestSectorHamiltonian:
                     basis = enumerate_sector(n, k)
                     block = full[np.ix_(basis.states, basis.states)]
                     ham = SectorHamiltonian(coupling, basis)
-                    np.testing.assert_allclose(ham.apply(np.eye(basis.dim)), block, atol=1e-13)
+                    np.testing.assert_allclose(dense(ham), block, atol=1e-13)
 
     def test_full_space_block_diagonal(self):
         # H never connects different excitation sectors.
@@ -234,22 +255,15 @@ class TestSectorHamiltonian:
         ham = SectorHamiltonian(coupling, basis8)
         full = reference.full_hamiltonian(coupling)
         block = full[np.ix_(basis8.states, basis8.states)]
-        vec = rng.normal(size=basis8.dim) + 1j * rng.normal(size=basis8.dim)
+        vec = rng.normal(size=basis8.dim)
         np.testing.assert_allclose(ham.apply(vec), block @ vec, rtol=0, atol=1e-12)
-        # apply also takes a block of columns, here of shape (dim, 1) and
-        # (dim, 3)
-        col = ham.apply(vec[:, None])
-        assert col.shape == (basis8.dim, 1)
-        np.testing.assert_allclose(col[:, 0], ham.apply(vec), atol=1e-14)
-        cols = rng.normal(size=(basis8.dim, 3))
-        np.testing.assert_allclose(ham.apply(cols), block @ cols, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense(ham), block, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [7, 9])
     @pytest.mark.parametrize("alpha", [0.6, "nn"])
     def test_apply_at_odd_n_and_edge_sectors(self, n, alpha, rng):
-        # complex vectors and blocks of columns, in the sectors where one of
-        # the two tables is empty (k = 0) or the (k-1) sector is the largest
-        # (k = N, whose H is zero)
+        # the sectors where one of the two tables is empty (k = 0) or the
+        # (k-1) sector is the largest (k = N, whose H is zero)
         coupling = coupling_matrix(ModelSpec(n, nn_limit=True) if alpha == "nn"
                                    else ModelSpec(n, alpha=alpha))
         full = reference.full_hamiltonian(coupling)
@@ -257,14 +271,16 @@ class TestSectorHamiltonian:
             basis = enumerate_sector(n, k)
             block = full[np.ix_(basis.states, basis.states)]
             ham = SectorHamiltonian(coupling, basis)
-            vec = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-            cols = rng.normal(size=(basis.dim, 3)) + 1j * rng.normal(size=(basis.dim, 3))
-            for v in (vec, vec.real, cols, cols.real):
-                out = ham.apply(v)
-                assert out.shape == v.shape and out.dtype == v.dtype
-                np.testing.assert_allclose(out, block @ v, rtol=0, atol=1e-13)
-            # a vector of another length is refused, not broadcast
-            for v in (np.ones(basis.dim + 1), np.ones((basis.dim + 2, 3)), np.ones((basis.dim, 2, 2))):
+            vec = rng.normal(size=basis.dim)
+            out = ham.apply(vec)
+            assert out.shape == vec.shape and out.dtype == vec.dtype
+            np.testing.assert_allclose(out, block @ vec, rtol=0, atol=1e-13)
+            # apply takes one real vector of the sector's length: another
+            # length, a block of columns or a complex vector is refused, not
+            # broadcast or split into parts
+            for v in (np.ones(basis.dim + 1), np.ones((basis.dim + 2, 3)),
+                      np.ones((basis.dim, 2, 2)), np.ones((basis.dim, 3)),
+                      np.ones((basis.dim, 1)), vec + 1j * vec, vec.astype(np.complex128)):
                 with pytest.raises(ValueError, match="for a sector of dimension"):
                     ham.apply(v)
 
@@ -328,10 +344,10 @@ class TestSectorHamiltonian:
 
     def test_hermitian(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.3))
-        dense = SectorHamiltonian(coupling, basis6).apply(np.eye(basis6.dim))
-        np.testing.assert_array_equal(dense, dense.T.conj())
+        mat = dense(SectorHamiltonian(coupling, basis6))
+        np.testing.assert_array_equal(mat, mat.T)
         block = reference.full_hamiltonian(coupling)[np.ix_(basis6.states, basis6.states)]
-        np.testing.assert_allclose(dense, block, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(mat, block, rtol=0, atol=1e-13)
 
     def test_expectation_real(self, basis6, rng):
         ham = SectorHamiltonian(coupling_matrix(ModelSpec(6, alpha=0.3)), basis6)
@@ -339,7 +355,7 @@ class TestSectorHamiltonian:
         vec /= np.linalg.norm(vec)
         val = ham.expectation(vec)
         assert isinstance(val, float)
-        ref = np.vdot(vec, ham.apply(vec))
+        ref = np.vdot(vec, dense(ham) @ vec)
         assert val == pytest.approx(ref.real, abs=1e-12)
 
 

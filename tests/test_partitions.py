@@ -13,13 +13,13 @@ from spinchain import (
     NumericalConsistencyError,
     PartitionSet,
     RunConfig,
+    StateVector,
     SubsetEntropyTable,
     contiguous_quarters,
     coupling_matrix,
     enumerate_partitions,
     enumerate_sector,
     evolve,
-    extrema,
     lightcone_onset,
     neel_state,
     subset_entropy_table,
@@ -29,7 +29,7 @@ from spinchain import (
 from spinchain import partitions, reference, runs
 from spinchain.bits import bit_positions, mask_dtype, submask_tables
 from spinchain.partitions import parse_strategy, tmi_extrema
-from spinchain.reference import _subset_probability_table, binary_entropy
+from spinchain.reference import _subset_probability_table, binary_entropy, extrema
 
 from conftest import lookup_masks
 
@@ -376,10 +376,10 @@ class TestExtremaAndTau:
         covers = covers_chain(pset)
         checked = 0
         for alpha in (0.2, 0.6, 1.5):
-            traj = evolve(coupling_matrix(ModelSpec(n, alpha=alpha)), basis8,
-                          neel_state(basis8), times)
+            states = evolve(coupling_matrix(ModelSpec(n, alpha=alpha)),
+                            neel_state(basis8), times)
             for k in range(len(times)):
-                table = subset_entropy_table(traj.state_at(k))
+                table = subset_entropy_table(StateVector(basis8, states[k]))
                 vals = pset.tmi_values(table)
                 lo, i_min, hi, i_max = extrema(vals)
                 for value, i in ((lo, int(i_min)), (hi, int(i_max))):
@@ -402,9 +402,9 @@ class TestExtremaAndTau:
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * n_points * 150)
         assert len(pset) / 150 >= 50
         times = np.linspace(0.3, 2.7, n_points)
-        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), times)
-        tables = [subset_entropy_table(traj.state_at(k)) for k in range(n_points)]
+        states = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)),
+                        neel_state(basis8), times)
+        tables = [subset_entropy_table(StateVector(basis8, states[k])) for k in range(n_points)]
         found = tmi_extrema(pset, batched_table(tables), times, proper=True)
         for k, table in enumerate(tables):
             vals = pset.tmi_values(table)
@@ -565,8 +565,8 @@ class TestOrbitReducedScan:
     def test_neel_quench_matches_full_family(self, basis8, monkeypatch, spec):
         times = np.linspace(0.0, 2.7, 10)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
-        traj = evolve(coupling_matrix(spec), basis8, neel_state(basis8), times)
-        tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
+        states = evolve(coupling_matrix(spec), neel_state(basis8), times)
+        tables = [subset_entropy_table(StateVector(basis8, states[k])) for k in range(len(times))]
         self.check_matches_family(enumerate_partitions(8, "all", orbits=True),
                                   enumerate_partitions(8, "all"), tables, times)
 
@@ -595,9 +595,9 @@ class TestOrbitReducedScan:
             if strategy == "explicit" else enumerate_partitions(8, strategy)
         times = np.linspace(0.0, 2.7, 10)
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
-        traj = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)), basis8,
-                      neel_state(basis8), times)
-        tables = [subset_entropy_table(traj.state_at(k)) for k in range(len(times))]
+        states = evolve(coupling_matrix(ModelSpec(8, alpha=0.6)),
+                        neel_state(basis8), times)
+        tables = [subset_entropy_table(StateVector(basis8, states[k])) for k in range(len(times))]
         self.check_matches_family(pset, pset, tables, times, exact=3)
 
     def test_runner_set_stores_only_representatives(self, monkeypatch):

@@ -51,7 +51,7 @@ class TestEvolveTimes:
                                (np.array([]), "nonempty 1d array"),
                                (np.array([[0.0, 1.0]]), "nonempty 1d array")):
             with pytest.raises(ValueError, match=f"^times must be (a )?{message}$"):
-                evolve(coupling, basis6, neel_state(basis6), times)
+                evolve(coupling, neel_state(basis6), times)
 
 
 class TestTimeGrid:
@@ -78,7 +78,7 @@ class TestTimeGrid:
     @staticmethod
     def _check_last_tmi(coupling, t, tmi_column):
         basis = enumerate_sector(8, 4)
-        psi = evolve(coupling, basis, neel_state(basis), t[-1:]).state_at(0)
+        psi = StateVector(basis, evolve(coupling, neel_state(basis), t[-1:])[0])
         expected = tmi(subset_entropy_table(psi), *contiguous_quarters(8))
         assert abs(tmi_column[-1] - expected) < 1e-12
 
@@ -109,38 +109,38 @@ class TestDenseEvolution:
         basis = enumerate_sector(2, 1)
         psi0 = single_excitation_state(basis, 1)
         times = np.array([0.0, 0.3, 1.1])
-        traj = evolve(coupling_matrix(spec), basis, psi0, times)
+        states = evolve(coupling_matrix(spec), psi0, times)
         for i, t in enumerate(times):
             expected = np.array(
                 [-1j * np.sin(1.6 * t), np.cos(1.6 * t)], dtype=complex
             )
-            np.testing.assert_allclose(traj.states[i], expected, atol=1e-12)
+            np.testing.assert_allclose(states[i], expected, atol=1e-12)
 
     def test_t_zero_reproduces_input(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.9))
         psi0 = neel_state(basis6)
-        traj = evolve(coupling, basis6, psi0, np.array([0.0]))
-        np.testing.assert_array_equal(traj.states[0], psi0.amplitudes)
+        states = evolve(coupling, psi0, np.array([0.0]))
+        np.testing.assert_array_equal(states[0], psi0.amplitudes)
 
     def test_matches_full_space(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
         psi0 = neel_state(basis6)
         times = np.array([0.0, 0.4, 1.1, 2.7])
-        traj = evolve(coupling, basis6, psi0, times)
+        states = evolve(coupling, psi0, times)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         for i in range(len(times)):
             np.testing.assert_allclose(
-                traj.states[i], full[i][basis6.states], atol=1e-12
+                states[i], full[i][basis6.states], atol=1e-12
             )
 
     def test_norm_and_energy_conserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         ham = SectorHamiltonian(coupling, basis8)
         psi0 = neel_state(basis8)
-        traj = evolve(coupling, basis8, psi0, np.linspace(0.0, 3.0, 7))
+        states = evolve(coupling, psi0, np.linspace(0.0, 3.0, 7))
         e0 = ham.expectation(psi0.amplitudes)
-        for i in range(len(traj)):
-            amps = traj.states[i]
+        for i in range(len(states)):
+            amps = states[i]
             assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
             assert abs(ham.expectation(amps) - e0) < 1e-10
 
@@ -148,15 +148,14 @@ class TestDenseEvolution:
         # H is real, so conjugation reverses time: U(-t) psi = conj(U(t) conj(psi)).
         coupling = coupling_matrix(ModelSpec(8, alpha=0.4))
         psi0 = neel_state(basis8)
-        fwd = evolve(coupling, basis8, psi0, np.array([1.3]))
+        fwd = evolve(coupling, psi0, np.array([1.3]))
         back = evolve(
             coupling,
-            basis8,
-            StateVector(basis8, fwd.states[0].conj()),
+            StateVector(basis8, fwd[0].conj()),
             np.array([1.3]),
         )
         np.testing.assert_allclose(
-            back.states[0].conj(), psi0.amplitudes, atol=1e-12
+            back[0].conj(), psi0.amplitudes, atol=1e-12
         )
 
 
@@ -169,13 +168,13 @@ class TestLongTimeEvolution:
         psi0 = neel_state(basis8)
         times = np.linspace(0.0, 4.0, 9)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
-        traj = evolve(coupling, basis8, psi0, times)
-        assert np.max(np.abs(full[:, basis8.states] - traj.states)) < 1e-12
+        states = evolve(coupling, psi0, times)
+        assert np.max(np.abs(full[:, basis8.states] - states)) < 1e-12
 
     def test_norm_preserved(self, basis8):
         coupling = coupling_matrix(ModelSpec(8, alpha=0.3))
-        traj = evolve(coupling, basis8, neel_state(basis8), np.linspace(0.0, 5.0, 6))
-        norms = np.linalg.norm(traj.states, axis=1)
+        states = evolve(coupling, neel_state(basis8), np.linspace(0.0, 5.0, 6))
+        norms = np.linalg.norm(states, axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
@@ -197,7 +196,7 @@ class TestTaylorStepper:
             # one interval with ||dt H||_1 = 100: about 150 terms
             np.array([0.0, 100.0 / _exact_norm1(coupling, basis)]),
         ]
-        states = np.concatenate([evolve(coupling, basis, psi0, g).states for g in grids])
+        states = np.concatenate([evolve(coupling, psi0, g) for g in grids])
         times = np.concatenate(grids)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
         assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
@@ -208,30 +207,30 @@ class TestTaylorStepper:
         basis = enumerate_sector(12, 6)
         psi0 = neel_state(basis)
         times = np.linspace(0.0, 5.0, 201)
-        traj = evolve(coupling, basis, psi0, times)
+        states = evolve(coupling, psi0, times)
         # scipy's expm_multiply on the Pauli-built full-space matrix: no
         # 4,096 x 4,096 diagonalization, and independent of the sector code
         h = sp.csr_matrix(reference.full_hamiltonian(coupling))
         full = expm_multiply(-1j * h, reference.embed_state(psi0),
                              start=0.0, stop=5.0, num=201, endpoint=True)
-        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
+        assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
 
     def test_single_excitation_sector(self):
         coupling = _coupling(8, 0.5)
         basis = enumerate_sector(8, 1)
         psi0 = single_excitation_state(basis, 2)
         times = np.array([0.0, 0.2, 1.5, 6.0])
-        traj = evolve(coupling, basis, psi0, times)
+        states = evolve(coupling, psi0, times)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
-        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
+        assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
 
     @pytest.mark.parametrize("k", [0, 8])
     def test_zero_hamiltonian_returns_input(self, k):
         # the empty and the full sector hold one state and H = 0, so R = 0
         basis = enumerate_sector(8, k)
         psi0 = StateVector(basis, np.array([1j]))
-        traj = evolve(_coupling(8, 0.5), basis, psi0, np.linspace(0.0, 5.0, 11))
-        np.testing.assert_array_equal(traj.states, np.full((11, 1), 1j))
+        states = evolve(_coupling(8, 0.5), psi0, np.linspace(0.0, 5.0, 11))
+        np.testing.assert_array_equal(states, np.full((11, 1), 1j))
 
     def test_products_are_propagation_plus_one_norm(self, monkeypatch):
         # one product for the 1-norm R, then one per Chebyshev term past T_0:
@@ -253,7 +252,7 @@ class TestTaylorStepper:
                             lambda self, vec: calls.append(vec.dtype) or apply(self, vec))
         for amps, parts in ((neel_state(basis).amplitudes, 1), (u + 1j * w, 2), (1j * w, 1)):
             calls.clear()
-            evolve(coupling, basis, StateVector(basis, amps / np.linalg.norm(amps)), times)
+            evolve(coupling, StateVector(basis, amps / np.linalg.norm(amps)), times)
             assert len(calls) == 1 + parts * (n_terms - 1)
             assert set(calls) == {np.dtype(float)}
 
@@ -266,9 +265,9 @@ class TestTaylorStepper:
         assert np.linalg.matrix_rank(np.stack([u, w])) == 2
         psi0 = StateVector(basis, (u + 1j * w) / np.linalg.norm(u + 1j * w))
         times = np.array([0.0, 0.01, 0.3, 1.7, 4.2])
-        traj = evolve(coupling, basis, psi0, times)
+        states = evolve(coupling, psi0, times)
         full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
-        assert np.max(np.abs(full[:, basis.states] - traj.states)) < 1e-12
+        assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
 
     def test_trajectory_refused_before_any_product(self, basis8, monkeypatch):
         # one budget: the Hamiltonian's 15,800 B of tables and buffers, 31
@@ -287,18 +286,18 @@ class TestTaylorStepper:
         monkeypatch.setattr(SectorHamiltonian, "apply", no_product)
         with pytest.raises(CapacityError,
                            match=r"sector \(8, 4\) trajectory has 31 states of 70 amplitudes"):
-            evolve(coupling, basis8, neel_state(basis8), np.linspace(0.0, 3.0, 31))
+            evolve(coupling, neel_state(basis8), np.linspace(0.0, 3.0, 31))
 
     def test_negative_coupling_refused(self, basis6):
         entries = coupling_matrix(ModelSpec(6, alpha=1.0)).entries.copy()
         entries[0, 1] = entries[1, 0] = -0.5
         coupling = CouplingMatrix(entries=entries, kac=1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            evolve(coupling, basis6, neel_state(basis6), np.linspace(0.0, 1.0, 3))
+            evolve(coupling, neel_state(basis6), np.linspace(0.0, 1.0, 3))
 
     def test_global_rng_untouched(self, basis8):
         state = np.random.get_state()
-        evolve(_coupling(8, 0.4), basis8, neel_state(basis8), np.linspace(0.0, 3.0, 7))
+        evolve(_coupling(8, 0.4), neel_state(basis8), np.linspace(0.0, 3.0, 7))
         after = np.random.get_state()
         assert after[0] == state[0] and after[2:] == state[2:]
         np.testing.assert_array_equal(after[1], state[1])
@@ -386,13 +385,25 @@ class TestBesselCoefficients:
 
 
 class TestEvolveDispatcher:
-    def test_trajectory_state_at(self, basis6):
+    def test_returns_plain_states_array(self, basis6):
         coupling = coupling_matrix(ModelSpec(6, alpha=0.7))
-        traj = evolve(coupling, basis6, neel_state(basis6), np.linspace(0.0, 1.0, 3))
-        assert len(traj) == 3
-        sv = traj.state_at(2)
-        assert sv.basis is basis6
-        np.testing.assert_array_equal(sv.amplitudes, traj.states[2])
+        psi0 = neel_state(basis6)
+        states = evolve(coupling, psi0, np.linspace(0.0, 1.0, 3))
+        assert type(states) is np.ndarray
+        assert states.shape == (3, basis6.dim) and states.dtype == np.complex128
+        np.testing.assert_array_equal(states[0], psi0.amplitudes)
+
+    def test_sector_comes_from_the_state(self):
+        # C(8, 5) = C(8, 3): the k=5 sector has the dimension of the k=3 one,
+        # so only psi0's own basis can place the state
+        basis = enumerate_sector(8, 5)
+        psi0 = StateVector(basis, np.zeros(basis.dim))
+        psi0.amplitudes[basis.rank(0b11111)] = 1.0
+        coupling = _coupling(8, 0.6)
+        times = np.linspace(0.0, 2.0, 5)
+        states = evolve(coupling, psi0, times)
+        full = reference.evolve_full(coupling, reference.embed_state(psi0), times)
+        assert np.max(np.abs(full[:, basis.states] - states)) < 1e-12
 
 
 class TestOneBody:
@@ -405,9 +416,9 @@ class TestOneBody:
         coupling = _coupling(n, alpha)
         times = np.array([0.0, 0.9, 2.2])
         basis = enumerate_sector(n, 1)
-        traj = evolve(coupling, basis, single_excitation_state(basis, site),
+        states = evolve(coupling, single_excitation_state(basis, site),
                       times)
         oracle = reference.onebody_amplitudes(coupling, site, times)
-        np.testing.assert_allclose(traj.states, oracle, rtol=0, atol=1e-12)
-        norms = np.linalg.norm(traj.states, axis=1)
+        np.testing.assert_allclose(states, oracle, rtol=0, atol=1e-12)
+        norms = np.linalg.norm(states, axis=1)
         np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
