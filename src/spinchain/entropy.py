@@ -26,12 +26,15 @@ from .model import SectorBasis, StateVector
 WEIGHT_CLIP = 1e-12     # Schmidt weights above -WEIGHT_CLIP snap to zero
 WEIGHT_SUM_TOL = 1e-10  # allowed deviation of the weight sum from one
 # Peak bytes of a plan build per (representative, sector state): its int32
-# index grids, held twice while each group is stacked; tracemalloc read
-# 8.1-9.9 at half filling, N = 12-16.  Its guard adds 600 B per
-# (representative, excitation block) of array headers and list entries,
-# 32 B per state of temporaries while one representative's grids are cut,
-# the 2^N row map and 64 KiB fixed (read: up to 560 B, 26 B and 9 KB)
-_INDEX_BYTES = 10
+# index stacks, filled in place.  Its guard adds 20 B per basis entry of
+# one sort chunk (the key, argsort's int64 result and workspace, then its
+# int32 copy: tracemalloc read up to 16.5), 300 B per (representative,
+# excitation block) of slot tables and a full plan's scratch over the 2^N
+# masks (read: up to 274 B), the 2^N row map and 64 KiB fixed
+_INDEX_BYTES = 4
+# Bytes of the int64 argsort result a plan build holds at once: a chunk of
+# one popcount's representatives, each sorting the whole basis
+_SORT_CHUNK_BYTES = 1 << 22
 # The least positive double: x log max(x, _TINY) is x log x for x > 0 and
 # exactly 0 at x = 0, with no mask
 _TINY = 5e-324
@@ -78,24 +81,34 @@ def _split_range(k: int, n_a: int, n_b: int):
     return range(max(0, k - n_b), min(k, n_a) + 1)
 
 
-def _block_index_grids(basis: SectorBasis, mask: int):
+def _block_index_grids(basis: SectorBasis, masks):
     """Index grids mapping (row, col) of each excitation block to basis ranks.
 
-    Yields one int32 idx2d per admissible split; amps[idx2d] is the
-    block's amplitude matrix, with rows in ascending order of the pattern
-    on the subset and columns in ascending order of the pattern on the
-    rest.  A split's states are every pairing of a pattern on the subset
-    with a pattern on the rest, and the basis ascends, so a stable sort by
-    the subset pattern lists the grid row by row.
+    ``masks`` is one mask, or an array of masks of one popcount a.  Yields
+    an int32 grid per admissible split j, ascending, of shape
+    masks.shape + (C(a, j), C(N - a, k - j)); amps[grid] is the block's
+    amplitude matrix (a stack of them), with rows in ascending order of
+    the pattern on the subset and columns in ascending order of the
+    pattern on the rest.  A split's states are every pairing of a pattern
+    on the subset with a pattern on the rest, and the basis ascends, so
+    one stable sort of the basis by (j, subset pattern) lists the blocks
+    with j ascending, each row by row.
     """
-    k = basis.n_excitations
-    n_a = mask.bit_count()
-    states = basis.states
-    in_a = np.bitwise_count(states & mask)
-    for j in _split_range(k, n_a, basis.n_sites - n_a):
-        sel = np.flatnonzero(in_a == j)
-        order = np.argsort(states[sel] & mask, kind="stable")
-        yield sel[order].astype(np.int32).reshape(math.comb(n_a, j), -1)
+    n, k = basis.n_sites, basis.n_excitations
+    # the narrowest unsigned key: up to N=12 it takes numpy's radix sort
+    dtype = np.min_scalar_type((n << n) | basis.full_mask)
+    masks = np.asarray(masks).astype(dtype)
+    n_a = int(masks.flat[0]).bit_count()
+    key = basis.states.astype(dtype) & masks[..., None]
+    key |= np.left_shift(np.bitwise_count(key), n, dtype=dtype)
+    order = np.argsort(key, axis=-1, kind="stable")
+    del key
+    order = order.astype(np.int32)
+    stop = 0
+    for j in _split_range(k, n_a, n - n_a):
+        rows = math.comb(n_a, j)
+        start, stop = stop, stop + rows * math.comb(n - n_a, k - j)
+        yield order[..., start:stop].reshape(masks.shape + (rows, -1))
 
 
 def subsystem_spectrum(psi: StateVector, subset) -> np.ndarray:
@@ -211,10 +224,14 @@ class EntropyTablePlan:
     outside the orbits to -1.  A build over the memory budget is refused
     (CapacityError) before any 2^N array or index grid exists.  The
     representatives, ``reps``, have their excitation blocks grouped by
-    shape into ``groups``, (index stack, rep ids) pairs; evaluation takes
-    each group's Schmidt weights from one batched ``eigvalsh`` of the
-    smaller Gram matrices.  Build once per (basis, mask set), evaluate
-    once per state.
+    shape into ``groups``, (index stack, rep ids) pairs, in order of each
+    shape's first block, its blocks by rep and then by split; evaluation
+    takes each group's Schmidt weights from one batched ``eigvalsh`` of
+    the smaller Gram matrices.  Representatives of one popcount share
+    their block shapes, so the build sorts the basis once per chunk of
+    them (_block_index_grids) and writes their blocks straight into the
+    preallocated stacks: its peak is the stacks and one chunk's sort.
+    Build once per (basis, mask set), evaluate once per state.
     """
 
     def __init__(self, basis: SectorBasis, masks=None, reflected: bool = False):
@@ -230,9 +247,11 @@ class EntropyTablePlan:
             self.reps = _representatives(masks, n, reflected)
             n_reps = len(self.reps)
         row_type = np.min_scalar_type(-n_reps - 1)
+        chunk = max(1, _SORT_CHUNK_BYTES // (8 * dim))
         check_budget(f"sector ({n}, {k}) entropy plan has {n_reps:,} "
                      f"representatives of {dim:,} states",
-                     (_INDEX_BYTES * n_reps + 32) * dim + 600 * n_reps * (min(k, n - k) + 1)
+                     (_INDEX_BYTES * n_reps + 20 * min(n_reps, chunk)) * dim
+                     + 300 * n_reps * (min(k, n - k) + 1)
                      + (row_type.itemsize << n) + (1 << 16), "at its build's peak")
         if masks is None:
             self.reps = _representatives(np.arange(1 << n), n, reflected)
@@ -241,14 +260,37 @@ class EntropyTablePlan:
             self.rows[images] = np.arange(n_reps)
         self.rows[[0, basis.full_mask]] = n_reps
         self.rows.flags.writeable = False
-        groups = {}
-        for rep_id, mask in enumerate(self.reps):
-            for idx2d in _block_index_grids(basis, int(mask)):
-                grids, ids = groups.setdefault(idx2d.shape, ([], []))
-                grids.append(idx2d)
-                ids.append(rep_id)
-        self.groups = [(np.stack(grids), np.asarray(ids, dtype=np.int64))
-                       for grids, ids in groups.values()]
+        # (rep, block) pairs rep by rep, j ascending: block j of a
+        # representative of popcount a has shape (C(a, j), C(N - a, k - j))
+        pops = np.bitwise_count(self.reps).astype(np.int64)
+        splits = [_split_range(k, a, n - a) for a in range(n + 1)]
+        low = np.array([s.start for s in splits])[pops]
+        n_blocks = np.array([len(s) for s in splits])[pops]
+        first = np.cumsum(n_blocks) - n_blocks
+        rep_of = np.repeat(np.arange(n_reps), n_blocks)
+        j = np.arange(len(rep_of)) - first[rep_of] + low[rep_of]
+        comb = np.array([[math.comb(m, i) for i in range(n + 1)] for m in range(n + 1)])
+        n_rows, n_cols = comb[pops[rep_of], j], comb[n - pops[rep_of], k - j]
+        # a group per shape, in order of first appearance, its pairs in rep order
+        _, seen, group = np.unique(n_rows * (dim + 1) + n_cols,
+                                   return_index=True, return_inverse=True)
+        group = np.argsort(np.argsort(seen))[group]
+        by_group = np.argsort(group, kind="stable")
+        sizes = np.bincount(group)
+        slot = np.empty_like(by_group)
+        slot[by_group] = np.arange(len(group)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        stacks = [np.empty((size, n_rows[i], n_cols[i]), dtype=np.int32)
+                  for size, i in zip(sizes, np.sort(seen))]
+        # each chunk of one popcount's representatives is sorted once and
+        # its blocks written straight to their slots
+        for a in np.unique(pops):
+            of_a = np.flatnonzero(pops == a)
+            for start in range(0, len(of_a), chunk):
+                part = of_a[start:start + chunk]
+                for b, grids in enumerate(_block_index_grids(basis, self.reps[part])):
+                    pairs = first[part] + b  # each one's block b, all of one group
+                    stacks[group[pairs[0]]][slot[pairs]] = grids
+        self.groups = list(zip(stacks, np.split(rep_of[by_group], np.cumsum(sizes)[:-1])))
 
     def evaluate(self, amplitudes: np.ndarray) -> SubsetEntropyTable:
         """Subset entropies of one state (amplitudes over the plan's basis).

@@ -27,7 +27,7 @@ import numpy as np
 from .bits import bit_positions, mask_dtype, submask_tables
 from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
-from .model import ModelSpec
+from .model import ModelSpec, SectorBasis
 
 QUARTERS = "quarters"
 ALL_ASSIGNMENTS = "all-assignments"
@@ -100,18 +100,32 @@ class PartitionSet:
 
     @cached_property
     def read_masks(self) -> np.ndarray:
-        """Ascending distinct masks whose entropies some triple's TMI reads (read-only)."""
-        # a presence table, not np.unique: 2.5M triples make 17.7M lookups;
-        # the table, the masks and the lookup buffer are guarded first
-        n, rows = self.n_sites, _BLOCK_BYTES // 8
-        check_budget(f"the read masks of a {n}-site partition set",
-                     (1 << n) + 8 * min(1 << n, 7 * len(self)) + 56 * min(rows, len(self)),
-                     "in a presence table of every mask")
-        seen = np.zeros(1 << n, dtype=bool)
-        buffer = np.empty((7, min(rows, len(self))), dtype=np.int64)
-        for start in range(0, len(self), rows):
-            seen[self._lookups(slice(start, start + rows), buffer)] = True
-        masks = np.flatnonzero(seen)
+        """Ascending distinct masks whose entropies some triple's TMI reads (read-only).
+
+        An assignment family (its orbit set too) reads exactly the masks
+        whose popcount is the sum of a nonempty subset of its part sizes,
+        every nonempty mask for the all family: a part of each size fits
+        beside any such mask.  Those are listed by popcount, with no pass
+        over the triples.  Other sets mark each triple's lookups in a
+        presence table of every mask.
+        """
+        n = self.n_sites
+        if self.strategy.partition(":")[0] in (ALL_ASSIGNMENTS, FIXED_SIZES):
+            sizes = parse_strategy(self.strategy)[1]
+            counts = range(1, n + 1) if sizes is None else \
+                {sum(part) for r in (1, 2, 3) for part in combinations(sizes, r)}
+            masks = np.sort(np.concatenate([SectorBasis(n, p).states for p in counts]))
+        else:
+            # the table, the masks and the lookup buffer are guarded first
+            rows = _BLOCK_BYTES // 8
+            check_budget(f"the read masks of a {n}-site partition set",
+                         (1 << n) + 8 * min(1 << n, 7 * len(self)) + 56 * min(rows, len(self)),
+                         "in a presence table of every mask")
+            seen = np.zeros(1 << n, dtype=bool)
+            buffer = np.empty((7, min(rows, len(self))), dtype=np.int64)
+            for start in range(0, len(self), rows):
+                seen[self._lookups(slice(start, start + rows), buffer)] = True
+            masks = np.flatnonzero(seen)
         masks.flags.writeable = False
         return masks
 
@@ -227,28 +241,40 @@ def _rest_sizes(n_sites: int, sizes) -> dict:
     return {n_sites - size: sizes[:i] + sizes[i + 1:] for i, size in enumerate(sizes)}
 
 
-def _labelings(every, counts, n_bits: int, pair, orbits: bool):
-    """(B, C) labelings of n_bits bits, as (beta, gamma) mask arrays.
+def _labelings(n_bits: int, pair, orbits: bool, dtype):
+    """(B, C) labelings of n_bits bits, as (beta, gamma) mask arrays of ``dtype``.
 
     Keeps disjoint nonempty beta < gamma, sorted by (beta, gamma), whose
     popcounts are ``pair`` in either order (any, if None), and with
     ``orbits`` only those whose union lacks the top bit or is every bit.
-    ``every`` and ``counts`` are the masks 0, 1, 2, ... and their popcounts.
+    Built by ternary doubling from the top bit down: each bit goes to
+    neither part, to C or to B.  The highest bit either part holds decides
+    beta < gamma, so a labeling with beta > gamma is dropped as soon as it
+    appears; so is one whose smaller or larger part outgrows the pair's,
+    and with ``orbits`` one that holds the top bit but skips a later one.
     """
-    masks = every[1:1 << n_bits]
-    if pair is not None:
-        masks = masks[np.isin(counts[masks], pair)]
-    top, full = 1 << (n_bits - 1), (1 << n_bits) - 1
-    gammas = []
-    for i, beta in enumerate(masks):  # ascending: gamma > beta is a suffix
-        later = masks[i + 1:]
-        keep = (later & beta) == 0
+    def sizes_are(test, beta, gamma):  # the smaller and larger part against the pair's
+        n_b, n_c = np.bitwise_count(beta), np.bitwise_count(gamma)
+        return test(np.minimum(n_b, n_c), min(pair)) & test(np.maximum(n_b, n_c), max(pair))
+
+    beta = gamma = np.zeros(1, dtype=dtype)
+
+    for i in reversed(range(n_bits)):
+        beta = np.concatenate([beta, beta, beta | (1 << i)])
+        gamma = np.concatenate([gamma, gamma | (1 << i), gamma])
+        keep = beta <= gamma
         if pair is not None:
-            keep &= counts[later] == sum(pair) - counts[beta]
-        if orbits:
-            keep &= ((later | beta) < top) | ((later | beta) == full)
-        gammas.append(later[keep])
-    return np.repeat(masks, [len(g) for g in gammas]), np.concatenate(gammas)
+            keep &= sizes_are(np.less_equal, beta, gamma)
+        if orbits:  # a union with the top bit holds every bit so far
+            union = beta | gamma
+            keep &= (union < 1 << (n_bits - 1)) | (union == (1 << n_bits) - (1 << i))
+        beta, gamma = beta[keep], gamma[keep]
+    keep = beta > 0
+    if pair is not None:
+        keep &= sizes_are(np.equal, beta, gamma)
+    beta, gamma = beta[keep], gamma[keep]
+    order = np.lexsort((gamma, beta))
+    return beta[order], gamma[order]
 
 
 def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> PartitionSet:
@@ -266,9 +292,8 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
     keep the labelings that leave it to D or leave D empty.
     """
     dtype = mask_dtype(n_sites)
-    every = np.arange(1 << n_sites, dtype=dtype)
-    counts = np.bitwise_count(every)
-    tables = {n_rest: _labelings(every, counts, n_rest, pair, orbits)
+    counts = np.bitwise_count(np.arange(1 << n_sites, dtype=dtype))
+    tables = {n_rest: _labelings(n_rest, pair, orbits, dtype)
               for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
     total = _family_count(n_sites, sizes, orbits=orbits)
     out = np.empty((3, total), dtype=dtype)

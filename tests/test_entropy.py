@@ -1,7 +1,7 @@
 """Schmidt spectra, subset entropy tables, MI and TMI."""
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -145,7 +145,6 @@ def grids_from_site_lists(basis, mask):
     is the basis rank of their union.
     """
     n, k = basis.n_sites, basis.n_excitations
-    rank = {int(s): i for i, s in enumerate(basis.states)}
     inside = [s for s in range(n) if mask >> s & 1]
     outside = [s for s in range(n) if not mask >> s & 1]
 
@@ -156,9 +155,23 @@ def grids_from_site_lists(basis, mask):
     for j in range(k + 1):
         rows, cols = patterns(inside, j), patterns(outside, k - j)
         if rows and cols:
-            grids.append(np.array([[rank[r | c] for c in cols] for r in rows],
-                                  dtype=np.int32))
+            grids.append(basis.rank_many(np.bitwise_or.outer(rows, cols)).astype(np.int32))
     return grids
+
+
+def groups_from_site_lists(basis, reps):
+    """A plan's groups as a loop over representatives makes them.
+
+    Each representative's site-list grids, split by split, join the stack
+    of their shape; the stacks come in order of each shape's first grid.
+    """
+    groups = {}
+    for rep_id, mask in enumerate(reps.tolist()):
+        for grid in grids_from_site_lists(basis, mask):
+            grids, ids = groups.setdefault(grid.shape, ([], []))
+            grids.append(grid)
+            ids.append(rep_id)
+    return [(np.stack(grids), np.array(ids)) for grids, ids in groups.values()]
 
 
 @pytest.mark.parametrize("n, k", [(8, 4), (10, 3), (12, 1), (12, 6)])
@@ -176,6 +189,29 @@ def test_block_grids_match_site_list_construction(n, k):
         for grid, ref in zip(found, expected):
             assert grid.dtype == np.int32
             assert np.array_equal(grid, ref), (n, k, mask)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11, 12])
+@pytest.mark.parametrize("half", [False, True], ids=["k1", "half-filling"])
+def test_plan_stacks_match_site_list_grids(monkeypatch, n, half):
+    # every mask, the contiguous family's and the orbit set's read masks,
+    # reflected and not; the stacks are filled in place a sort chunk at a
+    # time, and a chunk of one representative must give the same arrays
+    basis = enumerate_sector(n, n // 2 if half else 1)
+    families = [None, enumerate_partitions(n, "contiguous").read_masks,
+                enumerate_partitions(n, "all", orbits=True).read_masks]
+    for masks, reflected in product(families, (False, True)):
+        plan = EntropyTablePlan(basis, masks, reflected)
+        with monkeypatch.context() as patch:
+            patch.setattr(entropy, "_SORT_CHUNK_BYTES", 1)
+            one_by_one = EntropyTablePlan(basis, masks, reflected)
+        expected = groups_from_site_lists(basis, plan.reps)
+        for groups in (plan.groups, one_by_one.groups):
+            assert len(groups) == len(expected)
+            for (stack, ids), (ref_stack, ref_ids) in zip(groups, expected):
+                assert stack.dtype == np.int32 and ids.dtype == np.int64
+                np.testing.assert_array_equal(stack, ref_stack)
+                np.testing.assert_array_equal(ids, ref_ids)
 
 
 class TestSubsetEntropyTable:
@@ -420,6 +456,15 @@ class TestPlanBudget:
     @pytest.mark.parametrize("masks", [None, [0b1, 0b110, 0b11110000]],
                              ids=["full", "explicit"])
     def test_refused_before_any_grid(self, basis8, monkeypatch, masks):
+        # _block_index_grids cuts every grid of a build, a sort chunk of
+        # representatives at a time: a build within the budget calls it
+        chunks = []
+        cut = entropy._block_index_grids
+        monkeypatch.setattr(entropy, "_block_index_grids",
+                            lambda *args: chunks.append(args) or cut(*args))
+        EntropyTablePlan(basis8, masks)
+        assert chunks
+
         def no_grids(*args):
             raise AssertionError("an index grid was cut before the budget check")
 
@@ -445,9 +490,11 @@ class TestPlanBudget:
     @pytest.mark.parametrize("n, k, family, reflected", [
         (12, 6, "full", False), (12, 6, "contiguous", True), (14, 1, "full", False),
         (12, 0, "full", False), (14, 7, "one mask", False), (12, 6, "full", True),
+        (16, 8, "contiguous", False),
     ])
     def test_peak_within_guard(self, monkeypatch, n, k, family, reflected):
-        # the bytes the guard refuses above must cover the build's peak
+        # the bytes the guard refuses above must cover the build's peak; at
+        # N=16 a sort chunk holds 40 of the 575 representatives
         basis = enumerate_sector(n, k)
         masks = {"full": None, "one mask": [0b1]}.get(family)
         if family == "contiguous":
@@ -466,6 +513,46 @@ class TestPlanBudget:
         assert len(needs) == 1
         assert peak <= needs[0]
 
+    def test_admits_a_plan_the_old_estimate_refused(self, monkeypatch):
+        # the N=12 half-filling full plan holds 7.6 MB of index stacks.  Its
+        # grids once sat in lists until each group was stacked, estimated at
+        # 10 B per (representative, state), 32 B per state and 600 B per
+        # block: 27.6 MB.  Filled in place it is estimated at 22.4 MB
+        basis = enumerate_sector(12, 6)
+        n_reps, blocks = 2047, 7
+        old = ((10 * n_reps + 32) * basis.dim + 600 * n_reps * blocks
+               + (2 << 12) + (1 << 16))
+        budget = 24_000_000
+        monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", budget)
+        needs = []
+        check = entropy.check_budget
+        monkeypatch.setattr(entropy, "check_budget",
+                            lambda subject, need, what: needs.append(need)
+                            or check(subject, need, what))
+        tracemalloc.start()
+        try:
+            plan = EntropyTablePlan(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.reps) == n_reps
+        assert old > budget >= needs[0] >= peak
+
+    def test_full_plan_peaks_near_its_stacks(self):
+        # the N=14 reflected half-filling plan: 4,159 representatives and
+        # 57.1 MB of index stacks.  Stacked from lists of grids it peaked at
+        # 121.6 MB; filled in place, at the stacks and one sort chunk
+        basis = enumerate_sector(14, 7)
+        tracemalloc.start()
+        try:
+            plan = EntropyTablePlan(basis, None, reflected=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacks = sum(stack.nbytes for stack, _ in plan.groups)
+        assert stacks == entropy._INDEX_BYTES * len(plan.reps) * basis.dim
+        assert peak <= 1.25 * stacks
+
     def test_full_plan_counts_its_representatives_exactly(self, monkeypatch):
         # the guard counts the orbits of every mask before any 2^N array exists
         counts = []
@@ -479,7 +566,7 @@ class TestPlanBudget:
 
     def test_contiguous_plan_admitted_at_n20(self, monkeypatch):
         # the reflected plan over the contiguous family's masks: 589
-        # representatives, counted before any grid is cut, about 1.0 GiB
+        # representatives, counted before any grid is cut, about 0.45 GB
         class Estimated(Exception):
             pass
 

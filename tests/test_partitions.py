@@ -277,6 +277,49 @@ class TestEnumeration:
         finally:
             partitions._enumerate_cached.cache_clear()
 
+    @pytest.mark.parametrize("pair, orbits", [(None, False), (None, True), ((1, 1), False),
+                                              ((1, 2), False), ((2, 3), False)])
+    def test_labelings_match_brute_force(self, pair, orbits):
+        # every bit to B, to C or to neither; disjoint nonempty beta < gamma
+        # with popcounts pair (any order), and for orbits a union that lacks
+        # the top bit or is every bit; sorted by (beta, gamma)
+        for n_bits in range(1, 10):
+            top, full = 1 << (n_bits - 1), (1 << n_bits) - 1
+            expected = []
+            for labels in product(range(3), repeat=n_bits):
+                beta, gamma = (sum(1 << i for i, x in enumerate(labels) if x == part)
+                               for part in (1, 2))
+                union = beta | gamma
+                if (0 < beta < gamma
+                        and (pair is None or sorted((beta.bit_count(), gamma.bit_count()))
+                             == sorted(pair))
+                        and (not orbits or union < top or union == full)):
+                    expected.append((beta, gamma))
+            beta, gamma = partitions._labelings(n_bits, pair, orbits, mask_dtype(n_bits + 1))
+            assert beta.dtype == gamma.dtype == mask_dtype(n_bits + 1)
+            assert list(zip(beta.tolist(), gamma.tolist())) == sorted(expected), n_bits
+
+    @pytest.mark.parametrize("n, strategy, orbits", [(12, "all", True),
+                                                     (20, "fixed:3,3,3", False)])
+    def test_enumeration_peak_within_its_estimate(self, monkeypatch, n, strategy, orbits):
+        # the labeling tables' ternary doubling included; N=20 fixed:3,3,3
+        # holds 47M triples of int32 masks, 0.57 GB
+        needs = []
+        check = partitions.check_budget
+        monkeypatch.setattr(partitions, "check_budget",
+                            lambda subject, need, what: needs.append(need)
+                            or check(subject, need, what))
+        partitions._enumerate_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            pset = enumerate_partitions(n, strategy, orbits=orbits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            partitions._enumerate_cached.cache_clear()
+        assert len(needs) == 1
+        assert 3 * pset.a.nbytes < peak <= needs[0]
+
     def test_covers_chain_flag(self):
         # n_covering counts the triples that covers_chain flags
         pset = enumerate_partitions(6, "contiguous")
@@ -651,6 +694,26 @@ class TestOrbitReducedScan:
         finally:
             tracemalloc.stop()
         assert n_chunks == 3885 and peak < 2 * 16 * n_chunks
+
+    @pytest.mark.parametrize("strategy, orbits", [
+        ("all", False), ("all", True), ("fixed:2,3,4", False), ("fixed:3,3,3", False),
+        ("fixed:1,1,6", False), ("fixed:4,4,4", False)])
+    def test_family_read_masks_by_popcount(self, monkeypatch, strategy, orbits):
+        # a family's read masks come from the popcounts its part sizes sum
+        # to, with no pass over its triples; they are the masks its
+        # triples' lookups hold
+        sizes = parse_strategy(strategy)[1] or (1, 1, 1)
+        for n in range(max(3, sum(sizes)), 13):
+            partitions._enumerate_cached.cache_clear()
+            pset = enumerate_partitions(n, strategy, orbits=orbits)
+            seen = np.zeros(1 << n, dtype=bool)
+            seen[lookup_masks(pset)] = True
+            with monkeypatch.context() as patch:
+                patch.setattr(PartitionSet, "_lookups", None)
+                masks = pset.read_masks
+            np.testing.assert_array_equal(masks, np.flatnonzero(seen), err_msg=f"{n}")
+            assert masks.dtype == np.int64 and not masks.flags.writeable
+        partitions._enumerate_cached.cache_clear()
 
     def test_read_masks_refused_before_the_presence_table(self, monkeypatch):
         # 2^30 flags of presence are 1.1 GB, over a 0.5 GiB budget
