@@ -205,8 +205,9 @@ def _images(masks: np.ndarray, n_sites: int, reflected: bool) -> list:
 
 def _representatives(masks: np.ndarray, n_sites: int, reflected: bool) -> np.ndarray:
     """The least mask of each orbit of ``masks`` but {0, full}'s, ascending."""
-    least = np.unique(np.minimum.reduce(_images(masks, n_sites, reflected)))
-    return least[least != 0]
+    least = np.sort(np.minimum.reduce(_images(masks, n_sites, reflected)))
+    # distinct and nonzero: the sorted leasts that differ from their predecessor
+    return least[np.diff(least, prepend=0) != 0]
 
 
 class EntropyTablePlan:
@@ -283,7 +284,7 @@ class EntropyTablePlan:
                   for size, i in zip(sizes, np.sort(seen))]
         # each chunk of one popcount's representatives is sorted once and
         # its blocks written straight to their slots
-        for a in np.unique(pops):
+        for a in np.flatnonzero(np.bincount(pops)):
             of_a = np.flatnonzero(pops == a)
             for start in range(0, len(of_a), chunk):
                 part = of_a[start:start + chunk]

@@ -19,7 +19,7 @@ through one stored triple per {A, B, C, D} orbit, about a quarter of it.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -34,11 +34,6 @@ ALL_ASSIGNMENTS = "all-assignments"
 CONTIGUOUS_BLOCKS = "contiguous-blocks"
 FIXED_SIZES = "fixed-sizes"
 
-# Scratch bytes per mask of the chain (2^N) that enumerating a family of
-# assignments holds beside its masks and labeling tables: the masks 0..2^N-1
-# (up to 8), their popcounts (1) and the choices of A (a flag and up to 8 B
-# each); per A it only adds tables of about 2^(N/2) submasks
-SCRATCH_BYTES_PER_MASK = 32
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
 # Bytes of one block of TMI values in tmi_extrema (its scratch holds eight
@@ -112,9 +107,9 @@ class PartitionSet:
         n = self.n_sites
         if self.strategy.partition(":")[0] in (ALL_ASSIGNMENTS, FIXED_SIZES):
             sizes = parse_strategy(self.strategy)[1]
-            counts = range(1, n + 1) if sizes is None else \
-                {sum(part) for r in (1, 2, 3) for part in combinations(sizes, r)}
-            masks = np.sort(np.concatenate([SectorBasis(n, p).states for p in counts]))
+            masks = _masks_of_popcounts(n, range(1, n + 1) if sizes is None else
+                                        {sum(part) for r in (1, 2, 3)
+                                         for part in combinations(sizes, r)})
         else:
             # the table, the masks and the lookup buffer are guarded first
             rows = _BLOCK_BYTES // 8
@@ -170,6 +165,11 @@ class PartitionSet:
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
         """TMI of every triple from one subset-entropy table (rows per triple)."""
         return self._tmi_block(table)[0]
+
+
+def _masks_of_popcounts(n_sites: int, counts) -> np.ndarray:
+    """The int64 masks of ``n_sites`` bits whose popcount is in ``counts``, ascending."""
+    return np.sort(np.concatenate([SectorBasis(n_sites, p).states for p in counts]))
 
 
 def _narrow(masks, dtype) -> np.ndarray:
@@ -287,12 +287,12 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
     positions keeps their order and popcounts, so (beta, gamma) order is
     (b, c) order; the rows with b > a form a suffix of the table.  The
     deposit looks each label up in two tables of R's submasks
-    (bits.submask_tables), so no A costs a pass over all 2^N masks.  A never
+    (bits.submask_tables), so no A costs a pass over all 2^N masks; the As
+    are listed from the sector bases of their popcounts.  A never
     holds the top site, the top bit of R, so with ``orbits`` the tables
     keep the labelings that leave it to D or leave D empty.
     """
     dtype = mask_dtype(n_sites)
-    counts = np.bitwise_count(np.arange(1 << n_sites, dtype=dtype))
     tables = {n_rest: _labelings(n_rest, pair, orbits, dtype)
               for n_rest, pair in _rest_sizes(n_sites, sizes).items()}
     total = _family_count(n_sites, sizes, orbits=orbits)
@@ -300,7 +300,7 @@ def _enumerate_assignments(n_sites: int, sizes=None, orbits: bool = False) -> Pa
     # np.take would copy a narrower index to intp, label by label
     lookup = np.empty(max(len(beta) for beta, _ in tables.values()), dtype=np.intp)
     pos, full = 0, (1 << n_sites) - 1
-    for a in map(int, np.flatnonzero(np.isin(counts, [n_sites - n for n in tables]))):
+    for a in map(int, _masks_of_popcounts(n_sites, [n_sites - n for n in tables])):
         beta, gamma = tables[n_sites - a.bit_count()]
         rest = full ^ a
         # a submask of the rest (disjoint from a) is below a exactly when it
@@ -376,30 +376,6 @@ def parse_strategy(text: str):
     return FIXED_SIZES, sizes
 
 
-@lru_cache(maxsize=4)
-def _enumerate_cached(n_sites: int, strategy: str, sizes, orbits: bool):
-    if strategy == CONTIGUOUS_BLOCKS:
-        return _enumerate_contiguous_blocks(n_sites)
-    if strategy == ALL_ASSIGNMENTS:
-        name = "all-assignments family"
-    elif strategy == FIXED_SIZES:
-        if sum(sizes) > n_sites:
-            raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
-        name = f"fixed-sizes family {','.join(map(str, sizes))}"
-    else:
-        raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
-    count = _family_count(n_sites, sizes, orbits=orbits)
-    labels = [_family_count(n_rest, pair, 2, orbits)
-              for n_rest, pair in _rest_sizes(n_sites, sizes).items()]
-    # three masks per triple; beta, gamma and gamma's pieces per row of the
-    # (B, C) labeling tables; an intp lookup index as long as the largest
-    need = 3 * mask_dtype(n_sites).itemsize * (count + sum(labels)) + 8 * max(labels)
-    check_budget(f"{name} of {n_sites} sites has {count:,} "
-                 f"{'orbit representatives' if orbits else 'triples'}",
-                 need + (SCRATCH_BYTES_PER_MASK << n_sites), "of masks and scratch")
-    return _enumerate_assignments(n_sites, sizes, orbits)
-
-
 def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
                          orbits: bool = False) -> PartitionSet:
     """All canonical partition triples of a family, named as parse_strategy reads it.
@@ -419,7 +395,27 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
     strategy, sizes = parse_strategy(strategy)
     if n_sites < 3:
         raise ValueError(f"need at least 3 sites to form a triple, got {n_sites}")
-    return _enumerate_cached(n_sites, strategy, sizes, orbits and strategy == ALL_ASSIGNMENTS)
+    if strategy == CONTIGUOUS_BLOCKS:
+        return _enumerate_contiguous_blocks(n_sites)
+    if strategy == ALL_ASSIGNMENTS:
+        name = "all-assignments family"
+    elif strategy == FIXED_SIZES:
+        if sum(sizes) > n_sites:
+            raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
+        name = f"fixed-sizes family {','.join(map(str, sizes))}"
+        orbits = False
+    else:
+        raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
+    count = _family_count(n_sites, sizes, orbits=orbits)
+    labels = [_family_count(n_rest, pair, 2, orbits)
+              for n_rest, pair in _rest_sizes(n_sites, sizes).items()]
+    # three masks per triple; beta, gamma and gamma's pieces per row of the
+    # (B, C) labeling tables; an intp lookup index as long as the largest
+    need = 3 * mask_dtype(n_sites).itemsize * (count + sum(labels)) + 8 * max(labels)
+    check_budget(f"{name} of {n_sites} sites has {count:,} "
+                 f"{'orbit representatives' if orbits else 'triples'}",
+                 need, "of masks and scratch")
+    return _enumerate_assignments(n_sites, sizes, orbits)
 
 
 def _first_within(vals: np.ndarray, lo, hi) -> tuple:
@@ -488,7 +484,7 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     k_max = _first_within(block_hi, lo, hi)[1]
     i_min = np.empty(n_t, dtype=np.int64)
     i_max = np.empty(n_t, dtype=np.int64)
-    for k in np.union1d(k_min, k_max):
+    for k in {*k_min.tolist(), *k_max.tolist()}:
         first_lo, first_hi = _first_within(block(k)[0], lo, hi)
         at_min, at_max = k_min == k, k_max == k
         i_min[at_min] = k * rows + first_lo[at_min]

@@ -1,19 +1,23 @@
 """Experiment runners: sweep orchestration behind the CLI subcommands.
 
-Every runner is one loop over the coupling exponents.  ``_sweep`` first
-resolves the partition set with ``RunConfig.partition_set``, so a
-partition setting the runner cannot honour is refused before any work.
-The task ``_exponent`` builds an exponent's coupling, physical times
-(the configured grid, divided by the Kac constant when ``kac_rescaled``
-is set: the one place Kac units are converted) and ``alpha``/``t``/
-``t_kac`` columns, and calls the runner's reducer, a module-level
-``rows(cfg, pset, coupling, times) -> (columns, extra)``; ``extra``
-carries what the runner needs beyond per-time columns.
-Every reducer reads ``_table``: the plan's time-batched subset-entropy
-table (a column per time) and the evolved states it came from.
-``_sweep`` maps the task over the exponents, in a process pool when
-SPINCHAIN_THREADS asks for one, and stacks the columns in sweep order
-either way, so the emitted files do not depend on the worker count.
+Every runner is one loop over the coupling exponents.  What they share is
+set up once per run by ``_setup``, in this order: the partition set from
+``RunConfig.partition_set`` (a partition setting the runner cannot honour
+is refused before any work), the initial state, the propagation size
+guard, and one entropy plan over the masks the set reads plus the
+runner's extra masks, reflected when every exponent's quench is
+reflection invariant.  So a refusal costs neither a plan nor a product.
+``_sweep`` runs the set-up, then maps ``_exponent`` over the exponents,
+in a process pool when SPINCHAIN_THREADS asks for one; the pool's forked
+workers inherit the cached set-up.  ``_exponent`` builds an exponent's
+coupling and physical times (the configured grid, divided by the Kac
+constant when ``kac_rescaled`` is set: the one place Kac units are
+converted), evolves the state, evaluates the plan into a time-batched
+table (a column per time) and calls the runner's reducer, a module-level
+``rows(cfg, pset, table, states, times) -> (columns, extra)``; ``extra``
+carries what the runner needs beyond per-time columns.  The columns are
+stacked in sweep order either way, so the emitted files do not depend on
+the worker count.
 The module holds the runners alone: the oracles and the checks behind
 the CLI's ``validate`` live in ``reference``, which no runner imports.
 """
@@ -79,20 +83,6 @@ def _initial_state(cfg: RunConfig):
     return single_excitation_state(enumerate_sector(cfg.n_sites, 1), cfg.resolved_site())
 
 
-def _plan_for(basis, pset: PartitionSet, *extra, reflected: bool) -> EntropyTablePlan:
-    """Plan over the masks a partition set reads, plus ``extra`` masks."""
-    # an int array for extra: no extras would make union1d's result float
-    masks = tuple(np.union1d(pset.read_masks, np.array(extra, dtype=np.int64)).tolist())
-    return _cached_plan(basis.n_sites, basis.n_excitations, masks, reflected)
-
-
-@lru_cache(maxsize=1)
-def _cached_plan(n_sites: int, n_excitations: int, masks: tuple,
-                 reflected: bool) -> EntropyTablePlan:
-    # one plan per process: every exponent of a sweep reuses it
-    return EntropyTablePlan(enumerate_sector(n_sites, n_excitations), masks, reflected)
-
-
 def _base_meta(cfg: RunConfig, **extra) -> dict:
     meta = {
         "package": f"spinchain {__version__}",
@@ -111,33 +101,57 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
 
 # -- the sweep skeleton ---------------------------------------------------------
 
-def _exponent(cfg: RunConfig, rows, scan: bool, label: str, spec: ModelSpec):
+@lru_cache(maxsize=1)
+def _setup(cfg: RunConfig, scan: bool, extra_masks: tuple, insets: tuple):
+    """The partition set, initial state and entropy plan a run shares.
+
+    ``scan`` says whether the runner takes a partition family (see
+    RunConfig.partition_set).  The plan covers the masks the set reads
+    plus ``extra_masks``, and is reflected when the quench of every
+    exponent, ``insets`` too, is reflection invariant (every Neel quench
+    is).  The size guards run before the plan is built, so a refusal
+    costs no plan.  One set-up per process: every exponent of a sweep,
+    in a forked worker too, reuses it.
+    """
+    pset = cfg.partition_set(scan)
+    psi0 = _initial_state(cfg)
+    couplings = [coupling_matrix(spec) for _, spec in cfg.sweep() + list(insets)]
+    check_sizes(couplings[0], psi0.basis, cfg.n_points)
+    reflected = all(reflection_invariant(coupling, psi0) for coupling in couplings)
+    # a plain concatenation: the plan keeps one representative per orbit
+    masks = pset.read_masks.tolist() + list(extra_masks)
+    return pset, psi0, EntropyTablePlan(psi0.basis, masks, reflected)
+
+
+def _exponent(cfg: RunConfig, rows, scan: bool, extra_masks: tuple, insets: tuple,
+              label: str, spec: ModelSpec):
     """Columns of one exponent (alpha, t, t_kac, then the reducer's) and its extra."""
+    pset, psi0, plan = _setup(cfg, scan, extra_masks, insets)
     coupling = coupling_matrix(spec)
     grid = _grid(cfg)
     t = grid / coupling.kac if cfg.kac_rescaled else grid
-    # resolved again rather than shipped to a worker: an enumerated family
-    # comes from enumerate_partitions' cache, which a forked worker inherits
     try:
-        columns, extra = rows(cfg, cfg.partition_set(scan), coupling, t)
+        states = evolve(coupling, psi0, t)
+        columns, extra = rows(cfg, pset, plan.evaluate(states), states, t)
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"{exc} (alpha={label})") from exc
     return {"alpha": [label] * len(t), "t": t.tolist(),
             "t_kac": (t * coupling.kac).tolist(), **columns}, extra
 
 
-def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
+def _sweep(cfg: RunConfig, rows, column_order, scan: bool, extra_masks=(), insets=()):
     """Run the reducer ``rows`` for every sweep exponent, then every inset.
 
-    ``scan`` says whether the runner takes a partition family (see
-    RunConfig.partition_set).  Returns the partition set, the sweep
-    exponents' columns stacked in ``column_order``, and the (label, extra)
-    pair of every exponent, insets last.
+    Sets the run up (``_setup``) before any exponent runs.  Returns the
+    partition set, the sweep exponents' columns stacked in
+    ``column_order``, and the (label, extra) pair of every exponent,
+    insets last.
     """
-    pset = cfg.partition_set(scan)
+    pset = _setup(cfg, scan, extra_masks, insets)[0]
     sweep = cfg.sweep()
     exponents = sweep + list(insets)
-    results = _pmap(_exponent, [(cfg, rows, scan, label, spec) for label, spec in exponents])
+    results = _pmap(_exponent, [(cfg, rows, scan, extra_masks, insets, label, spec)
+                                for label, spec in exponents])
     stacked = {name: [] for name in column_order}
     for columns, _ in results[:len(sweep)]:
         for name in column_order:
@@ -145,29 +159,9 @@ def _sweep(cfg: RunConfig, rows, column_order, scan: bool, insets=()):
     return pset, stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
 
 
-def _table(cfg: RunConfig, coupling, times, pset: PartitionSet, *extra_masks):
-    """Time-batched subset-entropy table (a column per time) and the states.
-
-    The initial state of ``cfg`` is quenched under ``coupling``; the table
-    holds the masks ``pset`` reads plus ``extra_masks``, and the states
-    are evolve's (n_times, dim) array.  A reflection invariant
-    quench (every Neel quench) evaluates one of each mirror pair.
-    The size guards run before the plan is built, and the plan before any
-    propagation, so a refusal costs neither.
-    """
-    psi0 = _initial_state(cfg)
-    basis = psi0.basis
-    check_sizes(coupling, basis, len(times))
-    plan = _plan_for(basis, pset, *extra_masks,
-                     reflected=reflection_invariant(coupling, psi0))
-    states = evolve(coupling, psi0, times)
-    return plan.evaluate(states), states
-
-
 # -- tmi-grid ----------------------------------------------------------------
 
-def _grid_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    table, _ = _table(cfg, coupling, times, pset)
+def _grid_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
     return {"tmi": pset.tmi_values(table)[0].tolist()}, None
 
 
@@ -191,17 +185,16 @@ def _half_mask(cfg: RunConfig) -> int:
     return (1 << (cfg.n_sites // 2)) - 1
 
 
-def _entropy_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    half = _half_mask(cfg)
-    table, _ = _table(cfg, coupling, times, pset, half)
+def _entropy_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
     return {"tmi": pset.tmi_values(table)[0].tolist(),
-            "half_chain_entropy": table.gather(half).tolist()}, None
+            "half_chain_entropy": table.gather(_half_mask(cfg)).tolist()}, None
 
 
 def run_tmi_vs_entropy(cfg: RunConfig) -> list:
     """Quarter-partition TMI and half-chain entropy per coupling exponent."""
     pset, columns, _ = _sweep(cfg, _entropy_rows,
-                              ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"), scan=False)
+                              ("alpha", "t_kac", "t", "tmi", "half_chain_entropy"), scan=False,
+                              extra_masks=(_half_mask(cfg),))
     a, b, c = pset[0]
     meta = _base_meta(cfg, partition_a=a, partition_b=b, partition_c=c,
                       half_chain_mask=_half_mask(cfg))
@@ -214,8 +207,7 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
                    "argmin_a", "argmin_b", "argmin_c", "argmax_a", "argmax_b", "argmax_c")
 
 
-def _minmax_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    table, _ = _table(cfg, coupling, times, pset)
+def _minmax_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
     scan = tmi_extrema(pset, table, times, proper=True)
     proper = scan.min_proper
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist(),
@@ -239,8 +231,8 @@ def run_minmax_scan(cfg: RunConfig) -> list:
     at which the minimal TMI turns negative (None when it never does).
     """
     main_labels = [label for label, _ in cfg.sweep()]
-    insets = [(f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
-              for a in cfg.inset_alphas if f"{a:g}" not in main_labels]
+    insets = tuple((f"{a:g}", ModelSpec(cfg.n_sites, j0=cfg.j0, alpha=a))
+                   for a in cfg.inset_alphas if f"{a:g}" not in main_labels)
     pset, columns, extras = _sweep(cfg, _minmax_rows, (*_TIME_COLUMNS, *_MINMAX_COLUMNS),
                                    scan=True, insets=insets)
     summary = {"alpha": [label for label, _ in extras],
@@ -257,8 +249,7 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 
 # -- onebody-scan --------------------------------------------------------------
 
-def _onebody_rows(cfg: RunConfig, pset: PartitionSet, coupling, times):
-    table, states = _table(cfg, coupling, times, pset)
+def _onebody_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
     scan = tmi_extrema(pset, table, times)
     # k=1 basis states ascend as 1 << site, so column m is site m
     occupations = np.abs(states) ** 2

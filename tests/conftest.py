@@ -11,7 +11,16 @@ from spinchain import (
     enumerate_sector,
     evolve,
     neel_state,
+    runs,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_run_setup():
+    """Every test sets its runs up afresh: a cached set-up would outlive the
+    patches and the budget of the test that built it."""
+    yield
+    runs._setup.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -170,14 +170,15 @@ class TestExitCodes:
         # one NaN entropy in the onebody runner's table reaches the TMI of
         # every triple that reads it
         from spinchain import runs
-        real_table = runs._table
 
-        def one_nan(*args):
-            table, states = real_table(*args)
-            table.values[1, 2] = np.nan
-            return table, states
+        class OneNan(runs.EntropyTablePlan):
+            def evaluate(self, amplitudes):
+                table = super().evaluate(amplitudes)
+                if table.values.ndim == 2:  # the time-batched table
+                    table.values[1, 2] = np.nan
+                return table
 
-        monkeypatch.setattr(runs, "_table", one_nan)
+        monkeypatch.setattr(runs, "EntropyTablePlan", OneNan)
         monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # patch lives in this process
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
@@ -230,7 +231,7 @@ class TestExitCodes:
         code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "20",
                         "--partitions", "fixed:4,4,4", "--out", str(out_dir)])
         assert code == 3
-        assert ("fixed-sizes family 4,4,4 of 20 sites has 727,476,750 triples, about 8.8 GB"
+        assert ("fixed-sizes family 4,4,4 of 20 sites has 727,476,750 triples, about 8.7 GB"
                 in capsys.readouterr().err)
         assert not out_dir.exists()
 
@@ -426,6 +427,27 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestOneSetUp:
+    def test_workers_inherit_the_plan(self, tmp_path, monkeypatch):
+        # the sweep builds the plan before the pool forks; a worker that
+        # built one of its own would raise, and the run would not exit 0
+        from spinchain import runs
+        parent = os.getpid()
+
+        class ParentOnly(runs.EntropyTablePlan):
+            def __init__(self, *args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError("a worker built an entropy plan")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runs, "EntropyTablePlan", ParentOnly)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "2")
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        assert run_cli(["minmax-scan", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 0
+
+
 def test_runtime_imports_leave_scipy_linalg_out():
     # only the reference oracles use scipy; the runtime modules import
     # numpy alone
@@ -441,7 +463,8 @@ def test_runtime_imports_leave_scipy_linalg_out():
 
 def test_serial_run_imports_no_oracles_or_pool(tmp_path):
     # a one-worker run of every runner loads no scipy module (only the
-    # oracles use scipy) and not the process pool
+    # oracles use scipy), not the process pool and not numpy.ma (which a
+    # plain np.unique or np.union1d imports on its first call)
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinchain.__file__)))
     env = dict(os.environ, SPINCHAIN_THREADS="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -454,7 +477,7 @@ def test_serial_run_imports_no_oracles_or_pool(tmp_path):
         "assert main(['onebody-scan', '--config', 'one.cfg', '--partitions', 'all',\n"
         "             '--out', 'out']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "             or m == 'concurrent.futures.process'))\n")
+        "             or m in ('concurrent.futures.process', 'numpy.ma')))\n")
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"

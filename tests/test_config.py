@@ -206,8 +206,9 @@ class TestPartitionSet:
         from spinchain import enumerate_partitions
 
         cfg = RunConfig(n_sites=8, alphas=(1.0,), strategy="fixed:1,2,2")
-        pset = cfg.partition_set(scan=True)
-        assert pset is enumerate_partitions(8, "fixed:1,2,2")
+        pset, family = cfg.partition_set(scan=True), enumerate_partitions(8, "fixed:1,2,2")
+        assert pset.strategy == family.strategy and not pset.orbits
+        assert [pset[i] for i in range(len(pset))] == [family[i] for i in range(len(family))]
         with pytest.raises(ConfigError, match="partition family"):
             cfg.partition_set(scan=False)
 

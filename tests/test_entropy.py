@@ -398,39 +398,70 @@ class TestReflectedPlans:
                 built.append(self)
 
         monkeypatch.setattr(runs, "EntropyTablePlan", Recorded)
-        runs._cached_plan.cache_clear()
-        yield built
-        runs._cached_plan.cache_clear()
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # the patch lives in this process
+        return built
 
     @staticmethod
-    def _run_table(cfg, coupling):
-        pset = enumerate_partitions(cfg.n_sites, "contiguous")
-        runs._table(cfg, coupling, runs._grid(cfg), pset)
+    def _scan(cfg):
+        """Run a contiguous minmax scan of ``cfg``; the sector basis and the masks it reads."""
+        cfg = cfg.replace(strategy="contiguous")
+        runs.run_minmax_scan(cfg)
         basis = runs._initial_state(cfg).basis
-        return basis, pset.read_masks
+        return basis, enumerate_partitions(cfg.n_sites, "contiguous").read_masks
+
+    @staticmethod
+    def _skew(monkeypatch, alphas):
+        """Make the runners' couplings of ``alphas`` lose their reflection symmetry."""
+        build = runs.coupling_matrix
+        monkeypatch.setattr(runs, "coupling_matrix", lambda spec: skewed_coupling(
+            spec.n_sites, spec.alpha) if spec.alpha in alphas else build(spec))
 
     @pytest.mark.parametrize("initial_state, site, skewed", [
         ("single", 2, False),  # an off-centre excitation
         ("neel", None, True),  # couplings that are not reflection symmetric
     ])
-    def test_runner_keeps_general_plan_without_symmetry(self, built_plans, initial_state,
-                                                        site, skewed):
+    def test_runner_keeps_general_plan_without_symmetry(self, built_plans, monkeypatch,
+                                                        initial_state, site, skewed):
         cfg = RunConfig(n_sites=8, alphas=(0.6,), initial_state=initial_state,
                         initial_site=site, n_points=3, t_max=1.0)
-        coupling = skewed_coupling(8) if skewed else coupling_matrix(cfg.sweep()[0][1])
-        basis, masks = self._run_table(cfg, coupling)
+        if skewed:
+            self._skew(monkeypatch, (0.6,))
+        basis, masks = self._scan(cfg)
         (plan,) = built_plans
         general = EntropyTablePlan(basis, masks).reps
         assert len(EntropyTablePlan(basis, masks, reflected=True).reps) < len(general)
         np.testing.assert_array_equal(plan.reps, general)
 
+    @pytest.mark.parametrize("alphas, insets", [((0.6, 2.0), ()), ((0.6,), (2.0,))])
+    def test_one_asymmetric_quench_keeps_the_general_plan(self, built_plans, monkeypatch,
+                                                          alphas, insets):
+        # the run's one plan is reflected only if every exponent's quench,
+        # insets included, is reflection invariant
+        cfg = RunConfig(n_sites=8, alphas=alphas, inset_alphas=insets, n_points=3, t_max=1.0)
+        self._skew(monkeypatch, (2.0,))
+        basis, masks = self._scan(cfg)
+        (plan,) = built_plans
+        np.testing.assert_array_equal(plan.reps, EntropyTablePlan(basis, masks).reps)
+
+    def test_runner_reflects_a_symmetric_quench(self, built_plans):
+        cfg = RunConfig(n_sites=8, alphas=(0.6, 2.0), inset_alphas=(1.0,), n_points=3,
+                        t_max=1.0)
+        basis, masks = self._scan(cfg)
+        (plan,) = built_plans
+        reflected = EntropyTablePlan(basis, masks, reflected=True).reps
+        assert len(reflected) < len(EntropyTablePlan(basis, masks).reps)
+        np.testing.assert_array_equal(plan.reps, reflected)
+
     def test_time_batched_table_has_a_row_per_representative(self, built_plans):
         # the N=12 contiguous scan plans 299 masks (the 298 it reads and the
         # empty set) and keeps 121 reflected representatives and the zero row
-        cfg = RunConfig(n_sites=12, alphas=(0.6,), n_points=3, t_max=1.0)
+        cfg = RunConfig(n_sites=12, alphas=(0.6,), n_points=3, t_max=1.0,
+                        strategy="contiguous")
+        (label, spec), = cfg.sweep()
+        _, (table, states) = runs._exponent(
+            cfg, lambda cfg, pset, table, states, times: ({}, (table, states)),
+            True, (), (), label, spec)
         pset = enumerate_partitions(12, "contiguous")
-        table, states = runs._table(cfg, coupling_matrix(cfg.sweep()[0][1]),
-                                    runs._grid(cfg), pset)
         (plan,) = built_plans
         assert len(np.union1d(pset.read_masks, [0])) == 299
         assert table.values.shape == (len(plan.reps) + 1, 3) == (122, 3)
@@ -438,16 +469,6 @@ class TestReflectedPlans:
         for k, state in enumerate(states):
             np.testing.assert_array_equal(table.gather(pset.read_masks)[:, k],
                                           plan.evaluate(state).gather(pset.read_masks))
-
-    def test_cached_plan_keys_on_reflection(self, built_plans):
-        cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0)
-        basis, masks = self._run_table(cfg, coupling_matrix(cfg.sweep()[0][1]))
-        self._run_table(cfg, skewed_coupling(8))
-        reflected, general = built_plans
-        np.testing.assert_array_equal(
-            reflected.reps, EntropyTablePlan(basis, masks, reflected=True).reps)
-        np.testing.assert_array_equal(general.reps, EntropyTablePlan(basis, masks).reps)
-        assert len(reflected.reps) < len(general.reps)
 
 
 class TestPlanBudget:
@@ -584,19 +605,16 @@ class TestPlanBudget:
     def test_table_refuses_before_propagation(self, monkeypatch):
         # the 3-state trajectory (12 KB with its Chebyshev vectors) fits the
         # budget and the plan over the contiguous family's masks does not
-        cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0)
-        pset = enumerate_partitions(8, "contiguous")
+        cfg = RunConfig(n_sites=8, alphas=(0.6,), n_points=3, t_max=1.0,
+                        strategy="contiguous")
         calls = []
         apply = SectorHamiltonian.apply
         monkeypatch.setattr(SectorHamiltonian, "apply",
                             lambda self, vec: calls.append(1) or apply(self, vec))
         monkeypatch.setattr("spinchain.errors.MEMORY_BUDGET", 50_000)
-        runs._cached_plan.cache_clear()
-        try:
-            with pytest.raises(CapacityError, match=r"sector \(8, 4\) entropy plan"):
-                runs._table(cfg, coupling_matrix(cfg.sweep()[0][1]), runs._grid(cfg), pset)
-        finally:
-            runs._cached_plan.cache_clear()
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # the patch lives in this process
+        with pytest.raises(CapacityError, match=r"sector \(8, 4\) entropy plan"):
+            runs.run_minmax_scan(cfg)
         assert calls == []
 
 

@@ -8,16 +8,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinchain import (
+    EntropyTablePlan,
     ModelSpec,
     PartitionSet,
     RunConfig,
     coupling_matrix,
     enumerate_partitions,
+    evolve,
     runs,
 )
 from spinchain import reference
 from spinchain.bits import bit_positions
 from spinchain.config import load_config
+from spinchain.model import reflection_invariant
 from spinchain.partitions import tmi_extrema
 from spinchain.reference import (
     _subset_probability_table,
@@ -40,11 +43,14 @@ def _occupations(coupling, site, times):
 
 
 def _runner_scan(spec, site, times, pset):
-    """The onebody runner's extrema: tmi_extrema over its table of the quench."""
+    """The onebody runner's extrema: tmi_extrema over the table its plan
+    (over the masks ``pset`` reads, reflected when the quench allows)
+    gives for the quench."""
     cfg = RunConfig(n_sites=spec.n_sites, alphas=(1.0,), initial_state="single",
                     initial_site=site)
-    table, _ = runs._table(cfg, coupling_matrix(spec), times, pset)
-    return tmi_extrema(pset, table, times)
+    psi0, coupling = runs._initial_state(cfg), coupling_matrix(spec)
+    plan = EntropyTablePlan(psi0.basis, pset.read_masks, reflection_invariant(coupling, psi0))
+    return tmi_extrema(pset, plan.evaluate(evolve(coupling, psi0, times)), times)
 
 
 class TestBinaryEntropy:

@@ -218,36 +218,30 @@ class TestEnumeration:
         calls = []
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
-        try:
-            # 694,337,290 triples of three int32 masks (8.3 GB), and the
-            # (B, C) labeling tables with their lookup index (0.19 GB): 8.5 GB
-            with pytest.raises(CapacityError, match="694,337,290 triples, about 8.5 GB"):
-                enumerate_partitions(16, "all")
-            assert calls == []
-            # 171,798,901 triples of three int16 masks, 1.07 GB with the
-            # tables: inside the budget
-            assert enumerate_partitions(15, "all") == 15
-            assert calls == [15]
-        finally:
-            partitions._enumerate_cached.cache_clear()
+        # 694,337,290 triples of three int32 masks (8.3 GB), and the
+        # (B, C) labeling tables with their lookup index (0.19 GB): 8.5 GB
+        with pytest.raises(CapacityError, match="694,337,290 triples, about 8.5 GB"):
+            enumerate_partitions(16, "all")
+        assert calls == []
+        # 171,798,901 triples of three int16 masks, 1.07 GB with the
+        # tables: inside the budget
+        assert enumerate_partitions(15, "all") == 15
+        assert calls == [15]
 
     def test_orbit_guard_counts_representatives(self, monkeypatch):
         calls = []
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
-        try:
-            # S(16,3) + S(16,4) = 178,940,587 representatives of three int32
-            # masks (2.1 GB), and the filtered labeling tables: 2.2 GB
-            with pytest.raises(CapacityError, match="178,940,587 orbit representatives, "
-                                                    "about 2.2 GB"):
-                enumerate_partitions(16, "all", orbits=True)
-            assert calls == []
-            # 44,731,051 representatives of three int16 masks, 0.28 GB with
-            # the tables: inside the budget
-            assert enumerate_partitions(15, "all", orbits=True) == 15
-            assert calls == [15]
-        finally:
-            partitions._enumerate_cached.cache_clear()
+        # S(16,3) + S(16,4) = 178,940,587 representatives of three int32
+        # masks (2.1 GB), and the filtered labeling tables: 2.2 GB
+        with pytest.raises(CapacityError, match="178,940,587 orbit representatives, "
+                                                "about 2.2 GB"):
+            enumerate_partitions(16, "all", orbits=True)
+        assert calls == []
+        # 44,731,051 representatives of three int16 masks, 0.28 GB with
+        # the tables: inside the budget
+        assert enumerate_partitions(15, "all", orbits=True) == 15
+        assert calls == [15]
 
     def test_fixed_sizes_count_matches_enumeration(self):
         for sizes in ((2, 2, 2), (1, 1, 2), (1, 2, 3)):
@@ -260,22 +254,19 @@ class TestEnumeration:
         calls = []
         monkeypatch.setattr(partitions, "_enumerate_assignments",
                             lambda n, *rest: calls.append(n) or n)
-        try:
-            # 727,476,750 triples of three int32 masks: 8.8 GB
-            with pytest.raises(CapacityError,
-                               match="727,476,750 triples, about 8.8 GB"):
-                enumerate_partitions(20, "fixed:4,4,4")
-            # 4,060 triples, but 32 B of scratch per mask of 30 sites: 34.4 GB
-            with pytest.raises(CapacityError, match="4,060 triples, about 34.4 GB"):
-                enumerate_partitions(30, "fixed:1,1,1")
-            assert calls == []
-            # 560,560 triples, 0.01 GB, and 107,207,100 of three int32
-            # masks, 1.3 GB: inside the budget
-            assert enumerate_partitions(14, "fixed:3,3,3") == 14
-            assert enumerate_partitions(18, "fixed:4,4,4") == 18
-            assert calls == [14, 18]
-        finally:
-            partitions._enumerate_cached.cache_clear()
+        # 727,476,750 triples of three int32 masks: 8.7 GB
+        with pytest.raises(CapacityError,
+                           match="727,476,750 triples, about 8.7 GB"):
+            enumerate_partitions(20, "fixed:4,4,4")
+        assert calls == []
+        # 560,560 triples, 0.01 GB, 107,207,100 of three int32 masks,
+        # 1.3 GB, and 4,060 on a 30-site chain, whose choices of A come
+        # from the sector bases with no pass over the 2^30 masks: inside
+        # the budget
+        assert enumerate_partitions(14, "fixed:3,3,3") == 14
+        assert enumerate_partitions(18, "fixed:4,4,4") == 18
+        assert enumerate_partitions(30, "fixed:1,1,1") == 30
+        assert calls == [14, 18, 30]
 
     @pytest.mark.parametrize("pair, orbits", [(None, False), (None, True), ((1, 1), False),
                                               ((1, 2), False), ((2, 3), False)])
@@ -309,14 +300,12 @@ class TestEnumeration:
         monkeypatch.setattr(partitions, "check_budget",
                             lambda subject, need, what: needs.append(need)
                             or check(subject, need, what))
-        partitions._enumerate_cached.cache_clear()
         tracemalloc.start()
         try:
             pset = enumerate_partitions(n, strategy, orbits=orbits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            partitions._enumerate_cached.cache_clear()
         assert len(needs) == 1
         assert 3 * pset.a.nbytes < peak <= needs[0]
 
@@ -583,8 +572,10 @@ class TestOrbitReducedScan:
 
     def test_other_families_ignore_orbits(self):
         for strategy in ("contiguous", "fixed:2,2,2"):
-            pset = enumerate_partitions(8, strategy, orbits=True)
-            assert pset is enumerate_partitions(8, strategy) and not pset.orbits
+            pset, whole = (enumerate_partitions(8, strategy, orbits=o) for o in (True, False))
+            assert not pset.orbits and pset.strategy == whole.strategy
+            for masks, expected in zip((pset.a, pset.b, pset.c), (whole.a, whole.b, whole.c)):
+                np.testing.assert_array_equal(masks, expected)
 
     def check_matches_family(self, pset, family, tables, times, exact=0):
         """tmi_extrema over ``pset`` picks the triples and values that
@@ -645,21 +636,19 @@ class TestOrbitReducedScan:
 
     def test_runner_set_stores_only_representatives(self, monkeypatch):
         # three int16 masks (6 B) per representative, plus the filtered
-        # labeling tables, an intp lookup index and 32 B per mask of
-        # scratch: the guard's 4.8 MB estimate, which the peak must not
-        # pass; the whole N=12 family's masks alone are 15 MB
+        # labeling tables and an intp lookup index: the guard's estimate,
+        # which the peak must not pass; the whole N=12 family's masks
+        # alone are 15 MB
         estimates = []
         monkeypatch.setattr(partitions, "check_budget",
                             lambda subject, need, what: estimates.append(need))
         cfg = RunConfig(n_sites=12, alphas=(1.0,), strategy="all")
-        partitions._enumerate_cached.cache_clear()
         tracemalloc.start()
         try:
             pset = cfg.partition_set(scan=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            partitions._enumerate_cached.cache_clear()
         assert len(pset) == 698_027 and pset.orbits and pset.a.dtype == np.int16
         assert 6 * len(pset) < peak <= estimates[0]
 
@@ -704,7 +693,6 @@ class TestOrbitReducedScan:
         # triples' lookups hold
         sizes = parse_strategy(strategy)[1] or (1, 1, 1)
         for n in range(max(3, sum(sizes)), 13):
-            partitions._enumerate_cached.cache_clear()
             pset = enumerate_partitions(n, strategy, orbits=orbits)
             seen = np.zeros(1 << n, dtype=bool)
             seen[lookup_masks(pset)] = True
@@ -713,7 +701,6 @@ class TestOrbitReducedScan:
                 masks = pset.read_masks
             np.testing.assert_array_equal(masks, np.flatnonzero(seen), err_msg=f"{n}")
             assert masks.dtype == np.int64 and not masks.flags.writeable
-        partitions._enumerate_cached.cache_clear()
 
     def test_read_masks_refused_before_the_presence_table(self, monkeypatch):
         # 2^30 flags of presence are 1.1 GB, over a 0.5 GiB budget
@@ -783,22 +770,27 @@ class TestPartitionSetBasics:
         pset = PartitionSet(8, np.array([1]), np.array([2]), np.array([1 << 7]))
         assert pset[0] == (1, 2, 128) and pset.c.dtype == np.int16
 
-    def test_plan_reuse_reads_the_family_once(self, monkeypatch):
-        # every exponent of a scan asks _plan_for for the plan it already
-        # holds; the family's read masks are gathered on the first call only
-        family = enumerate_partitions(8, "contiguous")
-        pset = PartitionSet(8, family.a, family.b, family.c, strategy=family.strategy)
-        calls = []
-        lookups = PartitionSet._lookups
-        monkeypatch.setattr(PartitionSet, "_lookups",
-                            lambda self, *args: calls.append(1) or lookups(self, *args))
-        basis = enumerate_sector(8, 4)
-        runs._cached_plan.cache_clear()
-        try:
-            plans = [runs._plan_for(basis, pset, reflected=False) for _ in range(2)]
-        finally:
-            runs._cached_plan.cache_clear()
-        assert plans[0] is plans[1]
-        assert len(calls) == 1
-        np.testing.assert_array_equal(plans[0].reps, EntropyTablePlan(basis, pset.read_masks).reps)
-        assert np.all(plans[0].rows[np.union1d(pset.read_masks, [0, 255])] >= 0)
+    def test_sweep_builds_one_plan_and_reads_the_family_once(self, monkeypatch):
+        # every exponent of a serial sweep reuses the run's one set-up: the
+        # plan is built once, from one read of the family's masks
+        masks = enumerate_partitions(8, "contiguous").read_masks
+        reads, built = [], []
+        read_masks = PartitionSet.read_masks.func
+        monkeypatch.setattr(PartitionSet, "read_masks",
+                            property(lambda self: reads.append(1) or read_masks(self)))
+
+        class Recorded(EntropyTablePlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runs, "EntropyTablePlan", Recorded)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")
+        cfg = RunConfig(n_sites=8, alphas=(0.5, 1.0, 2.0), nn_limit=True,
+                        strategy="contiguous", n_points=3, t_max=1.0)
+        (data, _) = runs.run_minmax_scan(cfg)
+        assert len(set(data.columns["alpha"])) == 4
+        assert len(built) == 1 and len(reads) == 1
+        # a Neel quench under power-law couplings: the reflected plan
+        np.testing.assert_array_equal(
+            built[0].reps, EntropyTablePlan(enumerate_sector(8, 4), masks, reflected=True).reps)
