@@ -173,15 +173,17 @@ class RunConfig:
         An explicit a/b/c triple, or else the default quarters, is a
         one-triple set; any other strategy is a family, which only a
         ``scan`` runner takes, the all-assignments family as one triple per
-        {A, B, C, D} orbit.  Families are enumerated here, at run time,
-        never while the config loads.
+        {A, B, C, D} orbit.  An assignment family comes back streamed
+        (partitions.AssignmentFamily), never stored.  Families are
+        enumerated here, at run time, never while the config loads.
         """
         if self.subset_a is not None:
             a, b, c = self._triple()
         elif parse_strategy(self.strategy)[0] == QUARTERS:
             a, b, c = contiguous_quarters(self.n_sites)
         elif scan:
-            return enumerate_partitions(self.n_sites, self.strategy, orbits=True)
+            return enumerate_partitions(self.n_sites, self.strategy, orbits=True,
+                                        stored=False)
         else:
             raise ConfigError(
                 f"partitions.strategy: {self.strategy!r} is a partition family; this "

@@ -1,28 +1,39 @@
 """Experiment runners: sweep orchestration behind the CLI subcommands.
 
-Every runner is one loop over the coupling exponents.  What they share is
+Every runner is one pass over the coupling exponents.  What they share is
 set up once per run by ``_setup``, in this order: the partition set from
 ``RunConfig.partition_set`` (a partition setting the runner cannot honour
-is refused before any work), the initial state, the propagation size
-guard, and one entropy plan over the masks the set reads plus the
-runner's extra masks, reflected when every exponent's quench is
-reflection invariant.  So a refusal costs neither a plan nor a product.
-``_sweep`` runs the set-up, then maps ``_exponent`` over the exponents,
-in a process pool when SPINCHAIN_THREADS asks for one; the pool's forked
-workers inherit the cached set-up.  ``_exponent`` builds an exponent's
+is refused before any work; an assignment family comes streamed, never
+stored), the initial state, the propagation size guard, the guard on what
+a worker holds (a streamed family's label tables, its exponents' stacked
+entropy tables, and the chunk buffers and records of ``tmi_extrema``),
+and one entropy plan over the masks the set reads plus the runner's extra
+masks, reflected when every exponent's quench is reflection invariant.
+So a refusal costs neither a plan nor a product.
+``_sweep`` runs the set-up, then splits the exponents, insets last, into
+min(SPINCHAIN_THREADS, exponents) contiguous groups and maps ``_group``
+over them, in a forked process pool when there are two or more; the
+workers inherit the cached set-up and the family's label tables.
+``_group`` takes its exponents in turn: ``_exponent`` builds each one's
 coupling and physical times (the configured grid, divided by the Kac
 constant when ``kac_rescaled`` is set: the one place Kac units are
 converted), evolves the state, evaluates the plan into a time-batched
-table (a column per time) and calls the runner's reducer, a module-level
-``rows(cfg, pset, table, states, times) -> (columns, extra)``; ``extra``
-carries what the runner needs beyond per-time columns.  The columns are
-stacked in sweep order either way, so the emitted files do not depend on
+table (a column per time) and keeps the table, and the occupations when
+the runner asks for them, but not the states.  The group's tables are
+stacked column-wise and the runner's reducer,
+``rows(cfg, pset, table, exponents) -> (columns, extras)``, runs once
+over them: a scan reads its family once per worker, for all of the
+worker's exponents.  The reducer cuts what it reports per exponent (an
+``extras`` entry each) from the stacked columns by the exponent's column
+range.  Each column keeps its own arithmetic and tie rule, and the
+columns are stacked in sweep order, so the emitted files do not depend on
 the worker count.
 The module holds the runners alone: the oracles and the checks behind
 the CLI's ``validate`` live in ``reference``, which no runner imports.
 """
 
 import os
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -30,11 +41,12 @@ import numpy as np
 from . import __version__
 from .config import RunConfig
 from .datasets import Dataset
-from .entropy import EntropyTablePlan
-from .errors import ConfigError, NumericalConsistencyError
+from .entropy import EntropyTablePlan, SubsetEntropyTable
+from .errors import ConfigError, NumericalConsistencyError, check_budget
 from .model import (ModelSpec, coupling_matrix, enumerate_sector, neel_state,
                     reflection_invariant, single_excitation_state)
-from .partitions import PartitionSet, lightcone_onset, tau_sign_change, tmi_extrema
+from .partitions import (AssignmentFamily, PartitionSet, lightcone_onset, scan_bytes,
+                         tau_sign_change, tmi_extrema)
 from .propagate import check_sizes, evolve
 
 # Nonnegativity floor asserted by the 1-excitation scan.
@@ -58,16 +70,27 @@ def thread_count() -> int:
     return max(n, 1)
 
 
+def _groups(exponents: list) -> list:
+    """``exponents`` cut into min(SPINCHAIN_THREADS, len) contiguous groups, longer ones first."""
+    n = min(thread_count(), len(exponents))
+    size, longer = divmod(len(exponents), n)
+    return [exponents[i * size + min(i, longer):(i + 1) * size + min(i + 1, longer)]
+            for i in range(n)]
+
+
 def _pmap(fn, items):
-    """[fn(*item) for item in items], in a process pool when asked for."""
+    """[fn(*item) for item in items], in a process pool when there are two or more."""
     items = list(items)
-    if thread_count() <= 1 or len(items) <= 1:
+    if len(items) <= 1:
         return [fn(*item) for item in items]
     # imported here: a serial run never loads the process pool machinery
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(thread_count(), len(items))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # forked whatever the platform's default (forkserver from Python 3.14),
+    # so that the workers inherit the run's set-up instead of rebuilding it
+    with ProcessPoolExecutor(max_workers=len(items),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
         # pool.map preserves submission order, keeping output deterministic
         return list(pool.map(fn, *zip(*items)))
 
@@ -110,59 +133,103 @@ def _setup(cfg: RunConfig, scan: bool, extra_masks: tuple, insets: tuple):
     plus ``extra_masks``, and is reflected when the quench of every
     exponent, ``insets`` too, is reflection invariant (every Neel quench
     is).  The size guards run before the plan is built, so a refusal
-    costs no plan.  One set-up per process: every exponent of a sweep,
-    in a forked worker too, reuses it.
+    costs no plan; a streamed family's label tables are built last.  One
+    set-up per process: every group of a sweep, in a forked worker too,
+    reuses it.
     """
     pset = cfg.partition_set(scan)
     psi0 = _initial_state(cfg)
-    couplings = [coupling_matrix(spec) for _, spec in cfg.sweep() + list(insets)]
+    exponents = cfg.sweep() + list(insets)
+    couplings = [coupling_matrix(spec) for _, spec in exponents]
     check_sizes(couplings[0], psi0.basis, cfg.n_points)
+    read = pset.read_masks
+    columns = len(_groups(exponents)[0]) * cfg.n_points
+    # a table row per mask at most, and the zero row: the group's stacked
+    # tables, and one exponent's table twice over while it is evaluated
+    n_rows = len(read) + len(extra_masks) + 1
+    check_budget(f"a {cfg.n_sites}-site run over {len(pset):,} triples, "
+                 f"{columns:,} table columns a worker",
+                 pset.layout_bytes + 8 * n_rows * (columns + 2 * cfg.n_points)
+                 + scan_bytes(len(pset), columns),
+                 "in label tables, entropy tables, chunk buffers and records")
     reflected = all(reflection_invariant(coupling, psi0) for coupling in couplings)
     # a plain concatenation: the plan keeps one representative per orbit
-    masks = pset.read_masks.tolist() + list(extra_masks)
-    return pset, psi0, EntropyTablePlan(psi0.basis, masks, reflected)
+    masks = read.tolist() + list(extra_masks)
+    plan = EntropyTablePlan(psi0.basis, masks, reflected)
+    if isinstance(pset, AssignmentFamily):
+        pset.layout  # its label tables, built before the pool forks: the workers share them
+    return pset, psi0, plan
 
 
-def _exponent(cfg: RunConfig, rows, scan: bool, extra_masks: tuple, insets: tuple,
-              label: str, spec: ModelSpec):
-    """Columns of one exponent (alpha, t, t_kac, then the reducer's) and its extra."""
-    pset, psi0, plan = _setup(cfg, scan, extra_masks, insets)
+# One exponent of a group: its label, physical times and Kac constant, its
+# slice of the group's stacked columns, and its squared amplitudes or None
+_Exponent = namedtuple("_Exponent", "label times kac columns occupations")
+
+
+def _exponent(cfg: RunConfig, psi0, plan, label: str, spec: ModelSpec, occupations: bool):
+    """(physical times, Kac constant, entropy table, occupations or None) of one exponent."""
     coupling = coupling_matrix(spec)
     grid = _grid(cfg)
     t = grid / coupling.kac if cfg.kac_rescaled else grid
     try:
         states = evolve(coupling, psi0, t)
-        columns, extra = rows(cfg, pset, plan.evaluate(states), states, t)
+        table = plan.evaluate(states)
     except NumericalConsistencyError as exc:
         raise NumericalConsistencyError(f"{exc} (alpha={label})") from exc
-    return {"alpha": [label] * len(t), "t": t.tolist(),
-            "t_kac": (t * coupling.kac).tolist(), **columns}, extra
+    return t, coupling.kac, table, np.abs(states) ** 2 if occupations else None
 
 
-def _sweep(cfg: RunConfig, rows, column_order, scan: bool, extra_masks=(), insets=()):
-    """Run the reducer ``rows`` for every sweep exponent, then every inset.
+def _group(cfg: RunConfig, rows, scan: bool, extra_masks: tuple, insets: tuple,
+           occupations: bool, group: list):
+    """Columns of a group of exponents (alpha, t, t_kac, then the reducer's) and their extras."""
+    pset, psi0, plan = _setup(cfg, scan, extra_masks, insets)
+    n_t = cfg.n_points
+    values = np.empty((len(plan.reps) + 1, n_t * len(group)))
+    exponents = []
+    for i, (label, spec) in enumerate(group):
+        t, kac, table, occ = _exponent(cfg, psi0, plan, label, spec, occupations)
+        columns = slice(i * n_t, (i + 1) * n_t)
+        values[:, columns] = table.values
+        exponents.append(_Exponent(label, t, kac, columns, occ))
+    table = SubsetEntropyTable(cfg.n_sites, plan.rows, values)
+    columns, extras = rows(cfg, pset, table, exponents)
+    return {"alpha": [e.label for e in exponents for _ in e.times],
+            "t": [x for e in exponents for x in e.times.tolist()],
+            "t_kac": [x for e in exponents for x in (e.times * e.kac).tolist()],
+            **columns}, extras
 
-    Sets the run up (``_setup``) before any exponent runs.  Returns the
-    partition set, the sweep exponents' columns stacked in
-    ``column_order``, and the (label, extra) pair of every exponent,
-    insets last.
+
+def _sweep(cfg: RunConfig, rows, column_order, scan: bool, extra_masks=(), insets=(),
+           occupations: bool = False):
+    """Run the reducer ``rows`` over every sweep exponent, then every inset.
+
+    Sets the run up (``_setup``) before any exponent runs; with
+    ``occupations`` each exponent keeps its squared amplitudes for the
+    reducer.  Returns the partition set, the sweep exponents' columns
+    stacked in ``column_order``, and the (label, extra) pair of every
+    exponent, insets last.
     """
     pset = _setup(cfg, scan, extra_masks, insets)[0]
-    sweep = cfg.sweep()
-    exponents = sweep + list(insets)
-    results = _pmap(_exponent, [(cfg, rows, scan, extra_masks, insets, label, spec)
-                                for label, spec in exponents])
-    stacked = {name: [] for name in column_order}
-    for columns, _ in results[:len(sweep)]:
-        for name in column_order:
-            stacked[name] += columns[name]
-    return pset, stacked, [(label, extra) for (label, _), (_, extra) in zip(exponents, results)]
+    exponents = cfg.sweep() + list(insets)
+    results = _pmap(_group, [(cfg, rows, scan, extra_masks, insets, occupations, group)
+                             for group in _groups(exponents)])
+    # the insets' columns come last, past the sweep's
+    n_rows = len(cfg.sweep()) * cfg.n_points
+    stacked = {name: [x for columns, _ in results for x in columns[name]][:n_rows]
+               for name in column_order}
+    extras = [extra for _, group_extras in results for extra in group_extras]
+    return pset, stacked, [(label, extra) for (label, _), extra in zip(exponents, extras)]
+
+
+def _column_names(exponents: list) -> list:
+    """Each stacked column's time and exponent, as a non-finite TMI error names them."""
+    return [f"{t} (alpha={e.label})" for e in exponents for t in e.times]
 
 
 # -- tmi-grid ----------------------------------------------------------------
 
-def _grid_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
-    return {"tmi": pset.tmi_values(table)[0].tolist()}, None
+def _grid_rows(cfg: RunConfig, pset: PartitionSet, table, exponents):
+    return {"tmi": pset.tmi_values(table)[0].tolist()}, [None] * len(exponents)
 
 
 def run_tmi_grid(cfg: RunConfig) -> list:
@@ -185,9 +252,9 @@ def _half_mask(cfg: RunConfig) -> int:
     return (1 << (cfg.n_sites // 2)) - 1
 
 
-def _entropy_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
+def _entropy_rows(cfg: RunConfig, pset: PartitionSet, table, exponents):
     return {"tmi": pset.tmi_values(table)[0].tolist(),
-            "half_chain_entropy": table.gather(_half_mask(cfg)).tolist()}, None
+            "half_chain_entropy": table.gather(_half_mask(cfg)).tolist()}, [None] * len(exponents)
 
 
 def run_tmi_vs_entropy(cfg: RunConfig) -> list:
@@ -207,17 +274,19 @@ _MINMAX_COLUMNS = ("min_tmi", "min_tmi_proper", "max_tmi",
                    "argmin_a", "argmin_b", "argmin_c", "argmax_a", "argmax_b", "argmax_c")
 
 
-def _minmax_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
-    scan = tmi_extrema(pset, table, times, proper=True)
+def _minmax_rows(cfg: RunConfig, pset: PartitionSet, table, exponents):
+    scan = tmi_extrema(pset, table, _column_names(exponents), proper=True)
     proper = scan.min_proper
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist(),
-               "min_tmi_proper": [None] * len(times) if proper is None else proper.tolist()}
-    for side, j in (("argmin", scan.argmin), ("argmax", scan.argmax)):
-        for part, masks in zip("abc", (pset.a, pset.b, pset.c)):
-            columns[f"{side}_{part}"] = masks[j].tolist()
+               "min_tmi_proper": [None] * len(scan.min_values) if proper is None
+               else proper.tolist()}
+    for side, triples in (("argmin", scan.min_triples), ("argmax", scan.max_triples)):
+        for part, masks in zip("abc", triples.T):
+            columns[f"{side}_{part}"] = masks.tolist()
     # tau in the configured units: the grid itself, as times * K differs by roundoff
-    tau = tau_sign_change(_grid(cfg), columns["min_tmi"], cfg.tau_threshold)
-    return columns, (max(columns["max_tmi"]), tau)
+    return columns, [(max(columns["max_tmi"][e.columns]),
+                      tau_sign_change(_grid(cfg), columns["min_tmi"][e.columns],
+                                      cfg.tau_threshold)) for e in exponents]
 
 
 def run_minmax_scan(cfg: RunConfig) -> list:
@@ -249,16 +318,20 @@ def run_minmax_scan(cfg: RunConfig) -> list:
 
 # -- onebody-scan --------------------------------------------------------------
 
-def _onebody_rows(cfg: RunConfig, pset: PartitionSet, table, states, times):
-    scan = tmi_extrema(pset, table, times)
+def _onebody_rows(cfg: RunConfig, pset: PartitionSet, table, exponents):
+    scan = tmi_extrema(pset, table, _column_names(exponents))
     # k=1 basis states ascend as 1 << site, so column m is site m
-    occupations = np.abs(states) ** 2
+    occupations = np.concatenate([e.occupations for e in exponents])
     columns = {"min_tmi": scan.min_values.tolist(), "max_tmi": scan.max_values.tolist()}
     for m in range(cfg.n_sites):
         columns[f"p{m}"] = occupations[:, m].tolist()
-    i = int(np.argmin(scan.min_values))
-    return columns, (float(_grid(cfg)[i]), float(scan.min_values[i]),
-                     pset[int(scan.argmin[i])])
+    extras = []
+    for e in exponents:
+        i = int(np.argmin(scan.min_values[e.columns]))
+        j = e.columns.start + i
+        extras.append((float(_grid(cfg)[i]), float(scan.min_values[j]),
+                       tuple(scan.min_triples[j].tolist())))
+    return columns, extras
 
 
 def run_onebody_scan(cfg: RunConfig) -> list:
@@ -274,7 +347,8 @@ def run_onebody_scan(cfg: RunConfig) -> list:
             "(state = single[:site])")
     pset, columns, extras = _sweep(cfg, _onebody_rows,
                                    (*_TIME_COLUMNS, "min_tmi", "max_tmi",
-                                    *(f"p{m}" for m in range(cfg.n_sites))), scan=True)
+                                    *(f"p{m}" for m in range(cfg.n_sites))), scan=True,
+                                   occupations=True)
     for label, (t_min, v_min, masks) in extras:
         if v_min < -ONEBODY_TMI_FLOOR:
             raise NumericalConsistencyError(

@@ -215,24 +215,26 @@ class TestExitCodes:
         cfg = tmp_path / "one.cfg"
         cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
-        # the scan stores S(16,3) + S(16,4) orbit representatives (N=15 fits)
-        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "16",
+        # the scan streams the orbit set from its label tables, whose build
+        # outgrows the budget at N=19 (4.7 GB of 96,855,113 rows; N=18 fits)
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "19",
                         "--partitions", "all", "--out", str(out_dir)])
         assert code == 3
-        assert ("all-assignments family of 16 sites has 178,940,587 orbit representatives, "
-                "about 2.2 GB") in capsys.readouterr().err
+        assert ("a 19-site run over 11,453,115,051 triples, 10 table columns a worker, "
+                "about 4.8 GB in label tables") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):
-        cfg = tmp_path / "smoke.cfg"
-        cfg.write_text(SMOKE_CFG)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
-        # three int32 masks per triple; N=18 (1.3 GB) fits
-        code = run_cli(["minmax-scan", "--config", str(cfg), "--n-sites", "20",
-                        "--partitions", "fixed:4,4,4", "--out", str(out_dir)])
+        # B and C of 6 sites each from the other 20: a label table of
+        # 58,198,140 rows, 2.8 GB at its build's peak (N=20 fits, 1.1 GB)
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "21",
+                        "--partitions", "fixed:1,6,6", "--out", str(out_dir)])
         assert code == 3
-        assert ("fixed-sizes family 4,4,4 of 20 sites has 727,476,750 triples, about 8.7 GB"
-                in capsys.readouterr().err)
+        assert ("a 21-site run over 1,222,160,940 triples, 10 table columns a worker, "
+                "about 2.9 GB in label tables" in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):
@@ -293,6 +295,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "TMI -1e-09 below -1e-10 at alpha=0.5, t=0.5, partition masks=(" in err
         assert not out_dir.exists()  # the check runs before anything is written
+
+    def test_second_group_failures_name_their_alpha(self, tmp_path, capsys, monkeypatch):
+        # two workers take the exponents 0.5, 1 and 2, 3 as two groups; a
+        # failure in the columns of 3, the second exponent of the second
+        # group, names alpha=3, whether the floor check or a non-finite
+        # TMI finds it
+        from spinchain import runs
+        real_scan, real_exponent = runs.tmi_extrema, runs._exponent
+
+        def negative_at_3(pset, table, times, **kwargs):
+            scan = real_scan(pset, table, times, **kwargs)
+            columns = [i for i, name in enumerate(times) if name.endswith("(alpha=3)")]
+            if columns:
+                scan.min_values[columns[2]] = -1e-9
+            return scan
+
+        def nan_at_3(cfg, psi0, plan, label, spec, occupations):
+            t, kac, table, occ = real_exponent(cfg, psi0, plan, label, spec, occupations)
+            if label == "3":
+                table.values[1, 2] = np.nan
+            return t, kac, table, occ
+
+        monkeypatch.setenv("SPINCHAIN_THREADS", "2")  # forked workers inherit the patches
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        for patch, message in (
+                ((runs, "tmi_extrema", negative_at_3),
+                 "TMI -1e-09 below -1e-10 at alpha=3, t=0.5, partition masks=("),
+                ((runs, "_exponent", nan_at_3), "error: non-finite TMI at t=")):
+            with monkeypatch.context() as m:
+                m.setattr(*patch)
+                out_dir = tmp_path / patch[1]
+                code = run_cli(["onebody-scan", "--config", str(cfg), "--alpha", "0.5,1,2,3",
+                                "--out", str(out_dir)])
+            err = capsys.readouterr().err
+            assert code == 4 and message in err and err.count("alpha=") == 1, err
+            assert "alpha=3" in err and not out_dir.exists()
 
     def test_paper_scale_needs_preset_key(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
@@ -446,6 +485,35 @@ class TestOneSetUp:
         cfg.write_text(SMOKE_CFG)
         assert run_cli(["minmax-scan", "--config", str(cfg),
                         "--out", str(tmp_path / "out")]) == 0
+
+    def test_pool_forks_one_worker_a_group(self, tmp_path, monkeypatch):
+        # the workers must be forked to inherit the set-up, whatever the
+        # platform's default start method; no more of them than exponents
+        import concurrent.futures
+        pools = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recorded(real):
+            def __init__(self, max_workers=None, mp_context=None, **kwargs):
+                pools.append((max_workers, mp_context and mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "3")
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(SMOKE_CFG)
+        assert run_cli(["minmax-scan", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 0
+        assert pools == [(2, "fork")]
+
+    def test_groups_are_contiguous_longer_first(self, monkeypatch):
+        from spinchain import runs
+        for threads, n, sizes in (("1", 11, [11]), ("2", 11, [6, 5]), ("2", 4, [2, 2]),
+                                  ("4", 6, [2, 2, 1, 1]), ("8", 3, [1, 1, 1])):
+            monkeypatch.setenv("SPINCHAIN_THREADS", threads)
+            groups = runs._groups(list(range(n)))
+            assert [len(g) for g in groups] == sizes
+            assert sum(groups, []) == list(range(n))
 
 
 def test_runtime_imports_leave_scipy_linalg_out():

@@ -458,11 +458,11 @@ class TestReflectedPlans:
         cfg = RunConfig(n_sites=12, alphas=(0.6,), n_points=3, t_max=1.0,
                         strategy="contiguous")
         (label, spec), = cfg.sweep()
-        _, (table, states) = runs._exponent(
-            cfg, lambda cfg, pset, table, states, times: ({}, (table, states)),
-            True, (), (), label, spec)
+        _, psi0, plan = runs._setup(cfg, True, (), ())
+        times, _, table, _ = runs._exponent(cfg, psi0, plan, label, spec, False)
+        states = evolve(coupling_matrix(spec), psi0, times)
         pset = enumerate_partitions(12, "contiguous")
-        (plan,) = built_plans
+        assert built_plans == [plan]
         assert len(np.union1d(pset.read_masks, [0])) == 299
         assert table.values.shape == (len(plan.reps) + 1, 3) == (122, 3)
         assert table.rows is plan.rows

@@ -634,23 +634,123 @@ class TestOrbitReducedScan:
         tables = [subset_entropy_table(StateVector(basis8, states[k])) for k in range(len(times))]
         self.check_matches_family(pset, pset, tables, times, exact=3)
 
-    def test_runner_set_stores_only_representatives(self, monkeypatch):
-        # three int16 masks (6 B) per representative, plus the filtered
-        # labeling tables and an intp lookup index: the guard's estimate,
-        # which the peak must not pass; the whole N=12 family's masks
-        # alone are 15 MB
-        estimates = []
-        monkeypatch.setattr(partitions, "check_budget",
-                            lambda subject, need, what: estimates.append(need))
-        cfg = RunConfig(n_sites=12, alphas=(1.0,), strategy="all")
+    def test_runner_scan_stores_no_family(self, monkeypatch):
+        # the runner's orbit set is streamed: no mask arrays, and a runner's
+        # exhaustive scan never builds a stored family
+        cfg = RunConfig(n_sites=10, alphas=(1.0,), strategy="all", initial_state="single",
+                        n_points=3, t_max=1.0)
+        pset = cfg.partition_set(scan=True)
+        assert isinstance(pset, partitions.AssignmentFamily)
+        assert len(pset) == stirling2(10, 3) + stirling2(10, 4) and pset.orbits
+        assert not any(hasattr(pset, part) for part in "abc")
+
+        def refuse(*args):
+            raise AssertionError("a stored family was enumerated")
+
+        monkeypatch.setattr(partitions, "_enumerate_assignments", refuse)
+        monkeypatch.setenv("SPINCHAIN_THREADS", "1")  # the patch lives in this process
+        (data,) = runs.run_onebody_scan(cfg)
+        assert data.meta["n_partitions"] == stirling2(11, 4)
+
+    @pytest.mark.parametrize("strategy, orbits", [("all", False), ("all", True),
+                                                  ("fixed:2,2,2", False),
+                                                  ("fixed:1,2,3", False)])
+    def test_range_fill_matches_the_stored_family(self, strategy, orbits):
+        # chunks of 1 and 7 triples start and end inside the slices of one
+        # A; the default chunk of a 17-column scan too, up to N=12
+        for n in range(max(3, sum(parse_strategy(strategy)[1] or (3,))), 13):
+            stored = enumerate_partitions(n, strategy, orbits=orbits)
+            family = enumerate_partitions(n, strategy, orbits=orbits, stored=False)
+            assert isinstance(family, partitions.AssignmentFamily) and len(family) == len(stored)
+            expected = np.stack([stored.a, stored.b, stored.c])
+            default = partitions._chunk_plan(len(family), 17)[0]
+            for rows in (1, 7, default) if len(family) < 10_000 else (default,):
+                buffer = np.empty((7, rows), dtype=np.int64)
+                for start in range(0, len(family), rows):
+                    stop = min(start + rows, len(family))
+                    masks = family._lookups(start, stop, buffer)
+                    np.testing.assert_array_equal(masks[:3], expected[:, start:stop],
+                                                  err_msg=f"{n} {rows} {start}")
+                    np.testing.assert_array_equal(masks[6], masks[0] | masks[1] | masks[2])
+            assert family[len(family) - 1] == stored[-1] and family[0] == stored[0]
+
+    @pytest.mark.parametrize("proper", [False, True])
+    def test_one_stacked_pass_matches_per_column_passes(self, monkeypatch, proper):
+        # a centred excitation on an odd chain stays mirror symmetric, so
+        # mirror triples tie exactly; two exponents' tables side by side
+        # give the values and picks of one pass per exponent, in segments
+        # of two chunks of 37 triples
+        n, times = 9, np.linspace(0.0, 2.0, 6)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * len(times) * self.ROWS)
+        monkeypatch.setattr(partitions, "_SEGMENTS", 150)
+        family = enumerate_partitions(n, "all", orbits=True, stored=False)
+        assert partitions._chunk_plan(len(family), 2 * len(times))[1] == 2
+        closed = [reference.onebody_entropy_table(np.abs(reference.onebody_amplitudes(
+            coupling_matrix(ModelSpec(n, alpha=alpha)), n // 2, times)) ** 2)
+            for alpha in (0.4, 2.5)]
+        stacked = SubsetEntropyTable(n, closed[0].rows,
+                                     np.column_stack([t.values for t in closed]))
+        found = tmi_extrema(family, stacked, np.tile(times, 2), proper=proper)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
+        singles = [tmi_extrema(family, table, times, proper=proper) for table in closed]
+        mirrored = 0
+        for name in ("min_values", "argmin", "max_values", "argmax", "min_triples",
+                     "max_triples", "min_proper"):
+            parts = [getattr(single, name) for single in singles]
+            if name == "min_proper" and not proper:
+                assert found.min_proper is None and parts == [None, None]
+                continue
+            np.testing.assert_array_equal(getattr(found, name), np.concatenate(parts), name)
+        # and the brute-force picks, column by column
+        values = enumerate_partitions(n, "all", orbits=True).tmi_values(stacked)
+        for k in range(2 * len(times)):
+            assert extrema(values[:, k]) == (found.min_values[k], found.argmin[k],
+                                             found.max_values[k], found.argmax[k])
+        for i, triple in zip(np.concatenate([found.argmin, found.argmax]),
+                             np.concatenate([found.min_triples, found.max_triples])):
+            assert family[i] == tuple(triple.tolist())
+            a, b, c = triple.tolist()
+            rest = (1 << n) - 1 ^ a ^ b ^ c
+            mirror = sorted(int(f"{m:0{n}b}"[::-1], 2) for m in (b, c, rest))
+            mirrored += rest != 0 and tuple(mirror) != (a, b, c)
+        assert mirrored > 0
+
+    @pytest.mark.parametrize("n, strategy, orbits, n_columns", [
+        (12, "all", True, 34), (10, "all", False, 3), (12, "fixed:3,3,3", False, 400),
+        (14, "fixed:1,4,4", False, 17)])
+    def test_streamed_scan_within_its_estimates(self, n, strategy, orbits, n_columns):
+        # the layout's build and a scan's buffers and records, each at most
+        # what the run's set-up guard counts for them
+        family = enumerate_partitions(n, strategy, orbits=orbits, stored=False)
         tracemalloc.start()
         try:
-            pset = cfg.partition_set(scan=True)
+            tables = family.layout[0]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        labels = sum(len(beta) for beta, _ in tables.values())
+        assert labels == sum(partitions._label_counts(n, family.sizes, orbits))
+        assert 2 * mask_dtype(n).itemsize * labels < held < peak <= family.layout_bytes
+        values = np.random.default_rng(n).random((1 << n, n_columns))
+        table = SubsetEntropyTable(n, np.arange(1 << n), values)
+        tracemalloc.start()
+        try:
+            tmi_extrema(family, table, np.arange(n_columns), proper=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(pset) == 698_027 and pset.orbits and pset.a.dtype == np.int16
-        assert 6 * len(pset) < peak <= estimates[0]
+        assert peak <= partitions.scan_bytes(len(family), n_columns)
+
+    def test_records_bounded_at_any_column_count(self):
+        # fig4's 11 exponents of 101 times in one pass over the N=12 orbit
+        # set: a record per chunk would take 24,070 x 1,111 x 16 B (0.43 GB)
+        n_triples, n_columns = stirling2(12, 3) + stirling2(12, 4), 1111
+        rows, per_segment, n_segments = partitions._chunk_plan(n_triples, n_columns)
+        assert (rows, -(-n_triples // rows)) == (29, 24_070)
+        assert n_segments <= partitions._SEGMENTS and (n_segments - 1) * per_segment * rows \
+            < n_triples <= n_segments * per_segment * rows
+        assert 16 * n_segments * n_columns <= 16 * partitions._SEGMENTS * n_columns < 5e6
+        assert partitions.scan_bytes(n_triples, n_columns) < 1e7
 
     def test_scan_holds_no_whole_family_temporary(self):
         # one int64 per triple of the N=12 family is 20 MB; the scan's peak

@@ -72,6 +72,10 @@ INVOCATIONS = (
     # half-chain tables of the rest's submasks
     ("onebody-fixed-n16", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "16",
                            "--partitions", "fixed:1,1,1"]),
+    # four exponents: at 2 workers the sweep splits in two groups of two,
+    # each group's tables stacked for one pass over the orbit set
+    ("onebody-all-nn", ["onebody-scan", "--config", "onebody.cfg", "--partitions", "all",
+                        "--alpha", "0.5,1.5,2.5,nn"]),
     # single:5 is the centre of an odd chain: mirror triples tie exactly
     ("onebody-all-n11", ["onebody-scan", "--config", "onebody.cfg", "--n-sites", "11",
                          "--partitions", "all"]),
