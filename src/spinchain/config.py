@@ -17,8 +17,8 @@ from importlib import resources
 from .entropy import _disjoint_masks
 from .errors import ConfigError
 from .model import ModelSpec
-from .partitions import (QUARTERS, PartitionSet, contiguous_quarters, enumerate_partitions,
-                         parse_strategy)
+from .partitions import (CONTIGUOUS_BLOCKS, QUARTERS, AssignmentFamily, PartitionSet,
+                         contiguous_quarters, enumerate_partitions, parse_strategy)
 
 FORMATS = ("csv", "json")
 PRESET_NAMES = ("fig2", "fig3", "fig4", "smoke")
@@ -177,13 +177,15 @@ class RunConfig:
         (partitions.AssignmentFamily), never stored.  Families are
         enumerated here, at run time, never while the config loads.
         """
+        strategy, sizes = parse_strategy(self.strategy)
         if self.subset_a is not None:
             a, b, c = self._triple()
-        elif parse_strategy(self.strategy)[0] == QUARTERS:
+        elif strategy == QUARTERS:
             a, b, c = contiguous_quarters(self.n_sites)
+        elif scan and strategy == CONTIGUOUS_BLOCKS:
+            return enumerate_partitions(self.n_sites, strategy)
         elif scan:
-            return enumerate_partitions(self.n_sites, self.strategy, orbits=True,
-                                        stored=False)
+            return AssignmentFamily(self.n_sites, sizes, orbits=sizes is None)
         else:
             raise ConfigError(
                 f"partitions.strategy: {self.strategy!r} is a partition family; this "

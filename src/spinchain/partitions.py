@@ -12,9 +12,10 @@ time-batched table (a column per time, or the columns of several
 exponents side by side) and reads the triples once, in chunks, through
 buffers made once per scan: each chunk fills its triples' masks into a
 lookup buffer, derives the other four lookups, gathers their whole table
-rows in one np.take, sums the TMI in place and reduces a time-major copy
-to its extrema.  A set fills any range of its triples (``_fill``): a
-stored ``PartitionSet`` by slice copies, an ``AssignmentFamily`` (every
+rows in one np.take, sums the TMI in place and reduces it to its extrema
+(through a time-major copy when the chunk has more triples than
+columns).  A set fills any range of its triples (``_fill``): a stored
+``PartitionSet`` by slice copies, an ``AssignmentFamily`` (every
 assignment, or those of fixed part sizes) from its (B, C) label tables
 and its choices of A, so an exhaustive scan holds one chunk of triples,
 never the family.  ``enumerate_partitions`` returns a family stored,
@@ -136,9 +137,12 @@ class PartitionSet:
         n = self.n_sites
         if self.strategy.partition(":")[0] in (ALL_ASSIGNMENTS, FIXED_SIZES):
             sizes = parse_strategy(self.strategy)[1]
-            masks = _masks_of_popcounts(n, range(1, n + 1) if sizes is None else
-                                        {sum(part) for r in (1, 2, 3)
-                                         for part in combinations(sizes, r)})
+            popcounts = range(1, n + 1) if sizes is None else \
+                {sum(part) for r in (1, 2, 3) for part in combinations(sizes, r)}
+            # the sector bases' states, their concatenation and its sorted copy
+            check_budget(f"the read masks of a {n}-site partition set",
+                         24 * sum(math.comb(n, p) for p in popcounts), "in mask arrays")
+            masks = _masks_of_popcounts(n, popcounts)
         else:
             # the table, the masks and the lookup buffer are guarded first
             rows = _BLOCK_BYTES // 8
@@ -224,7 +228,12 @@ class AssignmentFamily(PartitionSet):
     """
 
     def __init__(self, n_sites: int, sizes=None, orbits: bool = False):
+        if n_sites < 3:
+            raise ValueError(f"need at least 3 sites to form a triple, got {n_sites}")
+        if sizes is not None and sum(sizes) > n_sites:
+            raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
         self.n_sites, self.sizes, self.orbits = n_sites, sizes, orbits
+        self._deposit = (None, None)  # see _deposit_tables
         self.strategy = ALL_ASSIGNMENTS if sizes is None else \
             f"{FIXED_SIZES}:{','.join(map(str, sizes))}"
 
@@ -280,10 +289,19 @@ class AssignmentFamily(PartitionSet):
             raise AssertionError(f"laid out {offsets[-1]} triples, expected {len(self)}")
         return tables, masks[keep], offsets, first[keep]
 
+    def _deposit_tables(self, k: int, dtype) -> tuple:
+        """bits.submask_tables of the rest of A k, as ``dtype``: kept for the
+        next call, as consecutive chunks mostly continue the same A."""
+        if self._deposit[:2] != (k, dtype):
+            a = int(self.layout[1][k])
+            low, high, shift = submask_tables(((1 << self.n_sites) - 1) ^ a, self.n_sites)
+            self._deposit = (k, dtype, low.astype(dtype, copy=False),
+                             high.astype(dtype, copy=False), shift)
+        return self._deposit[2:]
+
     def _fill(self, start: int, stop: int, out: np.ndarray, index: np.ndarray):
         """Deposit the labels of each A whose slice meets start..stop-1 (see the class)."""
         tables, masks, offsets, first = self.layout
-        full = (1 << self.n_sites) - 1
         k = int(np.searchsorted(offsets, start, side="right")) - 1
         pos = start
         while pos < stop:
@@ -293,8 +311,7 @@ class AssignmentFamily(PartitionSet):
                            int(first[k]) + end - int(offsets[k]))
             # B and C: each label's bits on the rest's sites, looked up in two
             # tables; a's row holds the low table's part until a is written
-            low, high, shift = submask_tables(full ^ a, self.n_sites)
-            low, high = low.astype(out.dtype, copy=False), high.astype(out.dtype, copy=False)
+            low, high, shift = self._deposit_tables(k, out.dtype)
             i, cols = index[:end - pos], slice(pos - start, end - start)
             part = out[0, cols]
             for row, label in zip(out[1:3, cols], (beta[labels], gamma[labels])):
@@ -484,7 +501,7 @@ def parse_strategy(text: str):
 
 
 def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
-                         orbits: bool = False, stored: bool = True) -> PartitionSet:
+                         orbits: bool = False) -> PartitionSet:
     """All canonical partition triples of a family, named as parse_strategy reads it.
 
     'all' (all-assignments): every site->{A,B,C,D} map with A, B, C
@@ -499,10 +516,9 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
     at N=12).  A pure state's TMI is symmetric in A, B, C and D, so these
     give the family's extrema.  Other families are enumerated whole.
 
-    A stored assignment family is guarded (its masks, label tables and
-    lookup index) and then filled; with ``stored`` False it comes back as
-    an AssignmentFamily, which stores no triple.  Contiguous blocks (at
-    most C(N-1, 3) + C(N-1, 2)) are stored either way.
+    An assignment family is guarded (its masks, label tables and lookup
+    index) and then filled; AssignmentFamily streams the same triples
+    without storing them.
     """
     strategy, sizes = parse_strategy(strategy)
     if n_sites < 3:
@@ -512,15 +528,11 @@ def enumerate_partitions(n_sites: int, strategy: str = ALL_ASSIGNMENTS,
     if strategy == ALL_ASSIGNMENTS:
         name = "all-assignments family"
     elif strategy == FIXED_SIZES:
-        if sum(sizes) > n_sites:
-            raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
         name = f"fixed-sizes family {','.join(map(str, sizes))}"
         orbits = False
     else:
         raise ValueError(f"partition strategy {strategy!r} is one triple, not a family")
     family = AssignmentFamily(n_sites, sizes, orbits)
-    if not stored:
-        return family
     # three masks per triple and per row of the label tables, and an intp
     # lookup index as long as the largest; or the layout's build, if larger
     labels = _label_counts(n_sites, sizes, orbits)
@@ -592,9 +604,10 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
 
     The extrema are recorded per segment of whole chunks (_chunk_plan).
     Only the first segment holding a value within EXTREMUM_TIE_TOL of an
-    extremum is read again, chunk by chunk in the same buffers, to place
-    the pick: no earlier segment holds such a value, so the pick is the
-    one reference.extrema would make.  A non-finite TMI raises
+    extremum is read again, chunk by chunk in the same buffers and for the
+    columns whose pick it places, to place the pick: no earlier segment
+    holds such a value, so the pick is the one reference.extrema would
+    make.  A non-finite TMI raises
     NumericalConsistencyError naming its column.
     """
     if len(pset) == 0:
@@ -608,22 +621,25 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     idx, work = np.empty((7, size), dtype=np.int64), np.empty(7 * size * n_t)
     by_time = np.empty(n_t * size)
 
-    def chunks(segment):
+    def chunks(segment, columns=table):
         """(first triple, TMI values, lookup masks) of each chunk of a segment."""
         stop = min((segment + 1) * per_segment * rows, len(pset))
         for start in range(segment * per_segment * rows, stop, rows):
-            yield start, *pset._tmi_block(table, start, min(start + rows, stop), idx, work)
+            yield start, *pset._tmi_block(columns, start, min(start + rows, stop), idx, work)
 
     seg_lo, seg_hi = np.full((n_segments, n_t), np.inf), np.full((n_segments, n_t), -np.inf)
     chunk_lo, chunk_hi = np.empty((2, n_t))
     proper_lo = None
     for s in range(n_segments):
         for _, vals, masks in chunks(s):
-            # reduce a time-major copy along its rows: contiguous, unlike axis 0
-            vals_t = by_time[:vals.size].reshape(n_t, len(vals))
-            np.copyto(vals_t, vals.T)
-            vals_t.min(axis=1, out=chunk_lo)
-            vals_t.max(axis=1, out=chunk_hi)
+            if len(vals) <= n_t:  # a short chunk of wide rows: fold its rows together
+                vals.min(axis=0, out=chunk_lo)
+                vals.max(axis=0, out=chunk_hi)
+            else:  # reduce a time-major copy along its rows: contiguous, unlike axis 0
+                vals_t = by_time[:vals.size].reshape(n_t, len(vals))
+                np.copyto(vals_t, vals.T)
+                vals_t.min(axis=1, out=chunk_lo)
+                vals_t.max(axis=1, out=chunk_hi)
             bad = ~(np.isfinite(chunk_lo) & np.isfinite(chunk_hi))
             if bad.any():
                 raise NumericalConsistencyError(
@@ -638,13 +654,17 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     index = np.empty((2, n_t), dtype=np.int64)
     triples = np.empty((2, n_t, 3), dtype=np.int64)
     for s in sorted(set(np.concatenate(firsts).tolist())):
-        pending = [first == s for first in firsts]
-        for start, vals, masks in chunks(s):
-            for side, near in enumerate(_near(vals, lo, hi)):
+        # the segment is read again for the columns it places a pick in alone
+        cols = np.flatnonzero((firsts[0] == s) | (firsts[1] == s))
+        pending = [first[cols] == s for first in firsts]
+        columns = table if len(cols) == n_t else \
+            SubsetEntropyTable(table.n_sites, table.rows, table.values[:, cols])
+        for start, vals, masks in chunks(s, columns):
+            for side, near in enumerate(_near(vals, lo[cols], hi[cols])):
                 found = pending[side] & near.any(axis=0)
                 row = np.argmax(near, axis=0)[found]
-                index[side, found] = start + row
-                triples[side, found] = masks[:3, row].T
+                index[side, cols[found]] = start + row
+                triples[side, cols[found]] = masks[:3, row].T
                 pending[side] &= ~found
             if not (pending[0].any() or pending[1].any()):
                 break

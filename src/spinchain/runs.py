@@ -4,12 +4,13 @@ Every runner is one pass over the coupling exponents.  What they share is
 set up once per run by ``_setup``, in this order: the partition set from
 ``RunConfig.partition_set`` (a partition setting the runner cannot honour
 is refused before any work; an assignment family comes streamed, never
-stored), the initial state, the propagation size guard, the guard on what
-a worker holds (a streamed family's label tables, its exponents' stacked
-entropy tables, and the chunk buffers and records of ``tmi_extrema``),
-and one entropy plan over the masks the set reads plus the runner's extra
-masks, reflected when every exponent's quench is reflection invariant.
-So a refusal costs neither a plan nor a product.
+stored), the initial state, the propagation size guard, the masks the
+set reads (listed under a guard of their own), the guard on what a
+worker holds (a streamed family's label tables, the read masks, its
+exponents' stacked entropy tables, and the chunk buffers and records of
+``tmi_extrema``), and one entropy plan over the read masks plus the
+runner's extra masks, reflected when every exponent's quench is
+reflection invariant.  So a refusal costs neither a plan nor a product.
 ``_sweep`` runs the set-up, then splits the exponents, insets last, into
 min(SPINCHAIN_THREADS, exponents) contiguous groups and maps ``_group``
 over them, in a forked process pool when there are two or more; the
@@ -144,14 +145,17 @@ def _setup(cfg: RunConfig, scan: bool, extra_masks: tuple, insets: tuple):
     check_sizes(couplings[0], psi0.basis, cfg.n_points)
     read = pset.read_masks
     columns = len(_groups(exponents)[0]) * cfg.n_points
-    # a table row per mask at most, and the zero row: the group's stacked
-    # tables, and one exponent's table twice over while it is evaluated
+    # the read masks and the plan's input list of them (57 B a mask under
+    # tracemalloc), and a table row per mask at most and the zero row: the
+    # group's stacked tables, and one exponent's table twice over while it
+    # is evaluated, or the tie pass's copy of the columns it places picks in
     n_rows = len(read) + len(extra_masks) + 1
     check_budget(f"a {cfg.n_sites}-site run over {len(pset):,} triples, "
                  f"{columns:,} table columns a worker",
-                 pset.layout_bytes + 8 * n_rows * (columns + 2 * cfg.n_points)
+                 pset.layout_bytes + 64 * len(read)
+                 + 8 * n_rows * (columns + max(columns, 2 * cfg.n_points))
                  + scan_bytes(len(pset), columns),
-                 "in label tables, entropy tables, chunk buffers and records")
+                 "in label tables, read masks, entropy tables, chunk buffers and records")
     reflected = all(reflection_invariant(coupling, psi0) for coupling in couplings)
     # a plain concatenation: the plan keeps one representative per orbit
     masks = read.tolist() + list(extra_masks)

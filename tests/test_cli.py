@@ -229,12 +229,32 @@ class TestExitCodes:
         cfg.write_text(ONEBODY_CFG)
         out_dir = tmp_path / "out"
         # B and C of 6 sites each from the other 20: a label table of
-        # 58,198,140 rows, 2.8 GB at its build's peak (N=20 fits, 1.1 GB)
+        # 58,198,140 rows, 2.8 GB at its build's peak (N=20 fits, 1.2 GB)
         code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "21",
                         "--partitions", "fixed:1,6,6", "--out", str(out_dir)])
         assert code == 3
         assert ("a 21-site run over 1,222,160,940 triples, 10 table columns a worker, "
-                "about 2.9 GB in label tables" in capsys.readouterr().err)
+                "about 3.0 GB in label tables" in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_all_assignments_refused_before_its_read_masks(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # one excitation on 30 sites passes the sector guards; the 2^30 - 1
+        # read masks are counted from their popcounts and refused unlisted
+        from spinchain import partitions
+
+        def refuse(*args):
+            raise AssertionError("the read masks were listed")
+
+        monkeypatch.setattr(partitions, "_masks_of_popcounts", refuse)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONEBODY_CFG)
+        out_dir = tmp_path / "out"
+        code = run_cli(["onebody-scan", "--config", str(cfg), "--n-sites", "30",
+                        "--partitions", "all", "--out", str(out_dir)])
+        assert code == 3
+        assert ("the read masks of a 30-site partition set, about 25.8 GB in mask arrays"
+                in capsys.readouterr().err)
         assert not out_dir.exists()
 
     def test_hamiltonian_capacity_is_3(self, tmp_path, capsys):

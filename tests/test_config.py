@@ -175,10 +175,13 @@ class TestPartitionSet:
         def refuse(*args, **kwargs):
             raise AssertionError("partitions enumerated while loading")
 
+        # a scan's assignment family is built streamed, other families stored
         monkeypatch.setattr(config, "enumerate_partitions", refuse)
-        cfg = load_config(None, {"model.alphas": "1", "partitions.strategy": "all"})
-        with pytest.raises(AssertionError, match="enumerated"):
-            cfg.partition_set(scan=True)
+        monkeypatch.setattr(config, "AssignmentFamily", refuse)
+        for strategy in ("all", "contiguous"):
+            cfg = load_config(None, {"model.alphas": "1", "partitions.strategy": strategy})
+            with pytest.raises(AssertionError, match="enumerated"):
+                cfg.partition_set(scan=True)
 
     def test_one_triple_for_quarters_and_explicit(self):
         pset = RunConfig(n_sites=8, alphas=(1.0,)).partition_set(scan=False)

@@ -28,7 +28,7 @@ from spinchain import (
 )
 from spinchain import partitions, reference, runs
 from spinchain.bits import bit_positions, mask_dtype, submask_tables
-from spinchain.partitions import parse_strategy, tmi_extrema
+from spinchain.partitions import AssignmentFamily, parse_strategy, tmi_extrema
 from spinchain.reference import _subset_probability_table, binary_entropy, extrema
 
 from conftest import lookup_masks
@@ -640,7 +640,7 @@ class TestOrbitReducedScan:
         cfg = RunConfig(n_sites=10, alphas=(1.0,), strategy="all", initial_state="single",
                         n_points=3, t_max=1.0)
         pset = cfg.partition_set(scan=True)
-        assert isinstance(pset, partitions.AssignmentFamily)
+        assert isinstance(pset, AssignmentFamily)
         assert len(pset) == stirling2(10, 3) + stirling2(10, 4) and pset.orbits
         assert not any(hasattr(pset, part) for part in "abc")
 
@@ -660,8 +660,8 @@ class TestOrbitReducedScan:
         # A; the default chunk of a 17-column scan too, up to N=12
         for n in range(max(3, sum(parse_strategy(strategy)[1] or (3,))), 13):
             stored = enumerate_partitions(n, strategy, orbits=orbits)
-            family = enumerate_partitions(n, strategy, orbits=orbits, stored=False)
-            assert isinstance(family, partitions.AssignmentFamily) and len(family) == len(stored)
+            family = AssignmentFamily(n, parse_strategy(strategy)[1], orbits)
+            assert len(family) == len(stored)
             expected = np.stack([stored.a, stored.b, stored.c])
             default = partitions._chunk_plan(len(family), 17)[0]
             for rows in (1, 7, default) if len(family) < 10_000 else (default,):
@@ -674,17 +674,19 @@ class TestOrbitReducedScan:
                     np.testing.assert_array_equal(masks[6], masks[0] | masks[1] | masks[2])
             assert family[len(family) - 1] == stored[-1] and family[0] == stored[0]
 
-    @pytest.mark.parametrize("proper", [False, True])
-    def test_one_stacked_pass_matches_per_column_passes(self, monkeypatch, proper):
+    @pytest.mark.parametrize("proper, rows", [(False, ROWS), (True, ROWS), (True, 5)])
+    def test_one_stacked_pass_matches_per_column_passes(self, monkeypatch, proper, rows):
         # a centred excitation on an odd chain stays mirror symmetric, so
         # mirror triples tie exactly; two exponents' tables side by side
         # give the values and picks of one pass per exponent, in segments
-        # of two chunks of 37 triples
+        # of two chunks of 37 triples, or of 15 chunks of 5 triples, fewer
+        # than the 12 columns (each chunk's rows folded together)
         n, times = 9, np.linspace(0.0, 2.0, 6)
-        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * len(times) * self.ROWS)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * 2 * len(times) * rows)
         monkeypatch.setattr(partitions, "_SEGMENTS", 150)
-        family = enumerate_partitions(n, "all", orbits=True, stored=False)
-        assert partitions._chunk_plan(len(family), 2 * len(times))[1] == 2
+        family = AssignmentFamily(n, orbits=True)
+        assert partitions._chunk_plan(len(family), 2 * len(times))[:2] == \
+            (rows, 2 if rows == self.ROWS else 15)
         closed = [reference.onebody_entropy_table(np.abs(reference.onebody_amplitudes(
             coupling_matrix(ModelSpec(n, alpha=alpha)), n // 2, times)) ** 2)
             for alpha in (0.4, 2.5)]
@@ -721,7 +723,7 @@ class TestOrbitReducedScan:
     def test_streamed_scan_within_its_estimates(self, n, strategy, orbits, n_columns):
         # the layout's build and a scan's buffers and records, each at most
         # what the run's set-up guard counts for them
-        family = enumerate_partitions(n, strategy, orbits=orbits, stored=False)
+        family = AssignmentFamily(n, parse_strategy(strategy)[1], orbits)
         tracemalloc.start()
         try:
             tables = family.layout[0]
