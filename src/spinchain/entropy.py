@@ -361,16 +361,20 @@ def tmi_terms(s_a, s_b, s_c, s_ab, s_ac, s_bc, s_abc, in_place=False):
     """I(A:B:C) from the entropies of A, B, C, AB, AC, BC and ABC.
 
     Scalars or arrays; every TMI the package computes is summed here, in
-    this order: ((a + b) + c) + abc - ((ab + ac) + bc).  With ``in_place``
-    the arrays s_a and s_ab hold the two sums: s_a ends as the TMI, which
-    is returned, and s_ab as the negative terms.
+    this order: a + (((b - ab) + (c - ac)) - (bc - abc)).  The three
+    differences are S_X - S_{A u X} for X = B, C and BC, the per-A table
+    the all-assignments scan gathers from (partitions.AssignmentFamily),
+    so both give the same bits.  With ``in_place`` the arrays s_a, s_b,
+    s_c and s_bc hold the partial sums: s_a ends as the TMI, which is
+    returned.
     """
-    pos = np.add(s_a, s_b, out=s_a if in_place else None)
-    neg = np.add(s_ab, s_ac, out=s_ab if in_place else None)
-    pos += s_c
-    pos += s_abc
-    neg += s_bc
-    return np.subtract(pos, neg, out=pos if in_place else None)
+    outs = (s_b, s_c, s_bc, s_a) if in_place else (None,) * 4
+    b = np.subtract(s_b, s_ab, out=outs[0])
+    c = np.subtract(s_c, s_ac, out=outs[1])
+    bc = np.subtract(s_bc, s_abc, out=outs[2])
+    b += c
+    b -= bc
+    return np.add(s_a, b, out=outs[3])
 
 
 def tmi(table: SubsetEntropyTable, a, b, c) -> float:

@@ -6,20 +6,23 @@ remainder D is implied and may be empty.  Its canonical form is the
 ascending tuple (a, b, c) of its masks, which makes enumeration lists
 reproducible and extremum tie-breaking deterministic.
 
-Scanning TMI over millions of triples reduces to seven table lookups per
-triple once subset entropies are tabulated.  ``tmi_extrema`` takes a
-time-batched table (a column per time, or the columns of several
-exponents side by side) and reads the triples once, in chunks, through
-buffers made once per scan: each chunk fills its triples' masks into a
-lookup buffer, derives the other four lookups, gathers their whole table
-rows in one np.take, sums the TMI in place and reduces it to its extrema
-(through a time-major copy when the chunk has more triples than
-columns).  A set fills any range of its triples (``_fill``): a stored
-``PartitionSet`` by slice copies, an ``AssignmentFamily`` (every
-assignment, or those of fixed part sizes) from its (B, C) label tables
-and its choices of A, so an exhaustive scan holds one chunk of triples,
-never the family.  ``enumerate_partitions`` returns a family stored,
-filled by the same code into one full-size buffer.
+Scanning TMI over millions of triples reduces to table gathers once
+subset entropies are tabulated.  ``tmi_extrema`` takes a time-batched
+table (a column per time, or the columns of several exponents side by
+side) and reads the triples once, in chunks, through buffers made once
+per scan, each chunk reduced to its extrema (through a time-major copy
+when it has more triples than columns).  A stored ``PartitionSet`` and a
+fixed-sizes family fill a chunk's masks into a lookup buffer
+(``_fill``), derive the other four of the seven lookups, gather their
+whole table rows in one np.take and sum the TMI in place.  The
+all-assignments family instead builds, for each choice of A, a table of
+the differences g(X) = S_X - S_{A u X} over the submasks X of the rest
+of the chain, indexed by the (B, C) labels it stores, and gathers three
+of its rows per triple: TMI = S_A + ((g(B) + g(C)) - g(BC)), the same
+bits as entropy.tmi_terms.  Either way an exhaustive scan holds one
+chunk, never the family, and masks are filled only for the triples that
+place a pick.  ``enumerate_partitions`` returns a family stored, filled
+by the same code into one full-size buffer.
 For a pure state the TMI is symmetric in A, B, C and the remainder D
 (acceptance criterion 5), so the runners scan the all-assignments family
 through one triple per {A, B, C, D} orbit, about a quarter of it.
@@ -32,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bits import bit_positions, mask_dtype, submask_tables
+from .bits import bit_positions, mask_dtype, submask_lists, submask_tables
 from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec, SectorBasis
@@ -44,10 +47,10 @@ FIXED_SIZES = "fixed-sizes"
 
 # TMI values this close to an extremum tie with it (roundoff, not physics)
 EXTREMUM_TIE_TOL = 1e-12
-# Bytes of one block of TMI values in tmi_extrema (its scratch holds eight
-# arrays this size).  The N=12 all-assignments k=1 scan at 5/17/41 times
-# took 0.23/0.69/1.51 s in 128 KiB, 0.25/0.70/1.58 s in 256 KiB and
-# 0.26/0.71/1.46 s in 512 KiB blocks (best of 5, 2-core Xeon, 2 MiB L2/core)
+# Bytes of one block of TMI values in tmi_extrema (its scratch holds
+# _gathers + 1 arrays this size).  On the stacked table of two exponents
+# of 17 times over the N=12 orbit set, tmi_extrema took 0.164/0.153/0.155 s
+# in 128/256/512 KiB blocks (best of 5, 2-core Xeon, 2 MiB L2/core)
 _BLOCK_BYTES = 1 << 18
 # Segments of whole chunks whose extrema tmi_extrema records: at most this
 # many, so its records take at most 256 x 16 B per column at any family
@@ -76,6 +79,10 @@ class PartitionSet:
     writes any range of its triples; AssignmentFamily fills the same
     ranges without storing them.
     """
+
+    # table rows _tmi_block gathers per triple (A, B, C, AB, AC, BC, ABC),
+    # and rows of the largest table it builds per scan (none)
+    _gathers, _difference_rows = 7, 0
 
     def __init__(self, n_sites: int, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                  strategy: str = "explicit", orbits: bool = False):
@@ -182,25 +189,27 @@ class PartitionSet:
         return 0
 
     def _tmi_block(self, table: SubsetEntropyTable, start: int = 0, stop: int | None = None,
-                   idx=None, work=None) -> tuple:
-        """TMI of triples start..stop-1 (all if stop is None), a row per triple, and their lookups.
+                   idx=None, work=None, proper: bool = False) -> tuple:
+        """TMI of triples start..stop-1 (all if stop is None), a row per triple,
+        and with ``proper`` whether each covers the chain (else None).
 
-        The one gather behind tmi_values and tmi_extrema: one
-        table.positions call checks the (7, rows) stack of lookup masks,
-        one np.take copies their table rows into a (7, rows, ...) array,
-        and tmi_terms sums it in place.  Masks go to the front columns of
+        The gather behind tmi_values and tmi_extrema: one table.positions
+        call checks the (7, rows) stack of lookup masks, one np.take copies
+        their table rows into a (7, rows, ...) array, and tmi_terms sums it
+        in place.  Masks go to the front columns of the int64 buffer
         ``idx`` and rows to the front of the flat buffer ``work`` (new if
-        None), kept contiguous: np.take copies into a contiguous temporary
-        an ``out`` that is not.  The TMI is a view.
+        None; _gathers rows per triple), kept contiguous: np.take copies
+        into a contiguous temporary an ``out`` that is not.  The TMI is a
+        view.
         """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
         masks = self._lookups(start, len(self) if stop is None else stop, idx)
-        shape = masks.shape + table.values.shape[1:]
-        rows = np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
+        rows = _rows(masks.shape, table, work)
         # positions() checked every index; mode="raise" would copy via a buffer
         np.take(table.values, table.positions(masks), axis=0, mode="clip", out=rows)
-        return tmi_terms(*rows, in_place=True), masks
+        covers = masks[6] == (1 << self.n_sites) - 1 if proper else None
+        return tmi_terms(*rows, in_place=True), covers
 
     def tmi_values(self, table: SubsetEntropyTable) -> np.ndarray:
         """TMI of every triple from one subset-entropy table (rows per triple)."""
@@ -220,11 +229,13 @@ class AssignmentFamily(PartitionSet):
     b > a form a suffix of the table.  The deposit looks each label up in
     two tables of R's submasks (bits.submask_tables), so no A costs a pass
     over all 2^N masks; the As are listed from the sector bases of their
-    popcounts.  A never holds the top site, the top bit of R, so with
-    ``orbits`` the tables keep the labelings that leave it to D or leave D
-    empty.  The ``layout``, built on the first fill, holds the tables and
-    the As with their slices; ``_fill`` writes any range of triples from
-    it, and ``pset[i]`` fills one.
+    popcounts.  A never holds the top site, so R has at most N - 1 bits,
+    the top one being the top site, and with ``orbits`` the tables keep
+    the labelings that leave it to D or leave D empty.  The ``layout``,
+    built on the first fill, holds the tables and the As with their
+    slices; ``_fill`` writes any range of triples from it, and
+    ``pset[i]`` fills one.  The all family's scans need no masks: they
+    gather per-A difference tables by label (_tmi_block).
     """
 
     def __init__(self, n_sites: int, sizes=None, orbits: bool = False):
@@ -234,6 +245,9 @@ class AssignmentFamily(PartitionSet):
             raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
         self.n_sites, self.sizes, self.orbits = n_sites, sizes, orbits
         self._deposit = (None, None)  # see _deposit_tables
+        self._difference, self._buffer = (None, None), np.empty(0)  # see _differences
+        if sizes is None:  # g at B, C and BC, over the submasks of R
+            self._gathers, self._difference_rows = 3, 1 << (n_sites - 1)
         self.strategy = ALL_ASSIGNMENTS if sizes is None else \
             f"{FIXED_SIZES}:{','.join(map(str, sizes))}"
 
@@ -274,9 +288,7 @@ class AssignmentFamily(PartitionSet):
         tables = {n_rest: _labelings(n_rest, pair, self.orbits, dtype)
                   for n_rest, pair in _rest_sizes(n, self.sizes).items()}
         masks = _masks_of_popcounts(n, [n - n_rest for n_rest in tables])
-        pops = np.bitwise_count(masks).astype(np.int64)
-        # np.frexp's exponent is the bit length of an int below 2^53
-        below = np.left_shift(1, np.frexp(masks)[1] - pops, dtype=np.int64)
+        pops, below = _under_top_bit(masks)
         first, count = np.empty((2, len(masks)), dtype=np.int64)
         for n_rest, (beta, _) in tables.items():
             of = pops == n - n_rest
@@ -299,33 +311,166 @@ class AssignmentFamily(PartitionSet):
                              high.astype(dtype, copy=False), shift)
         return self._deposit[2:]
 
-    def _fill(self, start: int, stop: int, out: np.ndarray, index: np.ndarray):
-        """Deposit the labels of each A whose slice meets start..stop-1 (see the class)."""
-        tables, masks, offsets, first = self.layout
+    def _pieces(self, start: int, stop: int):
+        """(k, label rows, columns) of each A k whose slice meets start..stop-1:
+        its (B, C) labels' rows of the table of its rest's size, and the
+        columns of a start..stop-1 buffer its triples take."""
+        offsets, first = self.layout[2:]
         k = int(np.searchsorted(offsets, start, side="right")) - 1
         pos = start
         while pos < stop:
-            a, end = int(masks[k]), min(stop, int(offsets[k + 1]))
+            end, shift = min(stop, int(offsets[k + 1])), int(first[k]) - int(offsets[k])
+            yield k, slice(pos + shift, end + shift), slice(pos - start, end - start)
+            pos, k = end, k + 1
+
+    def _fill(self, start: int, stop: int, out: np.ndarray, index: np.ndarray):
+        """Deposit the labels of each A whose slice meets start..stop-1 (see the class)."""
+        tables, masks = self.layout[:2]
+        for k, labels, cols in self._pieces(start, stop):
+            a = int(masks[k])
             beta, gamma = tables[self.n_sites - a.bit_count()]
-            labels = slice(int(first[k]) + pos - int(offsets[k]),
-                           int(first[k]) + end - int(offsets[k]))
             # B and C: each label's bits on the rest's sites, looked up in two
             # tables; a's row holds the low table's part until a is written
             low, high, shift = self._deposit_tables(k, out.dtype)
-            i, cols = index[:end - pos], slice(pos - start, end - start)
-            part = out[0, cols]
+            i, part = index[:cols.stop - cols.start], out[0, cols]
             for row, label in zip(out[1:3, cols], (beta[labels], gamma[labels])):
                 np.right_shift(label, shift, out=i)
                 np.take(high, i, out=row, mode="clip")  # in range; "raise" would copy
                 np.bitwise_and(label, len(low) - 1, out=i)
                 row |= np.take(low, i, out=part, mode="clip")
             part[:] = a
-            pos, k = end, k + 1
+
+    @cached_property
+    def _submask_lists(self) -> tuple:
+        """bits.submask_lists of ceil(N/2) bits: the submasks of either half
+        of a rest's sites (_differences)."""
+        return submask_lists(self.n_sites - self.n_sites // 2)
+
+    def _differences(self, k: int, table: SubsetEntropyTable) -> tuple:
+        """(first A, label bases, rows of S_A in the table, g) of the batch of
+        As from A k on, over ``table``'s columns.
+
+        g stacks, for each A of the batch in turn, S_X - S_{A u X} for X
+        the x-th smallest submask of its rest R, at row base + x, from the
+        first label above A's top site: no triple of A reads a lower one
+        (see layout).  A batch takes As while g stays within
+        _difference_rows rows, or one A.  Each label is deposited on R's
+        low and high halves through the lists of their submasks, and every
+        mask is read through table.positions, so one the table lacks raises
+        KeyError.  g lives in a buffer kept for the next batch, and the
+        batch is kept while calls fall in it with the same table object:
+        the tie pass reads a copy of some of the columns, which a batch
+        over every column must not serve.
+        """
+        batch = self._difference
+        if batch[0] is table and batch[1] <= k < batch[1] + len(batch[2]):
+            return batch[1:]
+        self._difference = (None, None)
+        n, half = self.n_sites, self.n_sites // 2
+        masks = self.layout[1][k:k + self._difference_rows]  # a batch holds no more As
+        pops, lo = _under_top_bit(masks)
+        sizes = np.left_shift(1, n - pops) - lo
+        ends = np.cumsum(sizes)
+        count = max(1, int(np.searchsorted(ends, self._difference_rows, side="right")))
+        masks, size = masks[:count], int(ends[count - 1])
+        bases = ends[:count] - sizes[:count] - lo[:count]
+        of = np.repeat(np.arange(count), sizes[:count])
+        labels = np.arange(size) - bases[of]
+        rest = ((1 << n) - 1) ^ masks
+        low = rest & ((1 << half) - 1)
+        split = np.bitwise_count(low).astype(np.int64)[of]
+        lists, starts = self._submask_lists
+        subs = (lists[starts[low][of] + (labels & ((1 << split) - 1))]
+                | (lists[starts[rest >> half][of] + (labels >> split)] << half))
+        pos = table.positions(np.concatenate([subs, subs | masks[of], masks]))
+        # g, then S_{A u X} subtracted a block of rows at a time
+        shape = table.values.shape[1:]
+        step = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
+        need = (self._difference_rows + step) * math.prod(shape)
+        if len(self._buffer) < need:
+            self._buffer = np.empty(need)
+        g = self._buffer[:size * math.prod(shape)].reshape((size,) + shape)
+        block = self._buffer[need - step * math.prod(shape):need].reshape((step,) + shape)
+        np.take(table.values, pos[:size], axis=0, mode="clip", out=g)
+        for at in range(0, size, step):
+            rows = g[at:at + step]
+            np.take(table.values, pos[size + at:size + at + len(rows)], axis=0, mode="clip",
+                    out=block[:len(rows)])
+            rows -= block[:len(rows)]
+        self._difference = (table, k, bases, pos[2 * size:], g)
+        return self._difference[1:]
+
+    def _tmi_block(self, table: SubsetEntropyTable, start: int = 0, stop: int | None = None,
+                   idx=None, work=None, proper: bool = False) -> tuple:
+        """PartitionSet._tmi_block; for the all family, three rows per triple
+        gathered by label from the per-A difference tables (_differences).
+
+        With g = g_A, TMI = S_A + ((g(B) + g(C)) - g(BC)), the order of
+        entropy.tmi_terms, so the bits are those of the seven lookups.  The
+        rows of beta, gamma and beta | gamma in g go to the rows of ``idx``,
+        their values to ``work``, gathered once per batch of As; a triple
+        covers the chain when beta | gamma is R's full label.  No mask is
+        filled.
+        """
+        if self.sizes is not None:
+            return super()._tmi_block(table, start, stop, idx, work, proper)
+        if table.n_sites != self.n_sites:
+            raise ValueError("table and partitions disagree on chain length")
+        stop = len(self) if stop is None else stop
+        index = np.empty((3, stop - start), dtype=np.int64) if idx is None \
+            else idx[:3, :stop - start]
+        rows = _rows(index.shape, table, work)
+        covers = np.empty(stop - start, dtype=bool) if proper else None
+        tables, masks = self.layout[:2]
+        first, bases, own, g = -1, (), None, None
+        done, sums = 0, []
+        for k, part, cols in self._pieces(start, stop):
+            if not first <= k < first + len(bases):
+                if done < cols.start:
+                    _gather_sum(g, index[:, done:cols.start], rows[:, done:cols.start])
+                first, bases, own, g = self._differences(k, table)
+                done = cols.start
+            n_rest = self.n_sites - int(masks[k]).bit_count()
+            beta, gamma = (labels[part] for labels in tables[n_rest])
+            union = np.bitwise_or(beta, gamma, out=index[2, cols])
+            if proper:
+                np.equal(union, (1 << n_rest) - 1, out=covers[cols])
+            union += bases[k - first]
+            np.add(beta, bases[k - first], out=index[0, cols])
+            np.add(gamma, bases[k - first], out=index[1, cols])
+            sums.append((cols, table.values[own[k - first]]))
+        _gather_sum(g, index[:, done:], rows[:, done:])
+        vals = rows[0]
+        for cols, s in sums:  # S_A last, as in entropy.tmi_terms
+            np.add(s, vals[cols], out=vals[cols])
+        return vals, covers
 
 
 def _masks_of_popcounts(n_sites: int, counts) -> np.ndarray:
     """The int64 masks of ``n_sites`` bits whose popcount is in ``counts``, ascending."""
     return np.sort(np.concatenate([SectorBasis(n_sites, p).states for p in counts]))
+
+
+def _under_top_bit(masks: np.ndarray) -> tuple:
+    """(popcounts, 2^(bit length - popcount)) of int64 ``masks``: the second
+    counts the labels of a mask's rest that sit under its top bit."""
+    pops = np.bitwise_count(masks).astype(np.int64)
+    # np.frexp's exponent is the bit length of an int below 2^53
+    return pops, np.left_shift(1, np.frexp(masks)[1] - pops, dtype=np.int64)
+
+
+def _gather_sum(g: np.ndarray, index: np.ndarray, rows: np.ndarray):
+    """(g[i0] + g[i1]) - g[i2] into rows[0], for the three rows i0, i1, i2 of ``index``."""
+    for row, i in zip(rows, index):
+        np.take(g, i, axis=0, mode="clip", out=row)  # the index rows are g's
+    rows[0] += rows[1]
+    rows[0] -= rows[2]
+
+
+def _rows(shape: tuple, table: SubsetEntropyTable, work) -> np.ndarray:
+    """An array of ``table``'s rows at ``shape``: the front of ``work``, or new if None."""
+    shape += table.values.shape[1:]
+    return np.empty(shape) if work is None else work[:math.prod(shape)].reshape(shape)
 
 
 def _narrow(masks, dtype) -> np.ndarray:
@@ -572,19 +717,26 @@ def _chunk_plan(n_triples: int, n_columns: int) -> tuple:
     return rows, per_segment, -(-chunks // per_segment)
 
 
-def scan_bytes(n_triples: int, n_columns: int) -> int:
-    """Bytes tmi_extrema holds to scan ``n_triples`` over ``n_columns``.
+def scan_bytes(pset: PartitionSet, n_columns: int) -> int:
+    """Bytes tmi_extrema holds to scan ``pset`` over ``n_columns``.
 
-    Per triple of a chunk: its lookup masks, their table positions and
-    np.take's intp copy of those (7 rows each), its gathered table rows
-    (7 per column), their time-major copy, a proper-split copy and a row
-    for the tie tests.  Per segment and column: the two records and the
-    tie tests' flags; per column, 20 more values; 8 KiB fixed.  Bounded
-    at any number of triples.
+    Per triple of a chunk and row it gathers (pset._gathers: 7 lookups,
+    or 3 labels of the all family): the mask or label, its table position
+    and np.take's intp copy of those, and the gathered row per column;
+    then, per column, a time-major copy, a proper-split copy and a row for
+    the tie tests.  The all family's batch of per-A difference tables
+    (pset._difference_rows rows at most): a row per column, 128 B a row
+    for the build and the submask lists, and the block its subtraction
+    runs in.  Per segment and column: the two records and the tie tests'
+    flags; per column, 32 more values; 8 KiB fixed.  Bounded at any
+    number of triples.
     """
-    rows, _, n_segments = _chunk_plan(n_triples, n_columns)
-    return (8 * min(rows, n_triples) * (21 + 10 * n_columns)
-            + n_columns * (20 * n_segments + 160) + (1 << 13))
+    rows, _, n_segments = _chunk_plan(len(pset), n_columns)
+    gathers, table_rows = pset._gathers, pset._difference_rows
+    return (8 * min(rows, len(pset)) * (3 * gathers + (gathers + 3) * n_columns)
+            + table_rows * (8 * n_columns + 128)
+            + (table_rows > 0) * (_BLOCK_BYTES + 8 * n_columns)
+            + n_columns * (20 * n_segments + 256) + (1 << 13))
 
 
 def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
@@ -594,13 +746,15 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     ``table`` holds a column of entropies per entry of ``times``, which
     names the columns (a time, or any label) in the error a non-finite TMI
     raises.  The triples are read once, in chunks, each gathering whole
-    table rows for every column at once (PartitionSet._tmi_block).  Ties
-    resolve as by the brute-force reference.extrema (_first_within).
-    ``argmin``/``argmax`` index ``pset``, ``min_triples``/``max_triples``
-    hold the picks' masks, and ``min_proper`` is filled when ``proper``
-    is set.  An ``orbits`` set needs a pure state's table: its TMI ties
-    across each orbit up to roundoff, and each representative comes first
-    in its orbit, so the picks are the family's.
+    table rows for every column at once (``_tmi_block``: seven lookups
+    per triple, or three rows of a per-A difference table for the all
+    family).  Ties resolve as by the brute-force reference.extrema
+    (_first_within).  ``argmin``/``argmax`` index ``pset``,
+    ``min_triples``/``max_triples`` hold the picks' masks, filled at the
+    end for the picked triples alone, and ``min_proper`` is filled when
+    ``proper`` is set.  An ``orbits`` set needs a pure state's table: its
+    TMI ties across each orbit up to roundoff, and each representative
+    comes first in its orbit, so the picks are the family's.
 
     The extrema are recorded per segment of whole chunks (_chunk_plan).
     Only the first segment holding a value within EXTREMUM_TIE_TOL of an
@@ -614,24 +768,24 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
         raise ValueError("empty partition list")
     n_t = table.values.shape[1]
     rows, per_segment, n_segments = _chunk_plan(len(pset), n_t)
-    full = (1 << pset.n_sites) - 1
     # scratch reused by every chunk: new arrays this large come from mmap
     # and fault in their pages, chunk after chunk
     size = min(rows, len(pset))
-    idx, work = np.empty((7, size), dtype=np.int64), np.empty(7 * size * n_t)
-    by_time = np.empty(n_t * size)
+    idx = np.empty((pset._gathers, size), dtype=np.int64)
+    work, by_time = np.empty(pset._gathers * size * n_t), np.empty(n_t * size)
 
-    def chunks(segment, columns=table):
-        """(first triple, TMI values, lookup masks) of each chunk of a segment."""
+    def chunks(segment, columns=table, proper=False):
+        """(first triple, TMI values, covering flags or None) of each chunk of a segment."""
         stop = min((segment + 1) * per_segment * rows, len(pset))
         for start in range(segment * per_segment * rows, stop, rows):
-            yield start, *pset._tmi_block(columns, start, min(start + rows, stop), idx, work)
+            yield start, *pset._tmi_block(columns, start, min(start + rows, stop), idx, work,
+                                          proper)
 
     seg_lo, seg_hi = np.full((n_segments, n_t), np.inf), np.full((n_segments, n_t), -np.inf)
     chunk_lo, chunk_hi = np.empty((2, n_t))
     proper_lo = None
     for s in range(n_segments):
-        for _, vals, masks in chunks(s):
+        for _, vals, covers in chunks(s, proper=proper):
             if len(vals) <= n_t:  # a short chunk of wide rows: fold its rows together
                 vals.min(axis=0, out=chunk_lo)
                 vals.max(axis=0, out=chunk_hi)
@@ -646,29 +800,32 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
                     f"non-finite TMI at t={times[int(np.argmax(bad))]}")
             np.minimum(seg_lo[s], chunk_lo, out=seg_lo[s])
             np.maximum(seg_hi[s], chunk_hi, out=seg_hi[s])
-            if proper and not (covers := masks[6] == full).all():
+            if proper and not covers.all():
                 lo_k = vals[~covers].min(axis=0)
                 proper_lo = lo_k if proper_lo is None else np.minimum(proper_lo, lo_k)
     lo, hi = seg_lo.min(axis=0), seg_hi.max(axis=0)
     firsts = (_first_within(seg_lo, lo, hi)[0], _first_within(seg_hi, lo, hi)[1])
     index = np.empty((2, n_t), dtype=np.int64)
-    triples = np.empty((2, n_t, 3), dtype=np.int64)
     for s in sorted(set(np.concatenate(firsts).tolist())):
         # the segment is read again for the columns it places a pick in alone
         cols = np.flatnonzero((firsts[0] == s) | (firsts[1] == s))
         pending = [first[cols] == s for first in firsts]
         columns = table if len(cols) == n_t else \
             SubsetEntropyTable(table.n_sites, table.rows, table.values[:, cols])
-        for start, vals, masks in chunks(s, columns):
+        for start, vals, _ in chunks(s, columns):
             for side, near in enumerate(_near(vals, lo[cols], hi[cols])):
                 found = pending[side] & near.any(axis=0)
-                row = np.argmax(near, axis=0)[found]
-                index[side, cols[found]] = start + row
-                triples[side, cols[found]] = masks[:3, row].T
+                index[side, cols[found]] = start + np.argmax(near, axis=0)[found]
                 pending[side] &= ~found
             if not (pending[0].any() or pending[1].any()):
                 break
-    return TmiSeries(lo, index[0], hi, index[1], triples[0], triples[1], proper_lo)
+    # the masks of each picked triple, filled once
+    picks, where = np.unique(index, return_inverse=True)
+    masks = np.empty((3, len(picks)), dtype=np.int64)
+    for j, i in enumerate(picks):
+        pset._fill(int(i), int(i) + 1, masks[:, j:j + 1], np.empty(1, dtype=np.intp))
+    min_triples, max_triples = masks.T[where.reshape(index.shape)]
+    return TmiSeries(lo, index[0], hi, index[1], min_triples, max_triples, proper_lo)
 
 
 def tau_sign_change(times, min_values, threshold: float = 0.0):

@@ -7,8 +7,8 @@ is refused before any work; an assignment family comes streamed, never
 stored), the initial state, the propagation size guard, the masks the
 set reads (listed under a guard of their own), the guard on what a
 worker holds (a streamed family's label tables, the read masks, its
-exponents' stacked entropy tables, and the chunk buffers and records of
-``tmi_extrema``), and one entropy plan over the read masks plus the
+exponents' stacked entropy tables, and the chunk buffers, difference
+tables and records of ``tmi_extrema``), and one entropy plan over the read masks plus the
 runner's extra masks, reflected when every exponent's quench is
 reflection invariant.  So a refusal costs neither a plan nor a product.
 ``_sweep`` runs the set-up, then splits the exponents, insets last, into
@@ -154,8 +154,9 @@ def _setup(cfg: RunConfig, scan: bool, extra_masks: tuple, insets: tuple):
                  f"{columns:,} table columns a worker",
                  pset.layout_bytes + 64 * len(read)
                  + 8 * n_rows * (columns + max(columns, 2 * cfg.n_points))
-                 + scan_bytes(len(pset), columns),
-                 "in label tables, read masks, entropy tables, chunk buffers and records")
+                 + scan_bytes(pset, columns),
+                 "in label tables, read masks, entropy tables, chunk buffers, "
+                 "difference tables and records")
     reflected = all(reflection_invariant(coupling, psi0) for coupling in couplings)
     # a plain concatenation: the plan keeps one representative per orbit
     masks = read.tolist() + list(extra_masks)

@@ -221,7 +221,7 @@ class TestExitCodes:
                         "--partitions", "all", "--out", str(out_dir)])
         assert code == 3
         assert ("a 19-site run over 11,453,115,051 triples, 10 table columns a worker, "
-                "about 4.8 GB in label tables") in capsys.readouterr().err
+                "about 4.9 GB in label tables") in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_fixed_sizes_capacity_is_3(self, tmp_path, capsys):

@@ -27,7 +27,7 @@ from spinchain import (
     tmi,
 )
 from spinchain import partitions, reference, runs
-from spinchain.bits import bit_positions, mask_dtype, submask_tables
+from spinchain.bits import bit_positions, mask_dtype, submask_lists, submask_tables
 from spinchain.partitions import AssignmentFamily, parse_strategy, tmi_extrema
 from spinchain.reference import _subset_probability_table, binary_entropy, extrema
 
@@ -172,9 +172,11 @@ class TestEnumeration:
         assert given[0] == explicit[0] == (1, 2, top) and given.n_covering == 1
 
     def test_submask_tables(self):
-        # entry i is the i-th smallest submask: the bits of i on the mask's sites
+        # entry i is the i-th smallest submask: the bits of i on the mask's sites;
+        # submask_lists lists them for every mask at once
         rng = np.random.default_rng(4)
         for n_bits in (1, 2, 5, 8, 11):
+            lists, starts = submask_lists(n_bits) if n_bits <= 8 else (None, None)
             for mask in [0, (1 << n_bits) - 1, *rng.integers(0, 1 << n_bits, 4).tolist()]:
                 low, high, shift = submask_tables(mask, n_bits)
                 assert len(low) == 1 << shift
@@ -182,6 +184,10 @@ class TestEnumeration:
                 expected = [m for m in range(1 << n_bits) if m & ~mask == 0]
                 np.testing.assert_array_equal(low[i & (len(low) - 1)] | high[i >> shift],
                                               expected)
+                if lists is not None:
+                    np.testing.assert_array_equal(lists[starts[mask]:starts[mask + 1]],
+                                                  expected)
+            assert lists is None or len(lists) == 3 ** n_bits == starts[-1]
 
     def test_triples_are_canonical_and_disjoint(self):
         pset = enumerate_partitions(8, "all")
@@ -609,15 +615,18 @@ class TestOrbitReducedScan:
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         occupations = np.abs(reference.onebody_amplitudes(coupling, 3, times)) ** 2
-        # the mirror-symmetric average makes mirror triples tie exactly, and
-        # the extrema then match bitwise (the proper minimum only to roundoff)
-        for occ, exact in ((occupations, 0),
-                           (0.5 * (occupations + occupations[:, ::-1]), 2)):
+        # with or without the mirror-symmetric average, the members of an
+        # orbit agree only to roundoff (entropy.tmi_terms sums the entropies
+        # of A, B, C, D in an order the relabelings change: with the average,
+        # the family's maxima of four of these nine columns lie 2^-53 to
+        # 2^-51 above the representatives'), so the values match to 1e-12
+        # and the picks, each orbit's first triple, match exactly
+        for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
             closed = reference.onebody_entropy_table(occ)
             tables = [SubsetEntropyTable(n, closed.rows, column)
                       for column in closed.values.T]
             self.check_matches_family(enumerate_partitions(n, "all", orbits=True),
-                                      enumerate_partitions(n, "all"), tables, times, exact)
+                                      enumerate_partitions(n, "all"), tables, times)
 
     @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "fixed:1,2,3",
                                           "explicit", "all"])
@@ -717,6 +726,49 @@ class TestOrbitReducedScan:
             mirrored += rest != 0 and tuple(mirror) != (a, b, c)
         assert mirrored > 0
 
+    @pytest.mark.parametrize("orbits", [False, True], ids=["family", "orbits"])
+    @pytest.mark.parametrize("source", ["neel", "onebody"])
+    def test_difference_tables_match_stored_lookups_bitwise(self, basis8, monkeypatch,
+                                                           orbits, source):
+        # the all family's scan gathers per-A difference tables; the stored
+        # family sums the seven lookups in the same order, so values, picks
+        # and proper minima are equal bit for bit, here in chunks of 11
+        # triples whose ties make the tie pass re-read column subsets
+        n, times = 8, np.linspace(0.0, 2.7, 6)
+        if source == "neel":
+            masks = np.arange(1, 1 << n)
+            plan = EntropyTablePlan(basis8, masks.tolist(), reflected=True)
+            states = evolve(coupling_matrix(ModelSpec(n, alpha=0.6)), neel_state(basis8), times)
+            table = plan.evaluate(states)
+        else:
+            occupations = np.abs(reference.onebody_amplitudes(
+                coupling_matrix(ModelSpec(n, alpha=0.8)), 3, times)) ** 2
+            table = reference.onebody_entropy_table(occupations)
+        monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * 11)
+        monkeypatch.setattr(partitions, "_SEGMENTS", 400)
+        family = AssignmentFamily(n, orbits=orbits)
+        widths = []
+        build = AssignmentFamily._differences
+
+        def spy(self, k, columns):
+            widths.append(columns.values.shape[1])
+            return build(self, k, columns)
+
+        monkeypatch.setattr(AssignmentFamily, "_differences", spy)
+        found = tmi_extrema(family, table, times, proper=True)
+        assert 0 < min(widths) < len(times) == max(widths)
+        stored = enumerate_partitions(n, "all", orbits=orbits)
+        values = stored.tmi_values(table)
+        np.testing.assert_array_equal(family.tmi_values(table), values)
+        proper = values[~covers_chain(stored)]
+        for k in range(len(times)):
+            lo, i_min, hi, i_max = extrema(values[:, k])
+            assert (found.min_values[k], found.argmin[k], found.max_values[k],
+                    found.argmax[k], found.min_proper[k]) == (lo, i_min, hi, i_max,
+                                                              proper[:, k].min())
+            assert tuple(found.min_triples[k].tolist()) == stored[i_min]
+            assert tuple(found.max_triples[k].tolist()) == stored[i_max]
+
     @pytest.mark.parametrize("n, strategy, orbits, n_columns", [
         (12, "all", True, 34), (10, "all", False, 3), (12, "fixed:3,3,3", False, 400),
         (14, "fixed:1,4,4", False, 17)])
@@ -741,18 +793,23 @@ class TestOrbitReducedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= partitions.scan_bytes(len(family), n_columns)
+        assert peak <= partitions.scan_bytes(family, n_columns)
 
     def test_records_bounded_at_any_column_count(self):
         # fig4's 11 exponents of 101 times in one pass over the N=12 orbit
         # set: a record per chunk would take 24,070 x 1,111 x 16 B (0.43 GB)
+        family = AssignmentFamily(12, orbits=True)
         n_triples, n_columns = stirling2(12, 3) + stirling2(12, 4), 1111
+        assert len(family) == n_triples
         rows, per_segment, n_segments = partitions._chunk_plan(n_triples, n_columns)
         assert (rows, -(-n_triples // rows)) == (29, 24_070)
         assert n_segments <= partitions._SEGMENTS and (n_segments - 1) * per_segment * rows \
             < n_triples <= n_segments * per_segment * rows
         assert 16 * n_segments * n_columns <= 16 * partitions._SEGMENTS * n_columns < 5e6
-        assert partitions.scan_bytes(n_triples, n_columns) < 1e7
+        # and the largest per-A difference table, 2,048 rows of every column
+        # (18.2 MB), with its build
+        table_bytes = 2048 * 8 * n_columns
+        assert table_bytes < partitions.scan_bytes(family, n_columns) < 1e7 + table_bytes
 
     def test_scan_holds_no_whole_family_temporary(self):
         # one int64 per triple of the N=12 family is 20 MB; the scan's peak
