@@ -45,16 +45,3 @@ def submask_tables(mask: int, n_bits: int):
     high = np.arange(1 << (n_bits - half), dtype=dtype) << half
     low, high = (t[(t & ~mask) == 0] for t in (low, high))
     return low, high, len(low).bit_length() - 1
-
-
-def submask_lists(n_bits: int):
-    """The ascending submasks of every mask of ``n_bits`` bits, concatenated.
-
-    Returns (lists, starts): mask m's submasks are lists[starts[m]:starts[m + 1]],
-    3^n_bits int64s in all, listed from a 4^n_bits table of which mask
-    holds which.
-    """
-    masks = np.arange(1 << n_bits, dtype=mask_dtype(n_bits))
-    inside = (masks & ~masks[:, None]) == 0
-    return (np.broadcast_to(masks, inside.shape)[inside].astype(np.int64),
-            np.concatenate([[0], np.cumsum(np.count_nonzero(inside, axis=1))]))

@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bits import bit_positions, mask_dtype, submask_lists, submask_tables
+from .bits import bit_positions, mask_dtype, submask_tables
 from .entropy import SubsetEntropyTable, tmi_terms
 from .errors import NumericalConsistencyError, check_budget
 from .model import ModelSpec, SectorBasis
@@ -49,8 +49,9 @@ FIXED_SIZES = "fixed-sizes"
 EXTREMUM_TIE_TOL = 1e-12
 # Bytes of one block of TMI values in tmi_extrema (its scratch holds
 # _gathers + 1 arrays this size).  On the stacked table of two exponents
-# of 17 times over the N=12 orbit set, tmi_extrema took 0.164/0.153/0.155 s
-# in 128/256/512 KiB blocks (best of 5, 2-core Xeon, 2 MiB L2/core)
+# of 17 times over the N=12 orbit set, tmi_extrema with the proper minimum
+# took 0.271/0.249/0.251 s in 128/256/512 KiB blocks (best of 10, 2-core
+# Xeon, 2 MiB L2/core)
 _BLOCK_BYTES = 1 << 18
 # Segments of whole chunks whose extrema tmi_extrema records: at most this
 # many, so its records take at most 256 x 16 B per column at any family
@@ -189,7 +190,7 @@ class PartitionSet:
         return 0
 
     def _tmi_block(self, table: SubsetEntropyTable, start: int = 0, stop: int | None = None,
-                   idx=None, work=None, proper: bool = False) -> tuple:
+                   idx=None, work=None, proper: bool = False, per_a=None) -> tuple:
         """TMI of triples start..stop-1 (all if stop is None), a row per triple,
         and with ``proper`` whether each covers the chain (else None).
 
@@ -200,7 +201,7 @@ class PartitionSet:
         ``idx`` and rows to the front of the flat buffer ``work`` (new if
         None; _gathers rows per triple), kept contiguous: np.take copies
         into a contiguous temporary an ``out`` that is not.  The TMI is a
-        view.
+        view.  ``per_a`` serves the all family alone (AssignmentFamily).
         """
         if table.n_sites != self.n_sites:
             raise ValueError("table and partitions disagree on chain length")
@@ -245,7 +246,6 @@ class AssignmentFamily(PartitionSet):
             raise ValueError(f"sizes {sizes} do not fit a {n_sites}-site chain")
         self.n_sites, self.sizes, self.orbits = n_sites, sizes, orbits
         self._deposit = (None, None)  # see _deposit_tables
-        self._difference, self._buffer = (None, None), np.empty(0)  # see _differences
         if sizes is None:  # g at B, C and BC, over the submasks of R
             self._gathers, self._difference_rows = 3, 1 << (n_sites - 1)
         self.strategy = ALL_ASSIGNMENTS if sizes is None else \
@@ -288,7 +288,9 @@ class AssignmentFamily(PartitionSet):
         tables = {n_rest: _labelings(n_rest, pair, self.orbits, dtype)
                   for n_rest, pair in _rest_sizes(n, self.sizes).items()}
         masks = _masks_of_popcounts(n, [n - n_rest for n_rest in tables])
-        pops, below = _under_top_bit(masks)
+        pops = np.bitwise_count(masks).astype(np.int64)
+        # np.frexp's exponent is the bit length of an int below 2^53
+        below = np.left_shift(1, np.frexp(masks)[1] - pops, dtype=np.int64)
         first, count = np.empty((2, len(masks)), dtype=np.int64)
         for n_rest, (beta, _) in tables.items():
             of = pops == n - n_rest
@@ -340,77 +342,46 @@ class AssignmentFamily(PartitionSet):
                 row |= np.take(low, i, out=part, mode="clip")
             part[:] = a
 
-    @cached_property
-    def _submask_lists(self) -> tuple:
-        """bits.submask_lists of ceil(N/2) bits: the submasks of either half
-        of a rest's sites (_differences)."""
-        return submask_lists(self.n_sites - self.n_sites // 2)
+    def _differences(self, k: int, table: SubsetEntropyTable, out: np.ndarray) -> tuple:
+        """(S_A, lowest label read, g) of A k over ``table``'s columns.
 
-    def _differences(self, k: int, table: SubsetEntropyTable) -> tuple:
-        """(first A, label bases, rows of S_A in the table, g) of the batch of
-        As from A k on, over ``table``'s columns.
-
-        g stacks, for each A of the batch in turn, S_X - S_{A u X} for X
-        the x-th smallest submask of its rest R, at row base + x, from the
-        first label above A's top site: no triple of A reads a lower one
-        (see layout).  A batch takes As while g stays within
-        _difference_rows rows, or one A.  Each label is deposited on R's
-        low and high halves through the lists of their submasks, and every
-        mask is read through table.positions, so one the table lacks raises
-        KeyError.  g lives in a buffer kept for the next batch, and the
-        batch is kept while calls fall in it with the same table object:
-        the tie pass reads a copy of some of the columns, which a batch
-        over every column must not serve.
+        g holds S_X - S_{A u X} at row x - lowest, for X the x-th smallest
+        submask of the rest R: no triple of A reads a label under A's top
+        bit (see layout).  The masks are deposited through _deposit_tables
+        and read through table.positions, so one the table lacks raises
+        KeyError.  g takes the front of the flat buffer ``out``, and
+        S_{A u X} is subtracted a block of rows at a time in the
+        _BLOCK_BYTES (a row at least) that follow it.
         """
-        batch = self._difference
-        if batch[0] is table and batch[1] <= k < batch[1] + len(batch[2]):
-            return batch[1:]
-        self._difference = (None, None)
-        n, half = self.n_sites, self.n_sites // 2
-        masks = self.layout[1][k:k + self._difference_rows]  # a batch holds no more As
-        pops, lo = _under_top_bit(masks)
-        sizes = np.left_shift(1, n - pops) - lo
-        ends = np.cumsum(sizes)
-        count = max(1, int(np.searchsorted(ends, self._difference_rows, side="right")))
-        masks, size = masks[:count], int(ends[count - 1])
-        bases = ends[:count] - sizes[:count] - lo[:count]
-        of = np.repeat(np.arange(count), sizes[:count])
-        labels = np.arange(size) - bases[of]
-        rest = ((1 << n) - 1) ^ masks
-        low = rest & ((1 << half) - 1)
-        split = np.bitwise_count(low).astype(np.int64)[of]
-        lists, starts = self._submask_lists
-        subs = (lists[starts[low][of] + (labels & ((1 << split) - 1))]
-                | (lists[starts[rest >> half][of] + (labels >> split)] << half))
-        pos = table.positions(np.concatenate([subs, subs | masks[of], masks]))
-        # g, then S_{A u X} subtracted a block of rows at a time
-        shape = table.values.shape[1:]
-        step = max(1, _BLOCK_BYTES // (8 * math.prod(shape)))
-        need = (self._difference_rows + step) * math.prod(shape)
-        if len(self._buffer) < need:
-            self._buffer = np.empty(need)
-        g = self._buffer[:size * math.prod(shape)].reshape((size,) + shape)
-        block = self._buffer[need - step * math.prod(shape):need].reshape((step,) + shape)
-        np.take(table.values, pos[:size], axis=0, mode="clip", out=g)
-        for at in range(0, size, step):
+        a = int(self.layout[1][k])
+        low, high, shift = self._deposit_tables(k, np.int64)
+        lowest = 1 << (a.bit_length() - a.bit_count())
+        labels = np.arange(lowest, 1 << (self.n_sites - a.bit_count()))
+        subs = high[labels >> shift] | low[labels & (len(low) - 1)]
+        pos = table.positions(np.concatenate([subs, subs | a, [a]]))
+        shape, width = table.values.shape[1:], math.prod(table.values.shape[1:])
+        g = out[:len(subs) * width].reshape((len(subs),) + shape)
+        step = max(1, _BLOCK_BYTES // (8 * width))
+        block = out[g.size:g.size + step * width].reshape((step,) + shape)
+        np.take(table.values, pos[:len(subs)], axis=0, mode="clip", out=g)
+        for at in range(0, len(subs), step):
             rows = g[at:at + step]
-            np.take(table.values, pos[size + at:size + at + len(rows)], axis=0, mode="clip",
-                    out=block[:len(rows)])
+            np.take(table.values, pos[len(subs) + at:len(subs) + at + len(rows)], axis=0,
+                    mode="clip", out=block[:len(rows)])
             rows -= block[:len(rows)]
-        self._difference = (table, k, bases, pos[2 * size:], g)
-        return self._difference[1:]
+        return table.values[pos[-1]], lowest, g
 
     def _tmi_block(self, table: SubsetEntropyTable, start: int = 0, stop: int | None = None,
-                   idx=None, work=None, proper: bool = False) -> tuple:
+                   idx=None, work=None, proper: bool = False, per_a=None) -> tuple:
         """PartitionSet._tmi_block; for the all family, three rows per triple
-        gathered by label from the per-A difference tables (_differences).
+        gathered by label from the A's difference table (_differences).
 
         With g = g_A, TMI = S_A + ((g(B) + g(C)) - g(BC)), the order of
         entropy.tmi_terms, so the bits are those of the seven lookups.  The
         rows of beta, gamma and beta | gamma in g go to the rows of ``idx``,
-        their values to ``work``, gathered once per batch of As; a triple
-        covers the chain when beta | gamma is R's full label.  No mask is
-        filled.
+        their values to ``work``; a triple covers the chain when
+        beta | gamma is R's full label.  ``per_a`` (a _PerA) holds the
+        table between calls; no mask is filled.
         """
         if self.sizes is not None:
             return super()._tmi_block(table, start, stop, idx, work, proper)
@@ -421,50 +392,50 @@ class AssignmentFamily(PartitionSet):
             else idx[:3, :stop - start]
         rows = _rows(index.shape, table, work)
         covers = np.empty(stop - start, dtype=bool) if proper else None
+        per_a = _PerA(self, table.values.shape[1:]) if per_a is None else per_a
         tables, masks = self.layout[:2]
-        first, bases, own, g = -1, (), None, None
-        done, sums = 0, []
         for k, part, cols in self._pieces(start, stop):
-            if not first <= k < first + len(bases):
-                if done < cols.start:
-                    _gather_sum(g, index[:, done:cols.start], rows[:, done:cols.start])
-                first, bases, own, g = self._differences(k, table)
-                done = cols.start
+            s_a, lowest, g = per_a.table(k, table)
             n_rest = self.n_sites - int(masks[k]).bit_count()
             beta, gamma = (labels[part] for labels in tables[n_rest])
-            union = np.bitwise_or(beta, gamma, out=index[2, cols])
+            i, r = index[:, cols], rows[:, cols]
+            np.bitwise_or(beta, gamma, out=i[2])
             if proper:
-                np.equal(union, (1 << n_rest) - 1, out=covers[cols])
-            union += bases[k - first]
-            np.add(beta, bases[k - first], out=index[0, cols])
-            np.add(gamma, bases[k - first], out=index[1, cols])
-            sums.append((cols, table.values[own[k - first]]))
-        _gather_sum(g, index[:, done:], rows[:, done:])
-        vals = rows[0]
-        for cols, s in sums:  # S_A last, as in entropy.tmi_terms
-            np.add(s, vals[cols], out=vals[cols])
-        return vals, covers
+                np.equal(i[2], (1 << n_rest) - 1, out=covers[cols])
+            np.subtract(beta, lowest, out=i[0])
+            np.subtract(gamma, lowest, out=i[1])
+            i[2] -= lowest
+            for row, at in zip(r, i):
+                np.take(g, at, axis=0, mode="clip", out=row)  # rows of g, in range
+            r[0] += r[1]
+            r[0] -= r[2]
+            np.add(s_a, r[0], out=r[0])
+        return rows[0], covers
+
+
+class _PerA:
+    """One scan's per-A difference table (AssignmentFamily._differences),
+    kept while consecutive chunks read the same A of the same table object:
+    the tie pass reads a copy of some of the columns, which a table over
+    every column must not serve.  Its buffer fits the largest table, and
+    a block, over ``shape`` columns."""
+
+    def __init__(self, family: AssignmentFamily, shape: tuple):
+        width = math.prod(shape)
+        self.family, self.key, self.built = family, (None, None), None
+        self.buffer = np.empty(family._difference_rows * width + max(width, _BLOCK_BYTES // 8))
+
+    def table(self, k: int, table: SubsetEntropyTable) -> tuple:
+        if self.key[0] != k or self.key[1] is not table:
+            self.key = (None, None)  # the buffer no longer holds the old table
+            self.built = self.family._differences(k, table, self.buffer)
+            self.key = (k, table)
+        return self.built
 
 
 def _masks_of_popcounts(n_sites: int, counts) -> np.ndarray:
     """The int64 masks of ``n_sites`` bits whose popcount is in ``counts``, ascending."""
     return np.sort(np.concatenate([SectorBasis(n_sites, p).states for p in counts]))
-
-
-def _under_top_bit(masks: np.ndarray) -> tuple:
-    """(popcounts, 2^(bit length - popcount)) of int64 ``masks``: the second
-    counts the labels of a mask's rest that sit under its top bit."""
-    pops = np.bitwise_count(masks).astype(np.int64)
-    # np.frexp's exponent is the bit length of an int below 2^53
-    return pops, np.left_shift(1, np.frexp(masks)[1] - pops, dtype=np.int64)
-
-
-def _gather_sum(g: np.ndarray, index: np.ndarray, rows: np.ndarray):
-    """(g[i0] + g[i1]) - g[i2] into rows[0], for the three rows i0, i1, i2 of ``index``."""
-    for row, i in zip(rows, index):
-        np.take(g, i, axis=0, mode="clip", out=row)  # the index rows are g's
-    rows[0] += rows[1]
-    rows[0] -= rows[2]
 
 
 def _rows(shape: tuple, table: SubsetEntropyTable, work) -> np.ndarray:
@@ -724,12 +695,11 @@ def scan_bytes(pset: PartitionSet, n_columns: int) -> int:
     or 3 labels of the all family): the mask or label, its table position
     and np.take's intp copy of those, and the gathered row per column;
     then, per column, a time-major copy, a proper-split copy and a row for
-    the tie tests.  The all family's batch of per-A difference tables
+    the tie tests.  The all family's per-A difference table
     (pset._difference_rows rows at most): a row per column, 128 B a row
-    for the build and the submask lists, and the block its subtraction
-    runs in.  Per segment and column: the two records and the tie tests'
-    flags; per column, 32 more values; 8 KiB fixed.  Bounded at any
-    number of triples.
+    for its build, and the block its subtraction runs in.  Per segment
+    and column: the two records and the tie tests' flags; per column, 32
+    more values; 8 KiB fixed.  Bounded at any number of triples.
     """
     rows, _, n_segments = _chunk_plan(len(pset), n_columns)
     gathers, table_rows = pset._gathers, pset._difference_rows
@@ -773,13 +743,14 @@ def tmi_extrema(pset: PartitionSet, table: SubsetEntropyTable, times,
     size = min(rows, len(pset))
     idx = np.empty((pset._gathers, size), dtype=np.int64)
     work, by_time = np.empty(pset._gathers * size * n_t), np.empty(n_t * size)
+    per_a = _PerA(pset, (n_t,)) if pset._difference_rows else None
 
     def chunks(segment, columns=table, proper=False):
         """(first triple, TMI values, covering flags or None) of each chunk of a segment."""
         stop = min((segment + 1) * per_segment * rows, len(pset))
         for start in range(segment * per_segment * rows, stop, rows):
             yield start, *pset._tmi_block(columns, start, min(start + rows, stop), idx, work,
-                                          proper)
+                                          proper, per_a)
 
     seg_lo, seg_hi = np.full((n_segments, n_t), np.inf), np.full((n_segments, n_t), -np.inf)
     chunk_lo, chunk_hi = np.empty((2, n_t))

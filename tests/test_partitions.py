@@ -27,7 +27,7 @@ from spinchain import (
     tmi,
 )
 from spinchain import partitions, reference, runs
-from spinchain.bits import bit_positions, mask_dtype, submask_lists, submask_tables
+from spinchain.bits import bit_positions, mask_dtype, submask_tables
 from spinchain.partitions import AssignmentFamily, parse_strategy, tmi_extrema
 from spinchain.reference import _subset_probability_table, binary_entropy, extrema
 
@@ -172,11 +172,9 @@ class TestEnumeration:
         assert given[0] == explicit[0] == (1, 2, top) and given.n_covering == 1
 
     def test_submask_tables(self):
-        # entry i is the i-th smallest submask: the bits of i on the mask's sites;
-        # submask_lists lists them for every mask at once
+        # entry i is the i-th smallest submask: the bits of i on the mask's sites
         rng = np.random.default_rng(4)
         for n_bits in (1, 2, 5, 8, 11):
-            lists, starts = submask_lists(n_bits) if n_bits <= 8 else (None, None)
             for mask in [0, (1 << n_bits) - 1, *rng.integers(0, 1 << n_bits, 4).tolist()]:
                 low, high, shift = submask_tables(mask, n_bits)
                 assert len(low) == 1 << shift
@@ -184,10 +182,6 @@ class TestEnumeration:
                 expected = [m for m in range(1 << n_bits) if m & ~mask == 0]
                 np.testing.assert_array_equal(low[i & (len(low) - 1)] | high[i >> shift],
                                               expected)
-                if lists is not None:
-                    np.testing.assert_array_equal(lists[starts[mask]:starts[mask + 1]],
-                                                  expected)
-            assert lists is None or len(lists) == 3 ** n_bits == starts[-1]
 
     def test_triples_are_canonical_and_disjoint(self):
         pset = enumerate_partitions(8, "all")
@@ -615,18 +609,19 @@ class TestOrbitReducedScan:
         monkeypatch.setattr(partitions, "_BLOCK_BYTES", 8 * len(times) * self.ROWS)
         coupling = coupling_matrix(ModelSpec(n, alpha=0.8))
         occupations = np.abs(reference.onebody_amplitudes(coupling, 3, times)) ** 2
-        # with or without the mirror-symmetric average, the members of an
-        # orbit agree only to roundoff (entropy.tmi_terms sums the entropies
-        # of A, B, C, D in an order the relabelings change: with the average,
+        # the members of an orbit agree to roundoff (entropy.tmi_terms sums
+        # the entropies of A, B, C, D in an order the relabelings change);
+        # with the mirror-symmetric average the minima match bitwise, while
         # the family's maxima of four of these nine columns lie 2^-53 to
-        # 2^-51 above the representatives'), so the values match to 1e-12
-        # and the picks, each orbit's first triple, match exactly
-        for occ in (occupations, 0.5 * (occupations + occupations[:, ::-1])):
+        # 2^-51 above the representatives' (the proper minimum only to
+        # roundoff either way)
+        for occ, exact in ((occupations, 0),
+                           (0.5 * (occupations + occupations[:, ::-1]), 1)):
             closed = reference.onebody_entropy_table(occ)
             tables = [SubsetEntropyTable(n, closed.rows, column)
                       for column in closed.values.T]
             self.check_matches_family(enumerate_partitions(n, "all", orbits=True),
-                                      enumerate_partitions(n, "all"), tables, times)
+                                      enumerate_partitions(n, "all"), tables, times, exact)
 
     @pytest.mark.parametrize("strategy", ["contiguous", "fixed:2,2,2", "fixed:1,2,3",
                                           "explicit", "all"])
@@ -750,9 +745,9 @@ class TestOrbitReducedScan:
         widths = []
         build = AssignmentFamily._differences
 
-        def spy(self, k, columns):
+        def spy(self, k, columns, out):
             widths.append(columns.values.shape[1])
-            return build(self, k, columns)
+            return build(self, k, columns, out)
 
         monkeypatch.setattr(AssignmentFamily, "_differences", spy)
         found = tmi_extrema(family, table, times, proper=True)
